@@ -16,7 +16,7 @@ from .dfa import compile_formula
 from .ltl import classify, format_formula, load_mission, parse_formula
 from .maps import MapSpec, gen_map, map_mission
 from .mdp import SolverError, load_model, save_model
-from .product import compile_mission, local_product
+from .product import local_products
 from .realloc import policy_from_dict, policy_to_dict, run_stapu_with_realloc
 from .simulate import simulate
 from .team import build_team, solve_stapu
@@ -32,8 +32,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_inputs(args):
-    models = [load_model(p) for p in args.models]
-    return models, load_mission(args.mission)
+    """Models in command-line order, each distinct path loaded once."""
+    loaded = {path: load_model(path) for path in dict.fromkeys(args.models)}
+    return [loaded[path] for path in args.models], load_mission(args.mission)
 
 
 def cmd_compile(args):
@@ -47,9 +48,7 @@ def cmd_compile(args):
 
 def cmd_solve(args):
     models, mission = _load_inputs(args)
-    shared = compile_mission(mission)
-    products = [local_product(m, mission, automata=shared) for m in models]
-    sol = solve_stapu(build_team(products), epsilon=args.epsilon)
+    sol = solve_stapu(build_team(local_products(models, mission)), epsilon=args.epsilon)
     with open(args.out, "w") as fh:
         json.dump(sol.to_dict(), fh, indent=2)
         fh.write("\n")

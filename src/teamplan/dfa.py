@@ -223,9 +223,6 @@ class Dfa:
     def accepts(self, trace) -> bool:
         return self.run(trace) in self.accepting
 
-    def initial_or_accepting(self, q: int) -> bool:
-        return q == self.initial or q in self.accepting
-
     def to_dict(self) -> dict:
         trans = []
         for (q, label), q2 in sorted(self.delta.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):

@@ -1,14 +1,28 @@
 """Explicit-state MDPs, maximal reachability, and nested probability/cost solving.
 
-Solving is Gauss-Seidel value iteration bracketed by graph precomputation:
-states that cannot reach the target under any scheduler are pinned to 0 and
-states with an almost-sure strategy are pinned to 1 before iteration starts,
-so the iterated region only contains genuinely quantitative states.
+Two solvers compute maximal reach probabilities, one per model class:
+
+- `max_product_reach` serves models in which every choice has at most one
+  live outcome, i.e. the team models of deterministic-or-fail robots. One
+  label-setting pass from the targets gives the exact values.
+- `max_reach` serves every other model (the joint multi-agent MDP, model
+  files of any shape). It is Gauss-Seidel value iteration bracketed by
+  graph precomputation: states that cannot reach the target under any
+  scheduler are pinned to 0 and states with an almost-sure strategy are
+  pinned to 1 before iteration starts, so the iterated region only
+  contains genuinely quantitative states.
+
+Both read their policy off the values with one rule (`_reach_policy`), and
+`nested_vi` breaks its cost ties with the same layered pass.
 """
 
 import json
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+
+import numpy as np
 
 Choice = namedtuple("Choice", ["action", "outcomes", "cost"])
 # action: index into Mdp.actions; outcomes: tuple of (successor, probability); cost: float or None
@@ -190,6 +204,17 @@ class NestedResult:
     policy: dict[int, int]
 
 
+def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
+    target = set(target)
+    avoid = set(avoid)
+    if target & avoid:
+        raise ValueError("target and avoid sets overlap")
+    for s in target | avoid:
+        if not (0 <= s < mdp.num_states):
+            raise ValueError(f"state {s} out of range")
+    return target, avoid
+
+
 def _predecessors(mdp: Mdp):
     pre: list[set[int]] = [set() for _ in range(mdp.num_states)]
     for s in range(mdp.num_states):
@@ -199,9 +224,8 @@ def _predecessors(mdp: Mdp):
     return pre
 
 
-def _prob0(mdp: Mdp, target: set[int], avoid: set[int]) -> set[int]:
+def _prob0(pre, num_states: int, target: set[int], avoid: set[int]) -> set[int]:
     """States from which no scheduler reaches the target with positive probability."""
-    pre = _predecessors(mdp)
     reach = set(target)
     stack = list(target)
     while stack:
@@ -210,7 +234,7 @@ def _prob0(mdp: Mdp, target: set[int], avoid: set[int]) -> set[int]:
             if s not in reach and s not in avoid:
                 reach.add(s)
                 stack.append(s)
-    return set(range(mdp.num_states)) - reach
+    return set(range(num_states)) - reach
 
 
 def _prob1(mdp: Mdp, target: set[int], avoid: set[int]) -> set[int]:
@@ -244,49 +268,67 @@ def _fresh_q(mdp: Mdp, s: int, values: list[float]) -> list[float]:
     return [sum(p * values[t] for t, p in c.outcomes) for c in mdp.choices[s]]
 
 
-def _certificate_policy(mdp, states: set[int], target: set[int], policy: dict[int, int]):
+def _certificate_policy(mdp, pre, states: set[int], target: set[int], policy: dict[int, int]):
     """Inside an almost-sure set, pick actions that stay in the set and make progress."""
-    assigned = set(target)
-    pending = set(states) - assigned
-    while pending:
-        added = []
-        for s in sorted(pending):
-            best = None
-            for c in mdp.choices[s]:
-                outs = [t for t, _ in c.outcomes]
-                if all(t in states or t in target for t in outs) and any(t in assigned for t in outs):
-                    best = c.action if best is None else min(best, c.action)
-            if best is not None:
-                policy[s] = best
-                added.append(s)
-        if not added:
-            raise SolverError("internal: almost-sure certificate incomplete")
-        for s in added:
-            assigned.add(s)
-            pending.discard(s)
+    inside = states | target
+    usable = {
+        s: [c for c in mdp.choices[s] if all(t in inside for t, _ in c.outcomes)]
+        for s in states - target
+    }
+    _progress_policy(pre, target, usable, policy)
 
 
-def _progress_policy(mdp, mid: set[int], base: set[int], optimal: dict[int, list[Choice]], policy: dict[int, int]):
-    """Among value-optimal choices prefer ones with a successor strictly closer
-    to the target, then the lowest action index. A plain argmax can pick a
-    choice that preserves the value forever without reaching anything."""
+def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[int, int]):
+    """Assign every state of `usable` one of its usable choices, layer by layer
+    backwards from `base` over the predecessor index `pre`.
+
+    A state joins the layer after the first one its usable choices reach,
+    and takes the lowest action index among the usable choices reaching it.
+    So among value-optimal choices the one with a successor strictly closer
+    to the target wins; a plain argmax can pick a choice that preserves the
+    value forever without reaching anything.
+    """
     assigned = set(base)
-    pending = set(mid)
-    while pending:
-        added = []
-        for s in sorted(pending):
+    frontier = assigned
+    while frontier:
+        layer = []
+        for s in {s for t in frontier for s in pre[t] if s in usable and s not in assigned}:
             best = None
-            for c in optimal[s]:
-                if any(t in assigned for t, _ in c.outcomes):
-                    best = c.action if best is None else min(best, c.action)
+            for c in usable[s]:
+                if (best is None or c.action < best) and any(t in assigned for t, _ in c.outcomes):
+                    best = c.action
             if best is not None:
-                policy[s] = best
-                added.append(s)
-        if not added:
-            raise SolverError("internal: no progressing optimal action for states " + str(sorted(pending)[:5]))
-        for s in added:
+                layer.append((s, best))
+        frontier = []
+        for s, action in layer:
+            policy[s] = action
             assigned.add(s)
-            pending.discard(s)
+            frontier.append(s)
+    missing = sorted(s for s in usable if s not in assigned)
+    if missing:
+        raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
+
+
+def _reach_policy(mdp: Mdp, pre, values: list[float], target: set[int], sure: set[int]) -> dict[int, int]:
+    """The one policy rule of every reachability solver: certificate actions
+    on the almost-sure set, progressing value-optimal actions on the rest of
+    the positive region, the first enabled action everywhere else."""
+    policy: dict[int, int] = {}
+    for s in sorted(target):
+        if mdp.choices[s]:
+            policy[s] = mdp.choices[s][0].action
+    _certificate_policy(mdp, pre, sure, target, policy)
+    optimal: dict[int, list[Choice]] = {}
+    for s in range(mdp.num_states):
+        if values[s] > 0.0 and s not in target and s not in sure:
+            qs = _fresh_q(mdp, s, values)
+            top = max(qs)
+            optimal[s] = [c for c, q in zip(mdp.choices[s], qs) if q >= top - PROB_ATOL]
+    _progress_policy(pre, target | sure, optimal, policy)
+    for s in range(mdp.num_states):
+        if s not in policy and mdp.choices[s]:
+            policy[s] = mdp.choices[s][0].action
+    return policy
 
 
 def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int = 100_000, sweep_log=None) -> ReachResult:
@@ -296,20 +338,12 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
     state space. Values start at zero and sweep in state order until the
     largest update falls below `epsilon` (absolute).
     """
-    target = set(target)
-    avoid = set(avoid)
-    if target & avoid:
-        raise ValueError("target and avoid sets overlap")
-    for s in target | avoid:
-        if not (0 <= s < mdp.num_states):
-            raise ValueError(f"state {s} out of range")
-
-    zero = _prob0(mdp, target, avoid)
-    sure = _prob1(mdp, target, avoid) - zero
+    target, avoid = _check_sets(mdp, target, avoid)
+    pre = _predecessors(mdp)
+    zero = _prob0(pre, mdp.num_states, target, avoid)
+    sure = _prob1(mdp, target, avoid) - zero - target
     values = [0.0] * mdp.num_states
-    for s in sure:
-        values[s] = 1.0
-    for s in target:
+    for s in sure | target:
         values[s] = 1.0
 
     mid = [s for s in range(mdp.num_states) if s not in zero and s not in sure and s not in target]
@@ -334,22 +368,87 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
         else:
             raise DivergenceError(f"value iteration exceeded {max_iter} sweeps (last delta {delta})")
 
-    policy: dict[int, int] = {}
-    for s in sorted(target):
-        if mdp.choices[s]:
-            policy[s] = mdp.choices[s][0].action
-    _certificate_policy(mdp, sure, target, policy)
-    optimal: dict[int, list[Choice]] = {}
-    positive_mid = {s for s in mid if values[s] > 0.0}
-    for s in positive_mid:
-        qs = _fresh_q(mdp, s, values)
-        top = max(qs)
-        optimal[s] = [c for c, q in zip(mdp.choices[s], qs) if q >= top - PROB_ATOL]
-    _progress_policy(mdp, positive_mid, target | sure, optimal, policy)
-    for s in range(mdp.num_states):
-        if s not in policy and mdp.choices[s]:
-            policy[s] = mdp.choices[s][0].action
+    policy = _reach_policy(mdp, pre, values, target, sure)
     return ReachResult(values, policy, iterations, frozenset(sure | target), frozenset(zero))
+
+
+class _Csr:
+    """Rows of a flat array: row t is items[offsets[t]:offsets[t + 1]]."""
+
+    def __init__(self, offsets, items):
+        self.offsets = offsets
+        self.items = items
+
+    def __getitem__(self, t):
+        return self.items[self.offsets[t]:self.offsets[t + 1]]
+
+
+def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
+    """Exact maximal reach probability when every choice has at most one live
+    outcome; None when some choice has two.
+
+    An outcome is dead when it is an avoid state or an absorbing non-target
+    state: its value is 0. With one live outcome per choice, reached with
+    probability p, the value of a state is the largest product of p along a
+    path to the target, and a label-setting pass from the targets computes
+    it exactly (Knuth's generalisation of Dijkstra's algorithm: p <= 1 never
+    raises a label, also in floating point). The policy follows the same
+    rule as `max_reach`'s.
+    """
+    target, avoid = _check_sets(mdp, target, avoid)
+    n = mdp.num_states
+    dead = bytearray(n)
+    for s in range(n):
+        dead[s] = s in avoid or (s not in target and mdp.is_absorbing(s))
+
+    # backward index of live edges: the live outcome, the choosing state and
+    # its probability, one flat array each, sorted by live outcome
+    heads = array("q")
+    tails = array("q")
+    probs = array("d")
+    for s in range(n):
+        if s in target or s in avoid:
+            continue
+        for c in mdp.choices[s]:
+            live = -1
+            for t, p in c.outcomes:
+                if not dead[t]:
+                    if live >= 0:
+                        return None
+                    live, prob = t, p
+            if live >= 0:
+                heads.append(live)
+                tails.append(s)
+                probs.append(prob)
+    head = np.frombuffer(heads, dtype=np.int64)
+    order = np.argsort(head, kind="stable")
+    offsets = array("q", np.searchsorted(head[order], np.arange(n + 1)).tobytes())
+    tails = array("q", np.frombuffer(tails, dtype=np.int64)[order].tobytes())
+    probs = array("d", np.frombuffer(probs)[order].tobytes())
+
+    values = [0.0] * n
+    for s in target:
+        values[s] = 1.0
+    heap = [(-1.0, s) for s in sorted(target)]  # sorted, so already a heap
+    settled = bytearray(n)
+    while heap:
+        v, t = heappop(heap)
+        if settled[t]:
+            continue
+        settled[t] = 1
+        v = -v
+        for k in range(offsets[t], offsets[t + 1]):
+            s = tails[k]
+            w = probs[k] * v
+            if w > values[s]:
+                values[s] = w
+                heappush(heap, (-w, s))
+
+    # a product of probabilities is 1.0 only over probability-1 steps
+    sure = {s for s in range(n) if values[s] == 1.0} - target
+    zero = frozenset(s for s in range(n) if values[s] == 0.0)
+    policy = _reach_policy(mdp, _Csr(offsets, tails), values, target, sure)
+    return ReachResult(values, policy, 0, frozenset(sure | target), zero)
 
 
 _COST_CEILING = 1e15
@@ -406,5 +505,5 @@ def nested_vi(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
         pairs = [((c.cost or 0.0) + sum(p * costs[t] for t, p in c.outcomes), c) for c in restricted[s]]
         low = min(q for q, _ in pairs)
         cost_optimal[s] = [c for q, c in pairs if q <= low + PROB_ATOL]
-    _progress_policy(mdp, set(active), base, cost_optimal, policy)
+    _progress_policy(_predecessors(mdp), base, cost_optimal, policy)
     return NestedResult(values, costs, policy)

@@ -157,5 +157,19 @@ def local_product(mdp, mission, automata=None):
     return ProductMdp(mdp, mission, task_dfas, safety_dfa)
 
 
+def local_products(models, mission):
+    """One product per robot, all over one compilation of the mission.
+
+    Robots given the same model object share one product: products are
+    never modified once built.
+    """
+    shared = compile_mission(mission)
+    built = {}
+    for m in models:
+        if id(m) not in built:
+            built[id(m)] = local_product(m, mission, automata=shared)
+    return [built[id(m)] for m in models]
+
+
 def accepting_states(pm):
     return pm.accepting

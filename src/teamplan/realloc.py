@@ -20,7 +20,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .product import advance_vector, compile_mission, local_product, vector_accepting, vector_initial, vector_violating
+from .product import advance_vector, local_products, vector_accepting, vector_initial, vector_violating
 from .team import build_team, check_class, check_single_switch, solve_stapu
 
 EXECUTING = "executing"
@@ -290,14 +290,23 @@ def synchronize(sol, q0=None):
     entry labels. Continuations grafted at a reallocation point pass the
     point's vector, which already accounts for every robot's position.
     """
-    for r, product in enumerate(sol.team.products):
-        if not check_class(product.source):
-            raise UnsupportedModelError(
-                f"robot {r}: actions must be deterministic or two-outcome failures"
-            )
+    _require_class([p.source for p in sol.team.products])
     if not check_single_switch(sol):
         raise UnsupportedModelError("plan hands over from more than one state per robot")
     return JointPolicy([_build_chain(sol, q0)], robots=len(sol.team.products))
+
+
+def _require_class(models):
+    """Raise unless every distinct model is deterministic-or-fail."""
+    checked = set()
+    for r, model in enumerate(models):
+        if id(model) in checked:
+            continue
+        checked.add(id(model))
+        if not check_class(model):
+            raise UnsupportedModelError(
+                f"robot {r}: actions must be deterministic or two-outcome failures"
+            )
 
 
 def _survey(jp):
@@ -397,13 +406,8 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
     policy and the guarantee it supports; whatever stays unaddressed is
     counted as failure, so stopping early only understates the value."""
     t0 = time.perf_counter()
-    for r, model in enumerate(models):
-        if not check_class(model):
-            raise UnsupportedModelError(
-                f"robot {r}: actions must be deterministic or two-outcome failures"
-            )
-    shared = compile_mission(mission)
-    products = [local_product(m, mission, automata=shared) for m in models]
+    _require_class(models)
+    products = local_products(models, mission)
     sol = solve_stapu(build_team(products), epsilon=epsilon)
     jp = synchronize(sol)
     log = [_log_entry(jp, 0, None, sol.value, t0)]

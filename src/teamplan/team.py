@@ -4,13 +4,19 @@ One robot plans at a time; a switch hands the whole automaton vector,
 unchanged, to the next robot in the ring, which continues from its own
 entry state. Switching costs nothing and takes probability 1: it is a
 planning construct, not an executed action.
+
+`solve_stapu` solves the model with `mdp.max_product_reach`, exact on the
+team model of deterministic-or-fail robots, where every action reaches one
+live successor and otherwise a dead end. A model with two live outcomes in
+some action, which robots outside that class can give, falls back to value
+iteration (`mdp.max_reach`).
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 from .ltl import atoms_of
-from .mdp import Choice, Mdp, max_reach
+from .mdp import Choice, Mdp, max_product_reach, max_reach
 from .product import (
     advance_vector,
     vector_accepting,
@@ -185,8 +191,15 @@ class StapuSolution:
 
 
 def solve_stapu(team, epsilon=1e-6):
-    """Solve the team model and read off the allocation the policy implies."""
-    res = max_reach(team.mdp, team.accepting, team.violating, epsilon=epsilon)
+    """Solve the team model and read off the allocation the policy implies.
+
+    A team of deterministic-or-fail robots gives a model that
+    `max_product_reach` solves exactly; any other model falls back to
+    value iteration with `max_reach`, the only use of `epsilon`.
+    """
+    res = max_product_reach(team.mdp, team.accepting, team.violating)
+    if res is None:
+        res = max_reach(team.mdp, team.accepting, team.violating, epsilon=epsilon)
     allocation, unallocated, segments, switches = _walk_success_path(team, res.policy)
     return StapuSolution(
         team=team,
