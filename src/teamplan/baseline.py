@@ -2,21 +2,23 @@
 
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
-robots' successor labels. Exponential in the team size, so construction
-is guarded by a state-count ceiling; within it, solving this model gives
-the unconstrained optimum that the sequential planner and the
-reallocation loop are measured against.
+robots' successor labels (`product.advance_joint`). This module builds
+the joint-step rows over `mdp.Explorer`; the vector rules and the
+unpruned size come from `product`. Exponential in the team size, so
+construction is guarded by a state-count ceiling; within it, solving
+this model gives the unconstrained optimum that the sequential planner
+and the reallocation loop are measured against.
 """
 
 import itertools
-from collections import deque
 
-from .mdp import Choice, Mdp, max_reach
+from .mdp import Choice, Explorer, Mdp, max_reach
 from .product import (
-    advance_vector,
+    advance_joint,
     compile_mission,
+    unpruned_size,
     vector_accepting,
-    vector_initial,
+    vector_start,
     vector_violating,
 )
 
@@ -43,8 +45,8 @@ class MamdpModel:
     """
 
     def __init__(self, models, mission, ceiling=10_000_000, automata=None):
-        self.models = list(models)
-        if not self.models:
+        self.models = models = list(models)
+        if not models:
             raise ValueError("at least one robot required")
         task_dfas, safety_dfa = automata if automata is not None else compile_mission(mission)
         self.mission = mission
@@ -52,7 +54,7 @@ class MamdpModel:
         self.safety_dfa = safety_dfa
 
         bound = 1
-        for m in self.models:
+        for m in models:
             bound *= m.num_states
         for d in task_dfas:
             bound *= d.num_states
@@ -76,31 +78,18 @@ class MamdpModel:
         def options(r, s):
             # idle is always available so the joint optimum dominates any
             # execution in which finished robots stand still
-            row = [(self.models[r].actions[c.action], c.outcomes) for c in self.models[r].choices[s]]
+            row = [(models[r].actions[c.action], c.outcomes) for c in models[r].choices[s]]
             row.append((IDLE, ((s, 1.0),)))
             return row
 
-        entries = tuple(m.initial for m in self.models)
-        label0 = frozenset().union(*(m.label(e) for m, e in zip(self.models, entries)))
-        q0 = advance_vector(
-            task_dfas, safety_dfa, vector_initial(task_dfas, safety_dfa), label0
-        )
-        init = (entries, q0)
-        index = {init: 0}
-        self.states = [init]
-        choices = []
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            pos, q = self.states[i]
-            rows = [options(r, s) for r, s in enumerate(pos)]
-            row = []
+        def expand(key, intern):
+            pos, q = key
+            combos = itertools.product(*(options(r, s) for r, s in enumerate(pos)))
             if vector_violating(safety_dfa, q):
-                for combo in itertools.product(*rows):
-                    row.append(Choice(action_index([n for n, _ in combo]), ((i, 1.0),), None))
-                choices.append(row)
-                continue
-            for combo in itertools.product(*rows):
+                here = intern(key)
+                return [Choice(action_index([n for n, _ in combo]), ((here, 1.0),), None) for combo in combos]
+            row = []
+            for combo in combos:
                 outs = []
                 for branch in itertools.product(*(outcomes for _, outcomes in combo)):
                     p = 1.0
@@ -108,23 +97,17 @@ class MamdpModel:
                     for s2, pr in branch:
                         p *= pr
                         tgt.append(s2)
-                    label = frozenset().union(
-                        *(m.label(t) for m, t in zip(self.models, tgt))
-                    )
-                    q2 = advance_vector(task_dfas, safety_dfa, q, label)
-                    key = (tuple(tgt), q2)
-                    j = index.get(key)
-                    if j is None:
-                        j = len(self.states)
-                        index[key] = j
-                        self.states.append(key)
-                        queue.append(j)
-                    outs.append((j, p))
+                    q2 = advance_joint(task_dfas, safety_dfa, q, models, tgt)
+                    outs.append((intern((tuple(tgt), q2)), p))
                 row.append(Choice(action_index([n for n, _ in combo]), tuple(outs), None))
-            choices.append(row)
+            return row
 
-        atoms = tuple(sorted(set().union(*(m.atoms for m in self.models))))
-        self.mdp = Mdp(len(self.states), 0, tuple(names), choices, atoms=atoms)
+        entries = tuple(m.initial for m in models)
+        explorer = Explorer(expand)
+        explorer.explore((entries, vector_start(task_dfas, safety_dfa, models, entries)))
+        self.states = explorer.keys
+        atoms = tuple(sorted(set().union(*(m.atoms for m in models))))
+        self.mdp = Mdp(len(self.states), 0, tuple(names), explorer.rows, atoms=atoms)
         self.accepting = frozenset(
             i for i, (_, q) in enumerate(self.states)
             if vector_accepting(task_dfas, safety_dfa, q)
@@ -139,20 +122,7 @@ class MamdpModel:
         return len(self.states)
 
     def full_size(self, with_safety=False):
-        """Unpruned joint size. The designated failure states carry no task
-        progress, so they are not counted as map factors."""
-        n = 1
-        for m in self.models:
-            n *= m.num_states - (1 if m.failure_state is not None else 0)
-        for d in self.task_dfas:
-            n *= d.num_states
-        if with_safety and self.safety_dfa is not None:
-            n *= self.safety_dfa.num_states
-        return n
-
-    def state_dict(self, i):
-        pos, q = self.states[i]
-        return {"s": list(pos), "q": list(q)}
+        return unpruned_size(self.models, self.task_dfas, self.safety_dfa, with_safety)
 
 
 def build_mamdp(models, mission, ceiling=10_000_000, automata=None):
@@ -162,14 +132,7 @@ def build_mamdp(models, mission, ceiling=10_000_000, automata=None):
 def mamdp_full_size(models, mission, automata=None, with_safety=False):
     """The unpruned joint size, computed without building anything."""
     task_dfas, safety_dfa = automata if automata is not None else compile_mission(mission)
-    n = 1
-    for m in models:
-        n *= m.num_states - (1 if m.failure_state is not None else 0)
-    for d in task_dfas:
-        n *= d.num_states
-    if with_safety and safety_dfa is not None:
-        n *= safety_dfa.num_states
-    return n
+    return unpruned_size(models, task_dfas, safety_dfa, with_safety)
 
 
 def solve_mamdp(mm, epsilon=1e-6):

@@ -1,5 +1,8 @@
 """Explicit-state MDPs, maximal reachability, and nested probability/cost solving.
 
+`Explorer` is the one reachable-state explorer: the local products, the
+team model and the joint baseline all number their states with it.
+
 Two solvers compute maximal reach probabilities, one per model class:
 
 - `max_product_reach` serves models in which every choice has at most one
@@ -44,9 +47,6 @@ class Mdp:
     def label(self, s: int) -> frozenset[str]:
         return self.labels.get(s, frozenset())
 
-    def enabled(self, s: int) -> list[Choice]:
-        return self.choices[s]
-
     @property
     def has_costs(self) -> bool:
         return any(c.cost is not None for row in self.choices for c in row)
@@ -58,8 +58,38 @@ class Mdp:
     def transition_count(self) -> int:
         return sum(len(c.outcomes) for row in self.choices for c in row)
 
-    def choice_count(self) -> int:
-        return sum(len(row) for row in self.choices)
+
+class Explorer:
+    """Append-only reachable-state explorer shared by every model builder.
+
+    Keys are numbered in first-visit breadth-first order. `expand(key,
+    intern)` builds the row of one key exactly once, calling `intern` to
+    number each successor key; an index, a key and a row never change
+    once assigned. A later `explore` from a new root appends what is
+    reachable from it after everything already explored.
+    """
+
+    def __init__(self, expand):
+        self.expand = expand
+        self.keys = []
+        self.index = {}
+        self.rows = []
+
+    def intern(self, key):
+        j = self.index.get(key)
+        if j is None:
+            j = len(self.keys)
+            self.index[key] = j
+            self.keys.append(key)
+        return j
+
+    def explore(self, key) -> int:
+        """Index of `key`, after expanding everything reachable from it."""
+        root = self.intern(key)
+        keys, rows, expand, intern = self.keys, self.rows, self.expand, self.intern
+        while len(rows) < len(keys):
+            rows.append(expand(keys[len(rows)], intern))
+        return root
 
 
 PROB_ATOL = 1e-9

@@ -20,7 +20,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .product import advance_vector, local_products, vector_accepting, vector_initial, vector_violating
+from .product import advance_joint, local_products, vector_accepting, vector_start, vector_violating
 from .team import build_team, check_class, check_single_switch, solve_stapu
 
 EXECUTING = "executing"
@@ -228,8 +228,7 @@ def _expand(team, models, progs, node, nodes):
                 fresh.append(r)
             elif node.t + 1 >= len(progs[r]):
                 sts[r] = DONE
-        label = frozenset().union(*(models[r].label(pos[r]) for r in range(n)))
-        q = advance_vector(team.task_dfas, team.safety_dfa, node.q, label)
+        q = advance_joint(team.task_dfas, team.safety_dfa, node.q, models, pos)
         child = JointNode(
             t=node.t + 1,
             positions=tuple(pos),
@@ -261,11 +260,7 @@ def _build_chain(sol, q0):
         else:
             statuses.append(DONE)
     if q0 is None:
-        label = frozenset().union(*(models[r].label(positions[r]) for r in range(n)))
-        q0 = advance_vector(
-            team.task_dfas, team.safety_dfa,
-            vector_initial(team.task_dfas, team.safety_dfa), label,
-        )
+        q0 = vector_start(team.task_dfas, team.safety_dfa, models, positions)
     root = JointNode(
         t=0,
         positions=tuple(positions),

@@ -5,6 +5,12 @@ unchanged, to the next robot in the ring, which continues from its own
 entry state. Switching costs nothing and takes probability 1: it is a
 planning construct, not an executed action.
 
+The model is built from the robots' local products: a robot's row is its
+product row renumbered into the team, plus the switch edge, whose target
+extends the next robot's product from (entry, vector) where needed. The
+products advance and classify the automaton vectors; this module owns the
+switch rule only.
+
 `solve_stapu` solves the model with `mdp.max_product_reach`, exact on the
 team model of deterministic-or-fail robots, where every action reaches one
 live successor and otherwise a dead end. A model with two live outcomes in
@@ -12,18 +18,11 @@ some action, which robots outside that class can give, falls back to value
 iteration (`mdp.max_reach`).
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .ltl import atoms_of
-from .mdp import Choice, Mdp, max_product_reach, max_reach
-from .product import (
-    advance_vector,
-    vector_accepting,
-    vector_initial,
-    vector_switchable,
-    vector_violating,
-)
+from .mdp import Choice, Explorer, Mdp, max_product_reach, max_reach
+from .product import vector_start, vector_switchable
 
 SWITCH = "switch"
 
@@ -33,7 +32,10 @@ class TeamError(ValueError):
 
 
 class TeamMdp:
-    """Union of (robot, map state, automaton vector) spaces plus switches.
+    """Robots' product spaces, numbered as (robot, product state), plus switches.
+
+    `states` lists (robot, map state, automaton vector) in breadth-first
+    order from the start robot's entry.
 
     The switch action is enabled where every automaton component is at its
     initial state or accepting, i.e. never in the middle of a task. It is
@@ -68,12 +70,8 @@ class TeamMdp:
         self.task_dfas = products[0].task_dfas
         self.safety_dfa = products[0].safety_dfa
         if start_q is None:
-            src0 = products[start_robot].source
-            start_q = advance_vector(
-                self.task_dfas, self.safety_dfa,
-                vector_initial(self.task_dfas, self.safety_dfa),
-                src0.label(entries[start_robot]),
-            )
+            start_q = vector_start(self.task_dfas, self.safety_dfa,
+                                   [products[start_robot].source], [entries[start_robot]])
         self.start_q = tuple(start_q)
 
         names = []
@@ -88,60 +86,42 @@ class TeamMdp:
         self.switch_action = len(names)
         names.append(SWITCH)
         self.action_map = [[seen[a] for a in p.source.actions] for p in products]
-        zeta_cost = 0.0 if any(p.source.has_costs for p in products) else None
+        self._zeta_cost = 0.0 if any(p.source.has_costs for p in products) else None
 
-        init = (start_robot, entries[start_robot], self.start_q)
-        self.states = [init]
-        self.index = {init: 0}
-        rows = []
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            robot, s, qvec = self.states[i]
-            src = products[robot].source
-            row = []
-            if vector_violating(self.safety_dfa, qvec):
-                row = [Choice(self.action_map[robot][c.action], ((i, 1.0),), None) for c in src.choices[s]]
-            else:
-                for c in src.choices[s]:
-                    outs = []
-                    for t, p in c.outcomes:
-                        succ = (robot, t, advance_vector(self.task_dfas, self.safety_dfa, qvec, src.label(t)))
-                        outs.append((self._intern(succ, queue), p))
-                    row.append(Choice(self.action_map[robot][c.action], tuple(outs), c.cost))
-                if self._switch_enabled(robot, s, qvec):
-                    nxt = (robot + 1) % n
-                    j = self._intern((nxt, entries[nxt], qvec), queue)
-                    row.append(Choice(self.switch_action, ((j, 1.0),), zeta_cost))
-            rows.append(row)
-
+        explorer = Explorer(self._expand)
+        explorer.explore((start_robot, products[start_robot].explore((entries[start_robot], self.start_q))))
+        keys = explorer.keys
+        self.states = [(robot, *products[robot].states[i]) for robot, i in keys]
         labels = {}
-        for i, (robot, s, _) in enumerate(self.states):
+        for k, (robot, s, _) in enumerate(self.states):
             lab = products[robot].source.label(s)
             if lab:
-                labels[i] = lab
+                labels[k] = lab
         atoms = []
         for p in products:
             for a in p.source.atoms:
                 if a not in atoms:
                     atoms.append(a)
-        self.mdp = Mdp(len(self.states), 0, names, rows, atoms=tuple(atoms), labels=labels)
-        self.accepting = frozenset(
-            i for i, (_, _, q) in enumerate(self.states)
-            if vector_accepting(self.task_dfas, self.safety_dfa, q)
-        )
-        self.violating = frozenset(
-            i for i, (_, _, q) in enumerate(self.states) if vector_violating(self.safety_dfa, q)
-        )
+        self.mdp = Mdp(len(self.states), 0, names, explorer.rows, atoms=tuple(atoms), labels=labels)
+        self.accepting = frozenset(k for k, (robot, i) in enumerate(keys) if products[robot].accepts(i))
+        self.violating = frozenset(k for k, (robot, i) in enumerate(keys) if products[robot].violates(i))
 
-    def _intern(self, state, queue):
-        j = self.index.get(state)
-        if j is None:
-            j = len(self.states)
-            self.index[state] = j
-            self.states.append(state)
-            queue.append(j)
-        return j
+    def _expand(self, key, intern):
+        """The product row of robot state `key` renumbered into the team,
+        plus the switch to the next robot's entry where it is enabled."""
+        robot, i = key
+        pm = self.products[robot]
+        actions = self.action_map[robot]
+        row = [
+            Choice(actions[c.action], tuple((intern((robot, t)), p) for t, p in c.outcomes), c.cost)
+            for c in pm.rows[i]
+        ]
+        s, qvec = pm.states[i]
+        if not pm.violates(i) and self._switch_enabled(robot, s, qvec):
+            nxt = (robot + 1) % len(self.products)
+            j = intern((nxt, self.products[nxt].explore((self.entries[nxt], qvec))))
+            row.append(Choice(self.switch_action, ((j, 1.0),), self._zeta_cost))
+        return row
 
     def _switch_enabled(self, robot, s, qvec):
         if (robot + 1) % len(self.products) == self.start_robot:
@@ -159,10 +139,6 @@ class TeamMdp:
 
     def full_size(self, with_safety=False):
         return sum(p.full_size(with_safety) for p in self.products)
-
-    def state_dict(self, i):
-        robot, s, q = self.states[i]
-        return {"robot": robot, "s": s, "q": list(q)}
 
 
 def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):

@@ -5,7 +5,7 @@ import pytest
 
 from teamplan.ltl import Mission, is_good_prefix, parse_formula
 from teamplan.mdp import Choice, Mdp, max_reach
-from teamplan.product import ProductError, accepting_states, compile_mission, local_product
+from teamplan.product import ProductError, compile_mission, local_product
 
 
 def make(num_states, initial, actions, table, **kw):
@@ -80,7 +80,7 @@ def test_accepting_needs_every_task():
     m = make(2, 0, ["a"], {0: [("a", [(1, 1.0)])], 1: []},
              atoms=("p1", "p2"), labels={1: {"p1"}})
     pm = local_product(m, mission("F p1", "F p2"))
-    assert accepting_states(pm) == frozenset()
+    assert pm.accepting == frozenset()
     one = local_product(m, mission("F p1"))
     assert one.accepting
 

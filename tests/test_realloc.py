@@ -7,7 +7,7 @@ import pytest
 
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp
-from teamplan.product import compile_mission, local_product
+from teamplan.product import compile_mission, local_product, local_products
 from teamplan.realloc import (
     JointChain,
     JointNode,
@@ -23,7 +23,7 @@ from teamplan.realloc import (
 )
 from teamplan.team import build_team, solve_stapu
 
-from instances import graph_model, random_team_instance
+from instances import graph_model, guarded_tree_instance, random_team_instance
 
 
 def mission(*tasks, safety=None):
@@ -184,6 +184,18 @@ def test_conservation_and_monotonicity_random():
         assert report.log[0]["guarantee"] == pytest.approx(report.initial_value, abs=1e-6)
         assert report.value <= 1.0 + 1e-9
         assert find_realloc_points(jp) == []
+
+
+def test_union_labels_credit_only_the_planned_robot():
+    # the chain advances on the union of all robots' labels, the team model
+    # on one robot's at a time; they agree while no robot walks over a task
+    # atom the plan gives to another, as on these generators' instances
+    rng = np.random.default_rng(20261020)
+    for i in range(60):
+        model, miss = (random_team_instance if i % 2 else guarded_tree_instance)(rng)
+        sol = solve_stapu(build_team(local_products([model] * (2 + i % 3), miss)))
+        chain = synchronize(sol).chains[0]
+        assert chain.success_mass == pytest.approx(sol.value, abs=1e-12), f"instance {i}"
 
 
 def test_mass_conservation_matches_report():

@@ -1,14 +1,23 @@
 """Team construction, switch semantics, allocation, and the allocation oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp, max_reach
-from teamplan.product import compile_mission, local_product
+from teamplan.product import (
+    advance_vector,
+    compile_mission,
+    local_product,
+    vector_accepting,
+    vector_switchable,
+    vector_violating,
+)
 from teamplan.team import (
+    SWITCH,
     StapuSolution,
     TeamError,
     build_team,
@@ -18,7 +27,8 @@ from teamplan.team import (
     validate_mission_decomposition,
 )
 
-from instances import graph_model, random_team_instance
+from exhaustive import enumerate_best
+from instances import graph_model, random_connected_edges, random_team_instance
 
 
 def mission(*tasks, safety=None):
@@ -240,3 +250,111 @@ def test_team_value_matches_allocation_oracle():
             f"instance {i}: team {sol.value} vs allocation oracle {expected}"
         )
         assert check_single_switch(sol)
+
+
+def one_way(model):
+    """`model` without the moves into its initial state: a robot that
+    leaves never comes back, so a team that enters it with tasks already
+    done needs product states its own exploration never reached."""
+    choices = [[c for c in row if c.outcomes[0][0] != model.initial] for row in model.choices]
+    return Mdp(model.num_states, model.initial, model.actions, choices, atoms=model.atoms,
+               labels=model.labels, failure_state=model.failure_state)
+
+
+def mixed_team_instance(rng):
+    """2-3 robots on maps of their own: some one-way, some missing a task
+    atom, with a hazard to avoid on half of the missions."""
+    tasks = [f"p{k + 1}" for k in range(int(rng.integers(1, 3)))]
+    hazard = ["h"] if rng.random() < 0.5 else []
+    models = []
+    for _ in range(int(rng.integers(2, 4))):
+        nodes = int(rng.integers(3, 6))
+        edges = random_connected_edges(rng, nodes, extra=int(rng.integers(0, 2)))
+        placed = {a: int(rng.integers(1, nodes)) for a in tasks + hazard if rng.random() < 0.8}
+        model = graph_model(nodes, edges, failpoints={int(rng.integers(1, nodes))},
+                            pfail=float(rng.uniform(0.05, 0.35)), atom_nodes=placed)
+        model.atoms = tuple(tasks + hazard)
+        models.append(one_way(model) if rng.random() < 0.6 else model)
+    return models, mission(*(f"F {a}" for a in tasks), safety="G !h" if hazard else None)
+
+
+def reference_team(products, entries, start_robot, start_q, failed):
+    """States, rows (action names), accepting and violating sets of the
+    team model by breadth-first search over (robot, s, q)."""
+    tasks, safety = products[0].task_dfas, products[0].safety_dfa
+    states = [(start_robot, entries[start_robot], start_q)]
+    index = {states[0]: 0}
+
+    def intern(key):
+        if key not in index:
+            index[key] = len(states)
+            states.append(key)
+        return index[key]
+
+    rows = []
+    while len(rows) < len(states):
+        i = len(rows)
+        robot, s, q = states[i]
+        src = products[robot].source
+        violating = vector_violating(safety, q)
+        row = []
+        for c in src.choices[s]:
+            if violating:
+                row.append((src.actions[c.action], ((i, 1.0),), None))
+            else:
+                outs = tuple((intern((robot, t, advance_vector(tasks, safety, q, src.label(t)))), p)
+                             for t, p in c.outcomes)
+                row.append((src.actions[c.action], outs, c.cost))
+        nxt = (robot + 1) % len(products)
+        if (not violating and nxt != start_robot and (s != src.failure_state or robot in failed)
+                and vector_switchable(tasks, safety, q)):
+            row.append((SWITCH, ((intern((nxt, entries[nxt], q)), 1.0),), None))
+        rows.append(row)
+    accepting = frozenset(i for i, (_, _, q) in enumerate(states) if vector_accepting(tasks, safety, q))
+    violating = frozenset(i for i, (_, _, q) in enumerate(states) if vector_violating(safety, q))
+    return states, rows, accepting, violating
+
+
+def test_team_extends_products_without_changing_them():
+    rng = np.random.default_rng(20261019)
+    extended = enumerated = 0
+    for n in range(60):
+        models, miss = mixed_team_instance(rng)
+        shared = compile_mission(miss)
+        products = [local_product(m, miss, automata=shared) for m in models]
+        before = [(pm.num_states, list(pm.states), [tuple(r) for r in pm.rows], pm.accepting, pm.violating)
+                  for pm in products]
+        # a replan: robots mid-map, another start robot (failed on half
+        # of them) and a mid-mission automaton vector
+        start = int(rng.integers(0, len(models)))
+        entries = [int(rng.integers(0, m.num_states - 1)) for m in models]
+        failed = {start} if rng.random() < 0.5 else set()
+        if failed:
+            entries[start] = models[start].failure_state
+        start_q = products[start].states[int(rng.integers(0, products[start].num_states))][1]
+        builds = [{}, {"entries": entries, "start_robot": start, "start_q": start_q, "failed": failed}]
+        for kw in builds:
+            team = build_team(products, **kw)
+            states, rows, accepting, violating = reference_team(
+                products,
+                kw.get("entries", [m.initial for m in models]),
+                team.start_robot,
+                team.start_q,
+                team.failed,
+            )
+            assert team.states == states, f"instance {n}"
+            assert [[(team.mdp.actions[c.action], c.outcomes, c.cost) for c in row]
+                    for row in team.mdp.choices] == rows, f"instance {n}"
+            assert (team.accepting, team.violating) == (accepting, violating), f"instance {n}"
+            if math.prod(max(1, len(row)) for row in team.mdp.choices) <= 4000:
+                best = enumerate_best(team.mdp, team.accepting, team.violating)
+                assert solve_stapu(team).value == pytest.approx(best[0], abs=1e-9), f"instance {n}"
+                enumerated += 1
+        for pm, (size, keys, prefix_rows, acc, vio) in zip(products, before):
+            assert pm.num_states == pm.mdp.num_states == size == len(keys)
+            assert pm.states[:size] == keys
+            assert [tuple(r) for r in pm.rows[:size]] == prefix_rows
+            assert [tuple(r) for r in pm.mdp.choices] == prefix_rows
+            assert (pm.accepting, pm.violating) == (acc, vio)
+            extended += len(pm.states) > size
+    assert extended >= 50 and enumerated >= 40, (extended, enumerated)
