@@ -29,7 +29,6 @@ from .ltl import (
     mission_from_dict,
     mission_to_dict,
     parse_formula,
-    to_pnf,
 )
 from .dfa import CompileError, Dfa, canonical, compile_cosafe, compile_formula, compile_safe, minimize, progress
 

@@ -31,7 +31,6 @@ from .ltl import (
     is_syntactically_safe,
     classify,
     FormulaClass,
-    to_pnf,
 )
 
 
@@ -194,13 +193,12 @@ def progress(f: Formula, label: frozenset[str]) -> Formula:
 class Dfa:
     """Total deterministic automaton over subsets of its relevant atoms."""
 
-    def __init__(self, num_states, initial, accepting, atoms, delta, state_names=None):
+    def __init__(self, num_states, initial, accepting, atoms, delta):
         self.num_states: int = num_states
         self.initial: int = initial
         self.accepting: frozenset[int] = frozenset(accepting)
         self.atoms: tuple[str, ...] = tuple(atoms)
         self.delta: dict[tuple[int, frozenset[str]], int] = dict(delta)
-        self.state_names = tuple(state_names) if state_names is not None else None
 
     def labels(self) -> list[frozenset[str]]:
         """Powerset of the relevant atoms, in a fixed deterministic order."""
@@ -265,7 +263,7 @@ class Dfa:
 
 
 def _explore(f: Formula, max_states: int):
-    f0 = canonical(to_pnf(f))
+    f0 = canonical(f)
     atoms = tuple(sorted(atoms_of(f0)))
     labels = []
     for r in range(len(atoms) + 1):
@@ -300,7 +298,7 @@ def compile_cosafe(f: Formula, max_states: int = 50_000) -> Dfa:
         raise CompileError("formula has G, not in the reachability fragment")
     order, atoms, delta, index = _explore(f, max_states)
     accepting = frozenset({index[TRUE]}) if TRUE in index else frozenset()
-    return Dfa(len(order), 0, accepting, atoms, delta, [format_formula(g) for g in order])
+    return Dfa(len(order), 0, accepting, atoms, delta)
 
 
 def compile_safe(f: Formula, max_states: int = 50_000) -> Dfa:
@@ -310,7 +308,7 @@ def compile_safe(f: Formula, max_states: int = 50_000) -> Dfa:
     order, atoms, delta, index = _explore(f, max_states)
     trap = index.get(FALSE)
     accepting = frozenset(i for i in range(len(order)) if i != trap)
-    return Dfa(len(order), 0, accepting, atoms, delta, [format_formula(g) for g in order])
+    return Dfa(len(order), 0, accepting, atoms, delta)
 
 
 def compile_formula(f: Formula, max_states: int = 50_000) -> Dfa:
@@ -384,7 +382,4 @@ def minimize(dfa: Dfa) -> Dfa:
         for label in labels:
             delta[(i, label)] = block_of[dfa.delta[(rep, label)]]
     accepting = frozenset(i for i, b in enumerate(blocks) if min(b) in dfa.accepting)
-    names = None
-    if dfa.state_names is not None:
-        names = [dfa.state_names[min(b)] for b in blocks]
-    return Dfa(len(blocks), block_of[dfa.initial], accepting, dfa.atoms, delta, names)
+    return Dfa(len(blocks), block_of[dfa.initial], accepting, dfa.atoms, delta)

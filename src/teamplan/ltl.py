@@ -221,29 +221,6 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-def to_pnf(f: Formula) -> Formula:
-    """Return the formula in positive normal form.
-
-    The node set cannot express negation above the atom level, so this is
-    a validating identity pass for programmatically built formulas.
-    """
-    if isinstance(f, (TrueConst, FalseConst, Atom, NotAtom)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(to_pnf(c) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(to_pnf(c) for c in f.children))
-    if isinstance(f, Next):
-        return Next(to_pnf(f.child))
-    if isinstance(f, Eventually):
-        return Eventually(to_pnf(f.child))
-    if isinstance(f, Always):
-        return Always(to_pnf(f.child))
-    if isinstance(f, Until):
-        return Until(to_pnf(f.left), to_pnf(f.right))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 class FormulaClass(Enum):
     COSAFE = "cosafe"
     SAFE = "safe"

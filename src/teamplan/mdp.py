@@ -1,4 +1,4 @@
-"""Explicit-state MDPs, maximal reachability, and nested probability/cost solving.
+"""Explicit-state MDPs and maximal reachability.
 
 `Explorer` is the one reachable-state explorer: the local products, the
 team model and the joint baseline all number their states with it.
@@ -13,10 +13,10 @@ Two solvers compute maximal reach probabilities, one per model class:
   graph precomputation: states that cannot reach the target under any
   scheduler are pinned to 0 and states with an almost-sure strategy are
   pinned to 1 before iteration starts, so the iterated region only
-  contains genuinely quantitative states.
+  contains genuinely quantitative states. Both graph passes walk one
+  predecessor index backwards from the target.
 
-Both read their policy off the values with one rule (`_reach_policy`), and
-`nested_vi` breaks its cost ties with the same layered pass.
+Both read their policy off the values with one rule (`_reach_policy`).
 """
 
 import json
@@ -46,10 +46,6 @@ class Mdp:
 
     def label(self, s: int) -> frozenset[str]:
         return self.labels.get(s, frozenset())
-
-    @property
-    def has_costs(self) -> bool:
-        return any(c.cost is not None for row in self.choices for c in row)
 
     def is_absorbing(self, s: int) -> bool:
         row = self.choices[s]
@@ -184,7 +180,7 @@ def model_from_dict(data: dict) -> Mdp:
         outcomes = tuple((o["to"], float(o["p"])) for o in t["outcomes"])
         choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, t.get("cost")))
     labels = {int(s): frozenset(l) for s, l in data.get("labels", {}).items()}
-    return Mdp(
+    mdp = Mdp(
         num_states=num_states,
         initial=data["initial"],
         actions=actions,
@@ -193,6 +189,11 @@ def model_from_dict(data: dict) -> Mdp:
         labels=labels,
         failure_state=data.get("failure_state"),
     )
+    # unreachable states are harmless; every other problem gives wrong answers
+    problems = [p for p in validate(mdp) if not p.startswith("unreachable states")]
+    if problems:
+        raise ValueError("malformed model: " + "; ".join(problems[:3]))
+    return mdp
 
 
 def save_model(mdp: Mdp, path):
@@ -225,13 +226,6 @@ class ReachResult:
     iterations: int
     almost_sure: frozenset[int] = field(default_factory=frozenset)
     zero: frozenset[int] = field(default_factory=frozenset)
-
-
-@dataclass
-class NestedResult:
-    values: list[float]
-    costs: list[float]
-    policy: dict[int, int]
 
 
 def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
@@ -267,45 +261,40 @@ def _prob0(pre, num_states: int, target: set[int], avoid: set[int]) -> set[int]:
     return set(range(num_states)) - reach
 
 
-def _prob1(mdp: Mdp, target: set[int], avoid: set[int]) -> set[int]:
+def _prob1(mdp: Mdp, pre, target: set[int], avoid: set[int]) -> set[int]:
     """States with a scheduler reaching the target almost surely.
 
     Classical double fixpoint: shrink a candidate set u until it only
     contains states that can reach the target with probability 1 while
-    never leaving u. Avoid states count as actionless.
+    never leaving u. Avoid states count as actionless. Each round is one
+    backward pass from the target over the predecessor index `pre`: a state
+    joins when one of its choices stays in u and reaches a state that has
+    already joined.
     """
+    choices = mdp.choices
     u = set(range(mdp.num_states)) - avoid
     while True:
         v = set(target)
-        changed = True
-        while changed:
-            changed = False
-            for s in u:
-                if s in v:
+        stack = list(target)
+        while stack:
+            for s in pre[stack.pop()]:
+                if s in v or s not in u:
                     continue
-                for c in mdp.choices[s]:
-                    outs = [t for t, _ in c.outcomes]
-                    if all(t in u for t in outs) and any(t in v for t in outs):
-                        v.add(s)
-                        changed = True
-                        break
-        if v == u:
+                for c in choices[s]:
+                    hit = False
+                    for t, _ in c.outcomes:
+                        if t not in u:
+                            break
+                        if t in v:
+                            hit = True
+                    else:  # the choice stays in u
+                        if hit:
+                            v.add(s)
+                            stack.append(s)
+                            break
+        if len(v) == len(u):
             return u
         u = v
-
-
-def _fresh_q(mdp: Mdp, s: int, values: list[float]) -> list[float]:
-    return [sum(p * values[t] for t, p in c.outcomes) for c in mdp.choices[s]]
-
-
-def _certificate_policy(mdp, pre, states: set[int], target: set[int], policy: dict[int, int]):
-    """Inside an almost-sure set, pick actions that stay in the set and make progress."""
-    inside = states | target
-    usable = {
-        s: [c for c in mdp.choices[s] if all(t in inside for t, _ in c.outcomes)]
-        for s in states - target
-    }
-    _progress_policy(pre, target, usable, policy)
 
 
 def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[int, int]):
@@ -341,17 +330,25 @@ def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[in
 
 def _reach_policy(mdp: Mdp, pre, values: list[float], target: set[int], sure: set[int]) -> dict[int, int]:
     """The one policy rule of every reachability solver: certificate actions
-    on the almost-sure set, progressing value-optimal actions on the rest of
-    the positive region, the first enabled action everywhere else."""
+    on the almost-sure set `sure` (disjoint from `target`), progressing
+    value-optimal actions on the rest of the positive region, the first
+    enabled action everywhere else.
+
+    A certificate action stays inside the almost-sure set and makes
+    progress.
+    """
     policy: dict[int, int] = {}
     for s in sorted(target):
         if mdp.choices[s]:
             policy[s] = mdp.choices[s][0].action
-    _certificate_policy(mdp, pre, sure, target, policy)
+    inside = sure | target
+    certificate = {s: [c for c in mdp.choices[s] if all(t in inside for t, _ in c.outcomes)] for s in sure}
+    _progress_policy(pre, target, certificate, policy)
+    del inside, certificate  # freed before the value-optimal lists are built
     optimal: dict[int, list[Choice]] = {}
     for s in range(mdp.num_states):
         if values[s] > 0.0 and s not in target and s not in sure:
-            qs = _fresh_q(mdp, s, values)
+            qs = [sum(p * values[t] for t, p in c.outcomes) for c in mdp.choices[s]]
             top = max(qs)
             optimal[s] = [c for c, q in zip(mdp.choices[s], qs) if q >= top - PROB_ATOL]
     _progress_policy(pre, target | sure, optimal, policy)
@@ -361,7 +358,7 @@ def _reach_policy(mdp: Mdp, pre, values: list[float], target: set[int], sure: se
     return policy
 
 
-def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int = 100_000, sweep_log=None) -> ReachResult:
+def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int = 100_000) -> ReachResult:
     """Maximal probability of reaching `target` while never entering `avoid`.
 
     Avoid states are treated as absorbing with value 0 but stay part of the
@@ -371,7 +368,7 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
     target, avoid = _check_sets(mdp, target, avoid)
     pre = _predecessors(mdp)
     zero = _prob0(pre, mdp.num_states, target, avoid)
-    sure = _prob1(mdp, target, avoid) - zero - target
+    sure = _prob1(mdp, pre, target, avoid) - zero - target
     values = [0.0] * mdp.num_states
     for s in sure | target:
         values[s] = 1.0
@@ -391,8 +388,6 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
                 if d > delta:
                     delta = d
                 values[s] = best
-            if sweep_log is not None:
-                sweep_log.append(list(values))
             if delta < epsilon:
                 break
         else:
@@ -479,61 +474,3 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     zero = frozenset(s for s in range(n) if values[s] == 0.0)
     policy = _reach_policy(mdp, _Csr(offsets, tails), values, target, sure)
     return ReachResult(values, policy, 0, frozenset(sure | target), zero)
-
-
-_COST_CEILING = 1e15
-
-
-def nested_vi(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int = 100_000, prob_tol: float = 1e-9) -> NestedResult:
-    """Maximize reach probability, then minimize expected cost to absorption.
-
-    Each state keeps only the choices whose probability Q-value sits within
-    `prob_tol` of the optimum; over those the expected cumulative cost until
-    absorption (target or a zero-probability sink) is minimized. States with
-    zero reach probability get cost 0 by convention. The cost iteration runs
-    from above: value-preserving zero-cost loops always tie in the first
-    phase, and from below they would freeze the cost at 0.
-    """
-    reach = max_reach(mdp, target, avoid, epsilon, max_iter)
-    values = reach.values
-    target = set(target)
-
-    restricted: dict[int, list[Choice]] = {}
-    active = []
-    for s in range(mdp.num_states):
-        if s in target or values[s] <= 0.0 or not mdp.choices[s]:
-            continue
-        qs = _fresh_q(mdp, s, values)
-        top = max(qs)
-        restricted[s] = [c for c, q in zip(mdp.choices[s], qs) if q >= top - prob_tol]
-        active.append(s)
-
-    costs = [0.0] * mdp.num_states
-    for s in active:
-        costs[s] = _COST_CEILING
-    for it in range(1, max_iter + 1):
-        delta = 0.0
-        for s in active:
-            best = _COST_CEILING
-            for c in restricted[s]:
-                q = (c.cost or 0.0) + sum(p * costs[t] for t, p in c.outcomes)
-                if q < best:
-                    best = q
-            d = costs[s] - best
-            if d > delta:
-                delta = d
-            costs[s] = best
-        if delta < epsilon:
-            break
-    else:
-        raise DivergenceError(f"cost iteration exceeded {max_iter} sweeps")
-
-    policy = dict(reach.policy)
-    base = target | {s for s in range(mdp.num_states) if values[s] <= 0.0}
-    cost_optimal: dict[int, list[Choice]] = {}
-    for s in active:
-        pairs = [((c.cost or 0.0) + sum(p * costs[t] for t, p in c.outcomes), c) for c in restricted[s]]
-        low = min(q for q, _ in pairs)
-        cost_optimal[s] = [c for q, c in pairs if q <= low + PROB_ATOL]
-    _progress_policy(_predecessors(mdp), base, cost_optimal, policy)
-    return NestedResult(values, costs, policy)

@@ -443,8 +443,12 @@ def policy_to_dict(jp, report=None):
 
 
 def policy_from_dict(data):
+    """Rebuild a saved joint policy. Steps must point forward within their
+    chain and children to a later chain, the order mass propagation and
+    rollouts rely on; anything else raises ValueError."""
     chains = []
     links = []
+    num_chains = len(data["chains"])
     for ci, cd in enumerate(data["chains"]):
         nodes = []
         for ni, nd in enumerate(cd["nodes"]):
@@ -458,7 +462,12 @@ def policy_from_dict(data):
                 fresh=tuple(nd.get("fresh", ())),
             )
             node.steps = [(p, j) for p, j in nd["steps"]]
+            for _, j in node.steps:
+                if not ni < j < len(cd["nodes"]):
+                    raise ValueError(f"chain {ci}, node {ni}: step target {j} out of range")
             if "child" in nd:
+                if not ci < nd["child"] < num_chains:
+                    raise ValueError(f"chain {ci}, node {ni}: child chain {nd['child']} out of range")
                 links.append((ci, ni, nd["child"]))
             nodes.append(node)
         chains.append(JointChain(nodes))

@@ -86,7 +86,6 @@ class TeamMdp:
         self.switch_action = len(names)
         names.append(SWITCH)
         self.action_map = [[seen[a] for a in p.source.actions] for p in products]
-        self._zeta_cost = 0.0 if any(p.source.has_costs for p in products) else None
 
         explorer = Explorer(self._expand)
         explorer.explore((start_robot, products[start_robot].explore((entries[start_robot], self.start_q))))
@@ -120,7 +119,7 @@ class TeamMdp:
         if not pm.violates(i) and self._switch_enabled(robot, s, qvec):
             nxt = (robot + 1) % len(self.products)
             j = intern((nxt, self.products[nxt].explore((self.entries[nxt], qvec))))
-            row.append(Choice(self.switch_action, ((j, 1.0),), self._zeta_cost))
+            row.append(Choice(self.switch_action, ((j, 1.0),), None))
         return row
 
     def _switch_enabled(self, robot, s, qvec):

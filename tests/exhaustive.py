@@ -52,53 +52,6 @@ def chain_values(rows, target, avoid, n):
     return values
 
 
-def chain_cost(rows, step_costs, target, avoid, n, at):
-    """Expected cost accumulated before absorption, starting from `at`.
-
-    Absorbing means target, avoid, or no outgoing row. Returns inf when the
-    chain can wander forever with positive probability from `at`.
-    """
-    absorbing = set(target) | set(avoid) | {s for s in range(n) if not rows[s]}
-    if at in absorbing:
-        return 0.0
-    pre = [set() for _ in range(n)]
-    for s in range(n):
-        if s in absorbing:
-            continue
-        for t, _ in rows[s]:
-            pre[t].add(s)
-    settles = set(absorbing)
-    stack = list(absorbing)
-    while stack:
-        t = stack.pop()
-        for s in pre[t]:
-            if s not in settles:
-                settles.add(s)
-                stack.append(s)
-    seen = {at}
-    stack = [at]
-    while stack:
-        s = stack.pop()
-        if s not in settles:
-            return float("inf")
-        if s in absorbing:
-            continue
-        for t, _ in rows[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    inner = sorted(s for s in seen if s not in absorbing)
-    idx = {s: i for i, s in enumerate(inner)}
-    mat = np.zeros((len(inner), len(inner)))
-    rhs = np.array([step_costs[s] for s in inner], dtype=float)
-    for s in inner:
-        for t, p in rows[s]:
-            if t in idx:
-                mat[idx[s], idx[t]] += p
-    sol = np.linalg.solve(np.eye(len(inner)) - mat, rhs)
-    return float(sol[idx[at]])
-
-
 def policy_rows(mdp, policy):
     """Chain rows induced by a policy dict mapping state to action index."""
     rows = []
@@ -117,37 +70,19 @@ def evaluate_policy(mdp, policy, target, avoid=()):
     return chain_values(policy_rows(mdp, policy), set(target), set(avoid), mdp.num_states)
 
 
-def enumerate_best(mdp, target, avoid=(), want_cost_at=None):
-    """Per-state maximal reach probabilities over all memoryless policies.
-
-    With `want_cost_at` set, also returns the minimal expected cost among
-    policies whose value at that state is within 1e-9 of the best. The cost
-    meter stops on reaching the target or any state whose maximal value is
-    zero, matching the nested solving convention.
-    """
+def enumerate_best(mdp, target, avoid=()):
+    """Per-state maximal reach probabilities over all memoryless policies."""
     target = set(target)
     avoid = set(avoid)
     n = mdp.num_states
     menus = [mdp.choices[s] if mdp.choices[s] else [None] for s in range(n)]
     best = [0.0] * n
-    best_cost = float("inf")
-    candidates = []
     for picks in itertools.product(*menus):
         rows = [list(c.outcomes) if c else [] for c in picks]
         vals = chain_values(rows, target, avoid, n)
         for s in range(n):
             if vals[s] > best[s]:
                 best[s] = vals[s]
-        if want_cost_at is not None:
-            candidates.append((vals[want_cost_at], rows, [(c.cost or 0.0) if c else 0.0 for c in picks]))
     for s in target:
         best[s] = 1.0
-    if want_cost_at is None:
-        return best
-    dead = {s for s in range(n) if best[s] <= 1e-12} | avoid
-    for v, rows, step_costs in candidates:
-        if v >= best[want_cost_at] - 1e-9:
-            cost = chain_cost(rows, step_costs, target, dead, n, want_cost_at)
-            if cost < best_cost:
-                best_cost = cost
-    return best, best_cost
+    return best

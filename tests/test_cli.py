@@ -92,6 +92,40 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "s.json")]) == 1
     assert "error" in capsys.readouterr().err
 
+    # malformed model files: a successor or the initial state out of range,
+    # and outcome probabilities that do not sum to 1
+    assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
+                 "--out", str(model)]) == 0
+    good = model.read_text()
+    far_successor, far_initial, short_sum = (json.loads(good) for _ in range(3))
+    far_successor["trans"][0]["outcomes"][0]["to"] = 99
+    far_initial["initial"] = 50
+    short_sum["trans"][0]["outcomes"][0]["p"] = 0.3
+    for k, data in enumerate([far_successor, far_initial, short_sum]):
+        broken = tmp_path / f"model{k}.json"
+        broken.write_text(json.dumps(data))
+        for cmd in (["solve", "--out", str(tmp_path / "s.json")],
+                    ["realloc", "--out", str(tmp_path / "p.json")],
+                    ["baseline"]):
+            assert main([*cmd, "--models", str(broken), str(broken), "--mission", mission]) == 1, (k, cmd[0])
+        assert "malformed model" in capsys.readouterr().err
+
+    # malformed policy files: a step past the end of its chain, a child
+    # chain out of range
+    policy = tmp_path / "policy.json"
+    assert main(["realloc", "--models", str(model), str(model), "--mission", mission,
+                 "--out", str(policy)]) == 0
+    good = policy.read_text()
+    past_end, no_chain = (json.loads(good) for _ in range(2))
+    nodes = past_end["chains"][0]["nodes"]
+    next(nd for nd in nodes if nd["steps"])["steps"][0][1] = len(nodes)
+    no_chain["chains"][0]["nodes"][0]["child"] = len(no_chain["chains"])
+    for k, data in enumerate([past_end, no_chain]):
+        broken = tmp_path / f"policy{k}.json"
+        broken.write_text(json.dumps(data))
+        assert main(["simulate", "--policy", str(broken), "--runs", "10"]) == 1, k
+        assert "out of range" in capsys.readouterr().err
+
 
 def test_ceiling_exits_three(tmp_path):
     model = tmp_path / "map.json"

@@ -23,7 +23,6 @@ from teamplan.ltl import (
     mission_from_dict,
     mission_to_dict,
     parse_formula,
-    to_pnf,
 )
 
 
@@ -94,12 +93,6 @@ def test_format_round_trip():
     for src in ["F p1", "G !p", "p U (q & X r)", "a | b & c", "a U b U c", "(a | b) & c", "F (p & q) | true"]:
         f = parse_formula(src)
         assert parse_formula(format_formula(f)) == f
-
-
-def test_pnf_is_identity_on_parsed_formulas():
-    f = parse_formula("!p & F (q | X !r)")
-    assert to_pnf(f) == f
-    assert to_pnf(parse_formula("F p")) == parse_formula("F p")
 
 
 def test_classify():

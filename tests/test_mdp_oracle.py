@@ -8,7 +8,7 @@ machinery or tolerance with the iterative solver under test.
 import numpy as np
 import pytest
 
-from teamplan.mdp import Choice, Mdp, max_reach, nested_vi, validate
+from teamplan.mdp import Choice, Mdp, max_reach, validate
 
 from exhaustive import enumerate_best, evaluate_policy
 
@@ -59,6 +59,9 @@ def test_values_match_enumeration(instances):
             assert res.values[s] == pytest.approx(expected[s], abs=1e-6), (
                 f"instance {i}, state {s}: solver {res.values[s]} vs enumeration {expected[s]}"
             )
+        # the graph precomputation finds exactly the states of value 1 and 0
+        assert res.almost_sure == {s for s in range(m.num_states) if expected[s] >= 1 - 1e-9}, f"instance {i}"
+        assert res.zero == {s for s in range(m.num_states) if expected[s] <= 1e-12}, f"instance {i}"
 
 
 def test_extracted_policy_attains_values(instances):
@@ -69,22 +72,6 @@ def test_extracted_policy_attains_values(instances):
             assert attained[s] == pytest.approx(res.values[s], abs=1e-6), (
                 f"instance {i}, state {s}: policy attains {attained[s]}, value {res.values[s]}"
             )
-
-
-def test_nested_agrees_on_probability_and_cost(instances):
-    for i, (m, target, avoid) in enumerate(instances):
-        expected, best_cost = enumerate_best(m, target, avoid, want_cost_at=m.initial)
-        res = nested_vi(m, target, avoid, epsilon=1e-12)
-        plain = max_reach(m, target, avoid, epsilon=1e-12)
-        assert res.values == plain.values
-        if expected[m.initial] <= 0.0:
-            assert res.costs[m.initial] == 0.0
-            continue
-        assert res.costs[m.initial] == pytest.approx(best_cost, abs=1e-6), (
-            f"instance {i}: nested cost {res.costs[m.initial]} vs enumeration {best_cost}"
-        )
-        cost_attained = evaluate_policy(m, res.policy, target, avoid)
-        assert cost_attained[m.initial] == pytest.approx(expected[m.initial], abs=1e-6)
 
 
 def test_generator_yields_valid_models(instances):
