@@ -167,27 +167,43 @@ def model_to_dict(mdp: Mdp) -> dict:
     }
 
 
+def _integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"malformed model: {what} {value!r} is not an integer")
+    return value
+
+
+def _number(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"malformed model: {what} {value!r} is not a number")
+    return float(value)
+
+
 def model_from_dict(data: dict) -> Mdp:
-    num_states = data["states"]
+    num_states = _integer(data["states"], "states")
     actions = list(data["actions"])
     action_index = {a: i for i, a in enumerate(actions)}
     choices: list[list[Choice]] = [[] for _ in range(num_states)]
     for t in data["trans"]:
-        if not (0 <= t["from"] < num_states):
+        if not (0 <= _integer(t["from"], "transition source") < num_states):
             raise ValueError(f"transition source {t['from']} out of range")
         if t["action"] not in action_index:
             raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
-        outcomes = tuple((o["to"], float(o["p"])) for o in t["outcomes"])
-        choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, t.get("cost")))
+        outcomes = tuple((_integer(o["to"], "successor"), _number(o["p"], "probability")) for o in t["outcomes"])
+        cost = t.get("cost")
+        if cost is not None:
+            _number(cost, "cost")
+        choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
     labels = {int(s): frozenset(l) for s, l in data.get("labels", {}).items()}
+    failure_state = data.get("failure_state")
     mdp = Mdp(
         num_states=num_states,
-        initial=data["initial"],
+        initial=_integer(data["initial"], "initial state"),
         actions=actions,
         choices=choices,
         atoms=tuple(data.get("atoms", ())),
         labels=labels,
-        failure_state=data.get("failure_state"),
+        failure_state=None if failure_state is None else _integer(failure_state, "failure state"),
     )
     # unreachable states are harmless; every other problem gives wrong answers
     problems = [p for p in validate(mdp) if not p.startswith("unreachable states")]

@@ -13,7 +13,10 @@ States where a robot has just broken down become absorbing reallocation
 points. Addressing a point solves a fresh team model from the robots'
 current positions and grafts the synchronized continuation onto the
 point, so the guarantee improves monotonically and unaddressed points
-count as failures.
+count as failures. A replan depends only on the point's positions,
+automaton vector, start robot and failed set, so each distinct replan is
+solved once per plan and a fresh copy of its continuation is grafted at
+every point that shares it; the joint policy stays a tree.
 """
 
 import itertools
@@ -157,6 +160,15 @@ class JointPolicy:
                 if nd.child is not None:
                     base[id(nd.child)] = here * nd.mass
         return base
+
+
+def _copy_chain(chain):
+    """An ungrafted copy of a chain: new nodes with their own step lists."""
+    return JointChain([
+        JointNode(t=nd.t, positions=nd.positions, statuses=nd.statuses, q=nd.q, kind=nd.kind,
+                  actions=nd.actions, steps=list(nd.steps), fresh=nd.fresh)
+        for nd in chain.nodes
+    ])
 
 
 def _segment_by_robot(sol):
@@ -322,10 +334,21 @@ def _survey(jp):
     return success, failure, points
 
 
+def _totals(survey):
+    success, failure, points = survey
+    return success, failure, sum(p.prob for p in points)
+
+
+def _pending(jp, points):
+    order = {id(c): k for k, c in enumerate(jp.chains)}
+    points = [p for p in points if not p.addressed]
+    points.sort(key=lambda p: (-p.prob, order[id(p.chain)], p.node_index))
+    return points
+
+
 def mission_masses(jp):
     """(success, failure, unaddressed) over the current joint policy."""
-    success, failure, points = _survey(jp)
-    return success, failure, sum(p.prob for p in points)
+    return _totals(_survey(jp))
 
 
 def find_realloc_points(jp):
@@ -334,11 +357,7 @@ def find_realloc_points(jp):
     Probabilities are absolute, propagated forward through the grafted
     tree. Ties keep graft-then-discovery order.
     """
-    _, _, points = _survey(jp)
-    order = {id(c): k for k, c in enumerate(jp.chains)}
-    points = [p for p in points if not p.addressed]
-    points.sort(key=lambda p: (-p.prob, order[id(p.chain)], p.node_index))
-    return points
+    return _pending(jp, _survey(jp)[2])
 
 
 def solve_realloc(point, products, mission=None, epsilon=1e-6):
@@ -364,6 +383,7 @@ class GuaranteeReport:
     value: float
     initial_value: float
     reallocations: int
+    solves: int
     unaddressed: float
     failure: float
     log: list
@@ -374,6 +394,7 @@ class GuaranteeReport:
             "value": self.value,
             "initial_value": self.initial_value,
             "reallocations": self.reallocations,
+            "solves": self.solves,
             "unaddressed": self.unaddressed,
             "failure": self.failure,
             "wall_ms": self.wall_ms,
@@ -381,8 +402,8 @@ class GuaranteeReport:
         }
 
 
-def _log_entry(jp, reallocations, point_prob, new_value, t0):
-    success, failure, unaddressed = mission_masses(jp)
+def _log_entry(survey, reallocations, point_prob, new_value, t0):
+    success, failure, unaddressed = _totals(survey)
     return {
         "reallocations": reallocations,
         "point_probability": point_prob,
@@ -399,30 +420,46 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
     """Plan, synchronize, then keep addressing the most probable failure
     until none remain or the budget runs out. Returns the grafted joint
     policy and the guarantee it supports; whatever stays unaddressed is
-    counted as failure, so stopping early only understates the value."""
+    counted as failure, so stopping early only understates the value.
+
+    `reallocations` counts the points addressed and `solves` the team
+    models solved, the initial plan included: points that share a replan
+    key share one solve.
+    """
     t0 = time.perf_counter()
     _require_class(models)
     products = local_products(models, mission)
     sol = solve_stapu(build_team(products), epsilon=epsilon)
     jp = synchronize(sol)
-    log = [_log_entry(jp, 0, None, sol.value, t0)]
+    # replan key -> (sub-plan value, ungrafted continuation chain)
+    replans = {}
+    survey = _survey(jp)
+    log = [_log_entry(survey, 0, None, sol.value, t0)]
     reallocations = 0
     while max_realloc is None or reallocations < max_realloc:
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
             break
-        points = find_realloc_points(jp)
+        points = _pending(jp, survey[2])
         if not points:
             break
         point = points[0]
-        sub = solve_realloc(point, products, epsilon=epsilon)
-        jp.graft(point, synchronize(sub, q0=point.q))
+        key = (point.positions, point.q, point.robot, point.failed)
+        if key in replans:
+            point.mark_addressed()
+        else:
+            sub = solve_realloc(point, products, epsilon=epsilon)
+            replans[key] = (sub.value, synchronize(sub, q0=point.q).chains[0])
+        value, template = replans[key]
+        jp.graft(point, JointPolicy([_copy_chain(template)], robots=jp.robots))
         reallocations += 1
-        log.append(_log_entry(jp, reallocations, point.prob, sub.value, t0))
-    success, failure, unaddressed = mission_masses(jp)
+        survey = _survey(jp)
+        log.append(_log_entry(survey, reallocations, point.prob, value, t0))
+    success, failure, unaddressed = _totals(survey)
     report = GuaranteeReport(
         value=success,
         initial_value=sol.value,
         reallocations=reallocations,
+        solves=1 + len(replans),
         unaddressed=unaddressed,
         failure=failure,
         log=log,

@@ -6,12 +6,27 @@ third atom. Leaves are literals; constants never appear as leaves, so both
 the automaton and the recursive evaluator ground out in observed positions.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from teamplan.dfa import compile_cosafe, compile_safe, minimize
-from teamplan.ltl import And, Atom, Eventually, Always, Next, NotAtom, Or, Until, atoms_of, format_formula, is_bad_prefix, is_good_prefix
+from teamplan.ltl import (
+    And,
+    Atom,
+    Always,
+    Eventually,
+    Next,
+    NotAtom,
+    Or,
+    Until,
+    _strong,
+    _weak,
+    atoms_of,
+    format_formula,
+    is_syntactically_cosafe,
+    is_syntactically_safe,
+)
 
 COSAFE_UNARY = (Next, Eventually)
 SAFE_UNARY = (Next, Always)
@@ -82,34 +97,55 @@ def family(kind, deep_two=120, deep_three=30, seed=20240501):
     return out
 
 
-def traces_over(atoms, max_len):
-    labels = []
-    for r in range(len(atoms) + 1):
-        for combo in combinations(sorted(atoms), r):
-            labels.append(frozenset(combo))
-    for length in range(max_len + 1):
-        for tup in product(labels, repeat=length):
-            yield tup
+def _labels(atoms):
+    return [frozenset(combo) for r in range(len(atoms) + 1) for combo in combinations(sorted(atoms), r)]
+
+
+def _table(dfa, labels):
+    """Successor of every state on every label, indexed [state][label]."""
+    return [[dfa.advance(q, lab) for lab in labels] for q in range(dfa.num_states)]
 
 
 def check_formula(f, kind, max_len=5):
-    """Return mismatch descriptions between the automaton and the oracle."""
+    """Return mismatch descriptions between the automaton and the oracle.
+
+    Every trace over the formula's atoms up to `max_len` steps is checked
+    against both automata. The traces are walked as a prefix trie, so each
+    automaton advances once per trace rather than replaying it. The
+    fragment is checked once per formula rather than by the oracle on
+    every trace, and the oracle runs only until it decides: a good prefix
+    of a co-safe formula (a bad prefix of a safe one) stays good (bad)
+    however it is extended, so the traces below it inherit its verdict.
+    """
     if kind == "cosafe":
         dfa = compile_cosafe(f)
-        oracle = lambda w: is_good_prefix(f, w)
+        if not is_syntactically_cosafe(f):
+            raise ValueError("good-prefix semantics requires a formula without G")
+        oracle = lambda w: _strong(f, w, 0)  # is_good_prefix past its fragment check
+        lasting = True  # the verdict no extension can change
     else:
         dfa = compile_safe(f)
-        oracle = lambda w: not is_bad_prefix(f, w)
+        if not is_syntactically_safe(f):
+            raise ValueError("bad-prefix semantics requires a formula without F or U")
+        oracle = lambda w: _weak(f, w, 0)  # not is_bad_prefix past its fragment check
+        lasting = False
     small = minimize(dfa)
+    labels = _labels(atoms_of(f))
+    big_next, small_next = _table(dfa, labels), _table(small, labels)
+    moves = list(enumerate(labels))
     mismatches = []
-    atoms = sorted(atoms_of(f))
-    for w in traces_over(atoms, max_len):
-        got = dfa.accepts(w)
-        want = oracle(w)
+    # (trace, dfa state, minimized state, the oracle's verdict once decided)
+    stack = [((), dfa.initial, small.initial, None)]
+    while stack and len(mismatches) <= 4:
+        w, q, r, verdict = stack.pop()
+        got = q in dfa.accepting
+        want = oracle(w) if verdict is None else verdict
         if got != want:
             mismatches.append(f"{format_formula(f)} on {[sorted(s) for s in w]}: dfa={got} oracle={want}")
-        elif small.accepts(w) != got:
+        elif (r in small.accepting) != got:
             mismatches.append(f"{format_formula(f)} on {[sorted(s) for s in w]}: minimize changed the language")
-        if len(mismatches) > 4:
-            break
+        if len(w) < max_len:
+            qs, rs = big_next[q], small_next[r]
+            below = want if want == lasting else None
+            stack.extend((w + (lab,), qs[k], rs[k], below) for k, lab in moves)
     return mismatches

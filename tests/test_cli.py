@@ -93,15 +93,19 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
     # malformed model files: a successor or the initial state out of range,
-    # and outcome probabilities that do not sum to 1
+    # outcome probabilities that do not sum to 1, and fields of the wrong type
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
                  "--out", str(model)]) == 0
     good = model.read_text()
-    far_successor, far_initial, short_sum = (json.loads(good) for _ in range(3))
+    far_successor, far_initial, short_sum, float_successor, text_cost, text_states = (
+        json.loads(good) for _ in range(6))
     far_successor["trans"][0]["outcomes"][0]["to"] = 99
     far_initial["initial"] = 50
     short_sum["trans"][0]["outcomes"][0]["p"] = 0.3
-    for k, data in enumerate([far_successor, far_initial, short_sum]):
+    float_successor["trans"][0]["outcomes"][0]["to"] = 1.5
+    text_cost["trans"][0]["cost"] = "x"
+    text_states["states"] = str(text_states["states"])
+    for k, data in enumerate([far_successor, far_initial, short_sum, float_successor, text_cost, text_states]):
         broken = tmp_path / f"model{k}.json"
         broken.write_text(json.dumps(data))
         for cmd in (["solve", "--out", str(tmp_path / "s.json")],

@@ -8,6 +8,7 @@ import pytest
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp
 from teamplan.product import compile_mission, local_product, local_products
+from teamplan import realloc
 from teamplan.realloc import (
     JointChain,
     JointNode,
@@ -228,3 +229,92 @@ def test_rejects_models_outside_class():
     ], atoms=("p1",), labels={1: frozenset({"p1"})})
     with pytest.raises(UnsupportedModelError):
         run_stapu_with_realloc([bad], mission("F p1"))
+
+
+def reference_realloc(models, miss, max_realloc=None, epsilon=1e-9):
+    """The replan loop without the memo: solve and synchronize at every point.
+
+    Returns the joint policy and, per log entry, the point probability, the
+    plan value and the (success, failure, unaddressed) masses."""
+    products = local_products(models, miss)
+    sol = solve_stapu(build_team(products), epsilon=epsilon)
+    jp = synchronize(sol)
+    log = [(None, sol.value, mission_masses(jp))]
+    while max_realloc is None or len(log) - 1 < max_realloc:
+        points = find_realloc_points(jp)
+        if not points:
+            break
+        point = points[0]
+        sub = solve_realloc(point, products, epsilon=epsilon)
+        jp.graft(point, synchronize(sub, q0=point.q))
+        log.append((point.prob, sub.value, mission_masses(jp)))
+    return jp, log
+
+
+def repeated_key_instances(count=10, seed=20261018):
+    """Seeded 3-5 robot teams. Every robot runs the same model and every
+    task sits behind a failure guard, so failures recur at the same
+    positions and progress and many points share a replan key."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        model, miss = guarded_tree_instance(rng)
+        out.append(([model] * (3 + i % 3), miss))
+    return out
+
+
+def grafted_keys(jp):
+    """Replan key of every grafted point, one entry per point."""
+    keys = []
+    for chain in jp.chains:
+        for nd in chain.nodes:
+            if nd.child is not None:
+                failed = frozenset(r for r, st in enumerate(nd.statuses) if st == realloc.FAILED)
+                keys.append((nd.positions, nd.q, min(nd.fresh), failed))
+    return keys
+
+
+def test_memoised_replans_match_solving_every_point():
+    repeats = 0
+    for i, (models, miss) in enumerate(repeated_key_instances()):
+        for cut in (None, 0, 1, 3, 8):
+            jp, report = run_stapu_with_realloc(models, miss, max_realloc=cut, epsilon=1e-9)
+            ref, log = reference_realloc(models, miss, max_realloc=cut)
+            assert policy_to_dict(jp) == policy_to_dict(ref), (i, cut)
+            got = [(e["point_probability"], e["value"], (e["success"], e["failure"], e["unaddressed"]))
+                   for e in report.log]
+            assert got == log, (i, cut)
+            assert report.reallocations == len(log) - 1
+            assert (report.value, report.failure, report.unaddressed) == log[-1][2]
+            if cut is None:
+                repeats += report.reallocations - (report.solves - 1)
+    assert repeats > 0, "no instance repeats a replan key"
+
+
+def test_one_solve_per_distinct_replan_key(monkeypatch):
+    solved = []
+    original = realloc.solve_realloc
+
+    def spy(point, *args, **kwargs):
+        solved.append((point.positions, point.q, point.robot, point.failed))
+        return original(point, *args, **kwargs)
+
+    monkeypatch.setattr(realloc, "solve_realloc", spy)
+    for i, (models, miss) in enumerate(repeated_key_instances()):
+        solved.clear()
+        jp, report = run_stapu_with_realloc(models, miss, epsilon=1e-9)
+        keys = grafted_keys(jp)
+        assert len(keys) == report.reallocations
+        assert len(solved) == len(set(solved)), i
+        assert set(solved) == set(keys), i
+        assert report.solves == 1 + len(solved)
+        assert policy_to_dict(jp, report)["report"]["solves"] == report.solves
+
+
+def test_grafted_chains_share_no_nodes():
+    for i, (models, miss) in enumerate(repeated_key_instances()):
+        jp, report = run_stapu_with_realloc(models, miss, epsilon=1e-9)
+        nodes = [id(nd) for chain in jp.chains for nd in chain.nodes]
+        assert len(nodes) == len(set(nodes)), i
+        steps = [id(nd.steps) for chain in jp.chains for nd in chain.nodes]
+        assert len(steps) == len(set(steps)), i
