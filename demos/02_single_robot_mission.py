@@ -23,11 +23,11 @@ print(f"best completion probability: {res.values[0]:.4f}")
 
 # walk the policy along its intended (non-failure) route
 i = 0
-route = [pm.state_dict(i)["s"]]
+route = [pm.states[i][0]]
 seen = set()
 while i in res.policy and i not in seen and i not in pm.accepting:
     seen.add(i)
     choice = next(c for c in pm.mdp.choices[i] if c.action == res.policy[i])
     i = max(choice.outcomes, key=lambda o: o[1])[0]
-    route.append(pm.state_dict(i)["s"])
+    route.append(pm.states[i][0])
 print("planned route:", " -> ".join(str(s) for s in route))

@@ -2,25 +2,18 @@
 
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
-robots' successor labels (`product.advance_joint`). This module builds
+robots' successor labels (`Automata.advance_joint`). This module builds
 the joint-step rows over `mdp.Explorer`; the vector rules and the
-unpruned size come from `product`. Exponential in the team size, so
-construction is guarded by a state-count ceiling; within it, solving
-this model gives the unconstrained optimum that the sequential planner
-and the reallocation loop are measured against.
+unpruned size come from `product.Automata`. Exponential in the team
+size, so construction is guarded by a state-count ceiling; within it,
+solving this model gives the unconstrained optimum that the sequential
+planner and the reallocation loop are measured against.
 """
 
 import itertools
 
 from .mdp import Choice, Explorer, Mdp, max_reach
-from .product import (
-    advance_joint,
-    compile_mission,
-    unpruned_size,
-    vector_accepting,
-    vector_start,
-    vector_violating,
-)
+from .product import compile_mission
 
 IDLE = "idle"
 
@@ -48,18 +41,14 @@ class MamdpModel:
         self.models = models = list(models)
         if not models:
             raise ValueError("at least one robot required")
-        task_dfas, safety_dfa = automata if automata is not None else compile_mission(mission)
-        self.mission = mission
-        self.task_dfas = task_dfas
-        self.safety_dfa = safety_dfa
+        self.automata = automata = automata if automata is not None else compile_mission(mission)
+        advance_joint, violating = automata.advance_joint, automata.violating
 
         bound = 1
         for m in models:
             bound *= m.num_states
-        for d in task_dfas:
+        for d in automata.dfas:
             bound *= d.num_states
-        if safety_dfa is not None:
-            bound *= safety_dfa.num_states
         if ceiling is not None and bound > ceiling:
             raise CeilingExceeded(bound, ceiling)
 
@@ -85,7 +74,7 @@ class MamdpModel:
         def expand(key, intern):
             pos, q = key
             combos = itertools.product(*(options(r, s) for r, s in enumerate(pos)))
-            if vector_violating(safety_dfa, q):
+            if violating(q):
                 here = intern(key)
                 return [Choice(action_index([n for n, _ in combo]), ((here, 1.0),), None) for combo in combos]
             row = []
@@ -97,42 +86,29 @@ class MamdpModel:
                     for s2, pr in branch:
                         p *= pr
                         tgt.append(s2)
-                    q2 = advance_joint(task_dfas, safety_dfa, q, models, tgt)
+                    q2 = advance_joint(q, models, tgt)
                     outs.append((intern((tuple(tgt), q2)), p))
                 row.append(Choice(action_index([n for n, _ in combo]), tuple(outs), None))
             return row
 
         entries = tuple(m.initial for m in models)
         explorer = Explorer(expand)
-        explorer.explore((entries, vector_start(task_dfas, safety_dfa, models, entries)))
+        explorer.explore((entries, automata.start(models, entries)))
         self.states = explorer.keys
-        atoms = tuple(sorted(set().union(*(m.atoms for m in models))))
-        self.mdp = Mdp(len(self.states), 0, tuple(names), explorer.rows, atoms=atoms)
-        self.accepting = frozenset(
-            i for i, (_, q) in enumerate(self.states)
-            if vector_accepting(task_dfas, safety_dfa, q)
-        )
-        self.violating = frozenset(
-            i for i, (_, q) in enumerate(self.states)
-            if vector_violating(safety_dfa, q)
-        )
+        self.mdp = Mdp(len(self.states), 0, tuple(names), explorer.rows)
+        self.accepting = frozenset(i for i, (_, q) in enumerate(self.states) if automata.accepting(q))
+        self.violating = frozenset(i for i, (_, q) in enumerate(self.states) if automata.violating(q))
 
     @property
     def num_states(self):
         return len(self.states)
 
-    def full_size(self, with_safety=False):
-        return unpruned_size(self.models, self.task_dfas, self.safety_dfa, with_safety)
+    def full_size(self):
+        return self.automata.unpruned_size(self.models)
 
 
 def build_mamdp(models, mission, ceiling=10_000_000, automata=None):
     return MamdpModel(models, mission, ceiling=ceiling, automata=automata)
-
-
-def mamdp_full_size(models, mission, automata=None, with_safety=False):
-    """The unpruned joint size, computed without building anything."""
-    task_dfas, safety_dfa = automata if automata is not None else compile_mission(mission)
-    return unpruned_size(models, task_dfas, safety_dfa, with_safety)
 
 
 def solve_mamdp(mm, epsilon=1e-6):

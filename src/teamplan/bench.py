@@ -111,7 +111,6 @@ def run_cell(
     model = gen_map(spec)
     mission = map_mission(spec)
     models = [model] * robots
-    with_safety = mission.safety is not None
 
     shared = compile_mission(mission)
     pm = local_product(model, mission, automata=shared)
@@ -128,7 +127,7 @@ def run_cell(
         tasks=tasks,
         failpoints=failpoints,
         seed=seed,
-        team_states=team.full_size(with_safety),
+        team_states=team.full_size(),
         team_trans=team.mdp.transition_count(),
         stapu_ms=stapu_ms,
         reallocations=report.reallocations,
@@ -144,7 +143,7 @@ def run_cell(
             failpoints, seed, e,
         )
         return row
-    row.mamdp_states = mm.full_size(with_safety)
+    row.mamdp_states = mm.full_size()
     row.mamdp_trans = mm.mdp.transition_count()
     row.mamdp_ms = mamdp_ms
     row.mamdp_value = value

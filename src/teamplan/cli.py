@@ -76,7 +76,7 @@ def cmd_baseline(args):
     value, _ = solve_mamdp(mm)
     print(
         f"joint value {value:.6f}; {mm.num_states} reachable of "
-        f"{mm.full_size(mission.safety is not None)} joint states, "
+        f"{mm.full_size()} joint states, "
         f"{mm.mdp.transition_count()} transitions"
     )
     return 0

@@ -23,7 +23,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .product import advance_joint, local_products, vector_accepting, vector_start, vector_violating
+from .mdp import PROB_ATOL
+from .product import local_products
 from .team import build_team, check_class, check_single_switch, solve_stapu
 
 EXECUTING = "executing"
@@ -36,6 +37,7 @@ SUCCESS = "success"
 VIOLATED = "violated"
 POINT = "point"
 DEAD = "dead"
+KINDS = (STEP, SUCCESS, VIOLATED, POINT, DEAD)
 
 
 class UnsupportedModelError(ValueError):
@@ -198,10 +200,10 @@ def _program(model, seg):
     return steps
 
 
-def _classify(team, q, statuses, fresh):
-    if vector_accepting(team.task_dfas, team.safety_dfa, q):
+def _classify(automata, q, statuses, fresh):
+    if automata.accepting(q):
         return SUCCESS
-    if vector_violating(team.safety_dfa, q):
+    if automata.violating(q):
         return VIOLATED
     if fresh and any(st != FAILED for st in statuses):
         return POINT
@@ -240,13 +242,13 @@ def _expand(team, models, progs, node, nodes):
                 fresh.append(r)
             elif node.t + 1 >= len(progs[r]):
                 sts[r] = DONE
-        q = advance_joint(team.task_dfas, team.safety_dfa, node.q, models, pos)
+        q = team.automata.advance_joint(node.q, models, pos)
         child = JointNode(
             t=node.t + 1,
             positions=tuple(pos),
             statuses=tuple(sts),
             q=q,
-            kind=_classify(team, q, sts, fresh),
+            kind=_classify(team.automata, q, sts, fresh),
             fresh=tuple(fresh),
         )
         node.steps.append((prob, len(nodes)))
@@ -272,13 +274,13 @@ def _build_chain(sol, q0):
         else:
             statuses.append(DONE)
     if q0 is None:
-        q0 = vector_start(team.task_dfas, team.safety_dfa, models, positions)
+        q0 = team.automata.start(models, positions)
     root = JointNode(
         t=0,
         positions=tuple(positions),
         statuses=tuple(statuses),
         q=tuple(q0),
-        kind=_classify(team, tuple(q0), statuses, ()),
+        kind=_classify(team.automata, tuple(q0), statuses, ()),
     )
     nodes = [root]
     i = 0
@@ -360,12 +362,10 @@ def find_realloc_points(jp):
     return _pending(jp, _survey(jp)[2])
 
 
-def solve_realloc(point, products, mission=None, epsilon=1e-6):
+def solve_realloc(point, products, epsilon=1e-6):
     """Replan from a failure: fresh team model whose entries are the
     robots' current positions, started at the failed robot so the ring
     hands its tasks onward."""
-    if mission is not None and any(p.mission != mission for p in products):
-        raise ValueError("products were built for a different mission")
     team = build_team(
         products,
         entries=list(point.positions),
@@ -479,16 +479,37 @@ def policy_to_dict(jp, report=None):
     return out
 
 
+def _index(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: target {value!r} is not an integer")
+    return value
+
+
+def _probability(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{where}: step probability {value!r} is not in [0, 1]")
+    return value
+
+
 def policy_from_dict(data):
     """Rebuild a saved joint policy. Steps must point forward within their
     chain and children to a later chain, the order mass propagation and
-    rollouts rely on; anything else raises ValueError."""
+    rollouts rely on; only step nodes have steps, with probabilities in
+    [0, 1] that sum to 1. Anything else raises ValueError ("malformed
+    policy")."""
+    if not data["chains"]:
+        raise ValueError("malformed policy: no chains")
     chains = []
     links = []
     num_chains = len(data["chains"])
     for ci, cd in enumerate(data["chains"]):
+        if not cd["nodes"]:
+            raise ValueError(f"malformed policy: chain {ci} has no nodes")
         nodes = []
         for ni, nd in enumerate(cd["nodes"]):
+            where = f"malformed policy: chain {ci}, node {ni}"
+            if nd["kind"] not in KINDS:
+                raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
             node = JointNode(
                 t=nd["t"],
                 positions=tuple(nd["positions"]),
@@ -498,13 +519,18 @@ def policy_from_dict(data):
                 actions=tuple(nd["actions"]) if "actions" in nd else None,
                 fresh=tuple(nd.get("fresh", ())),
             )
-            node.steps = [(p, j) for p, j in nd["steps"]]
+            node.steps = [(_probability(p, where), _index(j, where)) for p, j in nd["steps"]]
             for _, j in node.steps:
                 if not ni < j < len(cd["nodes"]):
-                    raise ValueError(f"chain {ci}, node {ni}: step target {j} out of range")
+                    raise ValueError(f"{where}: step target {j} out of range")
+            if node.kind != STEP and node.steps:
+                raise ValueError(f"{where}: a {node.kind} node has steps")
+            total = sum(p for p, _ in node.steps)
+            if node.kind == STEP and abs(total - 1.0) > PROB_ATOL:
+                raise ValueError(f"{where}: step probabilities sum to {total!r}, not 1")
             if "child" in nd:
-                if not ci < nd["child"] < num_chains:
-                    raise ValueError(f"chain {ci}, node {ni}: child chain {nd['child']} out of range")
+                if not ci < _index(nd["child"], where) < num_chains:
+                    raise ValueError(f"{where}: child chain {nd['child']} out of range")
                 links.append((ci, ni, nd["child"]))
             nodes.append(node)
         chains.append(JointChain(nodes))

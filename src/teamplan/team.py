@@ -8,8 +8,9 @@ planning construct, not an executed action.
 The model is built from the robots' local products: a robot's row is its
 product row renumbered into the team, plus the switch edge, whose target
 extends the next robot's product from (entry, vector) where needed. The
-products advance and classify the automaton vectors; this module owns the
-switch rule only.
+products advance and classify the automaton vectors and `product.Automata`
+says when a vector may be handed on; this module owns the switch rule
+only.
 
 `solve_stapu` solves the model with `mdp.max_product_reach`, exact on the
 team model of deterministic-or-fail robots, where every action reaches one
@@ -20,9 +21,7 @@ iteration (`mdp.max_reach`).
 
 from dataclasses import dataclass
 
-from .ltl import atoms_of
 from .mdp import Choice, Explorer, Mdp, max_product_reach, max_reach
-from .product import vector_start, vector_switchable
 
 SWITCH = "switch"
 
@@ -67,11 +66,9 @@ class TeamMdp:
         self.entries = list(entries)
         self.start_robot = start_robot
         self.failed = frozenset(failed)
-        self.task_dfas = products[0].task_dfas
-        self.safety_dfa = products[0].safety_dfa
+        self.automata = products[0].automata
         if start_q is None:
-            start_q = vector_start(self.task_dfas, self.safety_dfa,
-                                   [products[start_robot].source], [entries[start_robot]])
+            start_q = self.automata.start([products[start_robot].source], [entries[start_robot]])
         self.start_q = tuple(start_q)
 
         names = []
@@ -91,17 +88,7 @@ class TeamMdp:
         explorer.explore((start_robot, products[start_robot].explore((entries[start_robot], self.start_q))))
         keys = explorer.keys
         self.states = [(robot, *products[robot].states[i]) for robot, i in keys]
-        labels = {}
-        for k, (robot, s, _) in enumerate(self.states):
-            lab = products[robot].source.label(s)
-            if lab:
-                labels[k] = lab
-        atoms = []
-        for p in products:
-            for a in p.source.atoms:
-                if a not in atoms:
-                    atoms.append(a)
-        self.mdp = Mdp(len(self.states), 0, names, explorer.rows, atoms=tuple(atoms), labels=labels)
+        self.mdp = Mdp(len(self.states), 0, names, explorer.rows)
         self.accepting = frozenset(k for k, (robot, i) in enumerate(keys) if products[robot].accepts(i))
         self.violating = frozenset(k for k, (robot, i) in enumerate(keys) if products[robot].violates(i))
 
@@ -130,14 +117,14 @@ class TeamMdp:
         fail = self.products[robot].source.failure_state
         if fail is not None and s == fail and robot not in self.failed:
             return False
-        return vector_switchable(self.task_dfas, self.safety_dfa, qvec)
+        return self.automata.switchable(qvec)
 
     @property
     def num_states(self):
         return len(self.states)
 
-    def full_size(self, with_safety=False):
-        return sum(p.full_size(with_safety) for p in self.products)
+    def full_size(self):
+        return sum(p.full_size() for p in self.products)
 
 
 def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):
@@ -202,11 +189,12 @@ def _walk_success_path(team, policy):
     accepting. Exact for the deterministic-or-fail class, best effort
     (highest-probability branch) elsewhere.
     """
-    m = len(team.task_dfas)
+    tasks = team.automata.tasks
+    m = len(tasks)
     robot0, s0, q0 = team.states[0]
     allocation = {}
     for k in range(m):
-        if q0[k] in team.task_dfas[k].accepting:
+        if q0[k] in tasks[k].accepting:
             allocation[k] = robot0
 
     segments = []
@@ -257,7 +245,7 @@ def _walk_success_path(team, policy):
         visited.add(nxt)
         newq = team.states[nxt][2]
         for k in range(m):
-            if k not in allocation and newq[k] in team.task_dfas[k].accepting:
+            if k not in allocation and newq[k] in tasks[k].accepting:
                 allocation[k] = robot
         cur = nxt
 
@@ -309,15 +297,3 @@ def check_single_switch(sol):
                 stack.append(t)
     return all(len(v) <= 1 for v in switch_states.values())
 
-
-def validate_mission_decomposition(mission):
-    """Warn when two tasks share an atom: a syntactic independence check
-    only. Safety may share atoms with anything, it is conjoined everywhere."""
-    warnings = []
-    task_atoms = [atoms_of(f) for f in mission.tasks]
-    for a in range(len(task_atoms)):
-        for b in range(a + 1, len(task_atoms)):
-            shared = sorted(task_atoms[a] & task_atoms[b])
-            if shared:
-                warnings.append(f"tasks {a} and {b} share atoms: {', '.join(shared)}")
-    return warnings

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from teamplan.baseline import build_mamdp, mamdp_full_size, solve_mamdp
+from teamplan.baseline import build_mamdp, solve_mamdp
 from teamplan.dfa import compile_cosafe, compile_safe, minimize
 from teamplan.ltl import Mission, parse_formula
 from teamplan.maps import MapSpec, gen_map, map_mission
@@ -41,7 +41,7 @@ def benchmark_team_sizes(tasks_list):
         mission = Mission(tasks=all_tasks[:m], safety=None)
         shared = compile_mission(mission)
         pm = local_product(model, mission, automata=shared)
-        out[m] = (2 * pm.full_size(), mamdp_full_size([model, model], mission, automata=shared))
+        out[m] = (2 * pm.full_size(), shared.unpruned_size([model, model]))
     return out
 
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from teamplan.baseline import CeilingExceeded, build_mamdp, mamdp_full_size, solve_mamdp
+from teamplan.baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp, max_reach
-from teamplan.product import local_product
+from teamplan.product import compile_mission, local_product
 from teamplan.realloc import run_stapu_with_realloc
 
 from instances import graph_model, guarded_tree_instance, random_team_instance
@@ -49,17 +49,17 @@ def test_full_size_formulas():
     mm = build_mamdp([m, m], mission("F p1"))
     # two map nodes per robot (failure state excluded), one 2-state automaton
     assert mm.full_size() == 2 * 2 * 2 == 8
-    assert mamdp_full_size([m, m], mission("F p1")) == 8
+    assert compile_mission(mission("F p1")).unpruned_size([m, m]) == 8
 
     free = Mdp(2, 0, ("go",), [
         [Choice(0, ((1, 1.0),), None)],
         [],
     ], atoms=("p1",), labels={1: frozenset({"p1"})})
-    assert mamdp_full_size([free, free], mission("F p1")) == 2 * 2 * 2
+    assert compile_mission(mission("F p1")).unpruned_size([free, free]) == 2 * 2 * 2
 
-    guarded = mamdp_full_size([m, m], mission("F p1", safety="G !p1"), with_safety=True)
-    plain = mamdp_full_size([m, m], mission("F p1", safety="G !p1"))
-    assert guarded == plain * 2
+    # the 2-state safety automaton is one more factor
+    guarded = build_mamdp([m, m], mission("F p1", safety="G !p1"))
+    assert guarded.full_size() == 8 * 2
 
 
 def test_pre_satisfied_mission():

@@ -1,11 +1,16 @@
 """Sweep harness: row contents, determinism, ceilings, failure handling."""
 
 import csv
+import json
 import logging
 
 import pytest
 
 from teamplan.bench import COLUMNS, bench_sweep, run_cell, write_csv
+from teamplan.cli import main
+from teamplan.ltl import mission_to_dict
+from teamplan.maps import MapSpec, gen_map, map_mission
+from teamplan.mdp import save_model
 
 BASE = {
     "robots": [2],
@@ -92,3 +97,18 @@ def test_run_cell_counts_reallocations():
     row = run_cell(robots=2, tasks=1, failpoints=2, seed=0, nodes=6, pfail=0.3, reps=1)
     assert row.reallocations >= 1
     assert row.guarantee > 0.0
+
+
+def test_sizes_count_the_safety_automaton(tmp_path, capsys):
+    """Unpruned sizes on a hazard map: the 2-state `G !h` automaton is a
+    factor of the team size (2 robots x 8 nodes x 2 x 2 task automata),
+    the joint size and the `baseline` line."""
+    row = run_cell(robots=2, tasks=2, failpoints=1, seed=0, nodes=8, pfail=0.2, hazards=2, reps=1)
+    assert (row.team_states, row.mamdp_states) == (128, 512)
+
+    spec = MapSpec(nodes=8, failpoints=1, pfail=0.2, tasks=2, hazards=2, seed=0)
+    model, mission = tmp_path / "hazard.json", tmp_path / "mission.json"
+    save_model(gen_map(spec), model)
+    mission.write_text(json.dumps(mission_to_dict(map_mission(spec))))
+    assert main(["baseline", "--models", str(model), str(model), "--mission", str(mission)]) == 0
+    assert "122 reachable of 512 joint states" in capsys.readouterr().out

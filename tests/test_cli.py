@@ -115,20 +115,40 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         assert "malformed model" in capsys.readouterr().err
 
     # malformed policy files: a step past the end of its chain, a child
-    # chain out of range
+    # chain out of range, step probabilities outside [0, 1] or not summing
+    # to 1, a non-numeric probability, a non-integer target, no chains and
+    # an unknown node kind
     policy = tmp_path / "policy.json"
-    assert main(["realloc", "--models", str(model), str(model), "--mission", mission,
+    risky = tmp_path / "risky.json"  # its plan has a step node with two successors
+    assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
+                 "--out", str(risky)]) == 0
+    assert main(["realloc", "--models", str(risky), str(risky), "--mission", mission,
                  "--out", str(policy)]) == 0
     good = policy.read_text()
-    past_end, no_chain = (json.loads(good) for _ in range(2))
+    past_end, no_chain, outside, short_sum, text_p, float_target, no_chains, odd_kind = (
+        json.loads(good) for _ in range(8))
+
+    def steps(data):
+        return next(nd for nd in data["chains"][0]["nodes"] if len(nd["steps"]) == 2)["steps"]
+
     nodes = past_end["chains"][0]["nodes"]
     next(nd for nd in nodes if nd["steps"])["steps"][0][1] = len(nodes)
     no_chain["chains"][0]["nodes"][0]["child"] = len(no_chain["chains"])
-    for k, data in enumerate([past_end, no_chain]):
+    steps(outside)[0][0], steps(outside)[1][0] = 3.0, -2.0
+    steps(short_sum)[0][0] = steps(short_sum)[1][0] / 2
+    steps(text_p)[0][0] = "x"
+    steps(float_target)[0][1] += 0.5
+    no_chains["chains"] = []
+    odd_kind["chains"][0]["nodes"][0]["kind"] = "teleport"
+    cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
+             (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
+             (no_chains, "no chains"), (odd_kind, "unknown kind")]
+    for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))
         assert main(["simulate", "--policy", str(broken), "--runs", "10"]) == 1, k
-        assert "out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed policy" in err and reason in err, (k, err)
 
 
 def test_ceiling_exits_three(tmp_path):

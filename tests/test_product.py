@@ -26,12 +26,16 @@ def mission(*tasks, safety=None):
     )
 
 
+def task_done(pm, i, k):
+    return pm.states[i][1][k] in pm.automata.tasks[k].accepting
+
+
 def test_initial_label_starts_accepting():
     m = make(2, 0, ["a"], {0: [("a", [(1, 1.0)])], 1: [("a", [(1, 1.0)])]},
              atoms=("goal",), labels={0: {"goal"}})
     pm = local_product(m, mission("F goal"))
     assert 0 in pm.accepting
-    assert pm.task_done(0, 0)
+    assert task_done(pm, 0, 0)
 
 
 def test_corridor_value_passes_through():
@@ -57,8 +61,7 @@ def test_full_size_counts():
     pm = local_product(m, mission("F p1", "F p2"))
     assert pm.full_size() == 3 * 2 * 2
     withsafe = local_product(m, mission("F p1", "F p2", safety="G !h"))
-    assert withsafe.full_size() == 12
-    assert withsafe.full_size(with_safety=True) == 24
+    assert withsafe.full_size() == 3 * 2 * 2 * 2
 
 
 def test_hazard_trap_absorbs():
@@ -143,10 +146,10 @@ def test_task_progress_is_monotone():
     }, atoms=("p1", "p2"), labels={3: {"p1"}, 4: {"p2"}})
     pm = local_product(m, mission("F p1", "F p2"))
     for i in range(pm.num_states):
-        done = {k for k in range(2) if pm.task_done(i, k)}
+        done = {k for k in range(2) if task_done(pm, i, k)}
         for c in pm.mdp.choices[i]:
             for t, _ in c.outcomes:
-                after = {k for k in range(2) if pm.task_done(t, k)}
+                after = {k for k in range(2) if task_done(pm, t, k)}
                 assert done <= after
 
 

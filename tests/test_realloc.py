@@ -142,8 +142,8 @@ def test_solve_realloc_task_already_done():
     models = [corridor(), corridor()]
     _, products = plan(models, mission("F p1"))
     fail = models[0].failure_state
-    accepting_q = (products[0].task_dfas[0].advance(
-        products[0].task_dfas[0].initial, frozenset({"p1"})),)
+    task = products[0].automata.tasks[0]
+    accepting_q = (task.advance(task.initial, frozenset({"p1"})),)
     point = fake_point(products, (fail, 0), ("failed", "done"), accepting_q)
     sub = solve_realloc(point, products, epsilon=1e-9)
     assert sub.value == pytest.approx(1.0, abs=1e-12)
@@ -170,6 +170,17 @@ def test_budget_example():
         values.append(r.value)
     assert values == sorted(values)
     assert values[1] == pytest.approx(values[2], abs=1e-12)
+
+
+def test_zero_time_limit_keeps_the_initial_plan():
+    models = [corridor(), corridor()]
+    miss = mission("F p1")
+    jp, report = run_stapu_with_realloc(models, miss, time_limit=0, epsilon=1e-9)
+    initial = mission_masses(synchronize(plan(models, miss)[0]))
+    assert report.reallocations == 0 and report.solves == 1
+    assert report.value == initial[0] == pytest.approx(0.9, abs=1e-12)
+    assert report.unaddressed == initial[2] == pytest.approx(0.1, abs=1e-12)
+    assert len(jp.chains) == 1
 
 
 def test_conservation_and_monotonicity_random():

@@ -8,14 +8,7 @@ import pytest
 
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp, max_reach
-from teamplan.product import (
-    advance_vector,
-    compile_mission,
-    local_product,
-    vector_accepting,
-    vector_switchable,
-    vector_violating,
-)
+from teamplan.product import compile_mission, local_product
 from teamplan.team import (
     SWITCH,
     StapuSolution,
@@ -24,7 +17,6 @@ from teamplan.team import (
     check_class,
     check_single_switch,
     solve_stapu,
-    validate_mission_decomposition,
 )
 
 from exhaustive import enumerate_best
@@ -186,14 +178,6 @@ def test_single_switch_checker_flags_forged_policy():
     assert not check_single_switch(forged)
 
 
-def test_validate_mission_decomposition():
-    assert validate_mission_decomposition(mission("F p1", "F p2")) == []
-    warned = validate_mission_decomposition(mission("F p", "p U q"))
-    assert len(warned) == 1 and "share atoms: p" in warned[0]
-    safe_shared = validate_mission_decomposition(mission("F p", safety="G !p"))
-    assert safe_shared == []
-
-
 def test_segment_actions_enabled_locally():
     weak, strong = corridor(0.5), corridor(0.9)
     sol = solve_stapu(team_for([weak, strong], mission("F p1")), epsilon=1e-9)
@@ -281,7 +265,7 @@ def mixed_team_instance(rng):
 def reference_team(products, entries, start_robot, start_q, failed):
     """States, rows (action names), accepting and violating sets of the
     team model by breadth-first search over (robot, s, q)."""
-    tasks, safety = products[0].task_dfas, products[0].safety_dfa
+    automata = products[0].automata
     states = [(start_robot, entries[start_robot], start_q)]
     index = {states[0]: 0}
 
@@ -296,22 +280,22 @@ def reference_team(products, entries, start_robot, start_q, failed):
         i = len(rows)
         robot, s, q = states[i]
         src = products[robot].source
-        violating = vector_violating(safety, q)
+        violating = automata.violating(q)
         row = []
         for c in src.choices[s]:
             if violating:
                 row.append((src.actions[c.action], ((i, 1.0),), None))
             else:
-                outs = tuple((intern((robot, t, advance_vector(tasks, safety, q, src.label(t)))), p)
+                outs = tuple((intern((robot, t, automata.advance(q, src.label(t)))), p)
                              for t, p in c.outcomes)
                 row.append((src.actions[c.action], outs, c.cost))
         nxt = (robot + 1) % len(products)
         if (not violating and nxt != start_robot and (s != src.failure_state or robot in failed)
-                and vector_switchable(tasks, safety, q)):
+                and automata.switchable(q)):
             row.append((SWITCH, ((intern((nxt, entries[nxt], q)), 1.0),), None))
         rows.append(row)
-    accepting = frozenset(i for i, (_, _, q) in enumerate(states) if vector_accepting(tasks, safety, q))
-    violating = frozenset(i for i, (_, _, q) in enumerate(states) if vector_violating(safety, q))
+    accepting = frozenset(i for i, (_, _, q) in enumerate(states) if automata.accepting(q))
+    violating = frozenset(i for i, (_, _, q) in enumerate(states) if automata.violating(q))
     return states, rows, accepting, violating
 
 
