@@ -417,6 +417,12 @@ class MissionError(ValueError):
     pass
 
 
+def _parse_field(src, what) -> Formula:
+    if not isinstance(src, str):
+        raise MissionError(f"malformed mission: {what} {src!r} is not a formula string")
+    return parse_formula(src)
+
+
 def mission_from_dict(data: dict) -> Mission:
     """Build and validate a mission from {"tasks": [...], "safety": str|null}."""
     if not isinstance(data, dict) or "tasks" not in data:
@@ -426,14 +432,14 @@ def mission_from_dict(data: dict) -> Mission:
         raise MissionError("mission needs at least one task formula")
     tasks = []
     for k, src in enumerate(raw_tasks):
-        f = parse_formula(src)
+        f = _parse_field(src, f"task {k}")
         if not is_syntactically_cosafe(f):
             raise MissionError(f"task {k} ({src!r}) is not a reachability-fragment formula")
         tasks.append(f)
     safety = None
     raw_safety = data.get("safety")
     if raw_safety is not None:
-        safety = parse_formula(raw_safety)
+        safety = _parse_field(raw_safety, "safety")
         if not is_syntactically_safe(safety):
             raise MissionError(f"safety formula {raw_safety!r} is not an invariant-fragment formula")
     return Mission(tuple(tasks), safety)

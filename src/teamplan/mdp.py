@@ -179,29 +179,37 @@ def _number(value, what):
     return float(value)
 
 
+def _typed(value, kind, what):
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed model: {what} {value!r} is not a {kind.__name__}")
+    return value
+
+
 def model_from_dict(data: dict) -> Mdp:
     num_states = _integer(data["states"], "states")
-    actions = list(data["actions"])
+    actions = _typed(data["actions"], list, "actions")
     action_index = {a: i for i, a in enumerate(actions)}
     choices: list[list[Choice]] = [[] for _ in range(num_states)]
-    for t in data["trans"]:
+    for t in _typed(data["trans"], list, "trans"):
         if not (0 <= _integer(t["from"], "transition source") < num_states):
             raise ValueError(f"transition source {t['from']} out of range")
         if t["action"] not in action_index:
             raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
-        outcomes = tuple((_integer(o["to"], "successor"), _number(o["p"], "probability")) for o in t["outcomes"])
+        outcomes = tuple((_integer(o["to"], "successor"), _number(o["p"], "probability"))
+                         for o in _typed(t["outcomes"], list, "outcomes"))
         cost = t.get("cost")
         if cost is not None:
             _number(cost, "cost")
         choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
-    labels = {int(s): frozenset(l) for s, l in data.get("labels", {}).items()}
+    labels = {int(s): frozenset(_typed(l, list, f"labels of state {s}"))
+              for s, l in _typed(data.get("labels", {}), dict, "labels").items()}
     failure_state = data.get("failure_state")
     mdp = Mdp(
         num_states=num_states,
         initial=_integer(data["initial"], "initial state"),
         actions=actions,
         choices=choices,
-        atoms=tuple(data.get("atoms", ())),
+        atoms=tuple(_typed(data.get("atoms", []), list, "atoms")),
         labels=labels,
         failure_state=None if failure_state is None else _integer(failure_state, "failure state"),
     )

@@ -1,13 +1,16 @@
 """Joint execution of a team plan with failure-driven reallocation.
 
 The solved team model moves one robot at a time. At execution time every
-robot runs its own segment simultaneously, so this module rebuilds the
-plan as a synchronized Markov chain over joint states: one map position
-per robot plus a single shared automaton vector, advanced once per step
-on the union of the labels of all robots' current positions. Union
-semantics credits a task even when a robot other than the allocated one
-walks over its atom; instances meant for exact comparisons should keep
-task atoms off the other robots' paths.
+robot runs its own program (`StapuSolution.programs`) simultaneously, so
+this module rebuilds the plan as a synchronized Markov chain over joint
+states: one map position per robot plus a single shared automaton vector,
+advanced once per step on the union of the labels of all robots' current
+positions. It executes only robots that pass `team.check_class`, the one
+gate of the deterministic-or-fail class; `_require_class` raises
+`UnsupportedModelError` for any other. Union semantics credits a task
+even when a robot other than the allocated one walks over its atom;
+instances meant for exact comparisons should keep task atoms off the
+other robots' paths.
 
 States where a robot has just broken down become absorbing reallocation
 points. Addressing a point solves a fresh team model from the robots'
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .mdp import PROB_ATOL
 from .product import local_products
-from .team import build_team, check_class, check_single_switch, solve_stapu
+from .team import build_team, check_class, solve_stapu
 
 EXECUTING = "executing"
 DONE = "done"
@@ -173,33 +176,6 @@ def _copy_chain(chain):
     ])
 
 
-def _segment_by_robot(sol):
-    out = {}
-    for seg in sol.segments:
-        if seg["robot"] in out:
-            raise UnsupportedModelError("plan visits a robot twice")
-        out[seg["robot"]] = seg
-    return out
-
-
-def _program(model, seg):
-    """Per-step (source, live successor, failure probability, action name)."""
-    steps = []
-    fail = model.failure_state
-    for step in seg["choices"]:
-        s = step["state"]["s"]
-        name = step["action"]
-        choice = next((c for c in model.choices[s] if model.actions[c.action] == name), None)
-        if choice is None:
-            raise UnsupportedModelError(f"action {name!r} not enabled at state {s}")
-        live = [t for t, _ in choice.outcomes if t != fail]
-        if len(live) != 1:
-            raise UnsupportedModelError("segment action is not deterministic-or-fail")
-        pfail = sum(p for t, p in choice.outcomes if t == fail)
-        steps.append((s, live[0], pfail, name))
-    return steps
-
-
 def _classify(automata, q, statuses, fresh):
     if automata.accepting(q):
         return SUCCESS
@@ -224,7 +200,7 @@ def _expand(team, models, progs, node, nodes):
         _, succ, pfail, name = progs[r][node.t]
         names.append(name)
         movers.append(r)
-        branch = [(succ, 1.0 - pfail, False)]
+        branch = [] if succ is None else [(succ, 1.0 - pfail, False)]
         if pfail > 0.0:
             branch.append((models[r].failure_state, pfail, True))
         opts.append(branch)
@@ -257,36 +233,22 @@ def _expand(team, models, progs, node, nodes):
 
 def _build_chain(sol, q0):
     team = sol.team
-    n = len(team.products)
     models = [p.source for p in team.products]
-    segs = _segment_by_robot(sol)
-    progs = []
-    positions = []
-    statuses = []
-    for r in range(n):
-        prog = _program(models[r], segs[r])
-        progs.append(prog)
-        positions.append(prog[0][0] if prog else segs[r]["entry"]["s"])
-        if r in team.failed:
-            statuses.append(FAILED)
-        elif prog:
-            statuses.append(EXECUTING)
-        else:
-            statuses.append(DONE)
-    if q0 is None:
-        q0 = team.automata.start(models, positions)
+    statuses = [FAILED if r in team.failed else EXECUTING if prog else DONE
+                for r, prog in enumerate(sol.programs)]
+    q0 = tuple(team.automata.start(models, team.entries) if q0 is None else q0)
     root = JointNode(
         t=0,
-        positions=tuple(positions),
+        positions=tuple(team.entries),
         statuses=tuple(statuses),
-        q=tuple(q0),
-        kind=_classify(team.automata, tuple(q0), statuses, ()),
+        q=q0,
+        kind=_classify(team.automata, q0, statuses, ()),
     )
     nodes = [root]
     i = 0
     while i < len(nodes):
         if nodes[i].kind == STEP:
-            _expand(team, models, progs, nodes[i], nodes)
+            _expand(team, models, sol.programs, nodes[i], nodes)
         i += 1
     return JointChain(nodes)
 
@@ -300,13 +262,11 @@ def synchronize(sol, q0=None):
     point's vector, which already accounts for every robot's position.
     """
     _require_class([p.source for p in sol.team.products])
-    if not check_single_switch(sol):
-        raise UnsupportedModelError("plan hands over from more than one state per robot")
     return JointPolicy([_build_chain(sol, q0)], robots=len(sol.team.products))
 
 
 def _require_class(models):
-    """Raise unless every distinct model is deterministic-or-fail."""
+    """Raise unless every distinct model passes `check_class`."""
     checked = set()
     for r, model in enumerate(models):
         if id(model) in checked:
@@ -314,7 +274,8 @@ def _require_class(models):
         checked.add(id(model))
         if not check_class(model):
             raise UnsupportedModelError(
-                f"robot {r}: actions must be deterministic or two-outcome failures"
+                f"robot {r}: actions must be deterministic or two-outcome splits with "
+                f"the failure state, and the failure state must be absorbing"
             )
 
 
@@ -485,6 +446,12 @@ def _index(value, where):
     return value
 
 
+def _array(value, where, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: {what} {value!r} is not a list")
+    return value
+
+
 def _probability(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{where}: step probability {value!r} is not in [0, 1]")
@@ -497,13 +464,13 @@ def policy_from_dict(data):
     rollouts rely on; only step nodes have steps, with probabilities in
     [0, 1] that sum to 1. Anything else raises ValueError ("malformed
     policy")."""
-    if not data["chains"]:
+    if not _array(data["chains"], "malformed policy", "chains"):
         raise ValueError("malformed policy: no chains")
     chains = []
     links = []
     num_chains = len(data["chains"])
     for ci, cd in enumerate(data["chains"]):
-        if not cd["nodes"]:
+        if not _array(cd["nodes"], f"malformed policy: chain {ci}", "nodes"):
             raise ValueError(f"malformed policy: chain {ci} has no nodes")
         nodes = []
         for ni, nd in enumerate(cd["nodes"]):
@@ -512,14 +479,15 @@ def policy_from_dict(data):
                 raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
             node = JointNode(
                 t=nd["t"],
-                positions=tuple(nd["positions"]),
-                statuses=tuple(nd["statuses"]),
-                q=tuple(nd["q"]),
+                positions=tuple(_array(nd["positions"], where, "positions")),
+                statuses=tuple(_array(nd["statuses"], where, "statuses")),
+                q=tuple(_array(nd["q"], where, "q")),
                 kind=nd["kind"],
-                actions=tuple(nd["actions"]) if "actions" in nd else None,
-                fresh=tuple(nd.get("fresh", ())),
+                actions=tuple(_array(nd["actions"], where, "actions")) if "actions" in nd else None,
+                fresh=tuple(_array(nd.get("fresh", []), where, "fresh")),
             )
-            node.steps = [(_probability(p, where), _index(j, where)) for p, j in nd["steps"]]
+            node.steps = [(_probability(p, where), _index(j, where))
+                          for p, j in _array(nd["steps"], where, "steps")]
             for _, j in node.steps:
                 if not ni < j < len(cd["nodes"]):
                     raise ValueError(f"{where}: step target {j} out of range")

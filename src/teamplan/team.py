@@ -17,6 +17,12 @@ team model of deterministic-or-fail robots, where every action reaches one
 live successor and otherwise a dead end. A model with two live outcomes in
 some action, which robots outside that class can give, falls back to value
 iteration (`mdp.max_reach`).
+
+`check_class` is the one gate of that class: an absorbing failure state,
+and every action deterministic or split between one successor and the
+failure state. For such robots the policy's success path is one live path
+per robot, which `solve_stapu` records as `StapuSolution.programs`, the
+step lists `realloc.synchronize` executes.
 """
 
 from dataclasses import dataclass
@@ -133,14 +139,22 @@ def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):
 
 @dataclass
 class StapuSolution:
+    """A solved team model and the plan its policy implies.
+
+    `programs[r]` is robot r's part of the plan, one (state, live
+    successor, failure probability, action) tuple per step; the live
+    successor is None for a step that fails surely. `synchronize` runs the
+    programs side by side; `segments` and `switches` describe the same
+    plan for the solution file.
+    """
+
     team: TeamMdp
     value: float
-    values: list[float]
-    policy: dict[int, int]
     allocation: dict[int, int]
     unallocated: tuple[int, ...]
     segments: list[dict]
     switches: list[dict]
+    programs: list[list[tuple]]
 
     def to_dict(self):
         return {
@@ -162,84 +176,59 @@ def solve_stapu(team, epsilon=1e-6):
     res = max_product_reach(team.mdp, team.accepting, team.violating)
     if res is None:
         res = max_reach(team.mdp, team.accepting, team.violating, epsilon=epsilon)
-    allocation, unallocated, segments, switches = _walk_success_path(team, res.policy)
-    return StapuSolution(
-        team=team,
-        value=res.values[0],
-        values=res.values,
-        policy=res.policy,
-        allocation=allocation,
-        unallocated=unallocated,
-        segments=segments,
-        switches=switches,
-    )
+    return StapuSolution(team, res.values[0], *_walk_success_path(team, res.policy))
 
 
-def _pick_choice(row, action):
-    for c in row:
-        if c.action == action:
-            return c
-    return None
+def _segment(state):
+    robot, s, q = state
+    return {"robot": robot, "entry": {"s": s, "q": list(q)}, "choices": []}
 
 
 def _walk_success_path(team, policy):
     """Follow the policy along non-failure outcomes, splitting at switches.
 
-    A task is allocated to the robot whose move makes its component
-    accepting. Exact for the deterministic-or-fail class, best effort
-    (highest-probability branch) elsewhere.
+    Returns the allocation, the unallocated tasks, the segments, the
+    switches and the programs of `StapuSolution`. A task is allocated to
+    the robot whose move makes its component accepting. Exact for the
+    deterministic-or-fail class, best effort (highest-probability branch)
+    elsewhere. The hand-over ring stops before it returns to the start
+    robot, so each robot gets at most one segment.
     """
     tasks = team.automata.tasks
     m = len(tasks)
-    robot0, s0, q0 = team.states[0]
-    allocation = {}
-    for k in range(m):
-        if q0[k] in tasks[k].accepting:
-            allocation[k] = robot0
-
-    segments = []
-    seen_robots = set()
-
-    def open_segment(i):
-        robot, s, q = team.states[i]
-        seen_robots.add(robot)
-        seg = {"robot": robot, "entry": {"s": s, "q": list(q)}, "choices": []}
-        segments.append(seg)
-        return seg
-
-    seg = open_segment(0)
+    robot0, _, q0 = team.states[0]
+    allocation = {k: robot0 for k in range(m) if q0[k] in tasks[k].accepting}
+    segments = [_segment(team.states[0])]
     switches = []
+    programs = [[] for _ in team.products]
     cur = 0
     visited = {0}
-    while True:
-        if cur in team.accepting or cur in team.violating:
-            break
+    while cur not in team.accepting and cur not in team.violating:
         action = policy.get(cur)
-        choice = _pick_choice(team.mdp.choices[cur], action) if action is not None else None
+        choice = next((c for c in team.mdp.choices[cur] if c.action == action), None)
         if choice is None:
             break
         robot, s, q = team.states[cur]
         if choice.action == team.switch_action:
-            nxt = choice.outcomes[0][0]
+            cur = choice.outcomes[0][0]
+            visited.add(cur)
             switches.append({
                 "from_robot": robot,
-                "to_robot": team.states[nxt][0],
+                "to_robot": team.states[cur][0],
                 "state": {"s": s, "q": list(q)},
             })
-            if team.states[nxt][0] in seen_robots:
-                break
-            if nxt in visited:
-                break
-            visited.add(nxt)
-            cur = nxt
-            seg = open_segment(cur)
+            segments.append(_segment(team.states[cur]))
             continue
-        seg["choices"].append({"state": {"s": s, "q": list(q)}, "action": team.mdp.actions[choice.action]})
+        name = team.mdp.actions[choice.action]
+        segments[-1]["choices"].append({"state": {"s": s, "q": list(q)}, "action": name})
         fail = team.products[robot].source.failure_state
         live = [(t, p) for t, p in choice.outcomes if team.states[t][1] != fail]
         if not live:
+            programs[robot].append((s, None, 1.0, name))
             break
         nxt = max(live, key=lambda tp: tp[1])[0]
+        pfail = sum(p for t, p in choice.outcomes if team.states[t][1] == fail)
+        programs[robot].append((s, team.states[nxt][1], pfail, name))
         if nxt in visited:
             break
         visited.add(nxt)
@@ -249,17 +238,20 @@ def _walk_success_path(team, policy):
                 allocation[k] = robot
         cur = nxt
 
-    for r in range(len(team.products)):
-        if r not in seen_robots:
-            segments.append({"robot": r, "entry": {"s": team.entries[r], "q": None}, "choices": []})
+    planned = {seg["robot"] for seg in segments}
+    segments += [{"robot": r, "entry": {"s": team.entries[r], "q": None}, "choices": []}
+                 for r in range(len(team.products)) if r not in planned]
     unallocated = tuple(k for k in range(m) if k not in allocation)
-    return allocation, unallocated, segments, switches
+    return allocation, unallocated, segments, switches, programs
 
 
 def check_class(mdp):
-    """True when every action is deterministic or a two-outcome split with
-    the designated failure state."""
+    """True when `mdp` is deterministic-or-fail: its failure state, if it
+    has one, is absorbing, and every action is deterministic or a
+    two-outcome split with the failure state."""
     fail = mdp.failure_state
+    if fail is not None and not mdp.is_absorbing(fail):
+        return False
     for s in range(mdp.num_states):
         for c in mdp.choices[s]:
             if len(c.outcomes) == 1 and abs(c.outcomes[0][1] - 1.0) <= 1e-9:
@@ -273,27 +265,3 @@ def check_class(mdp):
                 continue
             return False
     return True
-
-
-def check_single_switch(sol):
-    """True when the policy, restricted to its reachable states, switches
-    at most once per robot index."""
-    team = sol.team
-    seen = {0}
-    stack = [0]
-    switch_states = {}
-    while stack:
-        i = stack.pop()
-        action = sol.policy.get(i)
-        choice = _pick_choice(team.mdp.choices[i], action) if action is not None else None
-        if choice is None:
-            continue
-        if choice.action == team.switch_action:
-            robot = team.states[i][0]
-            switch_states.setdefault(robot, set()).add(i)
-        for t, _ in choice.outcomes:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return all(len(v) <= 1 for v in switch_states.values())
-

@@ -92,20 +92,33 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "s.json")]) == 1
     assert "error" in capsys.readouterr().err
 
+    # malformed mission files: a task or the safety formula not a string
+    for k, data in enumerate([{"tasks": [5]}, {"tasks": ["F p1"], "safety": 3}]):
+        broken = tmp_path / f"mission{k}.json"
+        broken.write_text(json.dumps(data))
+        assert main(["solve", "--models", str(model), "--mission", str(broken),
+                     "--out", str(tmp_path / "s.json")]) == 1, k
+        assert "malformed mission" in capsys.readouterr().err
+
     # malformed model files: a successor or the initial state out of range,
     # outcome probabilities that do not sum to 1, and fields of the wrong type
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
                  "--out", str(model)]) == 0
     good = model.read_text()
-    far_successor, far_initial, short_sum, float_successor, text_cost, text_states = (
-        json.loads(good) for _ in range(6))
+    (far_successor, far_initial, short_sum, float_successor, text_cost, text_states,
+     int_trans, int_outcomes, list_labels, int_actions) = (json.loads(good) for _ in range(10))
     far_successor["trans"][0]["outcomes"][0]["to"] = 99
     far_initial["initial"] = 50
     short_sum["trans"][0]["outcomes"][0]["p"] = 0.3
     float_successor["trans"][0]["outcomes"][0]["to"] = 1.5
     text_cost["trans"][0]["cost"] = "x"
     text_states["states"] = str(text_states["states"])
-    for k, data in enumerate([far_successor, far_initial, short_sum, float_successor, text_cost, text_states]):
+    int_trans["trans"] = 5
+    int_outcomes["trans"][0]["outcomes"] = 3
+    list_labels["labels"] = [1]
+    int_actions["actions"] = 4
+    for k, data in enumerate([far_successor, far_initial, short_sum, float_successor, text_cost, text_states,
+                              int_trans, int_outcomes, list_labels, int_actions]):
         broken = tmp_path / f"model{k}.json"
         broken.write_text(json.dumps(data))
         for cmd in (["solve", "--out", str(tmp_path / "s.json")],
@@ -116,8 +129,9 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
 
     # malformed policy files: a step past the end of its chain, a child
     # chain out of range, step probabilities outside [0, 1] or not summing
-    # to 1, a non-numeric probability, a non-integer target, no chains and
-    # an unknown node kind
+    # to 1, a non-numeric probability, a non-integer target, no chains, an
+    # unknown node kind, and node positions, node steps or the chains not
+    # lists
     policy = tmp_path / "policy.json"
     risky = tmp_path / "risky.json"  # its plan has a step node with two successors
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
@@ -125,8 +139,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["realloc", "--models", str(risky), str(risky), "--mission", mission,
                  "--out", str(policy)]) == 0
     good = policy.read_text()
-    past_end, no_chain, outside, short_sum, text_p, float_target, no_chains, odd_kind = (
-        json.loads(good) for _ in range(8))
+    (past_end, no_chain, outside, short_sum, text_p, float_target, no_chains, odd_kind,
+     int_positions, int_steps, object_chains) = (json.loads(good) for _ in range(11))
 
     def steps(data):
         return next(nd for nd in data["chains"][0]["nodes"] if len(nd["steps"]) == 2)["steps"]
@@ -140,15 +154,41 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     steps(float_target)[0][1] += 0.5
     no_chains["chains"] = []
     odd_kind["chains"][0]["nodes"][0]["kind"] = "teleport"
+    int_positions["chains"][0]["nodes"][0]["positions"] = 5
+    int_steps["chains"][0]["nodes"][0]["steps"] = 7
+    object_chains["chains"] = {"a": 1}
     cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
              (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
-             (no_chains, "no chains"), (odd_kind, "unknown kind")]
+             (no_chains, "no chains"), (odd_kind, "unknown kind"), (int_positions, "not a list"),
+             (int_steps, "not a list"), (object_chains, "not a list")]
     for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))
         assert main(["simulate", "--policy", str(broken), "--runs", "10"]) == 1, k
         err = capsys.readouterr().err
         assert "malformed policy" in err and reason in err, (k, err)
+
+
+def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
+    # nothing is labeled p1, so the mission has value 0 and the plan takes
+    # state 0's first action, which breaks the robot down for sure
+    model = tmp_path / "crash.json"
+    model.write_text(json.dumps({
+        "states": 2, "initial": 0, "atoms": ["p1"], "labels": {}, "failure_state": 1,
+        "actions": ["crash", "wait"],
+        "trans": [{"from": 0, "action": "crash", "outcomes": [{"to": 1, "p": 1.0}]},
+                  {"from": 0, "action": "wait", "outcomes": [{"to": 0, "p": 1.0}]}],
+    }))
+    mission = write_mission(tmp_path / "mission.json", ["F p1"])
+    policy = tmp_path / "policy.json"
+    assert main(["realloc", "--models", str(model), str(model), "--mission", mission,
+                 "--out", str(policy)]) == 0, capsys.readouterr().err
+    saved = json.loads(policy.read_text())
+    report = saved["report"]
+    assert report["value"] == 0.0
+    assert report["value"] + report["failure"] + report["unaddressed"] == pytest.approx(1.0, abs=1e-12)
+    root = saved["chains"][0]["nodes"][0]
+    assert root["actions"][0] == "crash" and root["steps"] == [[1.0, 1]]
 
 
 def test_ceiling_exits_three(tmp_path):

@@ -99,7 +99,8 @@ def test_allocations_match_value_iteration(teams):
         sol = solve_stapu(team)
         vi = max_reach(team.mdp, team.accepting, team.violating, epsilon=1e-12)
         expected = _walk_success_path(team, vi.policy)
-        assert (sol.allocation, sol.unallocated, sol.segments, sol.switches) == expected, f"team {i}"
+        got = (sol.allocation, sol.unallocated, sol.segments, sol.switches, sol.programs)
+        assert got == expected, f"team {i}"
 
 
 def test_two_live_outcomes_fall_back_to_value_iteration(monkeypatch):

@@ -201,13 +201,24 @@ def test_conservation_and_monotonicity_random():
 def test_union_labels_credit_only_the_planned_robot():
     # the chain advances on the union of all robots' labels, the team model
     # on one robot's at a time; they agree while no robot walks over a task
-    # atom the plan gives to another, as on these generators' instances
+    # atom the plan gives to another, as on these generators' instances.
+    # The first replans, one per point of the initial plan, start at a
+    # failed robot that hands its tasks on; their chains must realise their
+    # values too.
     rng = np.random.default_rng(20261020)
+    replans = 0
     for i in range(60):
         model, miss = (random_team_instance if i % 2 else guarded_tree_instance)(rng)
-        sol = solve_stapu(build_team(local_products([model] * (2 + i % 3), miss)))
-        chain = synchronize(sol).chains[0]
-        assert chain.success_mass == pytest.approx(sol.value, abs=1e-12), f"instance {i}"
+        products = local_products([model] * (2 + i % 3), miss)
+        sol = solve_stapu(build_team(products))
+        jp = synchronize(sol)
+        assert jp.chains[0].success_mass == pytest.approx(sol.value, abs=1e-12), f"instance {i}"
+        for point in find_realloc_points(jp):
+            sub = solve_realloc(point, products)
+            chain = synchronize(sub, q0=point.q).chains[0]
+            assert chain.success_mass == pytest.approx(sub.value, abs=1e-12), f"instance {i}"
+            replans += sub.value < 1.0
+    assert replans >= 100, replans
 
 
 def test_mass_conservation_matches_report():
@@ -240,6 +251,15 @@ def test_rejects_models_outside_class():
     ], atoms=("p1",), labels={1: frozenset({"p1"})})
     with pytest.raises(UnsupportedModelError):
         run_stapu_with_realloc([bad], mission("F p1"))
+    # a failure state that moves on: the team model would report 1.0 for a
+    # plan whose chain delivers 0.5
+    moving_failure = Mdp(3, 0, ("go",), [
+        [Choice(0, ((1, 0.5), (2, 0.5)), None)],
+        [],
+        [Choice(0, ((1, 1.0),), None)],
+    ], atoms=("p1",), labels={1: frozenset({"p1"})}, failure_state=2)
+    with pytest.raises(UnsupportedModelError, match="absorbing"):
+        run_stapu_with_realloc([moving_failure, moving_failure], mission("F p1"))
 
 
 def reference_realloc(models, miss, max_realloc=None, epsilon=1e-9):

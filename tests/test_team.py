@@ -11,11 +11,9 @@ from teamplan.mdp import Choice, Mdp, max_reach
 from teamplan.product import compile_mission, local_product
 from teamplan.team import (
     SWITCH,
-    StapuSolution,
     TeamError,
     build_team,
     check_class,
-    check_single_switch,
     solve_stapu,
 )
 
@@ -54,7 +52,6 @@ def test_single_task_two_identical_robots():
     assert sol.allocation == {0: 0}
     assert sol.unallocated == ()
     assert sol.switches == []
-    assert check_single_switch(sol)
 
 
 def test_allocation_prefers_capable_robot():
@@ -78,7 +75,6 @@ def test_two_tasks_split_across_robots():
     assert sol.value == pytest.approx(1.0, abs=1e-9)
     assert sol.allocation == {0: 0, 1: 1}
     assert len(sol.switches) == 1
-    assert check_single_switch(sol)
 
 
 def test_full_size_is_sum_of_products():
@@ -140,7 +136,6 @@ def test_single_robot_team_matches_local_product():
     local = max_reach(pm.mdp, pm.accepting, pm.violating, epsilon=1e-9).values[0]
     sol = solve_stapu(team_for([m], miss), epsilon=1e-9)
     assert sol.value == pytest.approx(local, abs=1e-9)
-    assert check_single_switch(sol)
 
 
 def test_check_class():
@@ -154,28 +149,15 @@ def test_check_class():
         [],
     ], failure_state=None)
     assert not check_class(bad)
-
-
-def test_single_switch_checker_flags_forged_policy():
-    # branching to two live successors (outside the det-or-fail class),
-    # each of which chooses to switch
-    m = Mdp(4, 0, ("split", "go"), [
+    # the failure state moves on to the task node: the team model prices a
+    # breakdown as a detour (value 1) that no robot executes
+    moving_failure = Mdp(3, 0, ("go",), [
         [Choice(0, ((1, 0.5), (2, 0.5)), None)],
-        [Choice(1, ((3, 1.0),), None)],
-        [Choice(1, ((3, 1.0),), None)],
         [],
-    ], atoms=("p1",), labels={3: frozenset({"p1"})})
-    team = team_for([m, m], mission("F p1"))
-    switch_states = [i for i, row in enumerate(team.mdp.choices)
-                     if team.states[i][0] == 0 and team.states[i][1] in (1, 2)
-                     and any(c.action == team.switch_action for c in row)]
-    assert len(switch_states) >= 2
-    policy = {0: 0}
-    for i in switch_states:
-        policy[i] = team.switch_action
-    forged = StapuSolution(team=team, value=0.0, values=[], policy=policy,
-                           allocation={}, unallocated=(0,), segments=[], switches=[])
-    assert not check_single_switch(forged)
+        [Choice(0, ((1, 1.0),), None)],
+    ], atoms=("p1",), labels={1: frozenset({"p1"})}, failure_state=2)
+    assert not check_class(moving_failure)
+    assert solve_stapu(team_for([moving_failure], mission("F p1"))).value == 1.0
 
 
 def test_segment_actions_enabled_locally():
@@ -233,7 +215,6 @@ def test_team_value_matches_allocation_oracle():
         assert sol.value == pytest.approx(expected, abs=1e-6), (
             f"instance {i}: team {sol.value} vs allocation oracle {expected}"
         )
-        assert check_single_switch(sol)
 
 
 def one_way(model):
