@@ -7,7 +7,11 @@ Two solvers compute maximal reach probabilities, one per model class:
 
 - `max_product_reach` serves models in which every choice has at most one
   live outcome, i.e. the team models of deterministic-or-fail robots. One
-  label-setting pass from the targets gives the exact values.
+  label-setting pass from the targets over a backward index of the live
+  edges gives the exact values (`_label_setting`). `team.solve_blocks`
+  runs the same pass and policy passes robot block by robot block on the
+  products, so the team model itself is only built on demand; this
+  function, on a built team model, is its oracle in the tests.
 - `max_reach` serves every other model (the joint multi-agent MDP, model
   files of any shape). It is Gauss-Seidel value iteration bracketed by
   graph precomputation: states that cannot reach the target under any
@@ -16,14 +20,16 @@ Two solvers compute maximal reach probabilities, one per model class:
   contains genuinely quantitative states. Both graph passes walk one
   predecessor index backwards from the target.
 
-Both read their policy off the values with one rule (`_reach_policy`).
+Both read their policy off the values with one rule (`_reach_policy`);
+with one live outcome per choice it runs over the live-edge index
+(`_max_product_policy`).
 """
 
 import json
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -185,23 +191,33 @@ def _typed(value, kind, what):
     return value
 
 
+def _strings(value, what):
+    for item in _typed(value, list, what):
+        _typed(item, str, f"element of {what}")
+    return value
+
+
+def _outcome(o):
+    o = _typed(o, dict, "outcome")
+    return _integer(o["to"], "successor"), _number(o["p"], "probability")
+
+
 def model_from_dict(data: dict) -> Mdp:
-    num_states = _integer(data["states"], "states")
-    actions = _typed(data["actions"], list, "actions")
+    num_states = _integer(_typed(data, dict, "model")["states"], "states")
+    actions = _strings(data["actions"], "actions")
     action_index = {a: i for i, a in enumerate(actions)}
     choices: list[list[Choice]] = [[] for _ in range(num_states)]
     for t in _typed(data["trans"], list, "trans"):
-        if not (0 <= _integer(t["from"], "transition source") < num_states):
+        if not (0 <= _integer(_typed(t, dict, "transition")["from"], "transition source") < num_states):
             raise ValueError(f"transition source {t['from']} out of range")
-        if t["action"] not in action_index:
+        if _typed(t["action"], str, "action") not in action_index:
             raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
-        outcomes = tuple((_integer(o["to"], "successor"), _number(o["p"], "probability"))
-                         for o in _typed(t["outcomes"], list, "outcomes"))
+        outcomes = tuple(map(_outcome, _typed(t["outcomes"], list, "outcomes")))
         cost = t.get("cost")
         if cost is not None:
             _number(cost, "cost")
         choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
-    labels = {int(s): frozenset(_typed(l, list, f"labels of state {s}"))
+    labels = {int(s): frozenset(_strings(l, f"labels of state {s}"))
               for s, l in _typed(data.get("labels", {}), dict, "labels").items()}
     failure_state = data.get("failure_state")
     mdp = Mdp(
@@ -209,7 +225,7 @@ def model_from_dict(data: dict) -> Mdp:
         initial=_integer(data["initial"], "initial state"),
         actions=actions,
         choices=choices,
-        atoms=tuple(_typed(data.get("atoms", []), list, "atoms")),
+        atoms=tuple(_strings(data.get("atoms", []), "atoms")),
         labels=labels,
         failure_state=None if failure_state is None else _integer(failure_state, "failure state"),
     )
@@ -421,65 +437,81 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
     return ReachResult(values, policy, iterations, frozenset(sure | target), frozenset(zero))
 
 
-class _Csr:
-    """Rows of a flat array: row t is items[offsets[t]:offsets[t + 1]]."""
-
-    def __init__(self, offsets, items):
-        self.offsets = offsets
-        self.items = items
-
-    def __getitem__(self, t):
-        return self.items[self.offsets[t]:self.offsets[t + 1]]
+# classes of a state for the max-product solvers: a sink is absorbing and
+# neither target nor avoid state, so dead unless a caller lets it live on
+# (a robot that may hand over there, in `team.solve_blocks`)
+LIVE, TARGET, AVOID, SINK = range(4)
 
 
-def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
-    """Exact maximal reach probability when every choice has at most one live
-    outcome; None when some choice has two.
+def _live_edges(rows, states, cls):
+    """The live edges of the choices of the live `states`, where a live
+    outcome is a live or target state by `cls`: numpy columns of live
+    outcome, choosing state, probability, action index and whether the
+    live outcome is the choice's only one, as `_backward_index` takes them.
 
-    An outcome is dead when it is an avoid state or an absorbing non-target
-    state: its value is 0. With one live outcome per choice, reached with
-    probability p, the value of a state is the largest product of p along a
-    path to the target, and a label-setting pass from the targets computes
-    it exactly (Knuth's generalisation of Dijkstra's algorithm: p <= 1 never
-    raises a label, also in floating point). The policy follows the same
-    rule as `max_reach`'s.
+    Also returns, per sink, the choices with that sink among their
+    outcomes, as (state, live outcome or -1, (sink, probability) pairs,
+    action index, number of outcomes), for a caller to whom some sinks
+    are live. None when a choice has two live outcomes.
     """
-    target, avoid = _check_sets(mdp, target, avoid)
-    n = mdp.num_states
-    dead = bytearray(n)
-    for s in range(n):
-        dead[s] = s in avoid or (s not in target and mdp.is_absorbing(s))
-
-    # backward index of live edges: the live outcome, the choosing state and
-    # its probability, one flat array each, sorted by live outcome
-    heads = array("q")
-    tails = array("q")
-    probs = array("d")
-    for s in range(n):
-        if s in target or s in avoid:
+    heads, tails, probs, actions, alone = [], [], [], [], []
+    to_sink = {}
+    for s in states:
+        if cls[s] != LIVE:
             continue
-        for c in mdp.choices[s]:
+        for c in rows[s]:
             live = -1
+            sinks = ()
             for t, p in c.outcomes:
-                if not dead[t]:
+                k = cls[t]
+                if k <= TARGET:
                     if live >= 0:
                         return None
                     live, prob = t, p
+                elif k == SINK:
+                    sinks += ((t, p),)
             if live >= 0:
                 heads.append(live)
                 tails.append(s)
                 probs.append(prob)
-    head = np.frombuffer(heads, dtype=np.int64)
+                actions.append(c.action)
+                alone.append(len(c.outcomes) == 1)
+            for t, _ in sinks:
+                to_sink.setdefault(t, []).append((s, live, sinks, c.action, len(c.outcomes)))
+    columns = zip((heads, tails, probs, actions, alone), (np.int64, np.int64, np.float64, np.int64, bool))
+    return [np.array(col, dtype) for col, dtype in columns], to_sink
+
+
+def _backward_index(heads, n, tails, probs, actions, alone):
+    """Edges sorted by live outcome over states 0..n-1: (offsets, tails,
+    probs, actions, alone), the edges into state t being k in
+    range(offsets[t], offsets[t + 1])."""
+    head = np.asarray(heads, dtype=np.int64)
     order = np.argsort(head, kind="stable")
     offsets = array("q", np.searchsorted(head[order], np.arange(n + 1)).tobytes())
-    tails = array("q", np.frombuffer(tails, dtype=np.int64)[order].tobytes())
-    probs = array("d", np.frombuffer(probs)[order].tobytes())
+    return (
+        offsets,
+        array("q", np.asarray(tails, dtype=np.int64)[order].tobytes()),
+        array("d", np.asarray(probs, dtype=np.float64)[order].tobytes()),
+        array("q", np.asarray(actions, dtype=np.int64)[order].tobytes()),
+        array("b", np.asarray(alone, dtype=np.int8)[order].tobytes()),
+    )
 
-    values = [0.0] * n
-    for s in target:
-        values[s] = 1.0
-    heap = [(-1.0, s) for s in sorted(target)]  # sorted, so already a heap
-    settled = bytearray(n)
+
+def _label_setting(index, values, sources):
+    """Raise `values` to the largest product of probabilities along the live
+    edges of `index` to a source, times the source's value.
+
+    Sources hold their values already: the targets at 1, and in a model
+    solved in parts, states whose value comes from a part solved before.
+    Knuth's generalisation of Dijkstra's algorithm (IPL 1977): p <= 1 never
+    raises a label, also in floating point, so a state's value is final
+    when it leaves the heap.
+    """
+    offsets, tails, probs = index[:3]
+    heap = [(-values[s], s) for s in sources]
+    heapify(heap)
+    settled = bytearray(len(values))
     while heap:
         v, t = heappop(heap)
         if settled[t]:
@@ -493,8 +525,108 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
                 values[s] = w
                 heappush(heap, (-w, s))
 
+
+def _max_product_policy(index, values, states, target, policy, boundary=()):
+    """`_reach_policy`'s two passes over the live-edge index of a model with
+    one live outcome per choice. Assigns `policy` for `states`.
+
+    Each pass is `_progress_policy`: a state joins the layer after the
+    first one a usable choice reaches and takes the lowest action index
+    among those choices. First certificate actions on the almost-sure
+    states, layered from the targets: with one live outcome per choice, a
+    choice is one when its live outcome is its only one. Then
+    value-optimal actions on the rest of the positive region, layered from
+    the targets and the almost-sure states: a choice is one when p times
+    its live outcome's value is within PROB_ATOL of the state's value,
+    which is its best choice's.
+
+    `boundary` lists (state, (pass-1 layer, pass-2 layer)) for states
+    whose values and layers come from a part of the model solved before
+    (None where a pass did not reach them); they join each pass at their
+    layer (a bucket queue over unequal start layers, Dial, CACM 1969).
+    Returns the layers of `states` in both passes.
+    """
+    offsets, tails, probs, actions, alone = index
+    n = len(values)
+    sure = [s for s in states if values[s] == 1.0 and s not in target]
+    found = []
+    for certify, base in ((True, [*target]), (False, [*target, *sure])):
+        eligible = bytearray(n)
+        for s in states:
+            if s not in target and (values[s] == 1.0 if certify else 0.0 < values[s] < 1.0):
+                eligible[s] = 1
+        assigned = bytearray(n)
+        frontier = list(base)
+        joining = {}
+        for b, at in boundary:
+            layer = at[len(found)]
+            if layer == 0:
+                frontier.append(b)
+            elif layer is not None:
+                joining.setdefault(layer, []).append(b)
+        for s in frontier:
+            assigned[s] = 1
+        layers = dict.fromkeys(base, 0)
+        depth = 0
+        while frontier or joining:
+            best = {}
+            for t in frontier:
+                v = values[t]
+                for k in range(offsets[t], offsets[t + 1]):
+                    s = tails[k]
+                    if (eligible[s] and not assigned[s]
+                            and (alone[k] if certify else probs[k] * v >= values[s] - PROB_ATOL)):
+                        a = best.get(s)
+                        if a is None or actions[k] < a:
+                            best[s] = actions[k]
+            depth += 1
+            frontier = joining.pop(depth, [])
+            for s in frontier:
+                assigned[s] = 1
+            for s, a in best.items():
+                policy[s] = a
+                assigned[s] = 1
+                frontier.append(s)
+                layers[s] = depth
+        if len(layers) < len(base) + sum(eligible):
+            missing = [s for s in states if eligible[s] and not assigned[s]]
+            raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
+        found.append(layers)
+    return found
+
+
+def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
+    """Exact maximal reach probability when every choice has at most one live
+    outcome; None when some choice has two.
+
+    An outcome is dead when it is an avoid state or an absorbing non-target
+    state: its value is 0. With one live outcome per choice, reached with
+    probability p, the value of a state is the largest product of p along a
+    path to the target, which one label-setting pass from the targets
+    computes exactly. The policy follows the same rule as `max_reach`'s.
+    """
+    target, avoid = _check_sets(mdp, target, avoid)
+    n = mdp.num_states
+    cls = bytearray(n)
+    for s in range(n):
+        cls[s] = TARGET if s in target else AVOID if s in avoid else SINK if mdp.is_absorbing(s) else LIVE
+    found = _live_edges(mdp.choices, range(n), cls)
+    if found is None:
+        return None
+    heads, *rest = found[0]
+    index = _backward_index(heads, n, *rest)
+
+    values = [0.0] * n
+    for s in target:
+        values[s] = 1.0
+    _label_setting(index, values, target)
+
+    policy = {s: mdp.choices[s][0].action for s in sorted(target) if mdp.choices[s]}
+    _max_product_policy(index, values, range(n), target, policy)
+    for s in range(n):
+        if s not in policy and mdp.choices[s]:
+            policy[s] = mdp.choices[s][0].action
     # a product of probabilities is 1.0 only over probability-1 steps
-    sure = {s for s in range(n) if values[s] == 1.0} - target
+    almost_sure = frozenset(s for s in range(n) if values[s] == 1.0)
     zero = frozenset(s for s in range(n) if values[s] == 0.0)
-    policy = _reach_policy(mdp, _Csr(offsets, tails), values, target, sure)
-    return ReachResult(values, policy, 0, frozenset(sure | target), zero)
+    return ReachResult(values, policy, 0, almost_sure, zero)

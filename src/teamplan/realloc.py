@@ -440,9 +440,9 @@ def policy_to_dict(jp, report=None):
     return out
 
 
-def _index(value, where):
+def _index(value, where, what="target"):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: target {value!r} is not an integer")
+        raise ValueError(f"{where}: {what} {value!r} is not an integer")
     return value
 
 
@@ -450,6 +450,18 @@ def _array(value, where, what):
     if not isinstance(value, list):
         raise ValueError(f"{where}: {what} {value!r} is not a list")
     return value
+
+
+def _object(value, where, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: {what} {value!r} is not an object")
+    return value
+
+
+def _step(step, where):
+    if len(_array(step, where, "step")) != 2:
+        raise ValueError(f"{where}: step {step!r} is not a [probability, target] pair")
+    return _probability(step[0], where), _index(step[1], where)
 
 
 def _probability(value, where):
@@ -464,21 +476,22 @@ def policy_from_dict(data):
     rollouts rely on; only step nodes have steps, with probabilities in
     [0, 1] that sum to 1. Anything else raises ValueError ("malformed
     policy")."""
-    if not _array(data["chains"], "malformed policy", "chains"):
+    if not _array(_object(data, "malformed policy", "policy")["chains"], "malformed policy", "chains"):
         raise ValueError("malformed policy: no chains")
     chains = []
     links = []
     num_chains = len(data["chains"])
     for ci, cd in enumerate(data["chains"]):
-        if not _array(cd["nodes"], f"malformed policy: chain {ci}", "nodes"):
-            raise ValueError(f"malformed policy: chain {ci} has no nodes")
+        where = f"malformed policy: chain {ci}"
+        if not _array(_object(cd, where, "chain")["nodes"], where, "nodes"):
+            raise ValueError(f"{where} has no nodes")
         nodes = []
         for ni, nd in enumerate(cd["nodes"]):
             where = f"malformed policy: chain {ci}, node {ni}"
-            if nd["kind"] not in KINDS:
+            if _object(nd, where, "node")["kind"] not in KINDS:
                 raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
             node = JointNode(
-                t=nd["t"],
+                t=_index(nd["t"], where, "time"),
                 positions=tuple(_array(nd["positions"], where, "positions")),
                 statuses=tuple(_array(nd["statuses"], where, "statuses")),
                 q=tuple(_array(nd["q"], where, "q")),
@@ -486,8 +499,7 @@ def policy_from_dict(data):
                 actions=tuple(_array(nd["actions"], where, "actions")) if "actions" in nd else None,
                 fresh=tuple(_array(nd.get("fresh", []), where, "fresh")),
             )
-            node.steps = [(_probability(p, where), _index(j, where))
-                          for p, j in _array(nd["steps"], where, "steps")]
+            node.steps = [_step(step, where) for step in _array(nd["steps"], where, "steps")]
             for _, j in node.steps:
                 if not ni < j < len(cd["nodes"]):
                     raise ValueError(f"{where}: step target {j} out of range")
@@ -497,7 +509,7 @@ def policy_from_dict(data):
             if node.kind == STEP and abs(total - 1.0) > PROB_ATOL:
                 raise ValueError(f"{where}: step probabilities sum to {total!r}, not 1")
             if "child" in nd:
-                if not ci < _index(nd["child"], where) < num_chains:
+                if not ci < _index(nd["child"], where, "child chain") < num_chains:
                     raise ValueError(f"{where}: child chain {nd['child']} out of range")
                 links.append((ci, ni, nd["child"]))
             nodes.append(node)

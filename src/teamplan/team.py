@@ -3,20 +3,28 @@
 One robot plans at a time; a switch hands the whole automaton vector,
 unchanged, to the next robot in the ring, which continues from its own
 entry state. Switching costs nothing and takes probability 1: it is a
-planning construct, not an executed action.
+planning construct, not an executed action. The products advance and
+classify the automaton vectors and `product.Automata` says when a vector
+may be handed on; this module owns the switch rule only.
 
-The model is built from the robots' local products: a robot's row is its
-product row renumbered into the team, plus the switch edge, whose target
-extends the next robot's product from (entry, vector) where needed. The
-products advance and classify the automaton vectors and `product.Automata`
-says when a vector may be handed on; this module owns the switch rule
-only.
+The ring stops before it returns to the start robot, so the team model is
+a chain of robot blocks: a robot's block is the part of its product
+reachable from its entry states, and its switches lead into the next
+robot's block only. `solve_stapu` solves the chain on the products
+themselves, last robot first. A block's switch states take the next
+block's values at the switch targets as boundary values of one
+label-setting pass (`mdp._label_setting`), exact for deterministic-or-fail
+robots, where every action reaches one live successor and otherwise a dead
+end; the policy's layered tie-break carries across the switches the same
+way. So the solve shares one backward index per distinct product and never
+renumbers a product row.
 
-`solve_stapu` solves the model with `mdp.max_product_reach`, exact on the
-team model of deterministic-or-fail robots, where every action reaches one
-live successor and otherwise a dead end. A model with two live outcomes in
-some action, which robots outside that class can give, falls back to value
-iteration (`mdp.max_reach`).
+`TeamMdp` builds the team model as one explicit `Mdp` only when something
+reads it (`mdp`, `states`): the fallback for a model with two live
+outcomes in some action, which robots outside that class can give and
+which value iteration (`mdp.max_reach`) solves; the bench's transition
+count; and tests, which check the block solve against
+`mdp.max_product_reach` on it.
 
 `check_class` is the one gate of that class: an absorbing failure state,
 and every action deterministic or split between one successor and the
@@ -26,8 +34,24 @@ step lists `realloc.synchronize` executes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .mdp import Choice, Explorer, Mdp, max_product_reach, max_reach
+import numpy as np
+
+from .mdp import (
+    AVOID,
+    LIVE,
+    SINK,
+    TARGET,
+    Choice,
+    Explorer,
+    Mdp,
+    _backward_index,
+    _label_setting,
+    _live_edges,
+    _max_product_policy,
+    max_reach,
+)
 
 SWITCH = "switch"
 
@@ -37,18 +61,21 @@ class TeamError(ValueError):
 
 
 class TeamMdp:
-    """Robots' product spaces, numbered as (robot, product state), plus switches.
+    """Robots' product spaces, keyed (robot, product state), plus switches.
 
-    `states` lists (robot, map state, automaton vector) in breadth-first
-    order from the start robot's entry.
-
+    `root` is the start robot's product state at its entry with `start_q`.
     The switch action is enabled where every automaton component is at its
-    initial state or accepting, i.e. never in the middle of a task. It is
-    also barred from a failure state reached during the plan: a robot that
-    breaks down mid-plan cannot hand anything on, that is what reallocation
-    is for. Robots listed in `failed` start at the failure state in a
-    reallocation solve and may pass their remaining tasks to the ring
-    successor.
+    initial state or accepting, i.e. never in the middle of a task, and
+    the vector is not violating. It is also barred from a failure state
+    reached during the plan: a robot that breaks down mid-plan cannot hand
+    anything on, that is what reallocation is for. Robots listed in
+    `failed` start at the failure state in a reallocation solve and may
+    pass their remaining tasks to the ring successor.
+
+    The explicit team model is built on first use: `keys` lists the
+    (robot, product state) of every team state breadth-first from the
+    root, `states` the matching (robot, map state, automaton vector), and
+    `mdp`, `accepting`, `violating` and `num_states` describe it.
     """
 
     def __init__(self, products, entries=None, start_robot=0, start_q=None, failed=()):
@@ -88,19 +115,14 @@ class TeamMdp:
             raise TeamError(f"action name {SWITCH!r} is reserved for the team model")
         self.switch_action = len(names)
         names.append(SWITCH)
+        self.actions = tuple(names)
         self.action_map = [[seen[a] for a in p.source.actions] for p in products]
-
-        explorer = Explorer(self._expand)
-        explorer.explore((start_robot, products[start_robot].explore((entries[start_robot], self.start_q))))
-        keys = explorer.keys
-        self.states = [(robot, *products[robot].states[i]) for robot, i in keys]
-        self.mdp = Mdp(len(self.states), 0, names, explorer.rows)
-        self.accepting = frozenset(k for k, (robot, i) in enumerate(keys) if products[robot].accepts(i))
-        self.violating = frozenset(k for k, (robot, i) in enumerate(keys) if products[robot].violates(i))
+        self.root = products[start_robot].explore((entries[start_robot], self.start_q))
 
     def _expand(self, key, intern):
-        """The product row of robot state `key` renumbered into the team,
-        plus the switch to the next robot's entry where it is enabled."""
+        """The product row of robot state `key` in team actions, plus the
+        switch to the next robot's entry where it is enabled; `intern`
+        maps each successor key."""
         robot, i = key
         pm = self.products[robot]
         actions = self.action_map[robot]
@@ -109,7 +131,7 @@ class TeamMdp:
             for c in pm.rows[i]
         ]
         s, qvec = pm.states[i]
-        if not pm.violates(i) and self._switch_enabled(robot, s, qvec):
+        if self._switch_enabled(robot, s, qvec):
             nxt = (robot + 1) % len(self.products)
             j = intern((nxt, self.products[nxt].explore((self.entries[nxt], qvec))))
             row.append(Choice(self.switch_action, ((j, 1.0),), None))
@@ -123,11 +145,37 @@ class TeamMdp:
         fail = self.products[robot].source.failure_state
         if fail is not None and s == fail and robot not in self.failed:
             return False
-        return self.automata.switchable(qvec)
+        return not self.automata.violating(qvec) and self.automata.switchable(qvec)
+
+    @cached_property
+    def _explored(self):
+        explorer = Explorer(self._expand)
+        explorer.explore((self.start_robot, self.root))
+        return explorer.keys, explorer.rows
+
+    @property
+    def keys(self):
+        return self._explored[0]
+
+    @cached_property
+    def states(self):
+        return [(robot, *self.products[robot].states[i]) for robot, i in self.keys]
+
+    @cached_property
+    def mdp(self):
+        return Mdp(len(self.keys), 0, self.actions, self._explored[1])
+
+    @cached_property
+    def accepting(self):
+        return frozenset(k for k, (robot, i) in enumerate(self.keys) if self.products[robot].accepts(i))
+
+    @cached_property
+    def violating(self):
+        return frozenset(k for k, (robot, i) in enumerate(self.keys) if self.products[robot].violates(i))
 
     @property
     def num_states(self):
-        return len(self.states)
+        return len(self.keys)
 
     def full_size(self):
         return sum(p.full_size() for p in self.products)
@@ -169,14 +217,188 @@ class StapuSolution:
 def solve_stapu(team, epsilon=1e-6):
     """Solve the team model and read off the allocation the policy implies.
 
-    A team of deterministic-or-fail robots gives a model that
-    `max_product_reach` solves exactly; any other model falls back to
-    value iteration with `max_reach`, the only use of `epsilon`.
+    A team of deterministic-or-fail robots is solved exactly block by block
+    (`solve_blocks`); any other falls back to value iteration with
+    `max_reach` on the explicit team model, the only use of `epsilon`.
     """
-    res = max_product_reach(team.mdp, team.accepting, team.violating)
-    if res is None:
+    solved = solve_blocks(team)
+    if solved is None:
         res = max_reach(team.mdp, team.accepting, team.violating, epsilon=epsilon)
-    return StapuSolution(team, res.values[0], *_walk_success_path(team, res.policy))
+        value, policy = res.values[0], keyed_policy(team, res.policy)
+    else:
+        values, policy = solved
+        value = values[team.start_robot][team.root]
+    return StapuSolution(team, value, *_walk_success_path(team, policy))
+
+
+def keyed_policy(team, policy):
+    """A policy over the explicit team model's states, keyed like
+    `solve_blocks`'s: `out[robot]` maps product states to team actions."""
+    out = [{} for _ in team.products]
+    for k, action in policy.items():
+        robot, i = team.keys[k]
+        out[robot][i] = action
+    return out
+
+
+def _closure(rows, roots, size):
+    """Product states reachable from `roots`, roots first."""
+    seen = bytearray(size)
+    order = []
+    for r in roots:
+        if not seen[r]:
+            seen[r] = 1
+            order.append(r)
+    for i in order:
+        for c in rows[i]:
+            for t, _ in c.outcomes:
+                if not seen[t]:
+                    seen[t] = 1
+                    order.append(t)
+    return order
+
+
+def _product_edges(pm, states):
+    """The class of each of `states` in product `pm` and `mdp._live_edges`
+    over them, or None when a choice has two live outcomes.
+
+    A sink is dead in the product but live for a robot whose switch is
+    enabled there, so the choices reaching sinks are kept apart.
+    """
+    automata, rows = pm.automata, pm.rows
+    cls = bytearray(len(pm.states))
+    kinds = {}  # per automaton vector
+    for i in states:
+        q = pm.states[i][1]
+        k = kinds.get(q)
+        if k is None:
+            k = kinds[q] = TARGET if automata.accepting(q) else AVOID if automata.violating(q) else LIVE
+        if k == LIVE:
+            for c in rows[i]:
+                if len(c.outcomes) != 1 or c.outcomes[0][0] != i:
+                    break
+            else:
+                k = SINK
+        cls[i] = k
+    found = _live_edges(rows, states, cls)
+    return None if found is None else (cls, *found)
+
+
+def _blocks(team):
+    """The forward pass: per robot in ring order from the start robot, its
+    block's product states and the switch target of each switch state in
+    the next robot's product, as (robot, states, {state: target})."""
+    products = team.products
+    n = len(products)
+    blocks = []
+    roots = [team.root]
+    for robot in ((team.start_robot + k) % n for k in range(n)):
+        pm = products[robot]
+        # the product's first states are those reachable from its initial one
+        reach = list(range(pm.num_states)) if roots == [0] else _closure(pm.rows, roots, len(pm.states))
+        switch = {}
+        nxt = (robot + 1) % n
+        if nxt != team.start_robot:
+            explore, entry = products[nxt].explore, team.entries[nxt]
+            fail = pm.source.failure_state
+            enabled = {}  # the rule reads the map state only to compare it with `fail`
+            for i in reach:
+                s, q = pm.states[i]
+                key = (s == fail, q)
+                ok = enabled.get(key)
+                if ok is None:
+                    ok = enabled[key] = team._switch_enabled(robot, s, q)
+                if ok:
+                    switch[i] = explore((entry, q))
+            roots = list(dict.fromkeys(switch.values()))
+        blocks.append((robot, reach, switch))
+    return blocks
+
+
+def _block_index(team, robot, reach, switch, product_edges):
+    """The backward index of one block, in team action indices: its
+    product's live edges from the block's states, the edges into sinks
+    where the robot hands over, and one switch edge per switch state into
+    an extra state size + k standing for the k-th distinct switch target.
+    Returns (index, {switch target: extra state}), or None when a choice
+    has two live outcomes."""
+    cls, edges, to_sink = product_edges
+    size = len(cls)
+    inside = np.zeros(size, bool)
+    inside[reach] = True
+    keep = inside[edges[1]]
+    columns = [[e[keep]] for e in edges]
+    amap = team.action_map[robot]
+    columns[3][0] = np.array(amap, np.int64)[columns[3][0]]
+
+    def add(*edge_columns):
+        for col, x in zip(columns, edge_columns):
+            col.append(np.asarray(x, col[0].dtype))
+
+    # sinks where this robot hands over are live in its block
+    handing = {i for i in switch if cls[i] == SINK}
+    for e in handing:
+        for s, live, sinks, action, width in to_sink.get(e, ()):
+            if inside[s]:
+                if live >= 0 or sum(t in handing for t, _ in sinks) > 1:
+                    return None
+                add([e], [s], [next(p for t, p in sinks if t == e)], [amap[action]], [width == 1])
+
+    boundary = {}
+    for j in switch.values():
+        boundary.setdefault(j, size + len(boundary))
+    k = len(switch)
+    add([boundary[j] for j in switch.values()], list(switch), [1.0] * k, [team.switch_action] * k, [True] * k)
+    heads, *rest = (np.concatenate(col) for col in columns)
+    return _backward_index(heads, size + len(boundary), *rest), boundary
+
+
+def solve_blocks(team):
+    """Exact values and policy of the team model, robot block by robot block.
+
+    The blocks form a chain, so they are solved last first. Each block's
+    values come from one label-setting pass over its product's live edges
+    (one index per distinct product), in which the extra states standing
+    for the switch targets are sources carrying the next block's values.
+    The policy passes of `mdp._max_product_policy` run over the same
+    index, the switch targets joining them at the layers the next block
+    gave them, and break ties on team action indices (the switch last).
+
+    Returns (values, policy): `values[robot]` is indexed by the robot's
+    product state and `policy[robot]` maps product states to team
+    actions; states without an entry take their first team action. None
+    when some choice has two live outcomes.
+    """
+    products = team.products
+    blocks = _blocks(team)
+    product_edges = {}
+    for pm in {id(p): p for p in products}.values():
+        states = sorted(set().union(*(reach for robot, reach, _ in blocks if products[robot] is pm)))
+        product_edges[id(pm)] = _product_edges(pm, states)
+        if product_edges[id(pm)] is None:
+            return None
+
+    values = [None] * len(products)
+    policy = [{} for _ in products]
+    after = None  # values and layers of the next block
+    for robot, reach, switch in reversed(blocks):
+        edges = product_edges[id(products[robot])]
+        block = _block_index(team, robot, reach, switch, edges)
+        if block is None:
+            return None
+        index, boundary = block
+        cls = edges[0]
+        vals = [0.0] * (len(cls) + len(boundary))
+        targets = [i for i in reach if cls[i] == TARGET]
+        for i in targets:
+            vals[i] = 1.0
+        for j, b in boundary.items():
+            vals[b] = after[0][j]
+        _label_setting(index, vals, targets + list(boundary.values()))
+        values[robot] = vals
+        joins = [(b, (after[1].get(j), after[2].get(j))) for j, b in boundary.items()]
+        after = (vals, *_max_product_policy(index, vals, reach, set(targets), policy[robot], joins))
+    return values, policy
 
 
 def _segment(state):
@@ -184,55 +406,68 @@ def _segment(state):
     return {"robot": robot, "entry": {"s": s, "q": list(q)}, "choices": []}
 
 
+def _state(team, key):
+    robot, i = key
+    return (robot, *team.products[robot].states[i])
+
+
 def _walk_success_path(team, policy):
     """Follow the policy along non-failure outcomes, splitting at switches.
 
-    Returns the allocation, the unallocated tasks, the segments, the
-    switches and the programs of `StapuSolution`. A task is allocated to
-    the robot whose move makes its component accepting. Exact for the
-    deterministic-or-fail class, best effort (highest-probability branch)
-    elsewhere. The hand-over ring stops before it returns to the start
-    robot, so each robot gets at most one segment.
+    `policy[robot]` maps the robot's product states to team actions, as
+    `solve_blocks` returns it; a state without an entry takes its first
+    team action. Returns the allocation, the unallocated tasks, the
+    segments, the switches and the programs of `StapuSolution`. A task is
+    allocated to the robot whose move makes its component accepting.
+    Exact for the deterministic-or-fail class, best effort
+    (highest-probability branch) elsewhere. The hand-over ring stops
+    before it returns to the start robot, so each robot gets at most one
+    segment.
     """
     tasks = team.automata.tasks
     m = len(tasks)
-    robot0, _, q0 = team.states[0]
+    cur = (team.start_robot, team.root)
+    robot0, _, q0 = _state(team, cur)
     allocation = {k: robot0 for k in range(m) if q0[k] in tasks[k].accepting}
-    segments = [_segment(team.states[0])]
+    segments = [_segment(_state(team, cur))]
     switches = []
     programs = [[] for _ in team.products]
-    cur = 0
-    visited = {0}
-    while cur not in team.accepting and cur not in team.violating:
-        action = policy.get(cur)
-        choice = next((c for c in team.mdp.choices[cur] if c.action == action), None)
+    visited = {cur}
+    while True:
+        robot, i = cur
+        pm = team.products[robot]
+        if pm.accepts(i) or pm.violates(i):
+            break
+        row = team._expand(cur, _same_key)
+        action = policy[robot].get(i, row[0].action if row else None)
+        choice = next((c for c in row if c.action == action), None)
         if choice is None:
             break
-        robot, s, q = team.states[cur]
+        _, s, q = _state(team, cur)
         if choice.action == team.switch_action:
             cur = choice.outcomes[0][0]
             visited.add(cur)
             switches.append({
                 "from_robot": robot,
-                "to_robot": team.states[cur][0],
+                "to_robot": cur[0],
                 "state": {"s": s, "q": list(q)},
             })
-            segments.append(_segment(team.states[cur]))
+            segments.append(_segment(_state(team, cur)))
             continue
-        name = team.mdp.actions[choice.action]
+        name = team.actions[choice.action]
         segments[-1]["choices"].append({"state": {"s": s, "q": list(q)}, "action": name})
-        fail = team.products[robot].source.failure_state
-        live = [(t, p) for t, p in choice.outcomes if team.states[t][1] != fail]
+        fail = pm.source.failure_state
+        live = [(t, p) for t, p in choice.outcomes if pm.states[t[1]][0] != fail]
         if not live:
             programs[robot].append((s, None, 1.0, name))
             break
         nxt = max(live, key=lambda tp: tp[1])[0]
-        pfail = sum(p for t, p in choice.outcomes if team.states[t][1] == fail)
-        programs[robot].append((s, team.states[nxt][1], pfail, name))
+        pfail = sum(p for t, p in choice.outcomes if pm.states[t[1]][0] == fail)
+        programs[robot].append((s, pm.states[nxt[1]][0], pfail, name))
         if nxt in visited:
             break
         visited.add(nxt)
-        newq = team.states[nxt][2]
+        newq = pm.states[nxt[1]][1]
         for k in range(m):
             if k not in allocation and newq[k] in tasks[k].accepting:
                 allocation[k] = robot
@@ -243,6 +478,10 @@ def _walk_success_path(team, policy):
                  for r in range(len(team.products)) if r not in planned]
     unallocated = tuple(k for k in range(m) if k not in allocation)
     return allocation, unallocated, segments, switches, programs
+
+
+def _same_key(key):
+    return key
 
 
 def check_class(mdp):

@@ -1,0 +1,155 @@
+"""The block-by-block STAPU solve against the materialised team model.
+
+`team.solve_blocks` solves the team model robot block by robot block on
+the robots' products; the explicit team model (`TeamMdp.mdp`), built only
+on demand, is its oracle here. Values must be bitwise equal at every team
+state, and the plan read off the policy identical.
+"""
+
+import numpy as np
+import pytest
+
+from teamplan.ltl import Mission, parse_formula
+from teamplan.mdp import Choice, Mdp, _predecessors, _reach_policy, max_product_reach
+from teamplan.product import compile_mission, local_product, local_products
+from teamplan.realloc import run_stapu_with_realloc
+from teamplan.team import TeamMdp, _walk_success_path, build_team, keyed_policy, solve_blocks, solve_stapu
+
+from instances import guarded_tree_instance, random_team_instance
+from test_max_product import SEED, team_models
+from test_team import mixed_team_instance
+
+
+def mixed_teams(rng, count):
+    """Teams of robots on maps of their own (one-way edges, hazards), each
+    built at the initial entries and once more as a replan from random
+    entries, start robot and vector, the start robot failed on half of
+    them: switch targets then extend products beyond their initial part."""
+    teams = []
+    for _ in range(count):
+        models, miss = mixed_team_instance(rng)
+        shared = compile_mission(miss)
+        products = [local_product(m, miss, automata=shared) for m in models]
+        teams.append(build_team(products))
+        start = int(rng.integers(0, len(models)))
+        entries = [int(rng.integers(0, m.num_states - 1)) for m in models]
+        failed = {start} if rng.random() < 0.5 else set()
+        if failed:
+            entries[start] = models[start].failure_state
+        start_q = products[start].states[int(rng.integers(0, products[start].num_states))][1]
+        teams.append(build_team(products, entries=entries, start_robot=start, start_q=start_q, failed=failed))
+    return teams
+
+
+def assert_matches_oracle(team, label):
+    oracle = max_product_reach(team.mdp, team.accepting, team.violating)
+    assert oracle is not None, label
+    values, _ = solve_blocks(team)
+    for k, (robot, i) in enumerate(team.keys):
+        assert values[robot][i] == oracle.values[k], (label, k)
+    sol = solve_stapu(team)
+    assert sol.value == oracle.values[0], label
+    expected = _walk_success_path(team, keyed_policy(team, oracle.policy))
+    assert (sol.allocation, sol.unallocated, sol.segments, sol.switches, sol.programs) == expected, label
+    # the oracle's edge-based policy passes are `_reach_policy`'s rule
+    sure = {k for k in range(team.num_states) if oracle.values[k] == 1.0} - team.accepting
+    rule = _reach_policy(team.mdp, _predecessors(team.mdp), oracle.values, set(team.accepting), sure)
+    assert oracle.policy == rule, label
+
+
+def test_block_solve_matches_materialised_team_on_seeded_teams():
+    teams = team_models(np.random.default_rng(SEED + 2), 40, max_nodes=8, max_tasks=3)
+    assert any(t.failed for t in teams) and any(t.start_robot != 0 for t in teams)
+    assert any(t.start_q != t.automata.start([t.products[t.start_robot].source], [t.entries[t.start_robot]])
+               for t in teams)
+    for n, team in enumerate(teams):
+        assert_matches_oracle(team, f"team {n}")
+
+
+def test_block_solve_matches_materialised_team_on_mixed_maps():
+    rng = np.random.default_rng(20261020)
+    checked = extended = 0
+    for n, team in enumerate(mixed_teams(rng, 60)):
+        sizes = [p.num_states for p in team.products]
+        if solve_blocks(team) is None:
+            assert max_product_reach(team.mdp, team.accepting, team.violating) is None, n
+            continue
+        assert_matches_oracle(team, f"team {n}")
+        checked += 1
+        extended += any(len(p.states) > size for p, size in zip(team.products, sizes))
+    assert checked >= 100 and extended >= 40, (checked, extended)
+
+
+def two_atoms():
+    return Mission(tasks=(parse_formula("F p1"), parse_formula("F p2")), safety=None)
+
+
+def test_value_through_the_switch_of_a_map_sink():
+    # Robot 0 can only do p1, by moving into node 1, a dead end that is not
+    # its failure state; robot 1 can only do p2 (w.p. 0.8). The sink is
+    # absorbing in robot 0's product, but robot 0 hands over there, so its
+    # value 0.8 comes through the switch alone.
+    fail = 2
+    sink = Mdp(3, 0, ("go",), [[Choice(0, ((1, 1.0),), None)], [], []],
+               atoms=("p1", "p2"), labels={1: {"p1"}}, failure_state=fail)
+    risky = Mdp(3, 0, ("go",), [[Choice(0, ((1, 0.8), (fail, 0.2)), None)], [], []],
+                atoms=("p1", "p2"), labels={1: {"p2"}}, failure_state=fail)
+    team = build_team(local_products([sink, risky], two_atoms()))
+    sol = solve_stapu(team)
+    assert sol.value == 0.8
+    assert sol.allocation == {0: 0, 1: 1}
+    assert [(sw["from_robot"], sw["to_robot"], sw["state"]["s"]) for sw in sol.switches] == [(0, 1, 1)]
+    assert [step[3] for step in sol.programs[0]] == ["go"]
+    assert_matches_oracle(team, "sink")
+
+
+def test_failure_state_of_a_failed_robot_is_live():
+    # Robot 0 failed but sits at node 0, and may hand over from its failure
+    # state: its "try" splits between the task node and that live failure
+    # state, two live outcomes, so the exact solve must decline and value
+    # iteration gives 0.5 + 0.5 * 0.9.
+    fail = 2
+    weak = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.5), (fail, 0.5)), None)], [], []],
+               atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    strong = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.9), (fail, 0.1)), None)], [], []],
+                 atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    miss = Mission(tasks=(parse_formula("F p1"),), safety=None)
+    team = build_team(local_products([weak, strong], miss), failed={0})
+    assert solve_blocks(team) is None
+    assert max_product_reach(team.mdp, team.accepting, team.violating) is None
+    assert solve_stapu(team, epsilon=1e-12).value == pytest.approx(0.95, abs=1e-9)
+
+
+def test_ties_break_on_team_action_indices():
+    # The team numbers actions a, b, c in robot 0's order. Robot 1 lists
+    # them as c, b, a; at its entry "b" and "c" both reach the task in one
+    # step, "a" does not. The lowest team index wins: "b", where robot 1's
+    # own order would pick "c".
+    mover = Mdp(2, 0, ("a", "b", "c"), [[Choice(0, ((1, 1.0),), None)], [Choice(1, ((0, 1.0),), None)]],
+                atoms=("p1",))
+    tied = Mdp(4, 0, ("c", "b", "a"), [
+        [Choice(0, ((1, 1.0),), None), Choice(1, ((2, 1.0),), None), Choice(2, ((3, 1.0),), None)],
+        [], [], [Choice(2, ((0, 1.0),), None)],
+    ], atoms=("p1",), labels={1: {"p1"}, 2: {"p1"}})
+    miss = Mission(tasks=(parse_formula("F p1"),), safety=None)
+    team = build_team(local_products([mover, tied], miss))
+    assert team.action_map == [[0, 1, 2], [2, 1, 0]]
+    sol = solve_stapu(team)
+    assert sol.value == 1.0
+    assert sol.allocation == {0: 1}
+    assert sol.programs[1] == [(0, 2, 0, "b")]
+    assert_matches_oracle(team, "ties")
+
+
+def test_replanning_never_builds_the_team_model(monkeypatch):
+    def refuse(team):
+        raise AssertionError("the team model was materialised")
+
+    monkeypatch.setattr(TeamMdp, "_explored", property(refuse))
+    rng = np.random.default_rng(SEED + 3)
+    replans = 0
+    for i in range(12):
+        model, miss = random_team_instance(rng, max_tasks=3) if i % 2 else guarded_tree_instance(rng)
+        _, report = run_stapu_with_realloc([model] * (2 + i % 3), miss)
+        replans += report.solves - 1
+    assert replans >= 10

@@ -106,7 +106,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                  "--out", str(model)]) == 0
     good = model.read_text()
     (far_successor, far_initial, short_sum, float_successor, text_cost, text_states,
-     int_trans, int_outcomes, list_labels, int_actions) = (json.loads(good) for _ in range(10))
+     int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome) = (
+        json.loads(good) for _ in range(12))
     far_successor["trans"][0]["outcomes"][0]["to"] = 99
     far_initial["initial"] = 50
     short_sum["trans"][0]["outcomes"][0]["p"] = 0.3
@@ -117,8 +118,12 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     int_outcomes["trans"][0]["outcomes"] = 3
     list_labels["labels"] = [1]
     int_actions["actions"] = 4
+    int_transition["trans"] = [5]
+    int_outcome["trans"][0]["outcomes"] = [3]
+    top_array = [json.loads(good)]
     for k, data in enumerate([far_successor, far_initial, short_sum, float_successor, text_cost, text_states,
-                              int_trans, int_outcomes, list_labels, int_actions]):
+                              int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome,
+                              top_array]):
         broken = tmp_path / f"model{k}.json"
         broken.write_text(json.dumps(data))
         for cmd in (["solve", "--out", str(tmp_path / "s.json")],
@@ -130,8 +135,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # malformed policy files: a step past the end of its chain, a child
     # chain out of range, step probabilities outside [0, 1] or not summing
     # to 1, a non-numeric probability, a non-integer target, no chains, an
-    # unknown node kind, and node positions, node steps or the chains not
-    # lists
+    # unknown node kind, node positions, node steps or the chains not
+    # lists, a step or a node not a list or object, and a non-integer time
     policy = tmp_path / "policy.json"
     risky = tmp_path / "risky.json"  # its plan has a step node with two successors
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
@@ -140,7 +145,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                  "--out", str(policy)]) == 0
     good = policy.read_text()
     (past_end, no_chain, outside, short_sum, text_p, float_target, no_chains, odd_kind,
-     int_positions, int_steps, object_chains) = (json.loads(good) for _ in range(11))
+     int_positions, int_steps, object_chains, int_step, int_node, text_t) = (json.loads(good) for _ in range(14))
 
     def steps(data):
         return next(nd for nd in data["chains"][0]["nodes"] if len(nd["steps"]) == 2)["steps"]
@@ -157,10 +162,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     int_positions["chains"][0]["nodes"][0]["positions"] = 5
     int_steps["chains"][0]["nodes"][0]["steps"] = 7
     object_chains["chains"] = {"a": 1}
+    int_step["chains"][0]["nodes"][0]["steps"] = [7]
+    int_node["chains"][0]["nodes"] = [5]
+    text_t["chains"][0]["nodes"][0]["t"] = "x"
     cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
              (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
              (no_chains, "no chains"), (odd_kind, "unknown kind"), (int_positions, "not a list"),
-             (int_steps, "not a list"), (object_chains, "not a list")]
+             (int_steps, "not a list"), (object_chains, "not a list"), (int_step, "not a list"),
+             (int_node, "not an object"), (text_t, "not an integer"), ([json.loads(good)], "not an object")]
     for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))
