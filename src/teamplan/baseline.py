@@ -3,11 +3,12 @@
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
 robots' successor labels (`Automata.advance_joint`). This module builds
-the joint-step rows over `mdp.Explorer`; the vector rules and the
-unpruned size come from `product.Automata`. Exponential in the team
-size, so construction is guarded by a state-count ceiling; within it,
-solving this model gives the unconstrained optimum that the sequential
-planner and the reallocation loop are measured against.
+the joint-step rows over `mdp.Explorer`, stepping the vector once per
+(vector, successor positions) pair; the vector rules and the unpruned
+size come from `product.Automata`. Exponential in the team size, so
+construction is guarded by a state-count ceiling; within it, solving
+this model gives the unconstrained optimum that the sequential planner
+and the reallocation loop are measured against.
 """
 
 import itertools
@@ -54,41 +55,52 @@ class MamdpModel:
 
         names = []
         name_index = {}
+        by_parts = {}
 
         def action_index(parts):
-            name = "|".join(parts)
-            idx = name_index.get(name)
+            """Joint action index of per-robot action indices (-1 for idle),
+            its name joined once per distinct combination; combinations
+            whose names coincide share one index."""
+            idx = by_parts.get(parts)
             if idx is None:
-                idx = len(names)
-                names.append(name)
-                name_index[name] = idx
+                name = "|".join(IDLE if a < 0 else m.actions[a] for m, a in zip(models, parts))
+                idx = name_index.get(name)
+                if idx is None:
+                    idx = name_index[name] = len(names)
+                    names.append(name)
+                by_parts[parts] = idx
             return idx
 
-        def options(r, s):
-            # idle is always available so the joint optimum dominates any
-            # execution in which finished robots stand still
-            row = [(models[r].actions[c.action], c.outcomes) for c in models[r].choices[s]]
-            row.append((IDLE, ((s, 1.0),)))
-            return row
+        # each robot's (action index, outcomes) pairs per state; idle (-1) is
+        # always available so the joint optimum dominates any execution in
+        # which finished robots stand still
+        moves = [[[(c.action, c.outcomes) for c in row] + [(-1, ((s, 1.0),))] for s, row in enumerate(m.choices)]
+                 for m in models]
+        # (vector, successor positions) -> joint state index, for this build
+        # only: joint outcomes repeat, and each repeat skips the label union
+        # and the vector step
+        successor = {}
 
         def expand(key, intern):
             pos, q = key
-            combos = itertools.product(*(options(r, s) for r, s in enumerate(pos)))
+            combos = itertools.product(*[moves[r][s] for r, s in enumerate(pos)])
             if violating(q):
-                here = intern(key)
-                return [Choice(action_index([n for n, _ in combo]), ((here, 1.0),), None) for combo in combos]
+                here = ((intern(key), 1.0),)
+                return [Choice(action_index(tuple([a for a, _ in combo])), here, None) for combo in combos]
+            after = successor.setdefault(q, {})
             row = []
             for combo in combos:
                 outs = []
-                for branch in itertools.product(*(outcomes for _, outcomes in combo)):
+                for branch in itertools.product(*[outcomes for _, outcomes in combo]):
                     p = 1.0
-                    tgt = []
-                    for s2, pr in branch:
+                    for _, pr in branch:
                         p *= pr
-                        tgt.append(s2)
-                    q2 = advance_joint(q, models, tgt)
-                    outs.append((intern((tuple(tgt), q2)), p))
-                row.append(Choice(action_index([n for n, _ in combo]), tuple(outs), None))
+                    tgt = tuple([s2 for s2, _ in branch])
+                    j = after.get(tgt)
+                    if j is None:
+                        j = after[tgt] = intern((tgt, advance_joint(q, models, tgt)))
+                    outs.append((j, p))
+                row.append(Choice(action_index(tuple([a for a, _ in combo])), tuple(outs), None))
             return row
 
         entries = tuple(m.initial for m in models)

@@ -8,6 +8,7 @@ baseline over its size ceiling.
 
 import argparse
 import json
+import math
 import sys
 
 from .baseline import CeilingExceeded, build_mamdp, solve_mamdp
@@ -29,6 +30,19 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+
+def _finite(positive):
+    """Argument type of a finite number, positive or else non-negative."""
+
+    def parse(text):
+        value = float(text)
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a {'positive' if positive else 'non-negative'} finite number")
+        return value
+
+    return parse
 
 
 def _load_inputs(args):
@@ -59,7 +73,8 @@ def cmd_solve(args):
 
 def cmd_realloc(args):
     models, mission = _load_inputs(args)
-    jp, report = run_stapu_with_realloc(models, mission, max_realloc=args.max_realloc)
+    jp, report = run_stapu_with_realloc(models, mission, max_realloc=args.max_realloc,
+                                        time_limit=args.time_limit, epsilon=args.epsilon)
     with open(args.out, "w") as fh:
         json.dump(policy_to_dict(jp, report), fh, indent=2)
         fh.write("\n")
@@ -73,7 +88,7 @@ def cmd_realloc(args):
 def cmd_baseline(args):
     models, mission = _load_inputs(args)
     mm = build_mamdp(models, mission, ceiling=args.ceiling)
-    value, _ = solve_mamdp(mm)
+    value, _ = solve_mamdp(mm, epsilon=args.epsilon)
     print(
         f"joint value {value:.6f}; {mm.num_states} reachable of "
         f"{mm.full_size()} joint states, "
@@ -129,7 +144,7 @@ def build_parser():
     p = sub.add_parser("solve", help="allocate and plan once, no reallocation")
     p.add_argument("--models", required=True, nargs="+")
     p.add_argument("--mission", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_solve)
 
@@ -137,6 +152,9 @@ def build_parser():
     p.add_argument("--models", required=True, nargs="+")
     p.add_argument("--mission", required=True)
     p.add_argument("--max-realloc", type=int, default=None)
+    p.add_argument("--time-limit", type=_finite(positive=False), default=None,
+                   help="address no further failure once this many seconds have passed")
+    p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_realloc)
 
@@ -144,6 +162,7 @@ def build_parser():
     p.add_argument("--models", required=True, nargs="+")
     p.add_argument("--mission", required=True)
     p.add_argument("--ceiling", type=int, default=10_000_000)
+    p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("simulate", help="roll a saved joint policy out")

@@ -18,7 +18,10 @@ Two solvers compute maximal reach probabilities, one per model class:
   scheduler are pinned to 0 and states with an almost-sure strategy are
   pinned to 1 before iteration starts, so the iterated region only
   contains genuinely quantitative states. Both graph passes walk one
-  predecessor index backwards from the target.
+  predecessor index backwards from the target. The sweeps run over rows
+  unpacked once into (state, outcome tuples) and add each choice's terms
+  left to right, so the floats do not depend on how the interpreter's
+  `sum` rounds.
 
 Both read their policy off the values with one rule (`_reach_policy`);
 with one live outcome per choice it runs over the live-edge index
@@ -368,6 +371,14 @@ def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[in
         raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
 
 
+def _expected(outcomes, values):
+    """The expected value of `outcomes`, summed left to right as the sweeps do."""
+    q = 0.0
+    for t, p in outcomes:
+        q += p * values[t]
+    return q
+
+
 def _reach_policy(mdp: Mdp, pre, values: list[float], target: set[int], sure: set[int]) -> dict[int, int]:
     """The one policy rule of every reachability solver: certificate actions
     on the almost-sure set `sure` (disjoint from `target`), progressing
@@ -388,7 +399,7 @@ def _reach_policy(mdp: Mdp, pre, values: list[float], target: set[int], sure: se
     optimal: dict[int, list[Choice]] = {}
     for s in range(mdp.num_states):
         if values[s] > 0.0 and s not in target and s not in sure:
-            qs = [sum(p * values[t] for t, p in c.outcomes) for c in mdp.choices[s]]
+            qs = [_expected(c.outcomes, values) for c in mdp.choices[s]]
             top = max(qs)
             optimal[s] = [c for c, q in zip(mdp.choices[s], qs) if q >= top - PROB_ATOL]
     _progress_policy(pre, target | sure, optimal, policy)
@@ -413,15 +424,18 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
     for s in sure | target:
         values[s] = 1.0
 
-    mid = [s for s in range(mdp.num_states) if s not in zero and s not in sure and s not in target]
+    rows = [(s, [c.outcomes for c in mdp.choices[s]]) for s in range(mdp.num_states)
+            if s not in zero and s not in sure and s not in target]
     iterations = 0
-    if mid:
+    if rows:
         for iterations in range(1, max_iter + 1):
             delta = 0.0
-            for s in mid:
+            for s, row in rows:
                 best = 0.0
-                for c in mdp.choices[s]:
-                    q = sum(p * values[t] for t, p in c.outcomes)
+                for outcomes in row:
+                    q = 0.0
+                    for t, p in outcomes:
+                        q += p * values[t]
                     if q > best:
                         best = q
                 d = best - values[s]

@@ -177,6 +177,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "malformed policy" in err and reason in err, (k, err)
 
+    # a negative or non-finite time limit or tolerance, and a zero tolerance
+    for cmd, flag, value in [("realloc", "--time-limit", v) for v in ("-1", "nan", "inf")] + [
+            (cmd, "--epsilon", v) for cmd in ("solve", "realloc", "baseline") for v in ("-1e-6", "nan", "inf", "0")]:
+        out = [] if cmd == "baseline" else ["--out", str(tmp_path / "out.json")]
+        assert main([cmd, "--models", str(model), "--mission", mission, flag, value, *out]) == 1, (cmd, flag, value)
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err, (cmd, flag, value, err)
+
 
 def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
     # nothing is labeled p1, so the mission has value 0 and the plan takes
@@ -198,6 +206,25 @@ def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
     assert report["value"] + report["failure"] + report["unaddressed"] == pytest.approx(1.0, abs=1e-12)
     root = saved["chains"][0]["nodes"][0]
     assert root["actions"][0] == "crash" and root["steps"] == [[1.0, 1]]
+
+
+def test_realloc_time_limit_zero_writes_the_initial_plan(tmp_path, capsys):
+    model = tmp_path / "risky.json"
+    assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
+                 "--out", str(model)]) == 0
+    mission = write_mission(tmp_path / "mission.json", ["F p1"])
+    policy = tmp_path / "policy.json"
+    base = ["realloc", "--models", str(model), str(model), "--mission", mission, "--out", str(policy)]
+    assert main(base) == 0
+    assert json.loads(policy.read_text())["report"]["reallocations"] > 0
+    capsys.readouterr()
+    assert main([*base, "--time-limit", "0", "--epsilon", "1e-9"]) == 0
+    report = json.loads(policy.read_text())["report"]
+    assert report["reallocations"] == 0
+    assert report["value"] == report["initial_value"]
+    assert report["unaddressed"] > 0.0
+    assert report["value"] + report["failure"] + report["unaddressed"] == pytest.approx(1.0, abs=1e-12)
+    assert capsys.readouterr().out.startswith(f"guarantee {report['value']:.6f} after 0 reallocations (")
 
 
 def test_ceiling_exits_three(tmp_path):

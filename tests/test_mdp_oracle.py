@@ -8,7 +8,10 @@ machinery or tolerance with the iterative solver under test.
 import numpy as np
 import pytest
 
-from teamplan.mdp import Choice, Mdp, max_reach, validate
+from teamplan import mdp as mdp_module
+from teamplan.baseline import build_mamdp
+from teamplan.maps import MapSpec, gen_map, map_mission
+from teamplan.mdp import Choice, Mdp, _predecessors, _prob0, _prob1, max_reach, validate
 
 from exhaustive import enumerate_best, evaluate_policy
 
@@ -80,3 +83,54 @@ def test_generator_yields_valid_models(instances):
         assert problems == []
         assert target
         assert not (target & avoid)
+
+
+def summed(outcomes, values):
+    return sum(p * values[t] for t, p in outcomes)
+
+
+def sum_reference(m, target, avoid, epsilon, monkeypatch):
+    """`max_reach`'s values, policy and sweep count, each choice's expected
+    value summed with `sum` over its outcomes."""
+    pre = _predecessors(m)
+    zero = _prob0(pre, m.num_states, target, avoid)
+    sure = _prob1(m, pre, target, avoid) - zero - target
+    values = [0.0] * m.num_states
+    for s in sure | target:
+        values[s] = 1.0
+    mid = [s for s in range(m.num_states) if s not in zero and s not in sure and s not in target]
+    iterations = 0
+    if mid:
+        for iterations in range(1, 100_001):
+            delta = 0.0
+            for s in mid:
+                best = 0.0
+                for c in m.choices[s]:
+                    q = sum(p * values[t] for t, p in c.outcomes)
+                    if q > best:
+                        best = q
+                delta = max(delta, best - values[s])
+                values[s] = best
+            if delta < epsilon:
+                break
+    with monkeypatch.context() as patched:
+        patched.setattr(mdp_module, "_expected", summed)
+        policy = mdp_module._reach_policy(m, pre, values, target, sure)
+    return [v.hex() for v in values], policy, iterations
+
+
+@pytest.mark.skipif(sum([1.0, 1e100, 1.0, -1e100]) != 0.0, reason="this interpreter's sum does not round left to right")
+def test_sweeps_equal_sum_reference_bitwise(instances, monkeypatch):
+    spec = MapSpec(nodes=12, failpoints=4, pfail=0.3, tasks=2, hazards=2, seed=2)
+    model, mission = gen_map(spec), map_mission(spec)
+    mm = build_mamdp([model, model], mission)
+    assert mission.safety is not None and mm.violating
+    cases = [*instances, (mm.mdp, set(mm.accepting), set(mm.violating))]
+    sweeps = 0
+    for i, (m, target, avoid) in enumerate(cases):
+        for epsilon in (1e-6, 1e-12):
+            res = max_reach(m, target, avoid, epsilon=epsilon)
+            expected = sum_reference(m, target, avoid, epsilon, monkeypatch)
+            assert ([v.hex() for v in res.values], res.policy, res.iterations) == expected, (i, epsilon)
+            sweeps += res.iterations
+    assert sweeps > 2 * len(cases)
