@@ -3,9 +3,12 @@
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
 robots' successor labels (`Automata.advance_joint`). This module builds
-the joint-step rows over `mdp.Explorer`, stepping the vector once per
-(vector, successor positions) pair; the vector rules and the unpruned
-size come from `product.Automata`. Exponential in the team size, so
+the joint-step rows over `mdp.Explorer` as numpy arrays: one move table
+per robot-position tuple, shared by every joint state there, plus one
+lookup per state from the table's successor tuples to joint states,
+stepping the vector once per (vector, successor positions) pair. The
+vector rules and the unpruned size come from `product.Automata`.
+Exponential in the team size, so
 construction is guarded by a state-count ceiling; within it, solving
 this model gives the unconstrained optimum that the sequential planner
 and the reallocation loop are measured against.
@@ -13,7 +16,9 @@ and the reallocation loop are measured against.
 
 import itertools
 
-from .mdp import Choice, Explorer, Mdp, max_reach
+import numpy as np
+
+from .mdp import Arrays, Explorer, Mdp, _offsets, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
@@ -76,6 +81,26 @@ class MamdpModel:
         # which finished robots stand still
         moves = [[[(c.action, c.outcomes) for c in row] + [(-1, ((s, 1.0),))] for s, row in enumerate(m.choices)]
                  for m in models]
+        tables = {}
+
+        def move_table(pos):
+            """Joint action indices, outcome counts, local successor ids and
+            probabilities of the robots at `pos`, and its successor tuples
+            in first-appearance order: no automaton vector changes them."""
+            acts, counts, local, probs, succs = [], [], [], [], {}
+            for combo in itertools.product(*[moves[r][s] for r, s in enumerate(pos)]):
+                acts.append(action_index(tuple([a for a, _ in combo])))
+                first = len(local)
+                for branch in itertools.product(*[outcomes for _, outcomes in combo]):
+                    p = 1.0
+                    for _, pr in branch:
+                        p *= pr
+                    local.append(succs.setdefault(tuple([s2 for s2, _ in branch]), len(succs)))
+                    probs.append(p)
+                counts.append(len(local) - first)
+            tables[pos] = np.array(acts), np.array(counts), np.array(local), np.array(probs), list(succs)
+            return tables[pos]
+
         # (vector, successor positions) -> joint state index, for this build
         # only: joint outcomes repeat, and each repeat skips the label union
         # and the vector step
@@ -83,31 +108,25 @@ class MamdpModel:
 
         def expand(key, intern):
             pos, q = key
-            combos = itertools.product(*[moves[r][s] for r, s in enumerate(pos)])
+            acts, counts, local, probs, succs = tables.get(pos) or move_table(pos)
             if violating(q):
-                here = ((intern(key), 1.0),)
-                return [Choice(action_index(tuple([a for a, _ in combo])), here, None) for combo in combos]
+                return acts, np.ones(len(acts), np.int64), np.full(len(acts), intern(key), np.int32), np.ones(len(acts))
             after = successor.setdefault(q, {})
-            row = []
-            for combo in combos:
-                outs = []
-                for branch in itertools.product(*[outcomes for _, outcomes in combo]):
-                    p = 1.0
-                    for _, pr in branch:
-                        p *= pr
-                    tgt = tuple([s2 for s2, _ in branch])
-                    j = after.get(tgt)
-                    if j is None:
-                        j = after[tgt] = intern((tgt, advance_joint(q, models, tgt)))
-                    outs.append((j, p))
-                row.append(Choice(action_index(tuple([a for a, _ in combo])), tuple(outs), None))
-            return row
+            lookup = []
+            for tgt in succs:
+                j = after.get(tgt)
+                if j is None:
+                    j = after[tgt] = intern((tgt, advance_joint(q, models, tgt)))
+                lookup.append(j)
+            return acts, counts, np.array(lookup, np.int32)[local], probs
 
         entries = tuple(m.initial for m in models)
         explorer = Explorer(expand)
         explorer.explore((entries, automata.start(models, entries)))
         self.states = explorer.keys
-        self.mdp = Mdp(len(self.states), 0, tuple(names), explorer.rows)
+        acts, counts, targets, probs = (np.concatenate(col) for col in zip(*explorer.rows))
+        arrays = Arrays(_offsets([len(row[0]) for row in explorer.rows]), acts, _offsets(counts), targets, probs)
+        self.mdp = Mdp(len(self.states), 0, tuple(names), arrays=arrays)
         self.accepting = frozenset(i for i, (_, q) in enumerate(self.states) if automata.accepting(q))
         self.violating = frozenset(i for i, (_, q) in enumerate(self.states) if automata.violating(q))
 
@@ -116,6 +135,8 @@ class MamdpModel:
         return len(self.states)
 
     def full_size(self):
+        """Unpruned size; it leaves out the robots' failure states, which
+        joint states reach, so it can be below `num_states`."""
         return self.automata.unpruned_size(self.models)
 
 
@@ -124,6 +145,7 @@ def build_mamdp(models, mission, ceiling=10_000_000, automata=None):
 
 
 def solve_mamdp(mm, epsilon=1e-6):
-    """Optimal mission probability at the joint start, with its policy."""
+    """Optimal mission probability at the joint start, with the solve's
+    `ReachResult` (whose policy is read off on first access)."""
     res = max_reach(mm.mdp, mm.accepting, mm.violating, epsilon=epsilon)
-    return res.values[0], res.policy
+    return res.values[0], res

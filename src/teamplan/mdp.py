@@ -1,5 +1,9 @@
 """Explicit-state MDPs and maximal reachability.
 
+An `Mdp` holds rows of `Choice` records or CSR arrays (`Arrays`), each
+derived from the other on first read; the joint baseline is built as
+arrays.
+
 `Explorer` is the one reachable-state explorer: the local products, the
 team model and the joint baseline all number their states with it.
 
@@ -13,45 +17,72 @@ Two solvers compute maximal reach probabilities, one per model class:
   products, so the team model itself is only built on demand; this
   function, on a built team model, is its oracle in the tests.
 - `max_reach` serves every other model (the joint multi-agent MDP, model
-  files of any shape). It is Gauss-Seidel value iteration bracketed by
-  graph precomputation: states that cannot reach the target under any
+  files of any shape). It is value iteration bracketed by graph
+  precomputation: states that cannot reach the target under any
   scheduler are pinned to 0 and states with an almost-sure strategy are
   pinned to 1 before iteration starts, so the iterated region only
-  contains genuinely quantitative states. Both graph passes walk one
-  predecessor index backwards from the target. The sweeps run over rows
-  unpacked once into (state, outcome tuples) and add each choice's terms
-  left to right, so the floats do not depend on how the interpreter's
-  `sum` rounds.
+  contains genuinely quantitative states. The graph passes (layered, with
+  `reduceat` over outcomes) and the Jacobi sweeps run in numpy over the
+  model's arrays.
 
-Both read their policy off the values with one rule (`_reach_policy`);
-with one live outcome per choice it runs over the live-edge index
+Both read their policy off the values with one rule (`_reach_policy`;
+`max_reach` on the first read of `ReachResult.policy`); with one live
+outcome per choice it runs over the live-edge index
 (`_max_product_policy`).
 """
 
 import json
 from array import array
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 Choice = namedtuple("Choice", ["action", "outcomes", "cost"])
 # action: index into Mdp.actions; outcomes: tuple of (successor, probability); cost: float or None
+Arrays = namedtuple("Arrays", ["row_start", "actions", "out_start", "targets", "probs"])
+# CSR form: state s has choices k in range(row_start[s], row_start[s + 1]), choice k takes
+# actions[k] to targets[o] with probs[o] for o in range(out_start[k], out_start[k + 1])
 
 
 class Mdp:
-    """Sparse explicit MDP. Treated as immutable once built."""
+    """Sparse explicit MDP. Treated as immutable once built.
 
-    def __init__(self, num_states, initial, actions, choices, atoms=(), labels=None, failure_state=None):
+    Built from rows (`choices`) or from `arrays`, the other form derived
+    on first read. Arrays carry no costs: rows read off them have None.
+    """
+
+    def __init__(self, num_states, initial, actions, choices=None, atoms=(), labels=None, failure_state=None,
+                 arrays=None):
         self.num_states: int = num_states
         self.initial: int = initial
         self.actions: tuple[str, ...] = tuple(actions)
-        # choices[s] lists the enabled (action, outcomes, cost) triples of s
-        self.choices: list[list[Choice]] = choices
+        if choices is not None:
+            self.choices = choices
+        if arrays is not None:
+            self.arrays = arrays
         self.atoms: tuple[str, ...] = tuple(atoms)
         self.labels: dict[int, frozenset[str]] = {s: frozenset(l) for s, l in (labels or {}).items()}
         self.failure_state: int | None = failure_state
+
+    @cached_property
+    def choices(self) -> list[list[Choice]]:
+        """choices[s] lists the enabled (action, outcomes, cost) triples of s."""
+        row_start, actions, out_start, targets, probs = (a.tolist() for a in self.arrays)
+        outcomes = list(zip(targets, probs))
+        flat = [Choice(a, tuple(outcomes[out_start[k]:out_start[k + 1]]), None) for k, a in enumerate(actions)]
+        return [flat[row_start[s]:row_start[s + 1]] for s in range(self.num_states)]
+
+    @cached_property
+    def arrays(self) -> Arrays:
+        flat = [c for row in self.choices for c in row]
+        outcomes = [o for c in flat for o in c.outcomes]
+        return Arrays(_offsets([len(row) for row in self.choices]), np.array([c.action for c in flat], np.int64),
+                      _offsets([len(c.outcomes) for c in flat]), np.array([t for t, _ in outcomes], np.int32),
+                      np.array([p for _, p in outcomes], np.float64))
 
     def label(self, s: int) -> frozenset[str]:
         return self.labels.get(s, frozenset())
@@ -61,7 +92,12 @@ class Mdp:
         return all(len(c.outcomes) == 1 and c.outcomes[0][0] == s for c in row)
 
     def transition_count(self) -> int:
-        return sum(len(c.outcomes) for row in self.choices for c in row)
+        return len(self.arrays.targets)
+
+
+def _offsets(counts):
+    """Offsets of consecutive segments of the given lengths, from 0."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
 class Explorer:
@@ -265,10 +301,15 @@ class DivergenceError(SolverError):
 @dataclass
 class ReachResult:
     values: list[float]
-    policy: dict[int, int]
     iterations: int
-    almost_sure: frozenset[int] = field(default_factory=frozenset)
-    zero: frozenset[int] = field(default_factory=frozenset)
+    almost_sure: frozenset[int]
+    zero: frozenset[int]
+    read_policy: Callable[[], dict[int, int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def policy(self) -> dict[int, int]:
+        """One action per state with choices, read off on first access."""
+        return self.read_policy()
 
 
 def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
@@ -289,55 +330,6 @@ def _predecessors(mdp: Mdp):
             for t, _ in c.outcomes:
                 pre[t].add(s)
     return pre
-
-
-def _prob0(pre, num_states: int, target: set[int], avoid: set[int]) -> set[int]:
-    """States from which no scheduler reaches the target with positive probability."""
-    reach = set(target)
-    stack = list(target)
-    while stack:
-        t = stack.pop()
-        for s in pre[t]:
-            if s not in reach and s not in avoid:
-                reach.add(s)
-                stack.append(s)
-    return set(range(num_states)) - reach
-
-
-def _prob1(mdp: Mdp, pre, target: set[int], avoid: set[int]) -> set[int]:
-    """States with a scheduler reaching the target almost surely.
-
-    Classical double fixpoint: shrink a candidate set u until it only
-    contains states that can reach the target with probability 1 while
-    never leaving u. Avoid states count as actionless. Each round is one
-    backward pass from the target over the predecessor index `pre`: a state
-    joins when one of its choices stays in u and reaches a state that has
-    already joined.
-    """
-    choices = mdp.choices
-    u = set(range(mdp.num_states)) - avoid
-    while True:
-        v = set(target)
-        stack = list(target)
-        while stack:
-            for s in pre[stack.pop()]:
-                if s in v or s not in u:
-                    continue
-                for c in choices[s]:
-                    hit = False
-                    for t, _ in c.outcomes:
-                        if t not in u:
-                            break
-                        if t in v:
-                            hit = True
-                    else:  # the choice stays in u
-                        if hit:
-                            v.add(s)
-                            stack.append(s)
-                            break
-        if len(v) == len(u):
-            return u
-        u = v
 
 
 def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[int, int]):
@@ -372,7 +364,7 @@ def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[in
 
 
 def _expected(outcomes, values):
-    """The expected value of `outcomes`, summed left to right as the sweeps do."""
+    """The expected value of `outcomes`, summed left to right."""
     q = 0.0
     for t, p in outcomes:
         q += p * values[t]
@@ -413,42 +405,57 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
     """Maximal probability of reaching `target` while never entering `avoid`.
 
     Avoid states are treated as absorbing with value 0 but stay part of the
-    state space. Values start at zero and sweep in state order until the
-    largest update falls below `epsilon` (absolute).
+    state space. States that cannot reach the target are pinned to 0, and
+    states with an almost-sure strategy to 1 (the classical double
+    fixpoint: shrink a candidate set u, avoid states left out, to the
+    states that reach the target by choices staying in u). On the rest,
+    Jacobi sweeps over `mdp.arrays` (every choice has an outcome) run from
+    zero until the largest update falls below `epsilon` (absolute).
     """
     target, avoid = _check_sets(mdp, target, avoid)
-    pre = _predecessors(mdp)
-    zero = _prob0(pre, mdp.num_states, target, avoid)
-    sure = _prob1(mdp, pre, target, avoid) - zero - target
-    values = [0.0] * mdp.num_states
-    for s in sure | target:
-        values[s] = 1.0
+    n = mdp.num_states
+    row_start, _, out_start, targets, probs = mdp.arrays
+    row_count, out_count = np.diff(row_start), np.diff(out_start)
+    out_first, choice_state = out_start[:-1], np.repeat(np.arange(n), row_count)
+    in_target, u = np.zeros(n, bool), np.ones(n, bool)
+    in_target[list(target)] = True
+    u[list(avoid)] = False
 
-    rows = [(s, [c.outcomes for c in mdp.choices[s]]) for s in range(mdp.num_states)
-            if s not in zero and s not in sure and s not in target]
+    def attract(allowed, usable):
+        """The least superset of the targets holding every `allowed` state
+        with a `usable` choice reaching it, grown one backward layer a pass."""
+        v = in_target
+        while True:
+            grown = np.zeros(n, bool)
+            grown[choice_state[usable & np.logical_or.reduceat(v[targets], out_first)]] = True
+            grown = v | (grown & allowed)
+            if np.array_equal(grown, v):
+                return v
+            v = grown
+
+    zero = ~attract(u, True)
+    while not np.array_equal(one := attract(u, np.logical_and.reduceat(u[targets], out_first)), u):
+        u = one
+
+    x, mid = one.astype(np.float64), np.flatnonzero(~(zero | one))
+    mid_choices = ~(zero | one)[choice_state]
+    mid_targets, mid_probs = (a[np.repeat(mid_choices, out_count)] for a in (targets, probs))
+    mid_out, mid_rows = _offsets(out_count[mid_choices])[:-1], _offsets(row_count[mid])[:-1]
     iterations = 0
-    if rows:
+    if len(mid):
         for iterations in range(1, max_iter + 1):
-            delta = 0.0
-            for s, row in rows:
-                best = 0.0
-                for outcomes in row:
-                    q = 0.0
-                    for t, p in outcomes:
-                        q += p * values[t]
-                    if q > best:
-                        best = q
-                d = best - values[s]
-                if d > delta:
-                    delta = d
-                values[s] = best
+            best = np.maximum.reduceat(np.add.reduceat(mid_probs * x[mid_targets], mid_out), mid_rows)
+            delta = float((best - x[mid]).max())
+            x[mid] = best
             if delta < epsilon:
                 break
         else:
             raise DivergenceError(f"value iteration exceeded {max_iter} sweeps (last delta {delta})")
 
-    policy = _reach_policy(mdp, pre, values, target, sure)
-    return ReachResult(values, policy, iterations, frozenset(sure | target), frozenset(zero))
+    values, sure = x.tolist(), set(np.flatnonzero(one & ~in_target).tolist())
+    return ReachResult(values, iterations, frozenset(np.flatnonzero(one).tolist()),
+                       frozenset(np.flatnonzero(zero).tolist()),
+                       lambda: _reach_policy(mdp, _predecessors(mdp), values, target, sure))
 
 
 # classes of a state for the max-product solvers: a sink is absorbing and
@@ -643,4 +650,4 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     # a product of probabilities is 1.0 only over probability-1 steps
     almost_sure = frozenset(s for s in range(n) if values[s] == 1.0)
     zero = frozenset(s for s in range(n) if values[s] == 0.0)
-    return ReachResult(values, policy, 0, almost_sure, zero)
+    return ReachResult(values, 0, almost_sure, zero, lambda: policy)

@@ -78,7 +78,8 @@ class Automata:
     def unpruned_size(self, models):
         """Size of the unpruned product of `models` with every automaton.
         The designated failure states carry no task progress, so they are
-        not counted as map factors."""
+        not counted as map factors. Reachable models do contain them, so a
+        reachable count can exceed this size."""
         n = 1
         for m in models:
             n *= m.num_states - (1 if m.failure_state is not None else 0)

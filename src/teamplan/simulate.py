@@ -44,6 +44,8 @@ def simulate(jp, runs, seed=0):
     if runs < 1:
         raise ValueError("need at least one run")
     rng = np.random.default_rng(seed)
+    # drawn in blocks, used in order: the stream of one rng.random() per draw
+    draws, used = [], 0
     chain_index = {id(c): k for k, c in enumerate(jp.chains)}
     successes = 0
     total_triggers = 0
@@ -70,7 +72,10 @@ def simulate(jp, runs, seed=0):
             if len(nd.steps) == 1:
                 i = nd.steps[0][1]
                 continue
-            u = rng.random()
+            if used == len(draws):
+                draws, used = rng.random(4096).tolist(), 0
+            u = draws[used]
+            used += 1
             acc = 0.0
             i = nd.steps[-1][1]
             for p, j in nd.steps:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from teamplan import mdp as mdp_module
 from teamplan.baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_reach
+from teamplan.mdp import Choice, Mdp, _predecessors, max_reach
 from teamplan.product import compile_mission, local_product
 from teamplan.realloc import run_stapu_with_realloc
 
@@ -30,6 +31,29 @@ def test_two_robot_retry_value():
     value, _ = solve_mamdp(mm, epsilon=1e-9)
     assert value == pytest.approx(0.99, abs=1e-9)
     assert any(name.startswith("idle|") or name.endswith("|idle") for name in mm.mdp.actions)
+
+
+def test_policy_is_read_off_on_first_access(monkeypatch):
+    rule = mdp_module._reach_policy
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(mdp_module, "_reach_policy", counted)
+    m = corridor(pfail=0.3)
+    mm = build_mamdp([m, m], mission("F p1"))
+    value, res = solve_mamdp(mm, epsilon=1e-9)
+    again = max_reach(mm.mdp, mm.accepting, mm.violating, epsilon=1e-9)
+    assert value == res.values[0] and again.values == res.values
+    assert calls == []
+    sure = set(again.almost_sure - mm.accepting)
+    assert len(again.zero) + len(again.almost_sure) < mm.num_states  # a quantitative region
+    expected = rule(mm.mdp, _predecessors(mm.mdp), again.values, set(mm.accepting), sure)
+    assert again.policy == expected
+    assert again.policy is again.policy
+    assert len(calls) == 1
 
 
 def test_single_robot_reduces_to_local_product():

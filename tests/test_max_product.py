@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from teamplan import mdp as mdp_module
 from teamplan import team as team_module
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp, max_product_reach, max_reach
@@ -123,9 +124,18 @@ def test_two_live_outcomes_fall_back_to_value_iteration(monkeypatch):
         calls.append(kwargs.get("epsilon"))
         return max_reach(*args, **kwargs)
 
+    rule = mdp_module._reach_policy
+    policies = []
+
+    def counted(*args):
+        policies.append(rule(*args))
+        return policies[-1]
+
     monkeypatch.setattr(team_module, "max_reach", spy)
+    monkeypatch.setattr(mdp_module, "_reach_policy", counted)
     sol = solve_stapu(team, epsilon=1e-12)
     assert calls == [1e-12]
+    assert len(policies) == 1  # the fallback reads its policy
     assert "_explored" in vars(team)  # the fallback did
     assert max_product_reach(team.mdp, team.accepting, team.violating) is None
     assert sol.value == pytest.approx(0.8, abs=TOL)

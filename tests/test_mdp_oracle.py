@@ -8,10 +8,10 @@ machinery or tolerance with the iterative solver under test.
 import numpy as np
 import pytest
 
-from teamplan import mdp as mdp_module
 from teamplan.baseline import build_mamdp
 from teamplan.maps import MapSpec, gen_map, map_mission
-from teamplan.mdp import Choice, Mdp, _predecessors, _prob0, _prob1, max_reach, validate
+from teamplan.mdp import Choice, Mdp, _predecessors, _reach_policy, max_reach, validate
+from teamplan.product import local_product
 
 from exhaustive import enumerate_best, evaluate_policy
 
@@ -85,42 +85,85 @@ def test_generator_yields_valid_models(instances):
         assert not (target & avoid)
 
 
-def summed(outcomes, values):
-    return sum(p * values[t] for t, p in outcomes)
+def test_rows_survive_the_array_round_trip(instances):
+    specs = [MapSpec(nodes=12, failpoints=4, pfail=0.3, tasks=2, hazards=h, seed=h) for h in range(3)]
+    maps = [gen_map(spec) for spec in specs]
+    products = [local_product(m, map_mission(spec)).mdp for m, spec in zip(maps, specs)]
+    for i, m in enumerate([*(m for m, _, _ in instances), *maps, *products]):
+        rows = [[c._replace(cost=None) for c in row] for row in m.choices]  # the arrays carry no costs
+        from_arrays = Mdp(m.num_states, m.initial, m.actions, arrays=m.arrays)
+        assert from_arrays.choices == rows, i
+        again = Mdp(m.num_states, m.initial, m.actions, from_arrays.choices).arrays
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(again, m.arrays)), i
+        count = sum(len(c.outcomes) for row in rows for c in row)
+        assert m.transition_count() == from_arrays.transition_count() == count, i
 
 
-def sum_reference(m, target, avoid, epsilon, monkeypatch):
-    """`max_reach`'s values, policy and sweep count, each choice's expected
-    value summed with `sum` over its outcomes."""
+def reference_prob0(pre, num_states, target, avoid):
+    """States from which no scheduler reaches the target with positive
+    probability, by a backward search over the predecessor index."""
+    reach = set(target)
+    stack = list(target)
+    while stack:
+        for s in pre[stack.pop()]:
+            if s not in reach and s not in avoid:
+                reach.add(s)
+                stack.append(s)
+    return set(range(num_states)) - reach
+
+
+def reference_prob1(m, pre, target, avoid):
+    """States with a scheduler reaching the target almost surely: the
+    double fixpoint, each round a backward pass from the target."""
+    u = set(range(m.num_states)) - avoid
+    while True:
+        v = set(target)
+        stack = list(target)
+        while stack:
+            for s in pre[stack.pop()]:
+                if s in v or s not in u:
+                    continue
+                if any(all(t in u for t, _ in c.outcomes) and any(t in v for t, _ in c.outcomes)
+                       for c in m.choices[s]):
+                    v.add(s)
+                    stack.append(s)
+        if v == u:
+            return u
+        u = v
+
+
+def expected(outcomes, values):
+    q = 0.0
+    for t, p in outcomes:
+        q += p * values[t]
+    return q
+
+
+def reference_solve(m, target, avoid, epsilon, jacobi):
+    """Regions, values and sweep count of value iteration in pure Python,
+    each choice's terms added left to right. A Jacobi sweep reads the
+    values of the sweep before; a Gauss-Seidel sweep reads each update as
+    soon as it is made."""
     pre = _predecessors(m)
-    zero = _prob0(pre, m.num_states, target, avoid)
-    sure = _prob1(m, pre, target, avoid) - zero - target
-    values = [0.0] * m.num_states
-    for s in sure | target:
-        values[s] = 1.0
+    zero = reference_prob0(pre, m.num_states, target, avoid)
+    sure = reference_prob1(m, pre, target, avoid) - zero - target
+    values = [1.0 if s in sure or s in target else 0.0 for s in range(m.num_states)]
     mid = [s for s in range(m.num_states) if s not in zero and s not in sure and s not in target]
     iterations = 0
     if mid:
         for iterations in range(1, 100_001):
+            read = list(values) if jacobi else values
             delta = 0.0
             for s in mid:
-                best = 0.0
-                for c in m.choices[s]:
-                    q = sum(p * values[t] for t, p in c.outcomes)
-                    if q > best:
-                        best = q
+                best = max(expected(c.outcomes, read) for c in m.choices[s])
                 delta = max(delta, best - values[s])
                 values[s] = best
             if delta < epsilon:
                 break
-    with monkeypatch.context() as patched:
-        patched.setattr(mdp_module, "_expected", summed)
-        policy = mdp_module._reach_policy(m, pre, values, target, sure)
-    return [v.hex() for v in values], policy, iterations
+    return zero, sure, values, iterations
 
 
-@pytest.mark.skipif(sum([1.0, 1e100, 1.0, -1e100]) != 0.0, reason="this interpreter's sum does not round left to right")
-def test_sweeps_equal_sum_reference_bitwise(instances, monkeypatch):
+def test_array_solve_equals_python_references(instances):
     spec = MapSpec(nodes=12, failpoints=4, pfail=0.3, tasks=2, hazards=2, seed=2)
     model, mission = gen_map(spec), map_mission(spec)
     mm = build_mamdp([model, model], mission)
@@ -130,7 +173,12 @@ def test_sweeps_equal_sum_reference_bitwise(instances, monkeypatch):
     for i, (m, target, avoid) in enumerate(cases):
         for epsilon in (1e-6, 1e-12):
             res = max_reach(m, target, avoid, epsilon=epsilon)
-            expected = sum_reference(m, target, avoid, epsilon, monkeypatch)
-            assert ([v.hex() for v in res.values], res.policy, res.iterations) == expected, (i, epsilon)
+            zero, sure, values, iterations = reference_solve(m, target, avoid, epsilon, jacobi=True)
+            assert (res.zero, res.almost_sure, res.iterations) == (zero, sure | target, iterations), (i, epsilon)
+            assert max(abs(a - b) for a, b in zip(res.values, values)) <= 1e-15, (i, epsilon)
+            assert res.policy == _reach_policy(m, _predecessors(m), values, target, sure), (i, epsilon)
             sweeps += res.iterations
+        # res is the solve at epsilon 1e-12
+        gauss_seidel = reference_solve(m, target, avoid, 1e-12, jacobi=False)[2]
+        assert max(abs(a - b) for a, b in zip(res.values, gauss_seidel)) <= 1e-9, i
     assert sweeps > 2 * len(cases)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from teamplan.realloc import run_stapu_with_realloc
-from teamplan.simulate import simulate
+from teamplan.realloc import POINT, STEP, SUCCESS, run_stapu_with_realloc
+from teamplan.simulate import SimReport, simulate
 
 from instances import graph_model, guarded_tree_instance
 from test_realloc import corridor, mission
@@ -70,3 +70,52 @@ def test_rejects_empty_sample():
     jp, _ = run_stapu_with_realloc([corridor()], mission("F p1"))
     with pytest.raises(ValueError):
         simulate(jp, runs=0)
+
+
+def per_draw_simulate(jp, runs, seed):
+    """`simulate` with one `rng.random()` call per stochastic step."""
+    rng = np.random.default_rng(seed)
+    chain_index = {id(c): k for k, c in enumerate(jp.chains)}
+    successes = total = 0
+    counts = {}
+    for _ in range(runs):
+        chain, i = jp.chains[0], 0
+        while True:
+            nd = chain.nodes[i]
+            if nd.kind == SUCCESS:
+                successes += 1
+                break
+            if nd.kind == POINT:
+                if nd.child is None:
+                    break
+                key = f"{chain_index[id(chain)]}:{i}"
+                counts[key] = counts.get(key, 0) + 1
+                total += 1
+                chain, i = nd.child, 0
+                continue
+            if nd.kind != STEP or not nd.steps:
+                break
+            if len(nd.steps) == 1:
+                i = nd.steps[0][1]
+                continue
+            u = rng.random()
+            acc = 0.0
+            i = nd.steps[-1][1]
+            for p, j in nd.steps:
+                acc += p
+                if u < acc:
+                    i = j
+                    break
+    freq = successes / runs
+    return SimReport(runs, successes, freq, math.sqrt(freq * (1.0 - freq) / runs),
+                     {k: c / runs for k, c in counts.items()}, total / runs)
+
+
+def test_block_draws_equal_per_draw_reference():
+    rng = np.random.default_rng(20261018)
+    for i in range(12):
+        model, miss = guarded_tree_instance(rng)
+        jp, _ = run_stapu_with_realloc([model] * (2 + i % 2), miss)
+        seed = int(rng.integers(1 << 30))
+        # enough runs that the rollouts use several blocks of draws
+        assert simulate(jp, runs=4000, seed=seed).to_dict() == per_draw_simulate(jp, 4000, seed).to_dict(), i

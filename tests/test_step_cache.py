@@ -17,6 +17,7 @@ from teamplan.product import Automata, compile_mission, local_products
 from teamplan.realloc import policy_to_dict, run_stapu_with_realloc
 
 from instances import random_team_instance
+from test_team import mixed_team_instance
 
 SEED = 20261018
 INSTANCES = 24
@@ -125,3 +126,14 @@ def test_models_and_plans_equal_uncached_builds(monkeypatch):
         policy = untimed_plan([model, model], mission)
         assert found == (products[0].states, products[0].rows, keys, rows, names, policy), k
 
+
+
+def test_array_build_equals_reference_on_wider_teams():
+    """Three robots on one map, and two or three robots on maps of their own."""
+    teams = [([model] * 3, mission) for model, mission in instances()[:8]]
+    rng = np.random.default_rng(SEED)
+    teams += [mixed_team_instance(rng) for _ in range(12)]
+    assert {len(models) for models, _ in teams[8:]} == {2, 3}
+    for k, (models, mission) in enumerate(teams):
+        mm = build_mamdp(models, mission)
+        assert (mm.states, mm.mdp.choices, mm.mdp.actions) == reference_mamdp(models, compile_mission(mission)), k
