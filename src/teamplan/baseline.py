@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .mdp import Arrays, Explorer, Mdp, _offsets, max_reach
+from .mdp import Explorer, Mdp, _stack, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
@@ -124,9 +124,7 @@ class MamdpModel:
         explorer = Explorer(expand)
         explorer.explore((entries, automata.start(models, entries)))
         self.states = explorer.keys
-        acts, counts, targets, probs = (np.concatenate(col) for col in zip(*explorer.rows))
-        arrays = Arrays(_offsets([len(row[0]) for row in explorer.rows]), acts, _offsets(counts), targets, probs)
-        self.mdp = Mdp(len(self.states), 0, tuple(names), arrays=arrays)
+        self.mdp = Mdp(len(self.states), 0, tuple(names), arrays=_stack(explorer.rows))
         self.accepting = frozenset(i for i, (_, q) in enumerate(self.states) if automata.accepting(q))
         self.violating = frozenset(i for i, (_, q) in enumerate(self.states) if automata.violating(q))
 

@@ -115,6 +115,9 @@ def gen_map(spec):
     n = spec.nodes
     if n < 2:
         raise MapError("a map needs at least two nodes")
+    for name in ("failpoints", "tasks", "hazards"):
+        if getattr(spec, name) < 0:
+            raise MapError(f"{name} must not be negative, got {getattr(spec, name)}")
     edges = tuple(spec.edges) if spec.edges is not None else grid_edges(n)
     adj = [set() for _ in range(n)]
     for u, v in edges:

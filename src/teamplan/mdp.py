@@ -1,11 +1,11 @@
 """Explicit-state MDPs and maximal reachability.
 
-An `Mdp` holds rows of `Choice` records or CSR arrays (`Arrays`), each
-derived from the other on first read; the joint baseline is built as
-arrays.
-
-`Explorer` is the one reachable-state explorer: the local products, the
-team model and the joint baseline all number their states with it.
+The local products, the team model and the joint baseline number their
+states with `Explorer`, the one reachable-state explorer, and build one
+row format: per state, numpy `(actions, outcome counts, targets,
+probabilities)`, which `_stack` stacks into the CSR `Arrays` of an `Mdp`.
+Rows of `Choice` records exist only for source models (model files,
+`maps.gen_map`) and as the derived `Mdp.choices` view.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -87,10 +87,6 @@ class Mdp:
     def label(self, s: int) -> frozenset[str]:
         return self.labels.get(s, frozenset())
 
-    def is_absorbing(self, s: int) -> bool:
-        row = self.choices[s]
-        return all(len(c.outcomes) == 1 and c.outcomes[0][0] == s for c in row)
-
     def transition_count(self) -> int:
         return len(self.arrays.targets)
 
@@ -100,14 +96,40 @@ def _offsets(counts):
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
+def _stack(rows):
+    """The `Arrays` of explorer rows, one `(actions, outcome counts,
+    targets, probabilities)` row per state in state order."""
+    actions, counts, targets, probs = (np.concatenate(col) for col in zip(*rows))
+    return Arrays(_offsets([len(row[0]) for row in rows]), actions, _offsets(counts), targets, probs)
+
+
+def _ranges(offsets, idx):
+    """The indices in range(offsets[i], offsets[i + 1]) for each i of the
+    int array `idx`, concatenated in order."""
+    counts = offsets[idx + 1] - offsets[idx]
+    shift = np.repeat(offsets[idx] + counts - np.cumsum(counts), counts)
+    return shift + np.arange(len(shift))
+
+
+def _absorbing(arrays):
+    """Per state, True when every choice of it is a one-outcome self-loop
+    (so also when it has no choices)."""
+    row_start, _, out_start, targets, _ = arrays
+    n = len(row_start) - 1
+    state = np.repeat(np.arange(n), np.diff(row_start))
+    loop = np.diff(out_start) == 1
+    loop[loop] = targets[out_start[:-1][loop]] == state[loop]
+    return np.bincount(state[~loop], minlength=n) == 0
+
+
 class Explorer:
     """Append-only reachable-state explorer shared by every model builder.
 
     Keys are numbered in first-visit breadth-first order. `expand(key,
-    intern)` builds the row of one key exactly once, calling `intern` to
-    number each successor key; an index, a key and a row never change
-    once assigned. A later `explore` from a new root appends what is
-    reachable from it after everything already explored.
+    intern)` builds the row of one key exactly once, as `_stack` takes it,
+    calling `intern` to number each successor key; an index, a key and a
+    row never change once assigned. A later `explore` from a new root
+    appends what is reachable from it after everything already explored.
     """
 
     def __init__(self, expand):
@@ -180,7 +202,7 @@ def validate(mdp: Mdp) -> list[str]:
         f = mdp.failure_state
         if not (0 <= f < mdp.num_states):
             problems.append(f"failure state {f} out of range")
-        elif not mdp.is_absorbing(f):
+        elif any(len(c.outcomes) != 1 or c.outcomes[0][0] != f for c in mdp.choices[f]):
             problems.append(f"failure state {f} is not absorbing")
     return problems
 
@@ -464,58 +486,39 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
 LIVE, TARGET, AVOID, SINK = range(4)
 
 
-def _live_edges(rows, states, cls):
-    """The live edges of the choices of the live `states`, where a live
-    outcome is a live or target state by `cls`: numpy columns of live
-    outcome, choosing state, probability, action index and whether the
-    live outcome is the choice's only one, as `_backward_index` takes them.
-
-    Also returns, per sink, the choices with that sink among their
-    outcomes, as (state, live outcome or -1, (sink, probability) pairs,
-    action index, number of outcomes), for a caller to whom some sinks
-    are live. None when a choice has two live outcomes.
+def _live_edges(arrays, states, cls):
+    """The live edges of the choices of the live `states` (an int array),
+    where a live outcome is a live or target state by `cls`: numpy columns
+    of live outcome, choosing state, probability, action index and whether
+    the live outcome is the choice's only one, as `_backward_index` takes
+    them. None when a choice has two live outcomes.
     """
-    heads, tails, probs, actions, alone = [], [], [], [], []
-    to_sink = {}
-    for s in states:
-        if cls[s] != LIVE:
-            continue
-        for c in rows[s]:
-            live = -1
-            sinks = ()
-            for t, p in c.outcomes:
-                k = cls[t]
-                if k <= TARGET:
-                    if live >= 0:
-                        return None
-                    live, prob = t, p
-                elif k == SINK:
-                    sinks += ((t, p),)
-            if live >= 0:
-                heads.append(live)
-                tails.append(s)
-                probs.append(prob)
-                actions.append(c.action)
-                alone.append(len(c.outcomes) == 1)
-            for t, _ in sinks:
-                to_sink.setdefault(t, []).append((s, live, sinks, c.action, len(c.outcomes)))
-    columns = zip((heads, tails, probs, actions, alone), (np.int64, np.int64, np.float64, np.int64, bool))
-    return [np.array(col, dtype) for col, dtype in columns], to_sink
+    row_start, actions, out_start, targets, probs = arrays
+    states = states[cls[states] == LIVE]
+    choices = _ranges(row_start, states)
+    counts = out_start[choices + 1] - out_start[choices]
+    outs = _ranges(out_start, choices)
+    live = cls[targets[outs]] <= TARGET
+    owner, outs = np.repeat(np.arange(len(choices)), counts)[live], outs[live]
+    if (owner[1:] == owner[:-1]).any():  # owners ascend, so a repeat is adjacent
+        return None
+    tails = np.repeat(states, row_start[states + 1] - row_start[states])[owner]
+    return [targets[outs], tails, probs[outs], actions[choices[owner]], counts[owner] == 1]
 
 
-def _backward_index(heads, n, tails, probs, actions, alone):
-    """Edges sorted by live outcome over states 0..n-1: (offsets, tails,
-    probs, actions, alone), the edges into state t being k in
-    range(offsets[t], offsets[t + 1])."""
-    head = np.asarray(heads, dtype=np.int64)
-    order = np.argsort(head, kind="stable")
-    offsets = array("q", np.searchsorted(head[order], np.arange(n + 1)).tobytes())
+def _backward_index(edges, n):
+    """The columns of `_live_edges` sorted by live outcome over states
+    0..n-1: (offsets, tails, probs, actions, alone), the edges into state
+    t being k in range(offsets[t], offsets[t + 1])."""
+    heads, tails, probs, actions, alone = edges
+    order = np.argsort(heads, kind="stable")
+    offsets = array("q", np.searchsorted(heads[order], np.arange(n + 1)).tobytes())
     return (
         offsets,
-        array("q", np.asarray(tails, dtype=np.int64)[order].tobytes()),
-        array("d", np.asarray(probs, dtype=np.float64)[order].tobytes()),
-        array("q", np.asarray(actions, dtype=np.int64)[order].tobytes()),
-        array("b", np.asarray(alone, dtype=np.int8)[order].tobytes()),
+        array("q", tails[order].astype(np.int64).tobytes()),
+        array("d", probs[order].astype(np.float64).tobytes()),
+        array("q", actions[order].astype(np.int64).tobytes()),
+        array("b", alone[order].astype(np.int8).tobytes()),
     )
 
 
@@ -628,14 +631,13 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     """
     target, avoid = _check_sets(mdp, target, avoid)
     n = mdp.num_states
-    cls = bytearray(n)
-    for s in range(n):
-        cls[s] = TARGET if s in target else AVOID if s in avoid else SINK if mdp.is_absorbing(s) else LIVE
-    found = _live_edges(mdp.choices, range(n), cls)
-    if found is None:
+    cls = np.where(_absorbing(mdp.arrays), SINK, LIVE).astype(np.uint8)
+    cls[list(avoid)] = AVOID
+    cls[list(target)] = TARGET
+    edges = _live_edges(mdp.arrays, np.arange(n), cls)
+    if edges is None:
         return None
-    heads, *rest = found[0]
-    index = _backward_index(heads, n, *rest)
+    index = _backward_index(edges, n)
 
     values = [0.0] * n
     for s in target:

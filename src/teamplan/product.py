@@ -12,11 +12,13 @@ steps over a 15,000-state team's products), so one dictionary replaces
 per-component stepping and no second automaton representation is needed.
 
 `ProductMdp` is the only model builder that applies the advance to a
-robot's moves; the team model reads its rows.
+robot's moves; the team model reads its rows and their stacked `arrays()`.
 """
 
+import numpy as np
+
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import Choice, Explorer, Mdp
+from .mdp import Explorer, Mdp, _stack
 
 
 class ProductError(ValueError):
@@ -104,6 +106,9 @@ class ProductMdp:
     nothing that happens after a violation can matter, and the collapse
     keeps the trap region from multiplying out the map.
 
+    A state's row is its map state's move table with each distinct
+    successor interned once, in first-appearance order; rows carry no costs.
+
     `mdp`, `accepting`, `violating` and `num_states` describe the product
     reachable from the robot's initial state. `explore((s, q))` extends
     the product from another root, appending the states reachable from it
@@ -116,20 +121,26 @@ class ProductMdp:
         self.automata = automata
         advance, violating = automata.advance, automata.violating
 
+        def move_table(choices):
+            """Action indices, outcome counts, local successor ids and
+            probabilities of a map state's choices, and its distinct
+            successors with their labels in first-appearance order."""
+            succs = {}
+            local = [succs.setdefault(t, len(succs)) for c in choices for t, _ in c.outcomes]
+            return (np.array([c.action for c in choices], np.int64),
+                    np.array([len(c.outcomes) for c in choices], np.int64), np.array(local, np.int64),
+                    np.array([p for c in choices for _, p in c.outcomes], np.float64),
+                    [(t, source.label(t)) for t in succs])
+
+        tables = [move_table(row) for row in source.choices]
+
         def expand(key, intern):
             s, qvec = key
-            choices = source.choices[s]
+            acts, counts, local, probs, succs = tables[s]
             if violating(qvec):
-                here = intern(key)
-                return [Choice(c.action, ((here, 1.0),), None) for c in choices]
-            return [
-                Choice(
-                    c.action,
-                    tuple((intern((t, advance(qvec, source.label(t)))), p) for t, p in c.outcomes),
-                    c.cost,
-                )
-                for c in choices
-            ]
+                return acts, np.ones_like(counts), np.full(len(acts), intern(key), np.int32), np.ones(len(acts))
+            lookup = [intern((t, advance(qvec, label))) for t, label in succs]
+            return acts, counts, np.array(lookup, np.int32)[local], probs
 
         # expand holds no reference to self, so a product is freed without
         # waiting for the cycle collector
@@ -138,10 +149,18 @@ class ProductMdp:
         self.states = explorer.keys
         self.rows = explorer.rows
         self.explore((source.initial, automata.start([source], [source.initial])))
+        self._stacked = _stack(self.rows)
         n = self.num_states = len(self.states)
-        self.mdp = Mdp(n, 0, source.actions, self.rows[:n])
+        self.mdp = Mdp(n, 0, source.actions, arrays=self._stacked)
         self.accepting = frozenset(i for i in range(n) if self.accepts(i))
         self.violating = frozenset(i for i in range(n) if self.violates(i))
+
+    def arrays(self):
+        """The `Arrays` of every state explored so far, stacked again
+        only after `explore` has appended states."""
+        if len(self._stacked.row_start) <= len(self.rows):
+            self._stacked = _stack(self.rows)
+        return self._stacked
 
     def accepts(self, i):
         return self.automata.accepting(self.states[i][1])

@@ -16,14 +16,14 @@ block's values at the switch targets as boundary values of one
 label-setting pass (`mdp._label_setting`), exact for deterministic-or-fail
 robots, where every action reaches one live successor and otherwise a dead
 end; the policy's layered tie-break carries across the switches the same
-way. So the solve shares one backward index per distinct product and never
-renumbers a product row.
+way. So the solve reads the products' stacked arrays and never renumbers
+a product row.
 
-`TeamMdp` builds the team model as one explicit `Mdp` only when something
-reads it (`mdp`, `states`): the fallback for a model with two live
-outcomes in some action, which robots outside that class can give and
-which value iteration (`mdp.max_reach`) solves; the bench's transition
-count; and tests, which check the block solve against
+`TeamMdp` builds the team model as one explicit `Mdp`, from rows in the
+products' row format, only when something reads it (`mdp`, `states`): the
+fallback for a model with two live outcomes in some action, which robots
+outside that class can give and which value iteration (`mdp.max_reach`)
+solves, and tests, which check the block solve against
 `mdp.max_product_reach` on it.
 
 `check_class` is the one gate of that class: an absorbing failure state,
@@ -43,13 +43,15 @@ from .mdp import (
     LIVE,
     SINK,
     TARGET,
-    Choice,
     Explorer,
     Mdp,
+    _absorbing,
     _backward_index,
     _label_setting,
     _live_edges,
     _max_product_policy,
+    _ranges,
+    _stack,
     max_reach,
 )
 
@@ -125,17 +127,15 @@ class TeamMdp:
         maps each successor key."""
         robot, i = key
         pm = self.products[robot]
-        actions = self.action_map[robot]
-        row = [
-            Choice(actions[c.action], tuple((intern((robot, t)), p) for t, p in c.outcomes), c.cost)
-            for c in pm.rows[i]
-        ]
+        acts, counts, targets, probs = pm.rows[i]
+        acts = np.array(self.action_map[robot], np.int64)[acts]
+        targets = [intern((robot, t)) for t in targets.tolist()]
         s, qvec = pm.states[i]
         if self._switch_enabled(robot, s, qvec):
             nxt = (robot + 1) % len(self.products)
-            j = intern((nxt, self.products[nxt].explore((self.entries[nxt], qvec))))
-            row.append(Choice(self.switch_action, ((j, 1.0),), None))
-        return row
+            targets.append(intern((nxt, self.products[nxt].explore((self.entries[nxt], qvec)))))
+            acts, counts, probs = np.append(acts, self.switch_action), np.append(counts, 1), np.append(probs, 1.0)
+        return acts, counts, np.array(targets, np.int32), probs
 
     def _switch_enabled(self, robot, s, qvec):
         if (robot + 1) % len(self.products) == self.start_robot:
@@ -163,7 +163,7 @@ class TeamMdp:
 
     @cached_property
     def mdp(self):
-        return Mdp(len(self.keys), 0, self.actions, self._explored[1])
+        return Mdp(len(self.keys), 0, self.actions, arrays=_stack(self._explored[1]))
 
     @cached_property
     def accepting(self):
@@ -241,47 +241,32 @@ def keyed_policy(team, policy):
     return out
 
 
-def _closure(rows, roots, size):
-    """Product states reachable from `roots`, roots first."""
-    seen = bytearray(size)
-    order = []
-    for r in roots:
-        if not seen[r]:
-            seen[r] = 1
-            order.append(r)
-    for i in order:
-        for c in rows[i]:
-            for t, _ in c.outcomes:
-                if not seen[t]:
-                    seen[t] = 1
-                    order.append(t)
-    return order
+def _closure(arrays, roots):
+    """Product states reachable from the distinct `roots`: the roots, then
+    each breadth-first layer in state order."""
+    row_start, _, out_start, targets, _ = arrays
+    outcomes = out_start[row_start]  # the outcomes of state s start at outcomes[s]
+    order = [np.array(roots, np.int64)]
+    seen = np.zeros(len(row_start) - 1, bool)
+    seen[order[0]] = True
+    while len(order[-1]):
+        found = np.zeros(len(seen), bool)
+        found[targets[_ranges(outcomes, order[-1])]] = True
+        order.append(np.flatnonzero(found & ~seen))
+        seen[order[-1]] = True
+    return np.concatenate(order).tolist()
 
 
-def _product_edges(pm, states):
-    """The class of each of `states` in product `pm` and `mdp._live_edges`
-    over them, or None when a choice has two live outcomes.
-
-    A sink is dead in the product but live for a robot whose switch is
-    enabled there, so the choices reaching sinks are kept apart.
-    """
-    automata, rows = pm.automata, pm.rows
-    cls = bytearray(len(pm.states))
+def _classes(pm):
+    """The class of every explored state of product `pm`: target or avoid
+    by its automaton vector, else sink when absorbing, else live."""
     kinds = {}  # per automaton vector
-    for i in states:
-        q = pm.states[i][1]
-        k = kinds.get(q)
-        if k is None:
-            k = kinds[q] = TARGET if automata.accepting(q) else AVOID if automata.violating(q) else LIVE
-        if k == LIVE:
-            for c in rows[i]:
-                if len(c.outcomes) != 1 or c.outcomes[0][0] != i:
-                    break
-            else:
-                k = SINK
-        cls[i] = k
-    found = _live_edges(rows, states, cls)
-    return None if found is None else (cls, *found)
+    for _, q in pm.states:
+        if q not in kinds:
+            kinds[q] = TARGET if pm.automata.accepting(q) else AVOID if pm.automata.violating(q) else LIVE
+    cls = np.array([kinds[q] for _, q in pm.states], np.uint8)
+    cls[(cls == LIVE) & _absorbing(pm.arrays())] = SINK
+    return cls
 
 
 def _blocks(team):
@@ -295,7 +280,7 @@ def _blocks(team):
     for robot in ((team.start_robot + k) % n for k in range(n)):
         pm = products[robot]
         # the product's first states are those reachable from its initial one
-        reach = list(range(pm.num_states)) if roots == [0] else _closure(pm.rows, roots, len(pm.states))
+        reach = list(range(pm.num_states)) if roots == [0] else _closure(pm.arrays(), roots)
         switch = {}
         nxt = (robot + 1) % n
         if nxt != team.start_robot:
@@ -315,54 +300,43 @@ def _blocks(team):
     return blocks
 
 
-def _block_index(team, robot, reach, switch, product_edges):
-    """The backward index of one block, in team action indices: its
-    product's live edges from the block's states, the edges into sinks
-    where the robot hands over, and one switch edge per switch state into
-    an extra state size + k standing for the k-th distinct switch target.
-    Returns (index, {switch target: extra state}), or None when a choice
-    has two live outcomes."""
-    cls, edges, to_sink = product_edges
-    size = len(cls)
-    inside = np.zeros(size, bool)
-    inside[reach] = True
-    keep = inside[edges[1]]
-    columns = [[e[keep]] for e in edges]
-    amap = team.action_map[robot]
-    columns[3][0] = np.array(amap, np.int64)[columns[3][0]]
-
-    def add(*edge_columns):
-        for col, x in zip(columns, edge_columns):
-            col.append(np.asarray(x, col[0].dtype))
-
-    # sinks where this robot hands over are live in its block
-    handing = {i for i in switch if cls[i] == SINK}
-    for e in handing:
-        for s, live, sinks, action, width in to_sink.get(e, ()):
-            if inside[s]:
-                if live >= 0 or sum(t in handing for t, _ in sinks) > 1:
-                    return None
-                add([e], [s], [next(p for t, p in sinks if t == e)], [amap[action]], [width == 1])
-
+def _block_index(team, robot, reach, switch, cls):
+    """The backward index of one block, in team action indices: the live
+    edges from its states `reach` (an int array) by its product's classes
+    `cls`, in which a sink where the robot hands over is live, and one
+    switch edge per switch state into an extra state size + k standing for
+    the k-th distinct switch target. Returns (index, {switch target: extra
+    state}), or None when a choice has two live outcomes. A handing sink's
+    self-loops raise no label (p = 1) and assign no action: it is assigned
+    before it joins a frontier."""
+    handing = [i for i in switch if cls[i] == SINK]
+    if handing:
+        cls = cls.copy()
+        cls[handing] = LIVE
+    edges = _live_edges(team.products[robot].arrays(), reach, cls)
+    if edges is None:
+        return None
+    edges[3] = np.array(team.action_map[robot], np.int64)[edges[3]]
     boundary = {}
     for j in switch.values():
-        boundary.setdefault(j, size + len(boundary))
+        boundary.setdefault(j, len(cls) + len(boundary))
     k = len(switch)
-    add([boundary[j] for j in switch.values()], list(switch), [1.0] * k, [team.switch_action] * k, [True] * k)
-    heads, *rest = (np.concatenate(col) for col in columns)
-    return _backward_index(heads, size + len(boundary), *rest), boundary
+    added = ([boundary[j] for j in switch.values()], list(switch), [1.0] * k, [team.switch_action] * k, [True] * k)
+    edges = [np.concatenate((e, np.array(x, e.dtype))) for e, x in zip(edges, added)]
+    return _backward_index(edges, len(cls) + len(boundary)), boundary
 
 
 def solve_blocks(team):
     """Exact values and policy of the team model, robot block by robot block.
 
     The blocks form a chain, so they are solved last first. Each block's
-    values come from one label-setting pass over its product's live edges
-    (one index per distinct product), in which the extra states standing
-    for the switch targets are sources carrying the next block's values.
-    The policy passes of `mdp._max_product_policy` run over the same
-    index, the switch targets joining them at the layers the next block
-    gave them, and break ties on team action indices (the switch last).
+    values come from one label-setting pass over its product's live edges,
+    in which the extra states standing for the switch targets are sources
+    carrying the next block's values. The policy passes of
+    `mdp._max_product_policy` run over the same index, the switch targets
+    joining them at the layers the next block gave them, and break ties on
+    team action indices (the switch last). A product's state classes are
+    read after the forward pass, which may extend products.
 
     Returns (values, policy): `values[robot]` is indexed by the robot's
     product state and `policy[robot]` maps product states to team
@@ -371,25 +345,20 @@ def solve_blocks(team):
     """
     products = team.products
     blocks = _blocks(team)
-    product_edges = {}
-    for pm in {id(p): p for p in products}.values():
-        states = sorted(set().union(*(reach for robot, reach, _ in blocks if products[robot] is pm)))
-        product_edges[id(pm)] = _product_edges(pm, states)
-        if product_edges[id(pm)] is None:
-            return None
+    classes = {id(pm): _classes(pm) for pm in {id(p): p for p in products}.values()}
 
     values = [None] * len(products)
     policy = [{} for _ in products]
     after = None  # values and layers of the next block
     for robot, reach, switch in reversed(blocks):
-        edges = product_edges[id(products[robot])]
-        block = _block_index(team, robot, reach, switch, edges)
+        cls = classes[id(products[robot])]
+        states = np.array(reach, np.int64)
+        block = _block_index(team, robot, states, switch, cls)
         if block is None:
             return None
         index, boundary = block
-        cls = edges[0]
         vals = [0.0] * (len(cls) + len(boundary))
-        targets = [i for i in reach if cls[i] == TARGET]
+        targets = states[cls[states] == TARGET].tolist()
         for i in targets:
             vals[i] = 1.0
         for j, b in boundary.items():
@@ -433,19 +402,21 @@ def _walk_success_path(team, policy):
     switches = []
     programs = [[] for _ in team.products]
     visited = {cur}
+    successors = Explorer(None)  # numbers the successor keys of the rows read
     while True:
         robot, i = cur
         pm = team.products[robot]
         if pm.accepts(i) or pm.violates(i):
             break
-        row = team._expand(cur, _same_key)
-        action = policy[robot].get(i, row[0].action if row else None)
-        choice = next((c for c in row if c.action == action), None)
-        if choice is None:
+        acts, counts, targets, probs = team._expand(cur, successors.intern)
+        action = policy[robot].get(i, acts[0] if len(acts) else None)
+        chosen = np.repeat(acts, counts) == action  # a state enables an action once
+        if not chosen.any():
             break
+        outcomes = list(zip(map(successors.keys.__getitem__, targets[chosen].tolist()), probs[chosen].tolist()))
         _, s, q = _state(team, cur)
-        if choice.action == team.switch_action:
-            cur = choice.outcomes[0][0]
+        if action == team.switch_action:
+            cur = outcomes[0][0]
             visited.add(cur)
             switches.append({
                 "from_robot": robot,
@@ -454,15 +425,15 @@ def _walk_success_path(team, policy):
             })
             segments.append(_segment(_state(team, cur)))
             continue
-        name = team.actions[choice.action]
+        name = team.actions[action]
         segments[-1]["choices"].append({"state": {"s": s, "q": list(q)}, "action": name})
         fail = pm.source.failure_state
-        live = [(t, p) for t, p in choice.outcomes if pm.states[t[1]][0] != fail]
+        live = [(t, p) for t, p in outcomes if pm.states[t[1]][0] != fail]
         if not live:
             programs[robot].append((s, None, 1.0, name))
             break
         nxt = max(live, key=lambda tp: tp[1])[0]
-        pfail = sum(p for t, p in choice.outcomes if pm.states[t[1]][0] == fail)
+        pfail = sum(p for t, p in outcomes if pm.states[t[1]][0] == fail)
         programs[robot].append((s, pm.states[nxt[1]][0], pfail, name))
         if nxt in visited:
             break
@@ -480,16 +451,12 @@ def _walk_success_path(team, policy):
     return allocation, unallocated, segments, switches, programs
 
 
-def _same_key(key):
-    return key
-
-
 def check_class(mdp):
     """True when `mdp` is deterministic-or-fail: its failure state, if it
     has one, is absorbing, and every action is deterministic or a
     two-outcome split with the failure state."""
     fail = mdp.failure_state
-    if fail is not None and not mdp.is_absorbing(fail):
+    if fail is not None and any(len(c.outcomes) != 1 or c.outcomes[0][0] != fail for c in mdp.choices[fail]):
         return False
     for s in range(mdp.num_states):
         for c in mdp.choices[s]:

@@ -1,6 +1,7 @@
 """Sweep harness: row contents, determinism, ceilings, failure handling."""
 
 import csv
+import dataclasses
 import json
 import logging
 
@@ -11,6 +12,8 @@ from teamplan.cli import main
 from teamplan.ltl import mission_to_dict
 from teamplan.maps import MapSpec, gen_map, map_mission
 from teamplan.mdp import save_model
+from teamplan.product import local_product
+from teamplan.team import TeamMdp, build_team
 
 BASE = {
     "robots": [2],
@@ -97,6 +100,22 @@ def test_run_cell_counts_reallocations():
     row = run_cell(robots=2, tasks=1, failpoints=2, seed=0, nodes=6, pfail=0.3, reps=1)
     assert row.reallocations >= 1
     assert row.guarantee > 0.0
+
+
+def test_team_transitions_are_counted_without_the_team_model(monkeypatch):
+    """Replans, hazards, one and three robots on a shared product."""
+    cells = [dict(robots=3, tasks=2, failpoints=2, seed=1, hazards=1), dict(robots=1, tasks=2, failpoints=0, seed=0),
+             dict(robots=2, tasks=3, failpoints=3, seed=4, hazards=1)]
+    for cell in cells:
+        spec = dict(nodes=8, pfail=0.2, **cell)
+        with monkeypatch.context() as patched:
+            patched.setattr(TeamMdp, "_explored", property(lambda team: pytest.fail("the team model was built")))
+            row = run_cell(reps=1, **spec)
+        robots = spec.pop("robots")
+        spec = MapSpec(**spec)
+        team = build_team([local_product(gen_map(spec), map_mission(spec))] * robots)
+        expected = dataclasses.replace(row, team_trans=team.mdp.transition_count())
+        assert strip_times([row.csv_values()]) == strip_times([expected.csv_values()]), cell
 
 
 def test_sizes_count_the_safety_automaton(tmp_path, capsys):

@@ -103,6 +103,42 @@ def test_value_through_the_switch_of_a_map_sink():
     assert_matches_oracle(team, "sink")
 
 
+def test_value_through_the_switch_of_a_looping_sink():
+    # As above, but node 1 has a self-loop action, as model files write
+    # absorbing states. Live in robot 0's block because robot 0 hands over
+    # there, the loop is an edge into the sink itself, which neither
+    # raises its value nor picks its action.
+    fail = 2
+    loop = [Choice(0, ((1, 1.0),), None)]
+    sink = Mdp(3, 0, ("go",), [[Choice(0, ((1, 1.0),), None)], loop, []],
+               atoms=("p1", "p2"), labels={1: {"p1"}}, failure_state=fail)
+    risky = Mdp(3, 0, ("go",), [[Choice(0, ((1, 0.8), (fail, 0.2)), None)], [], []],
+                atoms=("p1", "p2"), labels={1: {"p2"}}, failure_state=fail)
+    team = build_team(local_products([sink, risky], two_atoms()))
+    sol = solve_stapu(team)
+    assert sol.value == 0.8
+    assert sol.allocation == {0: 0, 1: 1}
+    assert [(sw["from_robot"], sw["to_robot"], sw["state"]["s"]) for sw in sol.switches] == [(0, 1, 1)]
+    assert_matches_oracle(team, "looping sink")
+
+
+def test_failed_robot_hands_over_from_a_looping_failure_state():
+    # Robot 0 failed and sits at its failure state, which has a self-loop:
+    # a sink where it hands over, so the task goes to robot 1 (w.p. 0.9).
+    fail = 2
+    weak = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.5), (fail, 0.5)), None)], [], [Choice(0, ((fail, 1.0),), None)]],
+               atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    strong = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.9), (fail, 0.1)), None)], [], []],
+                 atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    miss = Mission(tasks=(parse_formula("F p1"),), safety=None)
+    team = build_team(local_products([weak, strong], miss), entries=[fail, 0], failed={0})
+    sol = solve_stapu(team)
+    assert sol.value == 0.9
+    assert sol.allocation == {0: 1}
+    assert [(sw["from_robot"], sw["to_robot"], sw["state"]["s"]) for sw in sol.switches] == [(0, 1, fail)]
+    assert_matches_oracle(team, "looping failure state")
+
+
 def test_failure_state_of_a_failed_robot_is_live():
     # Robot 0 failed but sits at node 0, and may hand over from its failure
     # state: its "try" splits between the task node and that live failure

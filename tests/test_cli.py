@@ -87,6 +87,10 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "s.json")]) == 1
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--pfail", "2.0",
                  "--tasks", "1", "--out", str(model)]) == 1
+    for flag in ("--failpoints", "--tasks"):
+        capsys.readouterr()
+        assert main(["genmap", "--nodes", "30", flag, "-1", "--out", str(model)]) == 1, flag
+        assert f"{flag[2:]} must not be negative" in capsys.readouterr().err, flag
     invariant_as_task = write_mission(tmp_path / "m2.json", ["G !p1"])
     assert main(["solve", "--models", str(model), "--mission", invariant_as_task,
                  "--out", str(tmp_path / "s.json")]) == 1
@@ -105,10 +109,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
                  "--out", str(model)]) == 0
     good = model.read_text()
-    (far_successor, far_initial, short_sum, float_successor, text_cost, text_states,
+    (far_successor, huge_successor, far_initial, short_sum, float_successor, text_cost, text_states,
      int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome) = (
-        json.loads(good) for _ in range(12))
+        json.loads(good) for _ in range(13))
     far_successor["trans"][0]["outcomes"][0]["to"] = 99
+    huge_successor["trans"][0]["outcomes"][0]["to"] = 10**12  # beyond int32
     far_initial["initial"] = 50
     short_sum["trans"][0]["outcomes"][0]["p"] = 0.3
     float_successor["trans"][0]["outcomes"][0]["to"] = 1.5
@@ -121,9 +126,9 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     int_transition["trans"] = [5]
     int_outcome["trans"][0]["outcomes"] = [3]
     top_array = [json.loads(good)]
-    for k, data in enumerate([far_successor, far_initial, short_sum, float_successor, text_cost, text_states,
-                              int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome,
-                              top_array]):
+    for k, data in enumerate([far_successor, huge_successor, far_initial, short_sum, float_successor, text_cost,
+                              text_states, int_trans, int_outcomes, list_labels, int_actions, int_transition,
+                              int_outcome, top_array]):
         broken = tmp_path / f"model{k}.json"
         broken.write_text(json.dumps(data))
         for cmd in (["solve", "--out", str(tmp_path / "s.json")],

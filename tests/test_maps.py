@@ -96,6 +96,9 @@ def test_rejects_bad_placement():
         gen_map(MapSpec(nodes=3, tasks=3, failpoints=0))
     with pytest.raises(MapError, match="not enough nodes"):
         gen_map(MapSpec(nodes=5, tasks=2, failpoints=2, hazards=1))
+    for field in ("failpoints", "tasks", "hazards"):
+        with pytest.raises(MapError, match=f"{field} must not be negative"):
+            gen_map(MapSpec(nodes=30, **{"tasks": 1, "failpoints": 1, field: -2}))
 
 
 def test_hazard_atoms_and_mission():

@@ -1,6 +1,10 @@
 """Synchronized joint chains, reallocation points, and the anytime guarantee."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +353,33 @@ def test_grafted_chains_share_no_nodes():
         assert len(nodes) == len(set(nodes)), i
         steps = [id(nd.steps) for chain in jp.chains for nd in chain.nodes]
         assert len(steps) == len(set(steps)), i
+
+
+PLAN_PATH_PROBE = """
+import sys
+
+import numpy as np
+
+from instances import guarded_tree_instance
+from teamplan.baseline import build_mamdp, solve_mamdp
+from teamplan.realloc import run_stapu_with_realloc
+from teamplan.simulate import simulate
+
+model, miss = guarded_tree_instance(np.random.default_rng(5))
+jp, report = run_stapu_with_realloc([model, model], miss)
+assert report.solves > 1, report.solves
+simulate(jp, runs=2000, seed=1)
+solve_mamdp(build_mamdp([model, model], miss))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_plan_path_never_imports_numpy_ma():
+    # np.unique imports numpy.ma on its first call, which adds 1.5-1.9 MB
+    # of peak RSS to the benchmark's plan, rollout and joint solve
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", PLAN_PATH_PROBE], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

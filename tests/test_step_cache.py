@@ -117,14 +117,14 @@ def test_models_and_plans_equal_uncached_builds(monkeypatch):
         products = local_products([model, model], mission)
         mm = build_mamdp([model, model], mission)
         policy = untimed_plan([model, model], mission)
-        cached.append((products[0].states, products[0].rows, mm.states, mm.mdp.choices, mm.mdp.actions, policy))
+        cached.append((products[0].states, products[0].mdp.choices, mm.states, mm.mdp.choices, mm.mdp.actions, policy))
 
     monkeypatch.setattr(Automata, "advance", uncached_advance)
     for k, ((model, mission), found) in enumerate(zip(cases, cached)):
         products = local_products([model, model], mission)
         keys, rows, names = reference_mamdp([model, model], compile_mission(mission))
         policy = untimed_plan([model, model], mission)
-        assert found == (products[0].states, products[0].rows, keys, rows, names, policy), k
+        assert found == (products[0].states, products[0].mdp.choices, keys, rows, names, policy), k
 
 
 

@@ -280,6 +280,14 @@ def reference_team(products, entries, start_robot, start_q, failed):
     return states, rows, accepting, violating
 
 
+def csr_prefix(arrays, size):
+    """The CSR arrays of states 0..size-1, as lists."""
+    row_start, actions, out_start, targets, probs = arrays
+    k = row_start[size]
+    o = out_start[k]
+    return [a.tolist() for a in (row_start[:size + 1], actions[:k], out_start[:k + 1], targets[:o], probs[:o])]
+
+
 def test_team_extends_products_without_changing_them():
     rng = np.random.default_rng(20261019)
     extended = enumerated = 0
@@ -287,8 +295,8 @@ def test_team_extends_products_without_changing_them():
         models, miss = mixed_team_instance(rng)
         shared = compile_mission(miss)
         products = [local_product(m, miss, automata=shared) for m in models]
-        before = [(pm.num_states, list(pm.states), [tuple(r) for r in pm.rows], pm.accepting, pm.violating)
-                  for pm in products]
+        before = [(pm.num_states, list(pm.states), csr_prefix(pm.arrays(), pm.num_states), pm.accepting,
+                   pm.violating) for pm in products]
         # a replan: robots mid-map, another start robot (failed on half
         # of them) and a mid-mission automaton vector
         start = int(rng.integers(0, len(models)))
@@ -315,11 +323,12 @@ def test_team_extends_products_without_changing_them():
                 best = enumerate_best(team.mdp, team.accepting, team.violating)
                 assert solve_stapu(team).value == pytest.approx(best[0], abs=1e-9), f"instance {n}"
                 enumerated += 1
-        for pm, (size, keys, prefix_rows, acc, vio) in zip(products, before):
+        for pm, (size, keys, prefix, acc, vio) in zip(products, before):
             assert pm.num_states == pm.mdp.num_states == size == len(keys)
             assert pm.states[:size] == keys
-            assert [tuple(r) for r in pm.rows[:size]] == prefix_rows
-            assert [tuple(r) for r in pm.mdp.choices] == prefix_rows
+            assert len(pm.arrays().row_start) == len(pm.states) + 1
+            assert csr_prefix(pm.arrays(), size) == prefix
+            assert csr_prefix(pm.mdp.arrays, size) == prefix
             assert (pm.accepting, pm.violating) == (acc, vio)
             extended += len(pm.states) > size
     assert extended >= 50 and enumerated >= 40, (extended, enumerated)
