@@ -178,11 +178,14 @@ def _grid(config, key):
 def bench_sweep(config):
     """Run every grid cell; failed cells are logged and skipped."""
     grids = [_grid(config, k) for k in ("robots", "tasks", "failpoints", "seeds")]
+    reps = config.get("reps", 3)
+    if not isinstance(reps, int) or reps < 1:
+        raise ValueError(f"sweep config 'reps' must be a positive integer, not {reps!r}")
     kwargs = {
         "nodes": config.get("nodes", 30),
         "pfail": config.get("pfail", 0.1),
         "hazards": config.get("hazards", 0),
-        "reps": config.get("reps", 3),
+        "reps": reps,
         "ceiling": config.get("ceiling", DEFAULT_CEILING),
         "max_realloc": config.get("max_realloc"),
         "epsilon": config.get("epsilon", 1e-6),

@@ -45,6 +45,14 @@ def _finite(positive):
     return parse
 
 
+def _count(text):
+    """Argument type of a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _load_inputs(args):
     """Models in command-line order, each distinct path loaded once."""
     loaded = {path: load_model(path) for path in dict.fromkeys(args.models)}
@@ -151,7 +159,7 @@ def build_parser():
     p = sub.add_parser("realloc", help="plan with failure-driven reallocation")
     p.add_argument("--models", required=True, nargs="+")
     p.add_argument("--mission", required=True)
-    p.add_argument("--max-realloc", type=int, default=None)
+    p.add_argument("--max-realloc", type=_count, default=None)
     p.add_argument("--time-limit", type=_finite(positive=False), default=None,
                    help="address no further failure once this many seconds have passed")
     p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)

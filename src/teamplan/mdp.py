@@ -4,8 +4,8 @@ The local products, the team model and the joint baseline number their
 states with `Explorer`, the one reachable-state explorer, and build one
 row format: per state, numpy `(actions, outcome counts, targets,
 probabilities)`, which `_stack` stacks into the CSR `Arrays` of an `Mdp`.
-Rows of `Choice` records exist only for source models (model files,
-`maps.gen_map`) and as the derived `Mdp.choices` view.
+`Choice` rows exist only for source models (model files,
+`maps.gen_map`) and as the `Mdp.choices` view, which no solver reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -25,10 +25,10 @@ Two solvers compute maximal reach probabilities, one per model class:
   `reduceat` over outcomes) and the Jacobi sweeps run in numpy over the
   model's arrays.
 
-Both read their policy off the values with one rule (`_reach_policy`;
-`max_reach` on the first read of `ReachResult.policy`); with one live
-outcome per choice it runs over the live-edge index
-(`_max_product_policy`).
+Both read their policy off the values with `_layered_policy`, over a
+backward edge index with a usable flag per edge and pass: every outcome
+for `max_reach` (on the first read of `ReachResult.policy`), the live
+edges for `max_product_reach` and the block solve.
 """
 
 import json
@@ -345,81 +345,103 @@ def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
     return target, avoid
 
 
-def _predecessors(mdp: Mdp):
-    pre: list[set[int]] = [set() for _ in range(mdp.num_states)]
-    for s in range(mdp.num_states):
-        for c in mdp.choices[s]:
-            for t, _ in c.outcomes:
-                pre[t].add(s)
-    return pre
+def _layered_policy(index, certificate, optimal, target, sure, positive, policy, boundary=()):
+    """The policy rule of every reachability solver, over a backward edge
+    index `(offsets, tails, actions)` of numpy columns: the edges into
+    state t are k in range(offsets[t], offsets[t + 1]), from tails[k] by
+    actions[k]. `certificate` and `optimal` flag edges, `target` lists
+    states, and `sure` and `positive` are state masks.
 
+    A first pass gives the almost-sure states certificate actions, layer
+    by layer back from the targets: a state joins the layer after the
+    first one a flagged edge of it reaches, with the lowest action among
+    those edges. A second gives the rest of the positive region
+    value-optimal actions so, back from the targets and `sure`; a plain
+    argmax can pick a choice that keeps the value forever without
+    reaching anything. Each pass must assign all its states.
 
-def _progress_policy(pre, base, usable: dict[int, list[Choice]], policy: dict[int, int]):
-    """Assign every state of `usable` one of its usable choices, layer by layer
-    backwards from `base` over the predecessor index `pre`.
-
-    A state joins the layer after the first one its usable choices reach,
-    and takes the lowest action index among the usable choices reaching it.
-    So among value-optimal choices the one with a successor strictly closer
-    to the target wins; a plain argmax can pick a choice that preserves the
-    value forever without reaching anything.
+    `boundary` lists (state, layer per pass or None) for states whose
+    layers come from a part of the model solved before; they join each
+    pass at their layer (a bucket queue, Dial, CACM 1969). Returns per
+    pass the layers of its base and of the states it assigned.
     """
-    assigned = set(base)
-    frontier = assigned
-    while frontier:
-        layer = []
-        for s in {s for t in frontier for s in pre[t] if s in usable and s not in assigned}:
-            best = None
-            for c in usable[s]:
-                if (best is None or c.action < best) and any(t in assigned for t, _ in c.outcomes):
-                    best = c.action
-            if best is not None:
-                layer.append((s, best))
-        frontier = []
-        for s, action in layer:
-            policy[s] = action
-            assigned.add(s)
-            frontier.append(s)
-    missing = sorted(s for s in usable if s not in assigned)
-    if missing:
-        raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
+    sure_states, positive_states = np.flatnonzero(sure).tolist(), np.flatnonzero(positive).tolist()
+    passes = ((certificate & sure[index[1]], target, sure_states),
+              (optimal & positive[index[1]], target + sure_states, positive_states))
+    offsets, tails, actions = (array(c.dtype.char, c.tobytes()) for c in index)
+    found = []
+    for usable, base, need in passes:
+        usable = usable.tobytes()
+        assigned = bytearray(len(offsets) - 1)
+        frontier = list(base)
+        joining = {}
+        for b, at in boundary:
+            layer = at[len(found)]
+            if layer == 0:
+                frontier.append(b)
+            elif layer is not None:
+                joining.setdefault(layer, []).append(b)
+        for s in frontier:
+            assigned[s] = 1
+        layers = dict.fromkeys(base, 0)
+        depth = 0
+        while frontier or joining:
+            best = {}
+            for t in frontier:
+                for k in range(offsets[t], offsets[t + 1]):
+                    s = tails[k]
+                    if usable[k] and not assigned[s]:
+                        a = best.get(s)
+                        if a is None or actions[k] < a:
+                            best[s] = actions[k]
+            depth += 1
+            frontier = joining.pop(depth, [])
+            for s in frontier:
+                assigned[s] = 1
+            for s, a in best.items():
+                policy[s] = a
+                assigned[s] = 1
+                frontier.append(s)
+                layers[s] = depth
+        missing = [s for s in need if not assigned[s]]
+        if missing:
+            raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
+        found.append(layers)
+    return found
 
 
-def _expected(outcomes, values):
-    """The expected value of `outcomes`, summed left to right."""
-    q = 0.0
-    for t, p in outcomes:
-        q += p * values[t]
-    return q
+def _first_actions(arrays):
+    """The first enabled action of every state with choices, by state."""
+    row_start, actions = arrays[:2]
+    states = np.flatnonzero(np.diff(row_start))
+    return dict(zip(states.tolist(), actions[row_start[states]].tolist()))
 
 
-def _reach_policy(mdp: Mdp, pre, values: list[float], target: set[int], sure: set[int]) -> dict[int, int]:
-    """The one policy rule of every reachability solver: certificate actions
-    on the almost-sure set `sure` (disjoint from `target`), progressing
-    value-optimal actions on the rest of the positive region, the first
-    enabled action everywhere else.
-
-    A certificate action stays inside the almost-sure set and makes
-    progress.
+def _reach_policy(mdp: Mdp, values, target, sure) -> dict[int, int]:
+    """`_layered_policy` over every outcome of `mdp.arrays`, given numpy
+    values and state masks. Certificate actions on the almost-sure states
+    `sure`, whose outcomes all lie in `sure` or `target`; value-optimal
+    ones, within PROB_ATOL of the state's best choice, on the rest of the
+    positive region; the first enabled action everywhere else.
     """
-    policy: dict[int, int] = {}
-    for s in sorted(target):
-        if mdp.choices[s]:
-            policy[s] = mdp.choices[s][0].action
-    inside = sure | target
-    certificate = {s: [c for c in mdp.choices[s] if all(t in inside for t, _ in c.outcomes)] for s in sure}
-    _progress_policy(pre, target, certificate, policy)
-    del inside, certificate  # freed before the value-optimal lists are built
-    optimal: dict[int, list[Choice]] = {}
-    for s in range(mdp.num_states):
-        if values[s] > 0.0 and s not in target and s not in sure:
-            qs = [_expected(c.outcomes, values) for c in mdp.choices[s]]
-            top = max(qs)
-            optimal[s] = [c for c, q in zip(mdp.choices[s], qs) if q >= top - PROB_ATOL]
-    _progress_policy(pre, target | sure, optimal, policy)
-    for s in range(mdp.num_states):
-        if s not in policy and mdp.choices[s]:
-            policy[s] = mdp.choices[s][0].action
+    row_start, actions, out_start, targets, probs = mdp.arrays
+    row_count, out_count = np.diff(row_start), np.diff(out_start)
+    choice_state = np.repeat(np.arange(mdp.num_states), row_count)
+    # each choice's terms added left to right, one outcome position at a
+    # time: np.add.reduceat sums three or more terms in another order
+    q = np.zeros(len(actions))
+    live, j = np.arange(len(actions)), 0
+    while len(live := live[out_count[live] > j]):
+        o = out_start[live] + j
+        q[live] += probs[o] * values[targets[o]]
+        j += 1
+    has = np.flatnonzero(row_count)
+    optimal = q >= np.repeat(np.maximum.reduceat(q, row_start[has]), row_count[has]) - PROB_ATOL
+    certificate = np.logical_and.reduceat((sure | target)[targets], out_start[:-1])
+    offsets, owner = _backward_index([targets, np.repeat(np.arange(len(actions)), out_count)], mdp.num_states)
+    policy = _first_actions(mdp.arrays)
+    _layered_policy((offsets, choice_state[owner], actions[owner]), certificate[owner], optimal[owner],
+                    np.flatnonzero(target).tolist(), sure, (values > 0.0) & ~target & ~sure, policy)
     return policy
 
 
@@ -474,10 +496,9 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
         else:
             raise DivergenceError(f"value iteration exceeded {max_iter} sweeps (last delta {delta})")
 
-    values, sure = x.tolist(), set(np.flatnonzero(one & ~in_target).tolist())
-    return ReachResult(values, iterations, frozenset(np.flatnonzero(one).tolist()),
+    return ReachResult(x.tolist(), iterations, frozenset(np.flatnonzero(one).tolist()),
                        frozenset(np.flatnonzero(zero).tolist()),
-                       lambda: _reach_policy(mdp, _predecessors(mdp), values, target, sure))
+                       lambda: _reach_policy(mdp, x, in_target, one & ~in_target))
 
 
 # classes of a state for the max-product solvers: a sink is absorbing and
@@ -507,19 +528,11 @@ def _live_edges(arrays, states, cls):
 
 
 def _backward_index(edges, n):
-    """The columns of `_live_edges` sorted by live outcome over states
-    0..n-1: (offsets, tails, probs, actions, alone), the edges into state
-    t being k in range(offsets[t], offsets[t + 1])."""
-    heads, tails, probs, actions, alone = edges
-    order = np.argsort(heads, kind="stable")
-    offsets = array("q", np.searchsorted(heads[order], np.arange(n + 1)).tobytes())
-    return (
-        offsets,
-        array("q", tails[order].astype(np.int64).tobytes()),
-        array("d", probs[order].astype(np.float64).tobytes()),
-        array("q", actions[order].astype(np.int64).tobytes()),
-        array("b", alone[order].astype(np.int8).tobytes()),
-    )
+    """Edge columns sorted by their first, the head, over states 0..n-1:
+    (offsets, *the other columns), the edges into state t being k in
+    range(offsets[t], offsets[t + 1])."""
+    order = np.argsort(edges[0], kind="stable")
+    return (np.searchsorted(edges[0][order], np.arange(n + 1)), *(c[order] for c in edges[1:]))
 
 
 def _label_setting(index, values, sources):
@@ -532,7 +545,7 @@ def _label_setting(index, values, sources):
     raises a label, also in floating point, so a state's value is final
     when it leaves the heap.
     """
-    offsets, tails, probs = index[:3]
+    offsets, tails, probs = (array(c.dtype.char, c.tobytes()) for c in index[:3])
     heap = [(-values[s], s) for s in sources]
     heapify(heap)
     settled = bytearray(len(values))
@@ -551,72 +564,20 @@ def _label_setting(index, values, sources):
 
 
 def _max_product_policy(index, values, states, target, policy, boundary=()):
-    """`_reach_policy`'s two passes over the live-edge index of a model with
-    one live outcome per choice. Assigns `policy` for `states`.
-
-    Each pass is `_progress_policy`: a state joins the layer after the
-    first one a usable choice reaches and takes the lowest action index
-    among those choices. First certificate actions on the almost-sure
-    states, layered from the targets: with one live outcome per choice, a
-    choice is one when its live outcome is its only one. Then
-    value-optimal actions on the rest of the positive region, layered from
-    the targets and the almost-sure states: a choice is one when p times
-    its live outcome's value is within PROB_ATOL of the state's value,
-    which is its best choice's.
-
-    `boundary` lists (state, (pass-1 layer, pass-2 layer)) for states
-    whose values and layers come from a part of the model solved before
-    (None where a pass did not reach them); they join each pass at their
-    layer (a bucket queue over unequal start layers, Dial, CACM 1969).
-    Returns the layers of `states` in both passes.
+    """`_layered_policy` over the live-edge index of a model with one live
+    outcome per choice, for the int array `states` and the target list: a
+    choice is a certificate when its live outcome is its only one, and
+    value-optimal when p times that outcome's value is within PROB_ATOL of
+    its state's, which is its best choice's.
     """
     offsets, tails, probs, actions, alone = index
-    n = len(values)
-    sure = [s for s in states if values[s] == 1.0 and s not in target]
-    found = []
-    for certify, base in ((True, [*target]), (False, [*target, *sure])):
-        eligible = bytearray(n)
-        for s in states:
-            if s not in target and (values[s] == 1.0 if certify else 0.0 < values[s] < 1.0):
-                eligible[s] = 1
-        assigned = bytearray(n)
-        frontier = list(base)
-        joining = {}
-        for b, at in boundary:
-            layer = at[len(found)]
-            if layer == 0:
-                frontier.append(b)
-            elif layer is not None:
-                joining.setdefault(layer, []).append(b)
-        for s in frontier:
-            assigned[s] = 1
-        layers = dict.fromkeys(base, 0)
-        depth = 0
-        while frontier or joining:
-            best = {}
-            for t in frontier:
-                v = values[t]
-                for k in range(offsets[t], offsets[t + 1]):
-                    s = tails[k]
-                    if (eligible[s] and not assigned[s]
-                            and (alone[k] if certify else probs[k] * v >= values[s] - PROB_ATOL)):
-                        a = best.get(s)
-                        if a is None or actions[k] < a:
-                            best[s] = actions[k]
-            depth += 1
-            frontier = joining.pop(depth, [])
-            for s in frontier:
-                assigned[s] = 1
-            for s, a in best.items():
-                policy[s] = a
-                assigned[s] = 1
-                frontier.append(s)
-                layers[s] = depth
-        if len(layers) < len(base) + sum(eligible):
-            missing = [s for s in states if eligible[s] and not assigned[s]]
-            raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
-        found.append(layers)
-    return found
+    v = np.array(values)
+    heads = np.repeat(np.arange(len(v)), np.diff(offsets))
+    region = np.zeros(len(v), bool)
+    region[states] = True
+    region[target] = False
+    return _layered_policy((offsets, tails, actions), alone, probs * v[heads] >= v[tails] - PROB_ATOL, target,
+                           region & (v == 1.0), region & (v > 0.0) & (v < 1.0), policy, boundary)
 
 
 def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
@@ -644,11 +605,8 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
         values[s] = 1.0
     _label_setting(index, values, target)
 
-    policy = {s: mdp.choices[s][0].action for s in sorted(target) if mdp.choices[s]}
-    _max_product_policy(index, values, range(n), target, policy)
-    for s in range(n):
-        if s not in policy and mdp.choices[s]:
-            policy[s] = mdp.choices[s][0].action
+    policy = _first_actions(mdp.arrays)
+    _max_product_policy(index, values, np.arange(n), sorted(target), policy)
     # a product of probabilities is 1.0 only over probability-1 steps
     almost_sure = frozenset(s for s in range(n) if values[s] == 1.0)
     zero = frozenset(s for s in range(n) if values[s] == 0.0)

@@ -15,9 +15,9 @@ themselves, last robot first. A block's switch states take the next
 block's values at the switch targets as boundary values of one
 label-setting pass (`mdp._label_setting`), exact for deterministic-or-fail
 robots, where every action reaches one live successor and otherwise a dead
-end; the policy's layered tie-break carries across the switches the same
-way. So the solve reads the products' stacked arrays and never renumbers
-a product row.
+end; the policy passes, which `max_reach` shares, carry their layered
+tie-break across the switches the same way. So the solve reads the
+products' stacked arrays and never renumbers a product row.
 
 `TeamMdp` builds the team model as one explicit `Mdp`, from rows in the
 products' row format, only when something reads it (`mdp`, `states`): the
@@ -286,15 +286,14 @@ def _blocks(team):
         if nxt != team.start_robot:
             explore, entry = products[nxt].explore, team.entries[nxt]
             fail = pm.source.failure_state
-            enabled = {}  # the rule reads the map state only to compare it with `fail`
+            targets = {}  # by (at `fail`, vector), or None: the rule reads the map state only for that
             for i in reach:
                 s, q = pm.states[i]
                 key = (s == fail, q)
-                ok = enabled.get(key)
-                if ok is None:
-                    ok = enabled[key] = team._switch_enabled(robot, s, q)
-                if ok:
-                    switch[i] = explore((entry, q))
+                if key not in targets:
+                    targets[key] = explore((entry, q)) if team._switch_enabled(robot, s, q) else None
+                if targets[key] is not None:
+                    switch[i] = targets[key]
             roots = list(dict.fromkeys(switch.values()))
         blocks.append((robot, reach, switch))
     return blocks
@@ -366,7 +365,7 @@ def solve_blocks(team):
         _label_setting(index, vals, targets + list(boundary.values()))
         values[robot] = vals
         joins = [(b, (after[1].get(j), after[2].get(j))) for j, b in boundary.items()]
-        after = (vals, *_max_product_policy(index, vals, reach, set(targets), policy[robot], joins))
+        after = (vals, *_max_product_policy(index, vals, states, targets, policy[robot], joins))
     return values, policy
 
 

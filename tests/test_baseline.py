@@ -6,11 +6,12 @@ import pytest
 from teamplan import mdp as mdp_module
 from teamplan.baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, _predecessors, max_reach
+from teamplan.mdp import Choice, Mdp, max_reach
 from teamplan.product import compile_mission, local_product
 from teamplan.realloc import run_stapu_with_realloc
 
 from instances import graph_model, guarded_tree_instance, random_team_instance
+from test_mdp_oracle import reference_policy
 
 
 def mission(*tasks, safety=None):
@@ -50,8 +51,9 @@ def test_policy_is_read_off_on_first_access(monkeypatch):
     assert calls == []
     sure = set(again.almost_sure - mm.accepting)
     assert len(again.zero) + len(again.almost_sure) < mm.num_states  # a quantitative region
-    expected = rule(mm.mdp, _predecessors(mm.mdp), again.values, set(mm.accepting), sure)
-    assert again.policy == expected
+    policy = again.policy
+    assert "choices" not in vars(mm.mdp)  # read over the arrays
+    assert policy == reference_policy(mm.mdp, again.values, set(mm.accepting), sure)
     assert again.policy is again.policy
     assert len(calls) == 1
 

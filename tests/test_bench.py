@@ -87,11 +87,17 @@ def test_failed_cell_is_logged_and_skipped(caplog):
     assert "failed" in caplog.text
 
 
-def test_config_grids_are_validated():
+def test_config_grids_are_validated(tmp_path, capsys):
     with pytest.raises(ValueError, match="seeds"):
         bench_sweep({"robots": [2], "tasks": [1], "failpoints": [1]})
     with pytest.raises(ValueError, match="tasks"):
         bench_sweep({"robots": [2], "tasks": [], "failpoints": [1], "seeds": [0]})
+    config, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    for reps in (0, -2, 1.5):  # each cell would fail on an empty median
+        config.write_text(json.dumps(dict(BASE, reps=reps)))
+        assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, reps
+        assert "'reps' must be a positive integer" in capsys.readouterr().err, reps
+    assert not out.exists()
     single = dict(BASE, robots=2, tasks=[1], seeds=[0])
     assert len(bench_sweep(single)) == 1
 

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, _predecessors, _reach_policy, max_product_reach
+from teamplan.mdp import Choice, Mdp, max_product_reach
 from teamplan.product import compile_mission, local_product, local_products
 from teamplan.realloc import run_stapu_with_realloc
 from teamplan.team import TeamMdp, _walk_success_path, build_team, keyed_policy, solve_blocks, solve_stapu
 
 from instances import guarded_tree_instance, random_team_instance
 from test_max_product import SEED, team_models
+from test_mdp_oracle import reference_policy
 from test_team import mixed_team_instance
 
 
@@ -51,9 +52,9 @@ def assert_matches_oracle(team, label):
     assert sol.value == oracle.values[0], label
     expected = _walk_success_path(team, keyed_policy(team, oracle.policy))
     assert (sol.allocation, sol.unallocated, sol.segments, sol.switches, sol.programs) == expected, label
-    # the oracle's edge-based policy passes are `_reach_policy`'s rule
+    assert "choices" not in vars(team.mdp)  # the oracle's policy passes run over the arrays
     sure = {k for k in range(team.num_states) if oracle.values[k] == 1.0} - team.accepting
-    rule = _reach_policy(team.mdp, _predecessors(team.mdp), oracle.values, set(team.accepting), sure)
+    rule = reference_policy(team.mdp, oracle.values, set(team.accepting), sure)
     assert oracle.policy == rule, label
 
 

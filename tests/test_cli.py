@@ -182,9 +182,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "malformed policy" in err and reason in err, (k, err)
 
-    # a negative or non-finite time limit or tolerance, and a zero tolerance
+    # a negative or non-finite time limit or tolerance, a zero tolerance and
+    # a negative replan budget
     for cmd, flag, value in [("realloc", "--time-limit", v) for v in ("-1", "nan", "inf")] + [
-            (cmd, "--epsilon", v) for cmd in ("solve", "realloc", "baseline") for v in ("-1e-6", "nan", "inf", "0")]:
+            (cmd, "--epsilon", v) for cmd in ("solve", "realloc", "baseline") for v in ("-1e-6", "nan", "inf", "0")
+    ] + [("realloc", "--max-realloc", "-1")]:
         out = [] if cmd == "baseline" else ["--out", str(tmp_path / "out.json")]
         assert main([cmd, "--models", str(model), "--mission", mission, flag, value, *out]) == 1, (cmd, flag, value)
         err = capsys.readouterr().err

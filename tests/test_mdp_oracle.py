@@ -10,7 +10,7 @@ import pytest
 
 from teamplan.baseline import build_mamdp
 from teamplan.maps import MapSpec, gen_map, map_mission
-from teamplan.mdp import Choice, Mdp, _predecessors, _reach_policy, max_reach, validate
+from teamplan.mdp import PROB_ATOL, Choice, Mdp, SolverError, max_product_reach, max_reach, validate
 from teamplan.product import local_product
 
 from exhaustive import enumerate_best, evaluate_policy
@@ -99,6 +99,15 @@ def test_rows_survive_the_array_round_trip(instances):
         assert m.transition_count() == from_arrays.transition_count() == count, i
 
 
+def predecessors(m):
+    pre = [set() for _ in range(m.num_states)]
+    for s in range(m.num_states):
+        for c in m.choices[s]:
+            for t, _ in c.outcomes:
+                pre[t].add(s)
+    return pre
+
+
 def reference_prob0(pre, num_states, target, avoid):
     """States from which no scheduler reaches the target with positive
     probability, by a backward search over the predecessor index."""
@@ -139,12 +148,60 @@ def expected(outcomes, values):
     return q
 
 
+def progress_policy(pre, base, usable, policy):
+    """Assign every state of `usable` one of its usable choices, layer by
+    layer backwards from `base`: a state joins the layer after the first
+    one its usable choices reach, and takes the lowest action among them."""
+    assigned = set(base)
+    frontier = assigned
+    while frontier:
+        layer = []
+        for s in {s for t in frontier for s in pre[t] if s in usable and s not in assigned}:
+            best = None
+            for c in usable[s]:
+                if (best is None or c.action < best) and any(t in assigned for t, _ in c.outcomes):
+                    best = c.action
+            if best is not None:
+                layer.append((s, best))
+        frontier = []
+        for s, action in layer:
+            policy[s] = action
+            assigned.add(s)
+            frontier.append(s)
+    missing = sorted(s for s in usable if s not in assigned)
+    if missing:
+        raise SolverError("no progressing optimal action for states " + str(missing[:5]))
+
+
+def reference_policy(m, values, target, sure):
+    """The solvers' policy rule over the rows `m.choices`: certificate
+    actions (all outcomes in sure or target) on the almost-sure set `sure`,
+    progressing value-optimal actions on the rest of the positive region,
+    the first enabled action everywhere else."""
+    pre = predecessors(m)
+    policy = {s: m.choices[s][0].action for s in sorted(target) if m.choices[s]}
+    inside = sure | target
+    certificate = {s: [c for c in m.choices[s] if all(t in inside for t, _ in c.outcomes)] for s in sure}
+    progress_policy(pre, target, certificate, policy)
+    optimal = {}
+    for s in range(m.num_states):
+        if values[s] > 0.0 and s not in target and s not in sure:
+            qs = [expected(c.outcomes, values) for c in m.choices[s]]
+            top = max(qs)
+            optimal[s] = [c for c, q in zip(m.choices[s], qs) if q >= top - PROB_ATOL]
+    progress_policy(pre, target | sure, optimal, policy)
+    for s in range(m.num_states):
+        if s not in policy and m.choices[s]:
+            policy[s] = m.choices[s][0].action
+    return policy
+
+
 def reference_solve(m, target, avoid, epsilon, jacobi):
     """Regions, values and sweep count of value iteration in pure Python,
     each choice's terms added left to right. A Jacobi sweep reads the
     values of the sweep before; a Gauss-Seidel sweep reads each update as
     soon as it is made."""
-    pre = _predecessors(m)
+    pre = predecessors(m)
     zero = reference_prob0(pre, m.num_states, target, avoid)
     sure = reference_prob1(m, pre, target, avoid) - zero - target
     values = [1.0 if s in sure or s in target else 0.0 for s in range(m.num_states)]
@@ -168,17 +225,30 @@ def test_array_solve_equals_python_references(instances):
     model, mission = gen_map(spec), map_mission(spec)
     mm = build_mamdp([model, model], mission)
     assert mission.safety is not None and mm.violating
-    cases = [*instances, (mm.mdp, set(mm.accepting), set(mm.violating))]
-    sweeps = 0
+    # ten outcomes, the target repeated: left to right the terms add up to
+    # 0.826, just short of "b"'s value less PROB_ATOL, where another order
+    # of the same terms gives 0.8260000000000001 and makes "a" optimal too
+    spread = ((1, 0.174), (1, 0.174), (1, 0.12), (2, 0.065), (2, 0.022), (2, 0.087), (1, 0.098), (1, 0.022),
+              (1, 0.022), (1, 0.216))
+    wide = Mdp(3, 0, ("a", "b"), [[Choice(0, spread, None), Choice(1, ((1, 0.826000001), (2, 0.173999999)), None)],
+                                  [], []])
+    assert validate(wide) == []
+    cases = [*instances, (mm.mdp, set(mm.accepting), set(mm.violating)), (wide, {1}, set())]
+    sweeps = products = 0
     for i, (m, target, avoid) in enumerate(cases):
         for epsilon in (1e-6, 1e-12):
             res = max_reach(m, target, avoid, epsilon=epsilon)
             zero, sure, values, iterations = reference_solve(m, target, avoid, epsilon, jacobi=True)
             assert (res.zero, res.almost_sure, res.iterations) == (zero, sure | target, iterations), (i, epsilon)
             assert max(abs(a - b) for a, b in zip(res.values, values)) <= 1e-15, (i, epsilon)
-            assert res.policy == _reach_policy(m, _predecessors(m), values, target, sure), (i, epsilon)
+            assert res.policy == reference_policy(m, values, target, sure), (i, epsilon)
             sweeps += res.iterations
+        exact = max_product_reach(m, target, avoid)
+        if exact is not None:
+            sure = {s for s in range(m.num_states) if exact.values[s] == 1.0} - target
+            assert exact.policy == reference_policy(m, exact.values, target, sure), i
+            products += 1
         # res is the solve at epsilon 1e-12
         gauss_seidel = reference_solve(m, target, avoid, 1e-12, jacobi=False)[2]
         assert max(abs(a - b) for a, b in zip(res.values, gauss_seidel)) <= 1e-9, i
-    assert sweeps > 2 * len(cases)
+    assert sweeps > 2 * len(cases) and products >= 10, (sweeps, products)
