@@ -21,13 +21,10 @@ from .ltl import (
     atoms_of,
     classify,
     format_formula,
-    is_bad_prefix,
-    is_good_prefix,
     is_syntactically_cosafe,
     is_syntactically_safe,
     load_mission,
     mission_from_dict,
-    mission_to_dict,
     parse_formula,
 )
 from .dfa import CompileError, Dfa, canonical, compile_cosafe, compile_formula, compile_safe, minimize, progress

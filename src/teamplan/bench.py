@@ -164,7 +164,7 @@ def _solve_joint(models, mission, ceiling, shared, epsilon):
     return mm, value
 
 
-def _grid(config, key):
+def _grid(config, key, least):
     v = config.get(key)
     if v is None:
         raise ValueError(f"sweep config needs a {key!r} list")
@@ -172,12 +172,14 @@ def _grid(config, key):
         v = [v]
     if not isinstance(v, list) or not v or not all(isinstance(x, int) for x in v):
         raise ValueError(f"sweep config {key!r} must be a nonempty list of integers")
+    if min(v) < least:
+        raise ValueError(f"sweep config {key!r} values must be at least {least}, not {min(v)}")
     return v
 
 
 def bench_sweep(config):
     """Run every grid cell; failed cells are logged and skipped."""
-    grids = [_grid(config, k) for k in ("robots", "tasks", "failpoints", "seeds")]
+    grids = [_grid(config, k, least) for k, least in (("robots", 1), ("tasks", 1), ("failpoints", 0), ("seeds", 0))]
     reps = config.get("reps", 3)
     if not isinstance(reps, int) or reps < 1:
         raise ValueError(f"sweep config 'reps' must be a positive integer, not {reps!r}")

@@ -169,7 +169,7 @@ def build_parser():
     p = sub.add_parser("baseline", help="solve the joint multi-agent model")
     p.add_argument("--models", required=True, nargs="+")
     p.add_argument("--mission", required=True)
-    p.add_argument("--ceiling", type=int, default=10_000_000)
+    p.add_argument("--ceiling", type=_count, default=10_000_000)
     p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
     p.set_defaults(fn=cmd_baseline)
 

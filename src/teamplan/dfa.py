@@ -5,7 +5,8 @@ the labels consumed so far. Progressing `true`/`false` loops, so both
 fragments yield a total deterministic automaton over the powerset of the
 formula's own atoms. Reachability formulas accept exactly in the `true`
 residual; invariant formulas reject exactly in the `false` residual (the
-trap), every other state being accepting.
+trap), every other state being accepting. `minimize` merges the states
+that accept the same language by Moore's partition refinement.
 """
 
 import json
@@ -190,6 +191,11 @@ def progress(f: Formula, label: frozenset[str]) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def _powerset(atoms) -> list[frozenset[str]]:
+    """Every subset of `atoms`, by size and then in combination order."""
+    return [frozenset(c) for r in range(len(atoms) + 1) for c in combinations(atoms, r)]
+
+
 class Dfa:
     """Total deterministic automaton over subsets of its relevant atoms."""
 
@@ -202,24 +208,11 @@ class Dfa:
 
     def labels(self) -> list[frozenset[str]]:
         """Powerset of the relevant atoms, in a fixed deterministic order."""
-        out = []
-        for r in range(len(self.atoms) + 1):
-            for combo in combinations(self.atoms, r):
-                out.append(frozenset(combo))
-        return out
+        return _powerset(self.atoms)
 
     def advance(self, q: int, label) -> int:
         """Step on an arbitrary label set; irrelevant atoms are projected away."""
         return self.delta[(q, frozenset(label) & frozenset(self.atoms))]
-
-    def run(self, trace) -> int:
-        q = self.initial
-        for step in trace:
-            q = self.advance(q, step)
-        return q
-
-    def accepts(self, trace) -> bool:
-        return self.run(trace) in self.accepting
 
     def to_dict(self) -> dict:
         trans = []
@@ -233,42 +226,16 @@ class Dfa:
             "trans": trans,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Dfa":
-        states = data["states"]
-        delta = {}
-        for t in data["trans"]:
-            delta[(t["from"], frozenset(t["label"]))] = t["to"]
-        dfa = cls(
-            num_states=len(states),
-            initial=data["initial"],
-            accepting=frozenset(data["accepting"]),
-            atoms=tuple(data["atoms"]),
-            delta=delta,
-        )
-        missing = [(q, sorted(l)) for q in range(dfa.num_states) for l in dfa.labels() if (q, l) not in dfa.delta]
-        if missing:
-            raise ValueError(f"automaton is not total, missing transitions: {missing[:3]}")
-        return dfa
-
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path) -> "Dfa":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def _explore(f: Formula, max_states: int):
     f0 = canonical(f)
     atoms = tuple(sorted(atoms_of(f0)))
-    labels = []
-    for r in range(len(atoms) + 1):
-        for combo in combinations(atoms, r):
-            labels.append(frozenset(combo))
+    labels = _powerset(atoms)
     index = {f0: 0}
     order = [f0]
     delta = {}
@@ -322,64 +289,34 @@ def compile_formula(f: Formula, max_states: int = 50_000) -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft minimization; drops unreachable states first."""
-    labels = dfa.labels()
+    """Moore's partition refinement over the states reachable from the initial one.
 
-    reachable = {dfa.initial}
-    stack = [dfa.initial]
+    A state's signature is its block and its successors' blocks, label by
+    label; states with equal signatures share the next round's block.
+    Refinement stops once the number of blocks stops growing. Blocks are
+    numbered by their least state.
+    """
+    labels = dfa.labels()
+    succ, stack = {}, [dfa.initial]
     while stack:
         q = stack.pop()
-        for label in labels:
-            q2 = dfa.delta[(q, label)]
-            if q2 not in reachable:
-                reachable.add(q2)
-                stack.append(q2)
-
-    acc = frozenset(q for q in reachable if q in dfa.accepting)
-    rej = frozenset(reachable - acc)
-    partition = {b for b in (acc, rej) if b}
-
-    # inverse transition maps, one per label
-    pre: dict[frozenset[str], dict[int, set[int]]] = {label: {} for label in labels}
-    for q in reachable:
-        for label in labels:
-            pre[label].setdefault(dfa.delta[(q, label)], set()).add(q)
-
-    # seed the worklist with the smaller side; keeps refinement near n log n
-    work = {min((acc, rej), key=len)} if acc and rej else set(partition)
-    work = set(work)
-    while work:
-        splitter = work.pop()
-        for label in labels:
-            movers = set()
-            for q in splitter:
-                movers |= pre[label].get(q, set())
-            if not movers:
-                continue
-            for block in list(partition):
-                inside = block & movers
-                if not inside or inside == block:
-                    continue
-                outside = block - movers
-                partition.remove(block)
-                partition.add(frozenset(inside))
-                partition.add(frozenset(outside))
-                if block in work:
-                    work.remove(block)
-                    work.add(frozenset(inside))
-                    work.add(frozenset(outside))
-                else:
-                    work.add(min((frozenset(inside), frozenset(outside)), key=len))
-
-    blocks = sorted(partition, key=min)
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for q in b:
-            block_of[q] = i
-    delta = {}
-    for i, b in enumerate(blocks):
-        rep = min(b)
-        for label in labels:
-            delta[(i, label)] = block_of[dfa.delta[(rep, label)]]
-    accepting = frozenset(i for i, b in enumerate(blocks) if min(b) in dfa.accepting)
-    return Dfa(len(blocks), block_of[dfa.initial], accepting, dfa.atoms, delta)
+        if q not in succ:
+            succ[q] = [dfa.delta[(q, label)] for label in labels]
+            stack.extend(succ[q])
+    states = sorted(succ)
+    block, count = {q: q in dfa.accepting for q in states}, 0
+    while True:
+        sig = {q: (block[q], *(block[r] for r in succ[q])) for q in states}
+        ids = {}
+        for q in states:
+            ids.setdefault(sig[q], len(ids))
+        block = {q: ids[sig[q]] for q in states}
+        if len(ids) == count:
+            break
+        count = len(ids)
+    least = {}
+    for q in states:
+        least.setdefault(block[q], q)
+    delta = {(b, label): block[r] for b, q in least.items() for label, r in zip(labels, succ[q])}
+    accepting = frozenset(block[q] for q in states if q in dfa.accepting)
+    return Dfa(count, block[dfa.initial], accepting, dfa.atoms, delta)

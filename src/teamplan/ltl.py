@@ -1,16 +1,17 @@
-"""Linear temporal logic over named atoms: parsing, syntactic fragments, finite-trace semantics.
+"""Linear temporal logic over named atoms: parsing, syntactic fragments, mission files.
 
 Formulas are in negation normal form by construction: negation is only
 allowed on atoms, so the node set has no general Not. Two fragments are
 supported, reachability-style formulas (no G) compiled for good-prefix
 acceptance and invariant-style formulas (no F/U) compiled for bad-prefix
-rejection. `is_good_prefix` / `is_bad_prefix` give the recursive
-finite-trace reference semantics used to cross-check the automata.
+rejection.
 """
 
+import json
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Formula:
@@ -83,66 +84,47 @@ class ParseError(ValueError):
 
 _TEMPORAL = {"X": Next, "F": Eventually, "G": Always}
 
+# one token per match: a whitespace run, an operator, a word, or any other
+# character (an error); operators match before words, so `Fp` is `F p`
+_TOKEN = re.compile(r"[ \t\r\n]+|[!&|()XFGU]|\w+|.")
+_KINDS = {"!": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN", "U": "UNTIL",
+          "X": "TEMPORAL", "F": "TEMPORAL", "G": "TEMPORAL", "true": "TRUE", "false": "FALSE"}
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
+# deepest nesting of temporal operators, parentheses and U the parser accepts;
+# the recursive passes over a formula stay far inside Python's stack at this depth
+MAX_NESTING = 100
 
-    def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                self.pos += 1
-                self.line += 1
-                self.col = 1
-                continue
-            if ch in " \t\r":
-                self.pos += 1
-                self.col += 1
-                continue
-            start_line, start_col = self.line, self.col
-            if ch in "!&|()":
-                kind = {"!": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN"}[ch]
-                self.tokens.append((kind, ch, start_line, start_col))
-                self.pos += 1
-                self.col += 1
-                continue
-            if ch in "XFGU":
-                kind = "UNTIL" if ch == "U" else "TEMPORAL"
-                self.tokens.append((kind, ch, start_line, start_col))
-                self.pos += 1
-                self.col += 1
-                continue
-            if ch.islower():
-                j = self.pos + 1
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[self.pos : j]
-                self.col += j - self.pos
-                self.pos = j
-                if word == "true":
-                    self.tokens.append(("TRUE", word, start_line, start_col))
-                elif word == "false":
-                    self.tokens.append(("FALSE", word, start_line, start_col))
-                else:
-                    self.tokens.append(("ATOM", word, start_line, start_col))
-                continue
-            raise ParseError(f"unknown operator or symbol {ch!r}", start_line, start_col)
-        self.tokens.append(("EOF", "", self.line, self.col))
+
+def _scan(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens as (kind, text, line, column), ending in an EOF token.
+
+    An atom starts with a lowercase letter and goes on over letters,
+    digits and underscores.
+    """
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        word, col = m.group(), m.start() - line_start + 1
+        if word[0] in " \t\r\n":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n") + 1
+            continue
+        kind = _KINDS.get(word) or ("ATOM" if word[0].islower() else None)
+        if kind is None:
+            raise ParseError(f"unknown operator or symbol {word[0]!r}", line, col)
+        tokens.append((kind, word, line, col))
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:
     """Recursive descent; precedence from tightest to loosest: unary, U, &, |."""
 
     def __init__(self, text: str):
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _scan(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -157,32 +139,41 @@ class _Parser:
         shown = value if kind != "EOF" else "end of input"
         raise ParseError(f"{message}, found {shown!r}" if kind != "EOF" else f"{message} at {shown}", line, col)
 
+    def nested(self, parse) -> Formula:
+        """Take the operator at hand and `parse` its operand one level deeper."""
+        if self.depth == MAX_NESTING:
+            _, _, line, col = self.peek()
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", line, col)
+        self.take()
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
     def parse(self) -> Formula:
         f = self.parse_or()
         if self.peek()[0] != "EOF":
             self.error("unexpected trailing input")
         return f
 
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.peek()[0] == "OR":
+    def chain(self, kind, parse, node) -> Formula:
+        """Operands of a flat `kind` chain, as one `node` when there are several."""
+        parts = [parse()]
+        while self.peek()[0] == kind:
             self.take()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+            parts.append(parse())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
+
+    def parse_or(self) -> Formula:
+        return self.chain("OR", self.parse_and, Or)
 
     def parse_and(self) -> Formula:
-        parts = [self.parse_until()]
-        while self.peek()[0] == "AND":
-            self.take()
-            parts.append(self.parse_until())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return self.chain("AND", self.parse_until, And)
 
     def parse_until(self) -> Formula:
         left = self.parse_unary()
         if self.peek()[0] == "UNTIL":
-            self.take()
-            right = self.parse_until()  # right associative
-            return Until(left, right)
+            return Until(left, self.nested(self.parse_until))  # right associative
         return left
 
     def parse_unary(self) -> Formula:
@@ -195,11 +186,9 @@ class _Parser:
             self.take()
             return NotAtom(v2)
         if kind == "TEMPORAL":
-            self.take()
-            return _TEMPORAL[value](self.parse_unary())
+            return _TEMPORAL[value](self.nested(self.parse_unary))
         if kind == "LPAREN":
-            self.take()
-            f = self.parse_or()
+            f = self.nested(self.parse_or)
             if self.peek()[0] != "RPAREN":
                 self.error("expected ')'")
             self.take()
@@ -207,12 +196,9 @@ class _Parser:
         if kind == "ATOM":
             self.take()
             return Atom(value)
-        if kind == "TRUE":
+        if kind in ("TRUE", "FALSE"):
             self.take()
-            return TRUE
-        if kind == "FALSE":
-            self.take()
-            return FALSE
+            return TRUE if kind == "TRUE" else FALSE
         self.error("expected a formula")
 
 
@@ -312,88 +298,6 @@ def _fmt(f: Formula, parent_prec: int) -> str:
 
 
 # ------------------------------------------------------------------
-# finite-trace reference semantics
-
-Trace = Sequence[Iterable[str]]
-
-
-def is_good_prefix(f: Formula, trace: Trace) -> bool:
-    """Strong finite-trace satisfaction for reachability-style formulas.
-
-    The witness must lie inside the trace: an atom past the end is false,
-    F and U must find their obligation at an observed position. A trace
-    that satisfies this can no longer fail the formula however it is
-    extended.
-    """
-    if not is_syntactically_cosafe(f):
-        raise ValueError("good-prefix semantics requires a formula without G")
-    steps = [frozenset(step) for step in trace]
-    return _strong(f, steps, 0)
-
-
-def _strong(f: Formula, w: list[frozenset[str]], i: int) -> bool:
-    if isinstance(f, TrueConst):
-        return True
-    if isinstance(f, FalseConst):
-        return False
-    if isinstance(f, Atom):
-        return i < len(w) and f.name in w[i]
-    if isinstance(f, NotAtom):
-        return i < len(w) and f.name not in w[i]
-    if isinstance(f, And):
-        return all(_strong(c, w, i) for c in f.children)
-    if isinstance(f, Or):
-        return any(_strong(c, w, i) for c in f.children)
-    if isinstance(f, Next):
-        return _strong(f.child, w, i + 1) if i < len(w) else _strong(f.child, w, i)
-    if isinstance(f, Eventually):
-        if i >= len(w):
-            return _strong(f.child, w, i)
-        return _strong(f.child, w, i) or _strong(f, w, i + 1)
-    if isinstance(f, Until):
-        if i >= len(w):
-            return _strong(f.right, w, i)
-        return _strong(f.right, w, i) or (_strong(f.left, w, i) and _strong(f, w, i + 1))
-    raise TypeError(f"not a reachability-fragment node: {f!r}")
-
-
-def is_bad_prefix(f: Formula, trace: Trace) -> bool:
-    """Weak finite-trace violation for invariant-style formulas.
-
-    Everything past the end of the trace is treated as optimistically
-    satisfiable, so the trace is a bad prefix exactly when the observed
-    steps already doom the formula on every extension.
-    """
-    if not is_syntactically_safe(f):
-        raise ValueError("bad-prefix semantics requires a formula without F or U")
-    steps = [frozenset(step) for step in trace]
-    return not _weak(f, steps, 0)
-
-
-def _weak(f: Formula, w: list[frozenset[str]], i: int) -> bool:
-    past_end = i >= len(w)
-    if isinstance(f, TrueConst):
-        return True
-    if isinstance(f, FalseConst):
-        return False
-    if isinstance(f, Atom):
-        return True if past_end else f.name in w[i]
-    if isinstance(f, NotAtom):
-        return True if past_end else f.name not in w[i]
-    if isinstance(f, And):
-        return all(_weak(c, w, i) for c in f.children)
-    if isinstance(f, Or):
-        return any(_weak(c, w, i) for c in f.children)
-    if isinstance(f, Next):
-        return _weak(f.child, w, i + 1) if not past_end else _weak(f.child, w, i)
-    if isinstance(f, Always):
-        if past_end:
-            return _weak(f.child, w, i)
-        return _weak(f.child, w, i) and _weak(f, w, i + 1)
-    raise TypeError(f"not an invariant-fragment node: {f!r}")
-
-
-# ------------------------------------------------------------------
 # missions
 
 @dataclass(frozen=True)
@@ -446,14 +350,6 @@ def mission_from_dict(data: dict) -> Mission:
 
 
 def load_mission(path) -> Mission:
-    import json
-
     with open(path) as fh:
         return mission_from_dict(json.load(fh))
 
-
-def mission_to_dict(mission: Mission) -> dict:
-    return {
-        "tasks": [format_formula(t) for t in mission.tasks],
-        "safety": None if mission.safety is None else format_formula(mission.safety),
-    }

@@ -15,6 +15,8 @@ per-component stepping and no second automaton representation is needed.
 robot's moves; the team model reads its rows and their stacked `arrays()`.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
@@ -110,9 +112,11 @@ class ProductMdp:
     successor interned once, in first-appearance order; rows carry no costs.
 
     `mdp`, `accepting`, `violating` and `num_states` describe the product
-    reachable from the robot's initial state. `explore((s, q))` extends
-    the product from another root, appending the states reachable from it
-    to `states` and `rows`; their first `num_states` entries never change.
+    reachable from the robot's initial state; the two sets are built on
+    first read, as the plan itself asks only `accepts` and `violates`.
+    `explore((s, q))` extends the product from another root, appending the
+    states reachable from it to `states` and `rows`; their first
+    `num_states` entries never change.
     """
 
     def __init__(self, source, mission, automata):
@@ -152,8 +156,6 @@ class ProductMdp:
         self._stacked = _stack(self.rows)
         n = self.num_states = len(self.states)
         self.mdp = Mdp(n, 0, source.actions, arrays=self._stacked)
-        self.accepting = frozenset(i for i in range(n) if self.accepts(i))
-        self.violating = frozenset(i for i in range(n) if self.violates(i))
 
     def arrays(self):
         """The `Arrays` of every state explored so far, stacked again
@@ -161,6 +163,14 @@ class ProductMdp:
         if len(self._stacked.row_start) <= len(self.rows):
             self._stacked = _stack(self.rows)
         return self._stacked
+
+    @cached_property
+    def accepting(self):
+        return frozenset(i for i in range(self.num_states) if self.accepts(i))
+
+    @cached_property
+    def violating(self):
+        return frozenset(i for i in range(self.num_states) if self.violates(i))
 
     def accepts(self, i):
         return self.automata.accepting(self.states[i][1])

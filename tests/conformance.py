@@ -1,4 +1,4 @@
-"""Shared machinery for checking automata against the finite-trace semantics.
+"""The finite-trace semantics, and shared machinery for checking automata against it.
 
 The enumerated family is deterministic: every reachability/invariant formula
 of depth 1 over two atoms, plus seeded deeper samples reaching depth 3 and a
@@ -16,17 +16,94 @@ from teamplan.ltl import (
     Atom,
     Always,
     Eventually,
+    FalseConst,
     Next,
     NotAtom,
     Or,
+    TrueConst,
     Until,
-    _strong,
-    _weak,
     atoms_of,
     format_formula,
     is_syntactically_cosafe,
     is_syntactically_safe,
 )
+
+
+def is_good_prefix(f, trace) -> bool:
+    """Strong finite-trace satisfaction for reachability-style formulas.
+
+    The witness must lie inside the trace: an atom past the end is false,
+    F and U must find their obligation at an observed position. A trace
+    that satisfies this can no longer fail the formula however it is
+    extended.
+    """
+    if not is_syntactically_cosafe(f):
+        raise ValueError("good-prefix semantics requires a formula without G")
+    steps = [frozenset(step) for step in trace]
+    return _strong(f, steps, 0)
+
+
+def _strong(f, w, i) -> bool:
+    if isinstance(f, TrueConst):
+        return True
+    if isinstance(f, FalseConst):
+        return False
+    if isinstance(f, Atom):
+        return i < len(w) and f.name in w[i]
+    if isinstance(f, NotAtom):
+        return i < len(w) and f.name not in w[i]
+    if isinstance(f, And):
+        return all(_strong(c, w, i) for c in f.children)
+    if isinstance(f, Or):
+        return any(_strong(c, w, i) for c in f.children)
+    if isinstance(f, Next):
+        return _strong(f.child, w, i + 1) if i < len(w) else _strong(f.child, w, i)
+    if isinstance(f, Eventually):
+        if i >= len(w):
+            return _strong(f.child, w, i)
+        return _strong(f.child, w, i) or _strong(f, w, i + 1)
+    if isinstance(f, Until):
+        if i >= len(w):
+            return _strong(f.right, w, i)
+        return _strong(f.right, w, i) or (_strong(f.left, w, i) and _strong(f, w, i + 1))
+    raise TypeError(f"not a reachability-fragment node: {f!r}")
+
+
+def is_bad_prefix(f, trace) -> bool:
+    """Weak finite-trace violation for invariant-style formulas.
+
+    Everything past the end of the trace is treated as optimistically
+    satisfiable, so the trace is a bad prefix exactly when the observed
+    steps already doom the formula on every extension.
+    """
+    if not is_syntactically_safe(f):
+        raise ValueError("bad-prefix semantics requires a formula without F or U")
+    steps = [frozenset(step) for step in trace]
+    return not _weak(f, steps, 0)
+
+
+def _weak(f, w, i) -> bool:
+    past_end = i >= len(w)
+    if isinstance(f, TrueConst):
+        return True
+    if isinstance(f, FalseConst):
+        return False
+    if isinstance(f, Atom):
+        return True if past_end else f.name in w[i]
+    if isinstance(f, NotAtom):
+        return True if past_end else f.name not in w[i]
+    if isinstance(f, And):
+        return all(_weak(c, w, i) for c in f.children)
+    if isinstance(f, Or):
+        return any(_weak(c, w, i) for c in f.children)
+    if isinstance(f, Next):
+        return _weak(f.child, w, i + 1) if not past_end else _weak(f.child, w, i)
+    if isinstance(f, Always):
+        if past_end:
+            return _weak(f.child, w, i)
+        return _weak(f.child, w, i) and _weak(f, w, i + 1)
+    raise TypeError(f"not an invariant-fragment node: {f!r}")
+
 
 COSAFE_UNARY = (Next, Eventually)
 SAFE_UNARY = (Next, Always)

@@ -9,7 +9,7 @@ import pytest
 
 from teamplan.bench import COLUMNS, bench_sweep, run_cell, write_csv
 from teamplan.cli import main
-from teamplan.ltl import mission_to_dict
+from teamplan.ltl import format_formula
 from teamplan.maps import MapSpec, gen_map, map_mission
 from teamplan.mdp import save_model
 from teamplan.product import local_product
@@ -97,6 +97,10 @@ def test_config_grids_are_validated(tmp_path, capsys):
         config.write_text(json.dumps(dict(BASE, reps=reps)))
         assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, reps
         assert "'reps' must be a positive integer" in capsys.readouterr().err, reps
+    for key, value in (("robots", 0), ("tasks", 0), ("failpoints", -1), ("seeds", -1)):
+        config.write_text(json.dumps(dict(BASE, **{key: [1, value]})))
+        assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, key
+        assert f"'{key}' values must be at least {0 if value < 0 else 1}" in capsys.readouterr().err, key
     assert not out.exists()
     single = dict(BASE, robots=2, tasks=[1], seeds=[0])
     assert len(bench_sweep(single)) == 1
@@ -134,6 +138,7 @@ def test_sizes_count_the_safety_automaton(tmp_path, capsys):
     spec = MapSpec(nodes=8, failpoints=1, pfail=0.2, tasks=2, hazards=2, seed=0)
     model, mission = tmp_path / "hazard.json", tmp_path / "mission.json"
     save_model(gen_map(spec), model)
-    mission.write_text(json.dumps(mission_to_dict(map_mission(spec))))
+    m = map_mission(spec)
+    mission.write_text(json.dumps({"tasks": [format_formula(t) for t in m.tasks], "safety": format_formula(m.safety)}))
     assert main(["baseline", "--models", str(model), str(model), "--mission", str(mission)]) == 0
     assert "122 reachable of 512 joint states" in capsys.readouterr().out

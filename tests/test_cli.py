@@ -5,7 +5,6 @@ import json
 import pytest
 
 from teamplan.cli import main
-from teamplan.dfa import Dfa
 from teamplan.mdp import SolverError
 
 
@@ -17,7 +16,7 @@ def write_mission(path, tasks, safety=None):
 def test_compile_writes_automaton(tmp_path, capsys):
     out = tmp_path / "task.dfa.json"
     assert main(["compile", "--formula", "F p", "--out", str(out)]) == 0
-    assert Dfa.load(out).num_states == 2
+    assert json.loads(out.read_text())["states"] == [0, 1]
     assert "2 automaton states" in capsys.readouterr().out
     assert main(["compile", "--formula", "G !h", "--out", str(out)]) == 0
 
@@ -78,6 +77,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["solve", "--models", missing, "--mission", mission,
                  "--out", str(tmp_path / "s.json")]) == 1
     assert main(["compile", "--formula", "F (", "--out", str(tmp_path / "d.json")]) == 1
+    # formulas nested past the parser's limit, as a formula and as a mission task
+    for deep in ("X " * 400 + "p", "(" * 1200 + "p" + ")" * 1200):
+        capsys.readouterr()
+        assert main(["compile", "--formula", deep, "--out", str(tmp_path / "d.json")]) == 1
+        assert "nests deeper" in capsys.readouterr().err
     bad = tmp_path / "broken.json"
     bad.write_text("not json")
     model = tmp_path / "map.json"
@@ -95,6 +99,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["solve", "--models", str(model), "--mission", invariant_as_task,
                  "--out", str(tmp_path / "s.json")]) == 1
     assert "error" in capsys.readouterr().err
+    for deep in ("X " * 400 + "p1", "(" * 1200 + "F p1" + ")" * 1200):
+        deep_task = write_mission(tmp_path / "m3.json", [deep])
+        assert main(["solve", "--models", str(model), "--mission", deep_task,
+                     "--out", str(tmp_path / "s.json")]) == 1
+        assert "nests deeper" in capsys.readouterr().err
 
     # malformed mission files: a task or the safety formula not a string
     for k, data in enumerate([{"tasks": [5]}, {"tasks": ["F p1"], "safety": 3}]):
@@ -186,7 +195,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # a negative replan budget
     for cmd, flag, value in [("realloc", "--time-limit", v) for v in ("-1", "nan", "inf")] + [
             (cmd, "--epsilon", v) for cmd in ("solve", "realloc", "baseline") for v in ("-1e-6", "nan", "inf", "0")
-    ] + [("realloc", "--max-realloc", "-1")]:
+    ] + [("realloc", "--max-realloc", "-1"), ("baseline", "--ceiling", "-5")]:
         out = [] if cmd == "baseline" else ["--out", str(tmp_path / "out.json")]
         assert main([cmd, "--models", str(model), "--mission", mission, flag, value, *out]) == 1, (cmd, flag, value)
         err = capsys.readouterr().err
@@ -241,6 +250,8 @@ def test_ceiling_exits_three(tmp_path):
     mission = write_mission(tmp_path / "mission.json", ["F p1"])
     assert main(["baseline", "--models", str(model), str(model),
                  "--mission", mission, "--ceiling", "10"]) == 3
+    assert main(["baseline", "--models", str(model), str(model),
+                 "--mission", mission, "--ceiling", "0"]) == 3
 
 
 def test_solver_failures_exit_two(tmp_path, monkeypatch, capsys):

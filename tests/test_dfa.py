@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from teamplan.dfa import CompileError, Dfa, canonical, compile_cosafe, compile_formula, compile_safe, minimize, progress
@@ -151,8 +153,8 @@ def test_minimize_merges_redundant_states():
     dfa = Dfa(3, 0, {2}, ("p",), delta)
     small = minimize(dfa)
     assert small.num_states == 2
-    assert small.accepts([{"p"}])
-    assert not small.accepts([set(), set()])
+    assert small.advance(small.initial, {"p"}) in small.accepting
+    assert small.advance(small.advance(small.initial, set()), set()) not in small.accepting
 
 
 def test_minimize_idempotent():
@@ -183,23 +185,12 @@ def test_advance_projects_irrelevant_atoms():
     assert q in dfa.accepting
 
 
-def test_json_round_trip(tmp_path):
+def test_save_writes_to_dict(tmp_path):
     dfa = compile_cosafe(parse_formula("p U q"))
     path = tmp_path / "dfa.json"
     dfa.save(path)
-    back = Dfa.load(path)
-    assert back.num_states == dfa.num_states
-    assert back.initial == dfa.initial
-    assert back.accepting == dfa.accepting
-    assert back.atoms == dfa.atoms
-    assert back.delta == dfa.delta
-
-
-def test_json_rejects_partial_automaton():
-    data = compile_cosafe(parse_formula("F p")).to_dict()
-    data["trans"] = data["trans"][:-1]
-    with pytest.raises(ValueError, match="not total"):
-        Dfa.from_dict(data)
+    assert json.loads(path.read_text()) == dfa.to_dict()
+    assert len(dfa.to_dict()["trans"]) == dfa.num_states * 2 ** len(dfa.atoms)
 
 
 def test_conformance_quick_cosafe():
@@ -210,3 +201,34 @@ def test_conformance_quick_cosafe():
 def test_conformance_quick_safe():
     for f in family("safe", deep_two=25, deep_three=6):
         assert check_formula(f, "safe", max_len=4) == []
+
+
+def _all_apart(dfa):
+    """Whether some word tells every two states apart, by table filling: a
+    pair is apart when one accepts and the other does not, or when a label
+    leads it to a pair already apart."""
+    pairs = [(a, b) for a in range(dfa.num_states) for b in range(a + 1, dfa.num_states)]
+    apart = {(a, b) for a, b in pairs if (a in dfa.accepting) != (b in dfa.accepting)}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in pairs:
+            if (a, b) not in apart and any(tuple(sorted((dfa.advance(a, l), dfa.advance(b, l)))) in apart
+                                           for l in dfa.labels()):
+                apart.add((a, b))
+                grew = True
+    return len(apart) == len(pairs)
+
+
+def test_minimize_leaves_no_two_states_with_one_language():
+    for kind, comp in (("cosafe", compile_cosafe), ("safe", compile_safe)):
+        for f in family(kind):
+            small = minimize(comp(f))
+            assert _all_apart(small), f
+            seen, stack = {small.initial}, [small.initial]
+            while stack:
+                q = stack.pop()
+                fresh = {small.advance(q, l) for l in small.labels()} - seen
+                seen |= fresh
+                stack.extend(fresh)
+            assert seen == set(range(small.num_states)), f

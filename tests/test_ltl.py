@@ -1,5 +1,6 @@
 import pytest
 
+from teamplan.dfa import canonical, compile_formula, minimize, progress
 from teamplan.ltl import (
     And,
     Atom,
@@ -14,16 +15,16 @@ from teamplan.ltl import (
     ParseError,
     TRUE,
     FALSE,
+    MAX_NESTING,
     Until,
     atoms_of,
     classify,
     format_formula,
-    is_bad_prefix,
-    is_good_prefix,
     mission_from_dict,
-    mission_to_dict,
     parse_formula,
 )
+
+from conformance import is_bad_prefix, is_good_prefix
 
 
 def test_parse_eventually_atom():
@@ -87,6 +88,60 @@ def test_multiline_error_position():
         parse_formula("p &\n& q")
     assert exc.value.line == 2
     assert exc.value.col == 1
+
+
+def test_atoms_take_any_lowercase_start_and_word_characters():
+    assert parse_formula("F é2") == Eventually(Atom("é2"))
+    assert parse_formula("trueX & falsey") == And((Atom("trueX"), Atom("falsey")))
+    assert parse_formula("Fp") == Eventually(Atom("p"))
+
+
+@pytest.mark.parametrize("bad", ["中", "\f", "1p", "_p", "Ab", "\x0b"])
+def test_unknown_symbol_is_reported_at_its_first_character(bad):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(f"F {bad} & q")
+    assert str(exc.value) == f"unknown operator or symbol {bad[0]!r} (line 1, column 3)"
+
+
+def test_positions_count_tabs_and_crlf_line_breaks():
+    with pytest.raises(ParseError) as exc:
+        parse_formula("p\t&\t%")
+    assert (exc.value.line, exc.value.col) == (1, 5)
+    with pytest.raises(ParseError) as exc:
+        parse_formula("p &\r\n\r\n  q &")
+    assert (exc.value.line, exc.value.col) == (3, 6)
+
+
+def _alternating(n):
+    text = "q"
+    for k in range(n):
+        text = f"(p {'&|'[k % 2]} {text})"
+    return text
+
+
+NESTINGS = {
+    "X": lambda n: "X " * n + "p",
+    "F": lambda n: "F " * n + "p",
+    "G": lambda n: "G " * n + "p",
+    "U": lambda n: " U ".join(["p"] * (n + 1)),
+    "&|": _alternating,
+    "()": lambda n: "(" * n + "p" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_limit(kind):
+    f = parse_formula(NESTINGS[kind](MAX_NESTING))
+    assert parse_formula(format_formula(f)) == f
+    assert atoms_of(f) <= {"p", "q"} and classify(f)
+    if kind in ("F", "G"):
+        # the deepest progression step; compiling stacked F or G at this
+        # depth is slow, not deep
+        assert progress(canonical(f), frozenset({"p"} if kind == "F" else ())) in (TRUE, FALSE)
+    else:
+        assert minimize(compile_formula(f)).num_states >= 2
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_NESTING} levels"):
+        parse_formula(NESTINGS[kind](MAX_NESTING + 1))
 
 
 def test_format_round_trip():
@@ -170,8 +225,7 @@ def test_mission_from_dict():
 
 def test_mission_safety_optional():
     m = mission_from_dict({"tasks": ["F p1"], "safety": None})
-    assert m.safety is None
-    assert mission_to_dict(m) == {"tasks": ["F p1"], "safety": None}
+    assert m == Mission((Eventually(Atom("p1")),), None)
 
 
 def test_mission_needs_tasks():

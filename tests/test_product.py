@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from teamplan.ltl import Mission, is_good_prefix, parse_formula
+from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp, max_reach
 from teamplan.product import ProductError, compile_mission, local_product
+
+from conformance import is_good_prefix
 
 
 def make(num_states, initial, actions, table, **kw):
