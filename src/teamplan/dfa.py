@@ -120,7 +120,9 @@ def canonical(f: Formula) -> Formula:
     or validity reasoning happens here; residuals like `p | !p` stay
     distinct from `true` on purpose, matching the strong/weak
     finite-trace semantics that accept only once the witness has
-    actually been observed.
+    actually been observed. Stacked operators collapse (`F F a` and
+    `true U F a` to `F a`, `G G a` to `G a`): progression would otherwise
+    carry every level of the stack into ever longer residuals.
     """
     if isinstance(f, (TrueConst, FalseConst, Atom, NotAtom)):
         return f
@@ -143,12 +145,12 @@ def canonical(f: Formula) -> Formula:
         return Next(c)
     if isinstance(f, Eventually):
         c = canonical(f.child)
-        if isinstance(c, (TrueConst, FalseConst)):
+        if isinstance(c, (TrueConst, FalseConst, Eventually)):  # F F a = F a
             return c
         return Eventually(c)
     if isinstance(f, Always):
         c = canonical(f.child)
-        if isinstance(c, (TrueConst, FalseConst)):
+        if isinstance(c, (TrueConst, FalseConst, Always)):  # G G a = G a
             return c
         return Always(c)
     if isinstance(f, Until):
@@ -159,7 +161,7 @@ def canonical(f: Formula) -> Formula:
         if isinstance(left, FalseConst):
             return right
         if isinstance(left, TrueConst):
-            return Eventually(right)
+            return right if isinstance(right, Eventually) else Eventually(right)
         return Until(left, right)
     raise TypeError(f"not a formula node: {f!r}")
 

@@ -186,18 +186,6 @@ def validate(mdp: Mdp) -> list[str]:
                 )
             if c.cost is not None and c.cost < 0:
                 problems.append(f"state {s}, action {mdp.actions[c.action]!r}: negative cost {c.cost}")
-    reached = {mdp.initial}
-    stack = [mdp.initial]
-    while stack:
-        s = stack.pop()
-        for c in mdp.choices[s]:
-            for t, _ in c.outcomes:
-                if 0 <= t < mdp.num_states and t not in reached:
-                    reached.add(t)
-                    stack.append(t)
-    unreachable = [s for s in range(mdp.num_states) if s not in reached]
-    if unreachable:
-        problems.append(f"unreachable states: {unreachable}")
     if mdp.failure_state is not None:
         f = mdp.failure_state
         if not (0 <= f < mdp.num_states):
@@ -234,64 +222,70 @@ def model_to_dict(mdp: Mdp) -> dict:
     }
 
 
+# The readers of model and policy files share these checks. `what` opens
+# the message: the file's "malformed ..." prefix, then the value's name.
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _integer(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"malformed model: {what} {value!r} is not an integer")
+        raise ValueError(f"{what} {value!r} is not an integer")
     return value
 
 
 def _number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"malformed model: {what} {value!r} is not a number")
+        raise ValueError(f"{what} {value!r} is not a number")
     return float(value)
 
 
 def _typed(value, kind, what):
     if not isinstance(value, kind):
-        raise ValueError(f"malformed model: {what} {value!r} is not a {kind.__name__}")
+        raise ValueError(f"{what} {value!r} is not {_JSON_KINDS[kind]}")
     return value
 
 
 def _strings(value, what):
     for item in _typed(value, list, what):
-        _typed(item, str, f"element of {what}")
+        _typed(item, str, f"{what} element")
     return value
 
 
 def _outcome(o):
-    o = _typed(o, dict, "outcome")
-    return _integer(o["to"], "successor"), _number(o["p"], "probability")
+    o = _typed(o, dict, "malformed model: outcome")
+    return _integer(o["to"], "malformed model: successor"), _number(o["p"], "malformed model: probability")
 
 
 def model_from_dict(data: dict) -> Mdp:
-    num_states = _integer(_typed(data, dict, "model")["states"], "states")
-    actions = _strings(data["actions"], "actions")
+    num_states = _integer(_typed(data, dict, "malformed model: model")["states"], "malformed model: states")
+    actions = _strings(data["actions"], "malformed model: actions")
     action_index = {a: i for i, a in enumerate(actions)}
     choices: list[list[Choice]] = [[] for _ in range(num_states)]
-    for t in _typed(data["trans"], list, "trans"):
-        if not (0 <= _integer(_typed(t, dict, "transition")["from"], "transition source") < num_states):
+    for t in _typed(data["trans"], list, "malformed model: trans"):
+        source = _typed(t, dict, "malformed model: transition")["from"]
+        if not 0 <= _integer(source, "malformed model: transition source") < num_states:
             raise ValueError(f"transition source {t['from']} out of range")
-        if _typed(t["action"], str, "action") not in action_index:
+        if _typed(t["action"], str, "malformed model: action") not in action_index:
             raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
-        outcomes = tuple(map(_outcome, _typed(t["outcomes"], list, "outcomes")))
+        outcomes = tuple(map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes")))
         cost = t.get("cost")
         if cost is not None:
-            _number(cost, "cost")
+            _number(cost, "malformed model: cost")
         choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
-    labels = {int(s): frozenset(_strings(l, f"labels of state {s}"))
-              for s, l in _typed(data.get("labels", {}), dict, "labels").items()}
+    labels = {int(s): frozenset(_strings(l, f"malformed model: labels of state {s}"))
+              for s, l in _typed(data.get("labels", {}), dict, "malformed model: labels").items()}
     failure_state = data.get("failure_state")
     mdp = Mdp(
         num_states=num_states,
-        initial=_integer(data["initial"], "initial state"),
+        initial=_integer(data["initial"], "malformed model: initial state"),
         actions=actions,
         choices=choices,
-        atoms=tuple(_strings(data.get("atoms", []), "atoms")),
+        atoms=tuple(_strings(data.get("atoms", []), "malformed model: atoms")),
         labels=labels,
-        failure_state=None if failure_state is None else _integer(failure_state, "failure state"),
+        failure_state=None if failure_state is None else _integer(failure_state, "malformed model: failure state"),
     )
-    # unreachable states are harmless; every other problem gives wrong answers
-    problems = [p for p in validate(mdp) if not p.startswith("unreachable states")]
+    problems = validate(mdp)
     if problems:
         raise ValueError("malformed model: " + "; ".join(problems[:3]))
     return mdp

@@ -20,13 +20,18 @@ count as failures. A replan depends only on the point's positions,
 automaton vector, start robot and failed set, so each distinct replan is
 solved once per plan and a fresh copy of its continuation is grafted at
 every point that shares it; the joint policy stays a tree.
+
+One survey pass over that tree (`_survey`) propagates each chain's root
+mass from the point it is grafted at and collects the success, failure
+and unaddressed masses and the ungrafted points; `mission_masses`,
+`find_realloc_points` and the replan loop all read it.
 """
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .mdp import PROB_ATOL
+from .mdp import PROB_ATOL, _integer, _typed
 from .product import local_products
 from .team import build_team, check_class, solve_stapu
 
@@ -58,7 +63,6 @@ class JointNode:
     steps: list = field(default_factory=list)
     fresh: tuple = ()
     mass: float = 0.0
-    addressed: bool = False
     child: object = None
 
     def to_dict(self, chain_index):
@@ -108,14 +112,17 @@ class JointChain:
         self.point_indices = points
 
 
+@dataclass
 class ReallocPoint:
-    """A joint state some robot just failed in."""
+    """A joint state some robot just failed in, node `node_index` of
+    `chain`, reached with absolute probability `prob`. `addressed` is set
+    once a replan is assigned to it."""
 
-    def __init__(self, chain, node_index, robot, prob):
-        self.chain = chain
-        self.node_index = node_index
-        self.robot = robot
-        self.prob = prob
+    chain: JointChain
+    node_index: int
+    robot: int
+    prob: float
+    addressed: bool = False
 
     @property
     def node(self):
@@ -133,12 +140,8 @@ class ReallocPoint:
     def failed(self):
         return frozenset(r for r, st in enumerate(self.node.statuses) if st == FAILED)
 
-    @property
-    def addressed(self):
-        return self.node.addressed or self.node.child is not None
-
     def mark_addressed(self):
-        self.node.addressed = True
+        self.addressed = True
 
 
 class JointPolicy:
@@ -153,18 +156,6 @@ class JointPolicy:
             raise ValueError("reallocation point already grafted")
         point.node.child = continuation.chains[0]
         self.chains.extend(continuation.chains)
-
-    def base_masses(self):
-        """Absolute reach probability of each chain's root, keyed by id."""
-        base = {id(self.chains[0]): 1.0}
-        for chain in self.chains:
-            here = base.get(id(chain))
-            if here is None:
-                continue
-            for nd in chain.nodes:
-                if nd.child is not None:
-                    base[id(nd.child)] = here * nd.mass
-        return base
 
 
 def _copy_chain(chain):
@@ -280,8 +271,13 @@ def _require_class(models):
 
 
 def _survey(jp):
-    """Totals over the grafted tree plus every ungrafted point."""
-    base = jp.base_masses()
+    """One pass over the grafted tree: (success, failure, unaddressed,
+    ungrafted points). A chain's root takes the absolute mass of the point
+    it is grafted at, which lies in an earlier chain. Success and failure
+    are summed in chain order, the unaddressed mass over the points in
+    (chain, node) order; the points are then sorted by decreasing
+    probability, ties keeping that order."""
+    base = {id(jp.chains[0]): 1.0}
     success = failure = 0.0
     points = []
     for chain in jp.chains:
@@ -294,33 +290,25 @@ def _survey(jp):
             nd = chain.nodes[i]
             if nd.child is None:
                 points.append(ReallocPoint(chain, i, min(nd.fresh), here * nd.mass))
-    return success, failure, points
-
-
-def _totals(survey):
-    success, failure, points = survey
-    return success, failure, sum(p.prob for p in points)
-
-
-def _pending(jp, points):
-    order = {id(c): k for k, c in enumerate(jp.chains)}
-    points = [p for p in points if not p.addressed]
-    points.sort(key=lambda p: (-p.prob, order[id(p.chain)], p.node_index))
-    return points
+            else:
+                base[id(nd.child)] = here * nd.mass
+    unaddressed = sum(p.prob for p in points)
+    points.sort(key=lambda p: -p.prob)
+    return success, failure, unaddressed, points
 
 
 def mission_masses(jp):
     """(success, failure, unaddressed) over the current joint policy."""
-    return _totals(_survey(jp))
+    return _survey(jp)[:3]
 
 
 def find_realloc_points(jp):
-    """Ungrafted, unaddressed points, highest reach probability first.
+    """Ungrafted points, highest reach probability first.
 
     Probabilities are absolute, propagated forward through the grafted
     tree. Ties keep graft-then-discovery order.
     """
-    return _pending(jp, _survey(jp)[2])
+    return _survey(jp)[3]
 
 
 def solve_realloc(point, products, epsilon=1e-6):
@@ -347,24 +335,15 @@ class GuaranteeReport:
     solves: int
     unaddressed: float
     failure: float
-    log: list
     wall_ms: float
+    log: list
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "initial_value": self.initial_value,
-            "reallocations": self.reallocations,
-            "solves": self.solves,
-            "unaddressed": self.unaddressed,
-            "failure": self.failure,
-            "wall_ms": self.wall_ms,
-            "log": self.log,
-        }
+        return asdict(self)
 
 
 def _log_entry(survey, reallocations, point_prob, new_value, t0):
-    success, failure, unaddressed = _totals(survey)
+    success, failure, unaddressed, _ = survey
     return {
         "reallocations": reallocations,
         "point_probability": point_prob,
@@ -400,7 +379,7 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
     while max_realloc is None or reallocations < max_realloc:
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
             break
-        points = _pending(jp, survey[2])
+        points = survey[3]
         if not points:
             break
         point = points[0]
@@ -415,7 +394,7 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
         reallocations += 1
         survey = _survey(jp)
         log.append(_log_entry(survey, reallocations, point.prob, value, t0))
-    success, failure, unaddressed = _totals(survey)
+    success, failure, unaddressed, _ = survey
     report = GuaranteeReport(
         value=success,
         initial_value=sol.value,
@@ -440,28 +419,10 @@ def policy_to_dict(jp, report=None):
     return out
 
 
-def _index(value, where, what="target"):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: {what} {value!r} is not an integer")
-    return value
-
-
-def _array(value, where, what):
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: {what} {value!r} is not a list")
-    return value
-
-
-def _object(value, where, what):
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: {what} {value!r} is not an object")
-    return value
-
-
 def _step(step, where):
-    if len(_array(step, where, "step")) != 2:
+    if len(_typed(step, list, f"{where}: step")) != 2:
         raise ValueError(f"{where}: step {step!r} is not a [probability, target] pair")
-    return _probability(step[0], where), _index(step[1], where)
+    return _probability(step[0], where), _integer(step[1], f"{where}: target")
 
 
 def _probability(value, where):
@@ -474,32 +435,32 @@ def policy_from_dict(data):
     """Rebuild a saved joint policy. Steps must point forward within their
     chain and children to a later chain, the order mass propagation and
     rollouts rely on; only step nodes have steps, with probabilities in
-    [0, 1] that sum to 1. Anything else raises ValueError ("malformed
-    policy")."""
-    if not _array(_object(data, "malformed policy", "policy")["chains"], "malformed policy", "chains"):
+    [0, 1] that sum to 1, and only reallocation points have children.
+    Anything else raises ValueError ("malformed policy")."""
+    if not _typed(_typed(data, dict, "malformed policy: policy")["chains"], list, "malformed policy: chains"):
         raise ValueError("malformed policy: no chains")
     chains = []
     links = []
     num_chains = len(data["chains"])
     for ci, cd in enumerate(data["chains"]):
         where = f"malformed policy: chain {ci}"
-        if not _array(_object(cd, where, "chain")["nodes"], where, "nodes"):
+        if not _typed(_typed(cd, dict, f"{where}: chain")["nodes"], list, f"{where}: nodes"):
             raise ValueError(f"{where} has no nodes")
         nodes = []
         for ni, nd in enumerate(cd["nodes"]):
             where = f"malformed policy: chain {ci}, node {ni}"
-            if _object(nd, where, "node")["kind"] not in KINDS:
+            if _typed(nd, dict, f"{where}: node")["kind"] not in KINDS:
                 raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
             node = JointNode(
-                t=_index(nd["t"], where, "time"),
-                positions=tuple(_array(nd["positions"], where, "positions")),
-                statuses=tuple(_array(nd["statuses"], where, "statuses")),
-                q=tuple(_array(nd["q"], where, "q")),
+                t=_integer(nd["t"], f"{where}: time"),
+                positions=tuple(_typed(nd["positions"], list, f"{where}: positions")),
+                statuses=tuple(_typed(nd["statuses"], list, f"{where}: statuses")),
+                q=tuple(_typed(nd["q"], list, f"{where}: q")),
                 kind=nd["kind"],
-                actions=tuple(_array(nd["actions"], where, "actions")) if "actions" in nd else None,
-                fresh=tuple(_array(nd.get("fresh", []), where, "fresh")),
+                actions=tuple(_typed(nd["actions"], list, f"{where}: actions")) if "actions" in nd else None,
+                fresh=tuple(_typed(nd.get("fresh", []), list, f"{where}: fresh")),
             )
-            node.steps = [_step(step, where) for step in _array(nd["steps"], where, "steps")]
+            node.steps = [_step(step, where) for step in _typed(nd["steps"], list, f"{where}: steps")]
             for _, j in node.steps:
                 if not ni < j < len(cd["nodes"]):
                     raise ValueError(f"{where}: step target {j} out of range")
@@ -509,8 +470,10 @@ def policy_from_dict(data):
             if node.kind == STEP and abs(total - 1.0) > PROB_ATOL:
                 raise ValueError(f"{where}: step probabilities sum to {total!r}, not 1")
             if "child" in nd:
-                if not ci < _index(nd["child"], where, "child chain") < num_chains:
+                if not ci < _integer(nd["child"], f"{where}: child chain") < num_chains:
                     raise ValueError(f"{where}: child chain {nd['child']} out of range")
+                if node.kind != POINT:
+                    raise ValueError(f"{where}: a {node.kind} node has a child chain")
                 links.append((ci, ni, nd["child"]))
             nodes.append(node)
         chains.append(JointChain(nodes))

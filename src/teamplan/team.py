@@ -5,7 +5,9 @@ unchanged, to the next robot in the ring, which continues from its own
 entry state. Switching costs nothing and takes probability 1: it is a
 planning construct, not an executed action. The products advance and
 classify the automaton vectors and `product.Automata` says when a vector
-may be handed on; this module owns the switch rule only.
+may be handed on; this module owns the switch rule only, in one method,
+`TeamMdp.switch_target`, which the explicit model's rows, the block
+solve's forward pass and the success-path walk all call.
 
 The ring stops before it returns to the start robot, so the team model is
 a chain of robot blocks: a robot's block is the part of its product
@@ -66,13 +68,9 @@ class TeamMdp:
     """Robots' product spaces, keyed (robot, product state), plus switches.
 
     `root` is the start robot's product state at its entry with `start_q`.
-    The switch action is enabled where every automaton component is at its
-    initial state or accepting, i.e. never in the middle of a task, and
-    the vector is not violating. It is also barred from a failure state
-    reached during the plan: a robot that breaks down mid-plan cannot hand
-    anything on, that is what reallocation is for. Robots listed in
-    `failed` start at the failure state in a reallocation solve and may
-    pass their remaining tasks to the ring successor.
+    `switch_target` is the switch rule. Robots listed in `failed` start at
+    the failure state in a reallocation solve and may pass their remaining
+    tasks to the ring successor.
 
     The explicit team model is built on first use: `keys` lists the
     (robot, product state) of every team state breadth-first from the
@@ -123,29 +121,40 @@ class TeamMdp:
 
     def _expand(self, key, intern):
         """The product row of robot state `key` in team actions, plus the
-        switch to the next robot's entry where it is enabled; `intern`
-        maps each successor key."""
+        switch where one is enabled; `intern` maps each successor key."""
         robot, i = key
-        pm = self.products[robot]
-        acts, counts, targets, probs = pm.rows[i]
+        acts, counts, targets, probs = self.products[robot].rows[i]
         acts = np.array(self.action_map[robot], np.int64)[acts]
         targets = [intern((robot, t)) for t in targets.tolist()]
-        s, qvec = pm.states[i]
-        if self._switch_enabled(robot, s, qvec):
-            nxt = (robot + 1) % len(self.products)
-            targets.append(intern((nxt, self.products[nxt].explore((self.entries[nxt], qvec)))))
+        j = self.switch_target(robot, i)
+        if j is not None:
+            targets.append(intern(((robot + 1) % len(self.products), j)))
             acts, counts, probs = np.append(acts, self.switch_action), np.append(counts, 1), np.append(probs, 1.0)
         return acts, counts, np.array(targets, np.int32), probs
 
-    def _switch_enabled(self, robot, s, qvec):
-        if (robot + 1) % len(self.products) == self.start_robot:
-            # the hand-over ring stops before wrapping: wrapping would
-            # restart a robot at its entry without traveling back there
-            return False
-        fail = self.products[robot].source.failure_state
-        if fail is not None and s == fail and robot not in self.failed:
-            return False
-        return not self.automata.violating(qvec) and self.automata.switchable(qvec)
+    def switch_target(self, robot, i):
+        """The next robot's product state a switch from state `i` of
+        `robot`'s product leads to, or None where no switch is enabled.
+
+        The ring stops before it returns to the start robot: wrapping
+        would restart a robot at its entry without traveling back there.
+        A robot that breaks down mid-plan cannot hand anything on, that is
+        what reallocation is for, so the switch is barred from the failure
+        state of a robot not listed in `failed`. Nor is a violating vector
+        or one in the middle of a task handed on: every component must be
+        at its initial state or accepting. The switch leads to the next
+        robot's entry with the vector unchanged.
+        """
+        nxt = (robot + 1) % len(self.products)
+        if nxt == self.start_robot:
+            return None
+        pm = self.products[robot]
+        s, q = pm.states[i]
+        if s == pm.source.failure_state and robot not in self.failed:
+            return None
+        if self.automata.violating(q) or not self.automata.switchable(q):
+            return None
+        return self.products[nxt].explore((self.entries[nxt], q))
 
     @cached_property
     def _explored(self):
@@ -277,21 +286,20 @@ def _blocks(team):
     n = len(products)
     blocks = []
     roots = [team.root]
-    for robot in ((team.start_robot + k) % n for k in range(n)):
+    for k in range(n):
+        robot = (team.start_robot + k) % n
         pm = products[robot]
         # the product's first states are those reachable from its initial one
         reach = list(range(pm.num_states)) if roots == [0] else _closure(pm.arrays(), roots)
         switch = {}
-        nxt = (robot + 1) % n
-        if nxt != team.start_robot:
-            explore, entry = products[nxt].explore, team.entries[nxt]
+        if k + 1 < n:  # the last block of the chain has no next block to switch into
             fail = pm.source.failure_state
-            targets = {}  # by (at `fail`, vector), or None: the rule reads the map state only for that
+            targets = {}  # by (at `fail`, vector): the rule reads the map state only for that
             for i in reach:
                 s, q = pm.states[i]
                 key = (s == fail, q)
                 if key not in targets:
-                    targets[key] = explore((entry, q)) if team._switch_enabled(robot, s, q) else None
+                    targets[key] = team.switch_target(robot, i)
                 if targets[key] is not None:
                     switch[i] = targets[key]
             roots = list(dict.fromkeys(switch.values()))
@@ -369,14 +377,8 @@ def solve_blocks(team):
     return values, policy
 
 
-def _segment(state):
-    robot, s, q = state
+def _segment(robot, s, q):
     return {"robot": robot, "entry": {"s": s, "q": list(q)}, "choices": []}
-
-
-def _state(team, key):
-    robot, i = key
-    return (robot, *team.products[robot].states[i])
 
 
 def _walk_success_path(team, policy):
@@ -384,64 +386,68 @@ def _walk_success_path(team, policy):
 
     `policy[robot]` maps the robot's product states to team actions, as
     `solve_blocks` returns it; a state without an entry takes its first
-    team action. Returns the allocation, the unallocated tasks, the
-    segments, the switches and the programs of `StapuSolution`. A task is
-    allocated to the robot whose move makes its component accepting.
-    Exact for the deterministic-or-fail class, best effort
-    (highest-probability branch) elsewhere. The hand-over ring stops
-    before it returns to the start robot, so each robot gets at most one
-    segment.
+    team action, the switch after the product's actions. The walk reads
+    the products' rows and `switch_target` directly. Returns the
+    allocation, the unallocated tasks, the segments, the switches and the
+    programs of `StapuSolution`. A task is allocated to the robot whose
+    move makes its component accepting. Exact for the deterministic-or-fail
+    class, best effort (highest-probability branch) elsewhere. The
+    hand-over ring stops before it returns to the start robot, so each
+    robot gets at most one segment.
     """
     tasks = team.automata.tasks
     m = len(tasks)
-    cur = (team.start_robot, team.root)
-    robot0, _, q0 = _state(team, cur)
-    allocation = {k: robot0 for k in range(m) if q0[k] in tasks[k].accepting}
-    segments = [_segment(_state(team, cur))]
+    robot, i = cur = (team.start_robot, team.root)
+    s, q = team.products[robot].states[i]
+    allocation = {k: robot for k in range(m) if q[k] in tasks[k].accepting}
+    segments = [_segment(robot, s, q)]
     switches = []
     programs = [[] for _ in team.products]
     visited = {cur}
-    successors = Explorer(None)  # numbers the successor keys of the rows read
     while True:
         robot, i = cur
         pm = team.products[robot]
         if pm.accepts(i) or pm.violates(i):
             break
-        acts, counts, targets, probs = team._expand(cur, successors.intern)
-        action = policy[robot].get(i, acts[0] if len(acts) else None)
-        chosen = np.repeat(acts, counts) == action  # a state enables an action once
-        if not chosen.any():
-            break
-        outcomes = list(zip(map(successors.keys.__getitem__, targets[chosen].tolist()), probs[chosen].tolist()))
-        _, s, q = _state(team, cur)
+        s, q = pm.states[i]
+        acts, counts, targets, probs = pm.rows[i]
+        acts = np.array(team.action_map[robot], np.int64)[acts]
+        action = policy[robot].get(i, acts[0] if len(acts) else team.switch_action)
         if action == team.switch_action:
-            cur = outcomes[0][0]
+            j = team.switch_target(robot, i)
+            if j is None:
+                break
+            cur = ((robot + 1) % len(team.products), j)
             visited.add(cur)
             switches.append({
                 "from_robot": robot,
                 "to_robot": cur[0],
                 "state": {"s": s, "q": list(q)},
             })
-            segments.append(_segment(_state(team, cur)))
+            segments.append(_segment(cur[0], *team.products[cur[0]].states[j]))
             continue
+        chosen = np.repeat(acts, counts) == action  # a state enables an action once
+        if not chosen.any():
+            break
+        outcomes = list(zip(targets[chosen].tolist(), probs[chosen].tolist()))
         name = team.actions[action]
         segments[-1]["choices"].append({"state": {"s": s, "q": list(q)}, "action": name})
         fail = pm.source.failure_state
-        live = [(t, p) for t, p in outcomes if pm.states[t[1]][0] != fail]
+        live = [(t, p) for t, p in outcomes if pm.states[t][0] != fail]
         if not live:
             programs[robot].append((s, None, 1.0, name))
             break
         nxt = max(live, key=lambda tp: tp[1])[0]
-        pfail = sum(p for t, p in outcomes if pm.states[t[1]][0] == fail)
-        programs[robot].append((s, pm.states[nxt[1]][0], pfail, name))
-        if nxt in visited:
+        pfail = sum(p for t, p in outcomes if pm.states[t][0] == fail)
+        programs[robot].append((s, pm.states[nxt][0], pfail, name))
+        if (robot, nxt) in visited:
             break
-        visited.add(nxt)
-        newq = pm.states[nxt[1]][1]
+        visited.add((robot, nxt))
+        newq = pm.states[nxt][1]
         for k in range(m):
             if k not in allocation and newq[k] in tasks[k].accepting:
                 allocation[k] = robot
-        cur = nxt
+        cur = (robot, nxt)
 
     planned = {seg["robot"] for seg in segments}
     segments += [{"robot": r, "entry": {"s": team.entries[r], "q": None}, "choices": []}

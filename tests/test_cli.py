@@ -150,7 +150,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # chain out of range, step probabilities outside [0, 1] or not summing
     # to 1, a non-numeric probability, a non-integer target, no chains, an
     # unknown node kind, node positions, node steps or the chains not
-    # lists, a step or a node not a list or object, and a non-integer time
+    # lists, a step or a node not a list or object, a non-integer time, and
+    # a child chain under a node that is not a reallocation point
     policy = tmp_path / "policy.json"
     risky = tmp_path / "risky.json"  # its plan has a step node with two successors
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
@@ -159,7 +160,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                  "--out", str(policy)]) == 0
     good = policy.read_text()
     (past_end, no_chain, outside, short_sum, text_p, float_target, no_chains, odd_kind,
-     int_positions, int_steps, object_chains, int_step, int_node, text_t) = (json.loads(good) for _ in range(14))
+     int_positions, int_steps, object_chains, int_step, int_node, text_t, step_child) = (
+        json.loads(good) for _ in range(15))
 
     def steps(data):
         return next(nd for nd in data["chains"][0]["nodes"] if len(nd["steps"]) == 2)["steps"]
@@ -179,11 +181,13 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     int_step["chains"][0]["nodes"][0]["steps"] = [7]
     int_node["chains"][0]["nodes"] = [5]
     text_t["chains"][0]["nodes"][0]["t"] = "x"
+    step_child["chains"][0]["nodes"][0]["child"] = 1
     cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
              (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
              (no_chains, "no chains"), (odd_kind, "unknown kind"), (int_positions, "not a list"),
              (int_steps, "not a list"), (object_chains, "not a list"), (int_step, "not a list"),
-             (int_node, "not an object"), (text_t, "not an integer"), ([json.loads(good)], "not an object")]
+             (int_node, "not an object"), (text_t, "not an integer"), ([json.loads(good)], "not an object"),
+             (step_child, "step node has a child chain")]
     for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -83,6 +84,23 @@ def test_canonical_absorbs_and_sorts():
     assert canonical(parse_formula("p & true & p")) == Atom("p")
     assert canonical(parse_formula("p & false")) == FALSE
     assert canonical(parse_formula("F p | F p")) == parse_formula("F p")
+
+
+def test_canonical_collapses_stacked_operators():
+    assert canonical(parse_formula("F F p")) == parse_formula("F p")
+    assert canonical(parse_formula("G G p")) == parse_formula("G p")
+    assert canonical(parse_formula("true U F p")) == parse_formula("F p")
+    assert canonical(parse_formula("X F F p")) == parse_formula("X F p")
+
+
+@pytest.mark.parametrize("op", ["F", "G"])
+def test_stacked_operators_compile_like_one(op):
+    # without the collapse, progression carries every level of the stack
+    # into its residuals: 40 levels took seconds
+    start = time.perf_counter()
+    dfa = compile_formula(parse_formula(f"{op} " * 40 + "p"))
+    assert time.perf_counter() - start < 1.0
+    assert dfa.to_dict() == compile_formula(parse_formula(f"{op} p")).to_dict()
 
 
 def test_canonical_keeps_complementary_literals_apart():

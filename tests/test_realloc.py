@@ -326,6 +326,44 @@ def test_memoised_replans_match_solving_every_point():
     assert repeats > 0, "no instance repeats a replan key"
 
 
+def reference_survey(chain, base, totals, points):
+    """Walk `chain`, entered with absolute mass `base`, and every chain
+    grafted below it depth first: add its success, failure and unaddressed
+    mass to `totals` and its ungrafted points to `points`."""
+    mass = [0.0] * len(chain.nodes)
+    mass[0] = base
+    for i, nd in enumerate(chain.nodes):
+        if nd.kind == "step":
+            for p, j in nd.steps:
+                mass[j] += mass[i] * p
+        elif nd.kind == "success":
+            totals[0] += mass[i]
+        elif nd.kind != "point":
+            totals[1] += mass[i]
+        elif nd.child is not None:
+            reference_survey(nd.child, mass[i], totals, points)
+        else:
+            totals[2] += mass[i]
+            points[id(chain), i] = mass[i]
+
+
+def test_survey_matches_a_recursive_walk():
+    ties = 0
+    for i, (models, miss) in enumerate(repeated_key_instances()):
+        for cut in (0, 1, 3, 8, None):
+            jp, _ = run_stapu_with_realloc(models, miss, max_realloc=cut, epsilon=1e-9)
+            totals, expected = [0.0, 0.0, 0.0], {}
+            reference_survey(jp.chains[0], 1.0, totals, expected)
+            assert mission_masses(jp) == pytest.approx(tuple(totals), abs=1e-12), (i, cut)
+            points = find_realloc_points(jp)
+            assert {(id(p.chain), p.node_index): p.prob for p in points} == pytest.approx(expected, abs=1e-12)
+            order = {id(c): k for k, c in enumerate(jp.chains)}
+            keys = [(-p.prob, order[id(p.chain)], p.node_index) for p in points]
+            assert keys == sorted(keys), (i, cut)
+            ties += sum(a[0] == b[0] for a, b in zip(keys, keys[1:]))
+    assert ties > 0, "no two points share a probability"
+
+
 def test_one_solve_per_distinct_replan_key(monkeypatch):
     solved = []
     original = realloc.solve_realloc

@@ -115,6 +115,33 @@ def test_switch_blocked_at_failure_state():
         assert all(c.action != team.switch_action for c in team.mdp.choices[i])
 
 
+def test_switch_target_rule():
+    m = graph_model(4, [(0, 1), (1, 2), (2, 3)], failpoints={1}, pfail=0.2, atom_nodes={"p1": 2, "p2": 3})
+    team = team_for([m, m, m], mission("F (p1 & F p2)"))
+    team.mdp  # explores every block
+    task = team.automata.tasks[0]
+    kinds = set()
+    for robot, pm in enumerate(team.products):
+        for i, (s, q) in enumerate(pm.states):
+            target = team.switch_target(robot, i)
+            if robot == 2:
+                kind = "end of ring"  # the next robot is the start robot
+            elif s == m.failure_state:
+                kind = "failure state"
+            elif q[0] != task.initial and q[0] not in task.accepting:
+                kind = "mid-task"
+            else:
+                kind = "switch"
+                assert team.products[robot + 1].states[target] == (team.entries[robot + 1], q)
+            kinds.add(kind)
+            assert (target is None) == (kind != "switch"), (robot, s, q)
+    assert kinds == {"end of ring", "failure state", "mid-task", "switch"}
+    # a robot listed as failed hands its tasks on from its failure state
+    fail = m.failure_state
+    team = team_for([m, m, m], mission("F (p1 & F p2)"), entries=[fail, 0, 0], failed=(0,))
+    assert team.switch_target(0, team.root) is not None
+
+
 def test_removing_switches_never_increases_value():
     weak, strong = corridor(0.5), corridor(0.9)
     team = team_for([weak, strong], mission("F p1"))
