@@ -20,7 +20,7 @@ from .baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from .maps import MapSpec, gen_map, map_mission
 from .product import compile_mission, local_product
 from .realloc import run_stapu_with_realloc
-from .team import _blocks, build_team
+from .team import build_team
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +128,7 @@ def run_cell(
         failpoints=failpoints,
         seed=seed,
         team_states=team.full_size(),
-        team_trans=_team_transitions(team),
+        team_trans=team.mdp.transition_count(),
         stapu_ms=stapu_ms,
         reallocations=report.reallocations,
         guarantee=report.value,
@@ -148,14 +148,6 @@ def run_cell(
     row.mamdp_ms = mamdp_ms
     row.mamdp_value = value
     return row
-
-
-def _team_transitions(team):
-    """The transition count of the explicit team model: the outcomes of
-    each block's states in its product, plus one per switch."""
-    blocks = _blocks(team)  # extends the products first
-    outcomes = [pm.arrays().out_start[pm.arrays().row_start] for pm in team.products]
-    return sum(int((outcomes[r][1:] - outcomes[r][:-1])[reach].sum()) + len(switch) for r, reach, switch in blocks)
 
 
 def _solve_joint(models, mission, ceiling, shared, epsilon):

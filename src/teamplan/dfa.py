@@ -234,7 +234,10 @@ class Dfa:
             fh.write("\n")
 
 
-def _explore(f: Formula, max_states: int):
+MAX_STATES = 50_000  # progression gives up beyond this many automaton states
+
+
+def _explore(f: Formula):
     f0 = canonical(f)
     atoms = tuple(sorted(atoms_of(f0)))
     labels = _powerset(atoms)
@@ -249,9 +252,9 @@ def _explore(f: Formula, max_states: int):
             for label in labels:
                 h = progress(g, label)
                 if h not in index:
-                    if len(index) >= max_states:
+                    if len(index) >= MAX_STATES:
                         raise CompileError(
-                            f"progression exceeded {max_states} states for {format_formula(f)!r}"
+                            f"progression exceeded {MAX_STATES} states for {format_formula(f)!r}"
                         )
                     index[h] = len(order)
                     order.append(h)
@@ -261,32 +264,32 @@ def _explore(f: Formula, max_states: int):
     return order, atoms, delta, index
 
 
-def compile_cosafe(f: Formula, max_states: int = 50_000) -> Dfa:
+def compile_cosafe(f: Formula) -> Dfa:
     """Automaton accepting exactly the strong-semantics good prefixes."""
     if not is_syntactically_cosafe(f):
         raise CompileError("formula has G, not in the reachability fragment")
-    order, atoms, delta, index = _explore(f, max_states)
+    order, atoms, delta, index = _explore(f)
     accepting = frozenset({index[TRUE]}) if TRUE in index else frozenset()
     return Dfa(len(order), 0, accepting, atoms, delta)
 
 
-def compile_safe(f: Formula, max_states: int = 50_000) -> Dfa:
+def compile_safe(f: Formula) -> Dfa:
     """Automaton accepting exactly the traces that are not yet bad prefixes."""
     if not is_syntactically_safe(f):
         raise CompileError("formula has F or U, not in the invariant fragment")
-    order, atoms, delta, index = _explore(f, max_states)
+    order, atoms, delta, index = _explore(f)
     trap = index.get(FALSE)
     accepting = frozenset(i for i in range(len(order)) if i != trap)
     return Dfa(len(order), 0, accepting, atoms, delta)
 
 
-def compile_formula(f: Formula, max_states: int = 50_000) -> Dfa:
+def compile_formula(f: Formula) -> Dfa:
     """Dispatch on the syntactic fragment; rejects formulas in neither."""
     fc = classify(f)
     if fc is FormulaClass.COSAFE:
-        return compile_cosafe(f, max_states)
+        return compile_cosafe(f)
     if fc is FormulaClass.SAFE:
-        return compile_safe(f, max_states)
+        return compile_safe(f)
     raise CompileError(f"{format_formula(f)!r} mixes F/U with G, no finite-trace automaton")
 
 

@@ -1,34 +1,33 @@
 """Explicit-state MDPs and maximal reachability.
 
-The local products, the team model and the joint baseline number their
-states with `Explorer`, the one reachable-state explorer, and build one
-row format: per state, numpy `(actions, outcome counts, targets,
-probabilities)`, which `_stack` stacks into the CSR `Arrays` of an `Mdp`.
-`Choice` rows exist only for source models (model files,
-`maps.gen_map`) and as the `Mdp.choices` view, which no solver reads.
+The local products and the joint baseline number their states with
+`Explorer`, the one reachable-state explorer, and build one row format:
+per state, numpy `(actions, outcome counts, targets, probabilities)`,
+which `_stack` stacks into the CSR `Arrays` of an `Mdp` (`_concat` joins
+a product's arrays with those of the states it appends). The team model
+fills its arrays from the products'. `Choice` rows exist only for source
+models (model files, `maps.gen_map`) and as the `Mdp.choices` view, which
+no solver reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
 - `max_product_reach` serves models in which every choice has at most one
   live outcome, i.e. the team models of deterministic-or-fail robots. One
   label-setting pass from the targets over a backward index of the live
-  edges gives the exact values (`_label_setting`). `team.solve_blocks`
-  runs the same pass and policy passes robot block by robot block on the
-  products, so the team model itself is only built on demand; this
-  function, on a built team model, is its oracle in the tests.
-- `max_reach` serves every other model (the joint multi-agent MDP, model
-  files of any shape). It is value iteration bracketed by graph
-  precomputation: states that cannot reach the target under any
-  scheduler are pinned to 0 and states with an almost-sure strategy are
-  pinned to 1 before iteration starts, so the iterated region only
-  contains genuinely quantitative states. The graph passes (layered, with
-  `reduceat` over outcomes) and the Jacobi sweeps run in numpy over the
-  model's arrays.
+  edges gives the exact values (`_label_setting`).
+- `max_reach` serves every other model (the joint multi-agent MDP, team
+  models of robots outside that class, model files of any shape). It is
+  value iteration bracketed by graph precomputation: states that cannot
+  reach the target under any scheduler are pinned to 0 and states with an
+  almost-sure strategy are pinned to 1 before iteration starts, so the
+  iterated region only contains genuinely quantitative states. The graph
+  passes (layered, with `reduceat` over outcomes) and the Jacobi sweeps
+  run in numpy over the model's arrays.
 
 Both read their policy off the values with `_layered_policy`, over a
 backward edge index with a usable flag per edge and pass: every outcome
 for `max_reach` (on the first read of `ReachResult.policy`), the live
-edges for `max_product_reach` and the block solve.
+edges for `max_product_reach`.
 """
 
 import json
@@ -103,6 +102,15 @@ def _stack(rows):
     return Arrays(_offsets([len(row[0]) for row in rows]), actions, _offsets(counts), targets, probs)
 
 
+def _concat(parts):
+    """The `Arrays` holding the states of each of `parts` in turn, their
+    targets as they are."""
+    row_start, actions, out_start, targets, probs = zip(*parts)
+    return Arrays(_offsets(np.concatenate([np.diff(r) for r in row_start])), np.concatenate(actions),
+                  _offsets(np.concatenate([np.diff(o) for o in out_start])), np.concatenate(targets),
+                  np.concatenate(probs))
+
+
 def _ranges(offsets, idx):
     """The indices in range(offsets[i], offsets[i + 1]) for each i of the
     int array `idx`, concatenated in order."""
@@ -130,6 +138,7 @@ class Explorer:
     calling `intern` to number each successor key; an index, a key and a
     row never change once assigned. A later `explore` from a new root
     appends what is reachable from it after everything already explored.
+    `rows` holds the rows expanded since the last `take`.
     """
 
     def __init__(self, expand):
@@ -137,6 +146,7 @@ class Explorer:
         self.keys = []
         self.index = {}
         self.rows = []
+        self.taken = 0
 
     def intern(self, key):
         j = self.index.get(key)
@@ -149,10 +159,16 @@ class Explorer:
     def explore(self, key) -> int:
         """Index of `key`, after expanding everything reachable from it."""
         root = self.intern(key)
-        keys, rows, expand, intern = self.keys, self.rows, self.expand, self.intern
-        while len(rows) < len(keys):
-            rows.append(expand(keys[len(rows)], intern))
+        keys, rows, expand, intern, taken = self.keys, self.rows, self.expand, self.intern, self.taken
+        while taken + len(rows) < len(keys):
+            rows.append(expand(keys[taken + len(rows)], intern))
         return root
+
+    def take(self):
+        """The rows expanded since the last call, which the explorer drops."""
+        rows, self.rows = self.rows, []
+        self.taken += len(rows)
+        return rows
 
 
 PROB_ATOL = 1e-9
@@ -258,30 +274,45 @@ def _outcome(o):
 
 
 def model_from_dict(data: dict) -> Mdp:
-    num_states = _integer(_typed(data, dict, "malformed model: model")["states"], "malformed model: states")
-    actions = _strings(data["actions"], "malformed model: actions")
-    action_index = {a: i for i, a in enumerate(actions)}
-    choices: list[list[Choice]] = [[] for _ in range(num_states)]
-    for t in _typed(data["trans"], list, "malformed model: trans"):
-        source = _typed(t, dict, "malformed model: transition")["from"]
-        if not 0 <= _integer(source, "malformed model: transition source") < num_states:
-            raise ValueError(f"transition source {t['from']} out of range")
-        if _typed(t["action"], str, "malformed model: action") not in action_index:
-            raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
-        outcomes = tuple(map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes")))
-        cost = t.get("cost")
-        if cost is not None:
-            _number(cost, "malformed model: cost")
-        choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
-    labels = {int(s): frozenset(_strings(l, f"malformed model: labels of state {s}"))
-              for s, l in _typed(data.get("labels", {}), dict, "malformed model: labels").items()}
-    failure_state = data.get("failure_state")
+    try:
+        num_states = _integer(_typed(data, dict, "malformed model: model")["states"], "malformed model: states")
+        actions = _strings(data["actions"], "malformed model: actions")
+        atoms = tuple(_strings(data.get("atoms", []), "malformed model: atoms"))
+        action_index = {a: i for i, a in enumerate(actions)}
+        choices: list[list[Choice]] = [[] for _ in range(num_states)]
+        for t in _typed(data["trans"], list, "malformed model: trans"):
+            source = _typed(t, dict, "malformed model: transition")["from"]
+            if not 0 <= _integer(source, "malformed model: transition source") < num_states:
+                raise ValueError(f"transition source {t['from']} out of range")
+            if _typed(t["action"], str, "malformed model: action") not in action_index:
+                raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
+            outcomes = tuple(map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes")))
+            cost = t.get("cost")
+            if cost is not None:
+                _number(cost, "malformed model: cost")
+            choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
+        labels = {}
+        for key, l in _typed(data.get("labels", {}), dict, "malformed model: labels").items():
+            try:
+                s = int(key)
+            except ValueError:
+                raise ValueError(f"malformed model: label key {key!r} is not an integer") from None
+            if not 0 <= s < num_states:
+                raise ValueError(f"malformed model: labels of state {s} out of range")
+            labels[s] = frozenset(_strings(l, f"malformed model: labels of state {s}"))
+            if not labels[s] <= set(atoms):
+                raise ValueError(f"malformed model: state {s} has atoms {sorted(labels[s] - set(atoms))} "
+                                 f"missing from atoms")
+        failure_state = data.get("failure_state")
+        initial = _integer(data["initial"], "malformed model: initial state")
+    except KeyError as e:
+        raise ValueError(f"malformed model: missing key {e}") from None
     mdp = Mdp(
         num_states=num_states,
-        initial=_integer(data["initial"], "malformed model: initial state"),
+        initial=initial,
         actions=actions,
         choices=choices,
-        atoms=tuple(_strings(data.get("atoms", []), "malformed model: atoms")),
+        atoms=atoms,
         labels=labels,
         failure_state=None if failure_state is None else _integer(failure_state, "malformed model: failure state"),
     )
@@ -339,7 +370,7 @@ def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
     return target, avoid
 
 
-def _layered_policy(index, certificate, optimal, target, sure, positive, policy, boundary=()):
+def _layered_policy(index, certificate, optimal, target, sure, positive, policy):
     """The policy rule of every reachability solver, over a backward edge
     index `(offsets, tails, actions)` of numpy columns: the edges into
     state t are k in range(offsets[t], offsets[t + 1]), from tails[k] by
@@ -353,33 +384,17 @@ def _layered_policy(index, certificate, optimal, target, sure, positive, policy,
     value-optimal actions so, back from the targets and `sure`; a plain
     argmax can pick a choice that keeps the value forever without
     reaching anything. Each pass must assign all its states.
-
-    `boundary` lists (state, layer per pass or None) for states whose
-    layers come from a part of the model solved before; they join each
-    pass at their layer (a bucket queue, Dial, CACM 1969). Returns per
-    pass the layers of its base and of the states it assigned.
     """
     sure_states, positive_states = np.flatnonzero(sure).tolist(), np.flatnonzero(positive).tolist()
     passes = ((certificate & sure[index[1]], target, sure_states),
               (optimal & positive[index[1]], target + sure_states, positive_states))
     offsets, tails, actions = (array(c.dtype.char, c.tobytes()) for c in index)
-    found = []
-    for usable, base, need in passes:
+    for usable, frontier, need in passes:
         usable = usable.tobytes()
         assigned = bytearray(len(offsets) - 1)
-        frontier = list(base)
-        joining = {}
-        for b, at in boundary:
-            layer = at[len(found)]
-            if layer == 0:
-                frontier.append(b)
-            elif layer is not None:
-                joining.setdefault(layer, []).append(b)
         for s in frontier:
             assigned[s] = 1
-        layers = dict.fromkeys(base, 0)
-        depth = 0
-        while frontier or joining:
+        while frontier:
             best = {}
             for t in frontier:
                 for k in range(offsets[t], offsets[t + 1]):
@@ -388,20 +403,13 @@ def _layered_policy(index, certificate, optimal, target, sure, positive, policy,
                         a = best.get(s)
                         if a is None or actions[k] < a:
                             best[s] = actions[k]
-            depth += 1
-            frontier = joining.pop(depth, [])
-            for s in frontier:
-                assigned[s] = 1
+            frontier = list(best)
             for s, a in best.items():
                 policy[s] = a
                 assigned[s] = 1
-                frontier.append(s)
-                layers[s] = depth
         missing = [s for s in need if not assigned[s]]
         if missing:
             raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
-        found.append(layers)
-    return found
 
 
 def _first_actions(arrays):
@@ -439,7 +447,10 @@ def _reach_policy(mdp: Mdp, values, target, sure) -> dict[int, int]:
     return policy
 
 
-def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int = 100_000) -> ReachResult:
+MAX_SWEEPS = 100_000  # value iteration gives up after this many sweeps
+
+
+def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
     """Maximal probability of reaching `target` while never entering `avoid`.
 
     Avoid states are treated as absorbing with value 0 but stay part of the
@@ -481,44 +492,41 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, max_iter: int =
     mid_out, mid_rows = _offsets(out_count[mid_choices])[:-1], _offsets(row_count[mid])[:-1]
     iterations = 0
     if len(mid):
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, MAX_SWEEPS + 1):
             best = np.maximum.reduceat(np.add.reduceat(mid_probs * x[mid_targets], mid_out), mid_rows)
             delta = float((best - x[mid]).max())
             x[mid] = best
             if delta < epsilon:
                 break
         else:
-            raise DivergenceError(f"value iteration exceeded {max_iter} sweeps (last delta {delta})")
+            raise DivergenceError(f"value iteration exceeded {MAX_SWEEPS} sweeps (last delta {delta})")
 
     return ReachResult(x.tolist(), iterations, frozenset(np.flatnonzero(one).tolist()),
                        frozenset(np.flatnonzero(zero).tolist()),
                        lambda: _reach_policy(mdp, x, in_target, one & ~in_target))
 
 
-# classes of a state for the max-product solvers: a sink is absorbing and
-# neither target nor avoid state, so dead unless a caller lets it live on
-# (a robot that may hand over there, in `team.solve_blocks`)
+# classes of a state for the max-product solver: a sink is absorbing and
+# neither target nor avoid state, so dead
 LIVE, TARGET, AVOID, SINK = range(4)
 
 
-def _live_edges(arrays, states, cls):
-    """The live edges of the choices of the live `states` (an int array),
-    where a live outcome is a live or target state by `cls`: numpy columns
-    of live outcome, choosing state, probability, action index and whether
-    the live outcome is the choice's only one, as `_backward_index` takes
-    them. None when a choice has two live outcomes.
+def _live_index(arrays, cls):
+    """The backward index (`_backward_index`) of the live edges of the
+    choices of the live states by `cls`, where a live outcome is a live or
+    target state: columns of choosing state, probability, action index
+    and whether the live outcome is the choice's only one, states and
+    actions as int32. None when a choice has two live outcomes.
     """
     row_start, actions, out_start, targets, probs = arrays
-    states = states[cls[states] == LIVE]
-    choices = _ranges(row_start, states)
-    counts = out_start[choices + 1] - out_start[choices]
-    outs = _ranges(out_start, choices)
-    live = cls[targets[outs]] <= TARGET
-    owner, outs = np.repeat(np.arange(len(choices)), counts)[live], outs[live]
+    owner = np.repeat(np.arange(len(actions), dtype=np.int32), np.diff(out_start))
+    state = np.repeat(np.arange(len(cls), dtype=np.int32), np.diff(row_start))
+    outs = np.flatnonzero((cls[targets] <= TARGET) & (cls[state] == LIVE)[owner])
+    owner = owner[outs]
     if (owner[1:] == owner[:-1]).any():  # owners ascend, so a repeat is adjacent
         return None
-    tails = np.repeat(states, row_start[states + 1] - row_start[states])[owner]
-    return [targets[outs], tails, probs[outs], actions[choices[owner]], counts[owner] == 1]
+    return _backward_index([targets[outs], state[owner], probs[outs], actions[owner].astype(np.int32, copy=False),
+                            out_start[owner + 1] - out_start[owner] == 1], len(cls))
 
 
 def _backward_index(edges, n):
@@ -531,10 +539,9 @@ def _backward_index(edges, n):
 
 def _label_setting(index, values, sources):
     """Raise `values` to the largest product of probabilities along the live
-    edges of `index` to a source, times the source's value.
+    edges of `index` to a source, times the source's value (the targets,
+    at 1).
 
-    Sources hold their values already: the targets at 1, and in a model
-    solved in parts, states whose value comes from a part solved before.
     Knuth's generalisation of Dijkstra's algorithm (IPL 1977): p <= 1 never
     raises a label, also in floating point, so a state's value is final
     when it leaves the heap.
@@ -557,21 +564,20 @@ def _label_setting(index, values, sources):
                 heappush(heap, (-w, s))
 
 
-def _max_product_policy(index, values, states, target, policy, boundary=()):
+def _max_product_policy(index, values, target, policy):
     """`_layered_policy` over the live-edge index of a model with one live
-    outcome per choice, for the int array `states` and the target list: a
-    choice is a certificate when its live outcome is its only one, and
-    value-optimal when p times that outcome's value is within PROB_ATOL of
-    its state's, which is its best choice's.
+    outcome per choice, for the target list: a choice is a certificate
+    when its live outcome is its only one, and value-optimal when p times
+    that outcome's value is within PROB_ATOL of its state's, which is its
+    best choice's.
     """
     offsets, tails, probs, actions, alone = index
     v = np.array(values)
     heads = np.repeat(np.arange(len(v)), np.diff(offsets))
-    region = np.zeros(len(v), bool)
-    region[states] = True
+    region = np.ones(len(v), bool)
     region[target] = False
-    return _layered_policy((offsets, tails, actions), alone, probs * v[heads] >= v[tails] - PROB_ATOL, target,
-                           region & (v == 1.0), region & (v > 0.0) & (v < 1.0), policy, boundary)
+    _layered_policy((offsets, tails, actions), alone, probs * v[heads] >= v[tails] - PROB_ATOL, target,
+                    region & (v == 1.0), region & (v > 0.0) & (v < 1.0), policy)
 
 
 def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
@@ -589,10 +595,9 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     cls = np.where(_absorbing(mdp.arrays), SINK, LIVE).astype(np.uint8)
     cls[list(avoid)] = AVOID
     cls[list(target)] = TARGET
-    edges = _live_edges(mdp.arrays, np.arange(n), cls)
-    if edges is None:
+    index = _live_index(mdp.arrays, cls)
+    if index is None:
         return None
-    index = _backward_index(edges, n)
 
     values = [0.0] * n
     for s in target:
@@ -600,7 +605,7 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     _label_setting(index, values, target)
 
     policy = _first_actions(mdp.arrays)
-    _max_product_policy(index, values, np.arange(n), sorted(target), policy)
+    _max_product_policy(index, values, sorted(target), policy)
     # a product of probabilities is 1.0 only over probability-1 steps
     almost_sure = frozenset(s for s in range(n) if values[s] == 1.0)
     zero = frozenset(s for s in range(n) if values[s] == 0.0)

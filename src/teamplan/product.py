@@ -12,7 +12,8 @@ steps over a 15,000-state team's products), so one dictionary replaces
 per-component stepping and no second automaton representation is needed.
 
 `ProductMdp` is the only model builder that applies the advance to a
-robot's moves; the team model reads its rows and their stacked `arrays()`.
+robot's moves; the team model reads its stacked `arrays` and the classes
+and vector ids of its states.
 """
 
 from functools import cached_property
@@ -20,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import Explorer, Mdp, _stack
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, _concat, _stack
 
 
 class ProductError(ValueError):
@@ -102,21 +103,23 @@ class ProductMdp:
     """Product of one robot's model with the mission automata.
 
     The only model builder that advances the automaton vector on one
-    robot's moves; the team model reads its rows and its classification
-    (`accepts`, `violates`). Safety-violating product states keep their
-    action names but turn into self-loops:
-    nothing that happens after a violation can matter, and the collapse
-    keeps the trap region from multiplying out the map.
+    robot's moves. Safety-violating product states keep their action names
+    but turn into self-loops: nothing that happens after a violation can
+    matter, and the collapse keeps the trap region from multiplying out
+    the map.
 
     A state's row is its map state's move table with each distinct
     successor interned once, in first-appearance order; rows carry no costs.
+    Per state, `states` holds (map state, automaton vector) and `arrays`
+    its row; the numpy columns `map_states`, `vector_ids` (distinct
+    vectors numbered in order of first appearance) and `classes` (TARGET,
+    AVOID or LIVE by the vector) say the same for the team model's build.
 
     `mdp`, `accepting`, `violating` and `num_states` describe the product
     reachable from the robot's initial state; the two sets are built on
-    first read, as the plan itself asks only `accepts` and `violates`.
-    `explore((s, q))` extends the product from another root, appending the
-    states reachable from it to `states` and `rows`; their first
-    `num_states` entries never change.
+    first read. `explore((s, q))` extends the product from another root,
+    appending the states reachable from it; the first `num_states` states
+    never change.
     """
 
     def __init__(self, source, mission, automata):
@@ -148,35 +151,42 @@ class ProductMdp:
 
         # expand holds no reference to self, so a product is freed without
         # waiting for the cycle collector
-        explorer = Explorer(expand)
-        self.explore = explorer.explore
-        self.states = explorer.keys
-        self.rows = explorer.rows
+        self._explorer = Explorer(expand)
+        self.states = self._explorer.keys
+        self._vectors = {}
+        self.arrays = self.map_states = self.vector_ids = self.classes = None
         self.explore((source.initial, automata.start([source], [source.initial])))
-        self._stacked = _stack(self.rows)
         n = self.num_states = len(self.states)
-        self.mdp = Mdp(n, 0, source.actions, arrays=self._stacked)
+        self.mdp = Mdp(n, 0, source.actions, arrays=self.arrays)
 
-    def arrays(self):
-        """The `Arrays` of every state explored so far, stacked again
-        only after `explore` has appended states."""
-        if len(self._stacked.row_start) <= len(self.rows):
-            self._stacked = _stack(self.rows)
-        return self._stacked
+    def explore(self, key):
+        """Index of product state `key`, after appending every state
+        reachable from it; stacks the appended rows onto `arrays`."""
+        root = self._explorer.explore(key)
+        rows = self._explorer.take()
+        if rows:
+            automata, vectors = self.automata, self._vectors  # vector -> (id, class)
+
+            def kind(q):
+                return TARGET if automata.accepting(q) else AVOID if automata.violating(q) else LIVE
+
+            new = self.states[-len(rows):]
+            ids, kinds = np.array([vectors.get(q) or vectors.setdefault(q, (len(vectors), kind(q)))
+                                   for _, q in new], np.int32).T
+            grown = (_stack(rows), np.array([s for s, _ in new], np.int32), ids, kinds.astype(np.uint8))
+            if self.arrays is not None:
+                old = (self.map_states, self.vector_ids, self.classes)
+                grown = (_concat((self.arrays, grown[0])), *map(np.concatenate, zip(old, grown[1:])))
+            self.arrays, self.map_states, self.vector_ids, self.classes = grown
+        return root
 
     @cached_property
     def accepting(self):
-        return frozenset(i for i in range(self.num_states) if self.accepts(i))
+        return frozenset(np.flatnonzero(self.classes[:self.num_states] == TARGET).tolist())
 
     @cached_property
     def violating(self):
-        return frozenset(i for i in range(self.num_states) if self.violates(i))
-
-    def accepts(self, i):
-        return self.automata.accepting(self.states[i][1])
-
-    def violates(self, i):
-        return self.automata.violating(self.states[i][1])
+        return frozenset(np.flatnonzero(self.classes[:self.num_states] == AVOID).tolist())
 
     def full_size(self):
         return self.automata.unpruned_size([self.source])

@@ -370,7 +370,8 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
     _require_class(models)
     products = local_products(models, mission)
     sol = solve_stapu(build_team(products), epsilon=epsilon)
-    jp = synchronize(sol)
+    # the models are checked above, so the chains are built directly
+    jp = JointPolicy([_build_chain(sol, None)], robots=len(models))
     # replan key -> (sub-plan value, ungrafted continuation chain)
     replans = {}
     survey = _survey(jp)
@@ -388,7 +389,7 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
             point.mark_addressed()
         else:
             sub = solve_realloc(point, products, epsilon=epsilon)
-            replans[key] = (sub.value, synchronize(sub, q0=point.q).chains[0])
+            replans[key] = (sub.value, _build_chain(sub, point.q))
         value, template = replans[key]
         jp.graft(point, JointPolicy([_copy_chain(template)], robots=jp.robots))
         reallocations += 1

@@ -6,27 +6,21 @@ entry state. Switching costs nothing and takes probability 1: it is a
 planning construct, not an executed action. The products advance and
 classify the automaton vectors and `product.Automata` says when a vector
 may be handed on; this module owns the switch rule only, in one method,
-`TeamMdp.switch_target`, which the explicit model's rows, the block
-solve's forward pass and the success-path walk all call.
+`TeamMdp.switch_target`.
 
 The ring stops before it returns to the start robot, so the team model is
 a chain of robot blocks: a robot's block is the part of its product
 reachable from its entry states, and its switches lead into the next
-robot's block only. `solve_stapu` solves the chain on the products
-themselves, last robot first. A block's switch states take the next
-block's values at the switch targets as boundary values of one
-label-setting pass (`mdp._label_setting`), exact for deterministic-or-fail
-robots, where every action reaches one live successor and otherwise a dead
-end; the policy passes, which `max_reach` shares, carry their layered
-tie-break across the switches the same way. So the solve reads the
-products' stacked arrays and never renumbers a product row.
+robot's block only. `TeamMdp` builds the team model as one array-backed
+`Mdp` in one forward pass over the blocks: each block's product rows,
+renumbered block after block and mapped to team action indices, with the
+switch as the last choice of a state that may hand over.
 
-`TeamMdp` builds the team model as one explicit `Mdp`, from rows in the
-products' row format, only when something reads it (`mdp`, `states`): the
-fallback for a model with two live outcomes in some action, which robots
-outside that class can give and which value iteration (`mdp.max_reach`)
-solves, and tests, which check the block solve against
-`mdp.max_product_reach` on it.
+`solve_stapu` solves it with the solver of its class: `mdp.max_product_reach`,
+exact for deterministic-or-fail robots, where every action reaches one
+live successor and otherwise a dead end, and `mdp.max_reach` for a model
+with two live outcomes in some action, which robots outside that class
+can give.
 
 `check_class` is the one gate of that class: an absorbing failure state,
 and every action deterministic or split between one successor and the
@@ -36,26 +30,10 @@ step lists `realloc.synchronize` executes.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .mdp import (
-    AVOID,
-    LIVE,
-    SINK,
-    TARGET,
-    Explorer,
-    Mdp,
-    _absorbing,
-    _backward_index,
-    _label_setting,
-    _live_edges,
-    _max_product_policy,
-    _ranges,
-    _stack,
-    max_reach,
-)
+from .mdp import AVOID, TARGET, Arrays, Mdp, _ranges, max_product_reach, max_reach
 
 SWITCH = "switch"
 
@@ -65,17 +43,18 @@ class TeamError(ValueError):
 
 
 class TeamMdp:
-    """Robots' product spaces, keyed (robot, product state), plus switches.
+    """Robots' product spaces plus switches, as one explicit `Mdp`.
 
     `root` is the start robot's product state at its entry with `start_q`.
     `switch_target` is the switch rule. Robots listed in `failed` start at
     the failure state in a reallocation solve and may pass their remaining
     tasks to the ring successor.
 
-    The explicit team model is built on first use: `keys` lists the
-    (robot, product state) of every team state breadth-first from the
-    root, `states` the matching (robot, map state, automaton vector), and
-    `mdp`, `accepting`, `violating` and `num_states` describe it.
+    `blocks` lists (robot, product states) in ring order from the start
+    robot, and `offsets` where each block's states start in the team
+    model: team state `offsets[b] + k` is robot `blocks[b][0]`'s product
+    state `blocks[b][1][k]`, and team state 0 is the root. `mdp`,
+    `accepting`, `violating` and `num_states` describe the team model.
     """
 
     def __init__(self, products, entries=None, start_robot=0, start_q=None, failed=()):
@@ -118,19 +97,94 @@ class TeamMdp:
         self.actions = tuple(names)
         self.action_map = [[seen[a] for a in p.source.actions] for p in products]
         self.root = products[start_robot].explore((entries[start_robot], self.start_q))
+        self._build()
 
-    def _expand(self, key, intern):
-        """The product row of robot state `key` in team actions, plus the
-        switch where one is enabled; `intern` maps each successor key."""
-        robot, i = key
-        acts, counts, targets, probs = self.products[robot].rows[i]
-        acts = np.array(self.action_map[robot], np.int64)[acts]
-        targets = [intern((robot, t)) for t in targets.tolist()]
-        j = self.switch_target(robot, i)
-        if j is not None:
-            targets.append(intern(((robot + 1) % len(self.products), j)))
-            acts, counts, probs = np.append(acts, self.switch_action), np.append(counts, 1), np.append(probs, 1.0)
-        return acts, counts, np.array(targets, np.int32), probs
+    def _build(self):
+        """The forward pass: per robot in ring order from the start robot,
+        its block's product states, from the switch targets of the block
+        before, and the block's sizes. Then the team model's arrays, filled
+        block by block."""
+        n = len(self.products)
+        self.blocks, blocks, ends = [], [], [(0, 0, 0)]  # ends: team states, choices, outcomes
+        roots = np.array([self.root])
+        for k in range(n):
+            robot = (self.start_robot + k) % n
+            pm = self.products[robot]
+            # the product's first states are those reachable from its initial
+            # one; `_closure` lists the roots first, in order
+            states = np.arange(pm.num_states) if len(roots) == 1 and roots[0] == 0 else _closure(pm.arrays, roots)
+            if k + 1 < n:  # the last block of the chain has no next block to switch into
+                switching, targets = self._switches(robot, states)
+                roots = np.flatnonzero(np.bincount(targets))  # np.unique would import numpy.ma
+                # the next block starts with its roots, in order
+                targets = ends[-1][0] + len(states) + np.searchsorted(roots, targets)
+            else:
+                switching, targets = np.zeros(len(states), bool), np.zeros(0, np.int64)
+            row_start, _, out_start = pm.arrays[:3]
+            first, last = row_start[states], row_start[states + 1]
+            extra = int(switching.sum())  # one choice and one outcome per switch
+            size, choices, outcomes = ends[-1]
+            ends.append((size + len(states), choices + int((last - first).sum()) + extra,
+                         outcomes + int((out_start[last] - out_start[first]).sum()) + extra))
+            self.blocks.append((robot, states))
+            blocks.append((robot, states, switching, targets, size))
+        self.offsets, (self.num_states, choices, outcomes) = [e[0] for e in ends[:-1]], ends[-1]
+
+        arrays = Arrays(np.zeros(self.num_states + 1, np.int64), np.empty(choices, np.int32),
+                        np.zeros(choices + 1, np.int64), np.empty(outcomes, np.int32), np.empty(outcomes))
+        for (s0, c0, o0), (s1, c1, o1), block in zip(ends, ends[1:], blocks):
+            self._fill(*block, Arrays(arrays.row_start[s0 + 1:s1 + 1], arrays.actions[c0:c1],
+                                      arrays.out_start[c0 + 1:c1 + 1], arrays.targets[o0:o1], arrays.probs[o0:o1]))
+        for counts in (arrays.row_start, arrays.out_start):
+            np.cumsum(counts, out=counts)
+        self.mdp = Mdp(self.num_states, 0, self.actions, arrays=arrays)
+        classes = np.concatenate([self.products[robot].classes[states] for robot, states in self.blocks])
+        self.accepting = frozenset(np.flatnonzero(classes == TARGET).tolist())
+        self.violating = frozenset(np.flatnonzero(classes == AVOID).tolist())
+
+    def _switches(self, robot, states):
+        """Which of the product states `states` of `robot` may switch, and
+        the next robot's product state each switch leads to. The rule reads
+        a state's map state only for being the failure state, so it runs
+        once per distinct (vector, at the failure state) key, on any state
+        with that key."""
+        pm = self.products[robot]
+        fail = pm.source.failure_state
+        key = pm.vector_ids[states] * 2 + (pm.map_states[states] == (-1 if fail is None else fail))
+        some = np.full(key.max(initial=0) + 1, -1)
+        some[key] = states
+        target = np.full(len(some), -1)
+        for k in np.flatnonzero(some >= 0).tolist():
+            j = self.switch_target(robot, int(some[k]))
+            target[k] = -1 if j is None else j
+        target = target[key]
+        return target >= 0, target[target >= 0]
+
+    def _fill(self, robot, states, switching, targets, first, out):
+        """Write one block into `out`, its slices of the team's `Arrays`
+        with choice and outcome counts in place of offsets. The block's
+        team states are `states` of `robot`'s product, numbered from
+        `first`; actions are renumbered by the robot's `action_map`, and
+        each switching state's row ends with its switch to the team state
+        in `targets`."""
+        row_start, actions, out_start, successors, probs = self.products[robot].arrays
+        local = np.full(len(row_start) - 1, -1, np.int64)
+        local[states] = np.arange(first, first + len(states))
+        choices = _ranges(row_start, states)
+        out.row_start[:] = row_start[states + 1] - row_start[states] + switching
+        switch = np.zeros(len(out.actions), bool)
+        switch[np.cumsum(out.row_start)[switching] - 1] = True
+        out.actions[switch] = self.switch_action
+        out.actions[~switch] = np.array(self.action_map[robot], np.int32)[actions[choices]]
+        out.out_start[switch] = 1
+        out.out_start[~switch] = out_start[choices + 1] - out_start[choices]
+        to_switch = np.zeros(len(out.targets), bool)
+        to_switch[(np.cumsum(out.out_start) - out.out_start)[switch]] = True
+        outs = _ranges(out_start, choices)
+        out.targets[to_switch] = targets
+        out.targets[~to_switch] = local[successors[outs]]
+        out.probs[to_switch] = 1.0
+        out.probs[~to_switch] = probs[outs]
 
     def switch_target(self, robot, i):
         """The next robot's product state a switch from state `i` of
@@ -156,42 +210,28 @@ class TeamMdp:
             return None
         return self.products[nxt].explore((self.entries[nxt], q))
 
-    @cached_property
-    def _explored(self):
-        explorer = Explorer(self._expand)
-        explorer.explore((self.start_robot, self.root))
-        return explorer.keys, explorer.rows
-
-    @property
-    def keys(self):
-        return self._explored[0]
-
-    @cached_property
-    def states(self):
-        return [(robot, *self.products[robot].states[i]) for robot, i in self.keys]
-
-    @cached_property
-    def mdp(self):
-        return Mdp(len(self.keys), 0, self.actions, arrays=_stack(self._explored[1]))
-
-    @cached_property
-    def accepting(self):
-        return frozenset(k for k, (robot, i) in enumerate(self.keys) if self.products[robot].accepts(i))
-
-    @cached_property
-    def violating(self):
-        return frozenset(k for k, (robot, i) in enumerate(self.keys) if self.products[robot].violates(i))
-
-    @property
-    def num_states(self):
-        return len(self.keys)
-
     def full_size(self):
         return sum(p.full_size() for p in self.products)
 
 
 def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):
     return TeamMdp(products, entries, start_robot, start_q, failed)
+
+
+def _closure(arrays, roots):
+    """Product states reachable from the distinct `roots`: the roots, then
+    each breadth-first layer in state order."""
+    row_start, _, out_start, targets, _ = arrays
+    outcomes = out_start[row_start]  # the outcomes of state s start at outcomes[s]
+    order = [np.array(roots, np.int64)]
+    seen = np.zeros(len(row_start) - 1, bool)
+    seen[order[0]] = True
+    while len(order[-1]):
+        found = np.zeros(len(seen), bool)
+        found[targets[_ranges(outcomes, order[-1])]] = True
+        order.append(np.flatnonzero(found & ~seen))
+        seen[order[-1]] = True
+    return np.concatenate(order)
 
 
 @dataclass
@@ -226,155 +266,14 @@ class StapuSolution:
 def solve_stapu(team, epsilon=1e-6):
     """Solve the team model and read off the allocation the policy implies.
 
-    A team of deterministic-or-fail robots is solved exactly block by block
-    (`solve_blocks`); any other falls back to value iteration with
-    `max_reach` on the explicit team model, the only use of `epsilon`.
+    A team of deterministic-or-fail robots is solved exactly with
+    `max_product_reach`; any other falls back to value iteration with
+    `max_reach` on the same model, the only use of `epsilon`.
     """
-    solved = solve_blocks(team)
-    if solved is None:
+    res = max_product_reach(team.mdp, team.accepting, team.violating)
+    if res is None:
         res = max_reach(team.mdp, team.accepting, team.violating, epsilon=epsilon)
-        value, policy = res.values[0], keyed_policy(team, res.policy)
-    else:
-        values, policy = solved
-        value = values[team.start_robot][team.root]
-    return StapuSolution(team, value, *_walk_success_path(team, policy))
-
-
-def keyed_policy(team, policy):
-    """A policy over the explicit team model's states, keyed like
-    `solve_blocks`'s: `out[robot]` maps product states to team actions."""
-    out = [{} for _ in team.products]
-    for k, action in policy.items():
-        robot, i = team.keys[k]
-        out[robot][i] = action
-    return out
-
-
-def _closure(arrays, roots):
-    """Product states reachable from the distinct `roots`: the roots, then
-    each breadth-first layer in state order."""
-    row_start, _, out_start, targets, _ = arrays
-    outcomes = out_start[row_start]  # the outcomes of state s start at outcomes[s]
-    order = [np.array(roots, np.int64)]
-    seen = np.zeros(len(row_start) - 1, bool)
-    seen[order[0]] = True
-    while len(order[-1]):
-        found = np.zeros(len(seen), bool)
-        found[targets[_ranges(outcomes, order[-1])]] = True
-        order.append(np.flatnonzero(found & ~seen))
-        seen[order[-1]] = True
-    return np.concatenate(order).tolist()
-
-
-def _classes(pm):
-    """The class of every explored state of product `pm`: target or avoid
-    by its automaton vector, else sink when absorbing, else live."""
-    kinds = {}  # per automaton vector
-    for _, q in pm.states:
-        if q not in kinds:
-            kinds[q] = TARGET if pm.automata.accepting(q) else AVOID if pm.automata.violating(q) else LIVE
-    cls = np.array([kinds[q] for _, q in pm.states], np.uint8)
-    cls[(cls == LIVE) & _absorbing(pm.arrays())] = SINK
-    return cls
-
-
-def _blocks(team):
-    """The forward pass: per robot in ring order from the start robot, its
-    block's product states and the switch target of each switch state in
-    the next robot's product, as (robot, states, {state: target})."""
-    products = team.products
-    n = len(products)
-    blocks = []
-    roots = [team.root]
-    for k in range(n):
-        robot = (team.start_robot + k) % n
-        pm = products[robot]
-        # the product's first states are those reachable from its initial one
-        reach = list(range(pm.num_states)) if roots == [0] else _closure(pm.arrays(), roots)
-        switch = {}
-        if k + 1 < n:  # the last block of the chain has no next block to switch into
-            fail = pm.source.failure_state
-            targets = {}  # by (at `fail`, vector): the rule reads the map state only for that
-            for i in reach:
-                s, q = pm.states[i]
-                key = (s == fail, q)
-                if key not in targets:
-                    targets[key] = team.switch_target(robot, i)
-                if targets[key] is not None:
-                    switch[i] = targets[key]
-            roots = list(dict.fromkeys(switch.values()))
-        blocks.append((robot, reach, switch))
-    return blocks
-
-
-def _block_index(team, robot, reach, switch, cls):
-    """The backward index of one block, in team action indices: the live
-    edges from its states `reach` (an int array) by its product's classes
-    `cls`, in which a sink where the robot hands over is live, and one
-    switch edge per switch state into an extra state size + k standing for
-    the k-th distinct switch target. Returns (index, {switch target: extra
-    state}), or None when a choice has two live outcomes. A handing sink's
-    self-loops raise no label (p = 1) and assign no action: it is assigned
-    before it joins a frontier."""
-    handing = [i for i in switch if cls[i] == SINK]
-    if handing:
-        cls = cls.copy()
-        cls[handing] = LIVE
-    edges = _live_edges(team.products[robot].arrays(), reach, cls)
-    if edges is None:
-        return None
-    edges[3] = np.array(team.action_map[robot], np.int64)[edges[3]]
-    boundary = {}
-    for j in switch.values():
-        boundary.setdefault(j, len(cls) + len(boundary))
-    k = len(switch)
-    added = ([boundary[j] for j in switch.values()], list(switch), [1.0] * k, [team.switch_action] * k, [True] * k)
-    edges = [np.concatenate((e, np.array(x, e.dtype))) for e, x in zip(edges, added)]
-    return _backward_index(edges, len(cls) + len(boundary)), boundary
-
-
-def solve_blocks(team):
-    """Exact values and policy of the team model, robot block by robot block.
-
-    The blocks form a chain, so they are solved last first. Each block's
-    values come from one label-setting pass over its product's live edges,
-    in which the extra states standing for the switch targets are sources
-    carrying the next block's values. The policy passes of
-    `mdp._max_product_policy` run over the same index, the switch targets
-    joining them at the layers the next block gave them, and break ties on
-    team action indices (the switch last). A product's state classes are
-    read after the forward pass, which may extend products.
-
-    Returns (values, policy): `values[robot]` is indexed by the robot's
-    product state and `policy[robot]` maps product states to team
-    actions; states without an entry take their first team action. None
-    when some choice has two live outcomes.
-    """
-    products = team.products
-    blocks = _blocks(team)
-    classes = {id(pm): _classes(pm) for pm in {id(p): p for p in products}.values()}
-
-    values = [None] * len(products)
-    policy = [{} for _ in products]
-    after = None  # values and layers of the next block
-    for robot, reach, switch in reversed(blocks):
-        cls = classes[id(products[robot])]
-        states = np.array(reach, np.int64)
-        block = _block_index(team, robot, states, switch, cls)
-        if block is None:
-            return None
-        index, boundary = block
-        vals = [0.0] * (len(cls) + len(boundary))
-        targets = states[cls[states] == TARGET].tolist()
-        for i in targets:
-            vals[i] = 1.0
-        for j, b in boundary.items():
-            vals[b] = after[0][j]
-        _label_setting(index, vals, targets + list(boundary.values()))
-        values[robot] = vals
-        joins = [(b, (after[1].get(j), after[2].get(j))) for j, b in boundary.items()]
-        after = (vals, *_max_product_policy(index, vals, states, targets, policy[robot], joins))
-    return values, policy
+    return StapuSolution(team, res.values[0], *_walk_success_path(team, res.policy))
 
 
 def _segment(robot, s, q):
@@ -384,75 +283,66 @@ def _segment(robot, s, q):
 def _walk_success_path(team, policy):
     """Follow the policy along non-failure outcomes, splitting at switches.
 
-    `policy[robot]` maps the robot's product states to team actions, as
-    `solve_blocks` returns it; a state without an entry takes its first
-    team action, the switch after the product's actions. The walk reads
-    the products' rows and `switch_target` directly. Returns the
+    `policy` maps team states to team actions, as either solver returns
+    it; the walk reads `team.mdp`'s rows from team state 0. Returns the
     allocation, the unallocated tasks, the segments, the switches and the
     programs of `StapuSolution`. A task is allocated to the robot whose
     move makes its component accepting. Exact for the deterministic-or-fail
     class, best effort (highest-probability branch) elsewhere. The
     hand-over ring stops before it returns to the start robot, so each
-    robot gets at most one segment.
+    robot gets at most one segment; a move stays in its robot's block.
     """
     tasks = team.automata.tasks
     m = len(tasks)
-    robot, i = cur = (team.start_robot, team.root)
-    s, q = team.products[robot].states[i]
-    allocation = {k: robot for k in range(m) if q[k] in tasks[k].accepting}
+    row_start, actions, out_start, targets, probs = team.mdp.arrays
+    block = k = 0
+    robot, states = team.blocks[block]
+    pm = team.products[robot]
+    s, q = pm.states[team.root]
+    allocation = {t: robot for t in range(m) if q[t] in tasks[t].accepting}
     segments = [_segment(robot, s, q)]
     switches = []
     programs = [[] for _ in team.products]
-    visited = {cur}
-    while True:
-        robot, i = cur
-        pm = team.products[robot]
-        if pm.accepts(i) or pm.violates(i):
-            break
-        s, q = pm.states[i]
-        acts, counts, targets, probs = pm.rows[i]
-        acts = np.array(team.action_map[robot], np.int64)[acts]
-        action = policy[robot].get(i, acts[0] if len(acts) else team.switch_action)
+    visited = {k}
+    while k not in team.accepting and k not in team.violating and k in policy:
+        action = policy[k]
+        c = row_start[k] + np.flatnonzero(actions[row_start[k]:row_start[k + 1]] == action)[0]
+        first, last = out_start[c], out_start[c + 1]
         if action == team.switch_action:
-            j = team.switch_target(robot, i)
-            if j is None:
-                break
-            cur = ((robot + 1) % len(team.products), j)
-            visited.add(cur)
-            switches.append({
-                "from_robot": robot,
-                "to_robot": cur[0],
-                "state": {"s": s, "q": list(q)},
-            })
-            segments.append(_segment(cur[0], *team.products[cur[0]].states[j]))
+            block += 1
+            prev, (robot, states) = robot, team.blocks[block]
+            pm = team.products[robot]
+            k = int(targets[first])
+            visited.add(k)
+            switches.append({"from_robot": prev, "to_robot": robot, "state": {"s": s, "q": list(q)}})
+            s, q = pm.states[states[k - team.offsets[block]]]
+            segments.append(_segment(robot, s, q))
             continue
-        chosen = np.repeat(acts, counts) == action  # a state enables an action once
-        if not chosen.any():
-            break
-        outcomes = list(zip(targets[chosen].tolist(), probs[chosen].tolist()))
         name = team.actions[action]
         segments[-1]["choices"].append({"state": {"s": s, "q": list(q)}, "action": name})
+        outcomes = list(zip(targets[first:last].tolist(), probs[first:last].tolist()))
+        where = {t: pm.states[states[t - team.offsets[block]]] for t, _ in outcomes}
         fail = pm.source.failure_state
-        live = [(t, p) for t, p in outcomes if pm.states[t][0] != fail]
+        live = [(t, p) for t, p in outcomes if where[t][0] != fail]
         if not live:
             programs[robot].append((s, None, 1.0, name))
             break
         nxt = max(live, key=lambda tp: tp[1])[0]
-        pfail = sum(p for t, p in outcomes if pm.states[t][0] == fail)
-        programs[robot].append((s, pm.states[nxt][0], pfail, name))
-        if (robot, nxt) in visited:
+        pfail = sum(p for t, p in outcomes if where[t][0] == fail)
+        programs[robot].append((s, where[nxt][0], pfail, name))
+        if nxt in visited:
             break
-        visited.add((robot, nxt))
-        newq = pm.states[nxt][1]
-        for k in range(m):
-            if k not in allocation and newq[k] in tasks[k].accepting:
-                allocation[k] = robot
-        cur = (robot, nxt)
+        visited.add(nxt)
+        s, q = where[nxt]
+        for t in range(m):
+            if t not in allocation and q[t] in tasks[t].accepting:
+                allocation[t] = robot
+        k = nxt
 
     planned = {seg["robot"] for seg in segments}
     segments += [{"robot": r, "entry": {"s": team.entries[r], "q": None}, "choices": []}
                  for r in range(len(team.products)) if r not in planned]
-    unallocated = tuple(k for k in range(m) if k not in allocation)
+    unallocated = tuple(t for t in range(m) if t not in allocation)
     return allocation, unallocated, segments, switches, programs
 
 

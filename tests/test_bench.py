@@ -1,7 +1,6 @@
 """Sweep harness: row contents, determinism, ceilings, failure handling."""
 
 import csv
-import dataclasses
 import json
 import logging
 
@@ -13,7 +12,8 @@ from teamplan.ltl import format_formula
 from teamplan.maps import MapSpec, gen_map, map_mission
 from teamplan.mdp import save_model
 from teamplan.product import local_product
-from teamplan.team import TeamMdp, build_team
+
+from test_team import reference_team
 
 BASE = {
     "robots": [2],
@@ -112,20 +112,19 @@ def test_run_cell_counts_reallocations():
     assert row.guarantee > 0.0
 
 
-def test_team_transitions_are_counted_without_the_team_model(monkeypatch):
-    """Replans, hazards, one and three robots on a shared product."""
+def test_team_transitions_match_the_reference_team():
+    """Hazards, one and three robots on a shared product."""
     cells = [dict(robots=3, tasks=2, failpoints=2, seed=1, hazards=1), dict(robots=1, tasks=2, failpoints=0, seed=0),
              dict(robots=2, tasks=3, failpoints=3, seed=4, hazards=1)]
     for cell in cells:
         spec = dict(nodes=8, pfail=0.2, **cell)
-        with monkeypatch.context() as patched:
-            patched.setattr(TeamMdp, "_explored", property(lambda team: pytest.fail("the team model was built")))
-            row = run_cell(reps=1, **spec)
+        row = run_cell(reps=1, **spec)
         robots = spec.pop("robots")
         spec = MapSpec(**spec)
-        team = build_team([local_product(gen_map(spec), map_mission(spec))] * robots)
-        expected = dataclasses.replace(row, team_trans=team.mdp.transition_count())
-        assert strip_times([row.csv_values()]) == strip_times([expected.csv_values()]), cell
+        model = gen_map(spec)
+        products = [local_product(model, map_mission(spec))] * robots
+        _, rows, _, _ = reference_team(products, [model.initial] * robots, 0, products[0].states[0][1], ())
+        assert row.team_trans == sum(len(outs) for r in rows for _, outs, _ in r), cell
 
 
 def test_sizes_count_the_safety_automaton(tmp_path, capsys):

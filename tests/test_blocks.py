@@ -1,21 +1,20 @@
-"""The block-by-block STAPU solve against the materialised team model.
+"""The team model's solve on seeded, mixed-map and hand-built teams.
 
-`team.solve_blocks` solves the team model robot block by robot block on
-the robots' products; the explicit team model (`TeamMdp.mdp`), built only
-on demand, is its oracle here. Values must be bitwise equal at every team
-state, and the plan read off the policy identical.
+`solve_stapu` solves the team model (`TeamMdp.mdp`) with
+`max_product_reach`, or with `max_reach` when some choice has two live
+outcomes. Here its values must match value iteration on the same model,
+its policy the reference rule of `test_mdp_oracle`, and its plan the walk
+of that rule's policy.
 """
 
 import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_product_reach
+from teamplan.mdp import Choice, Mdp, max_product_reach, max_reach
 from teamplan.product import compile_mission, local_product, local_products
-from teamplan.realloc import run_stapu_with_realloc
-from teamplan.team import TeamMdp, _walk_success_path, build_team, keyed_policy, solve_blocks, solve_stapu
+from teamplan.team import _walk_success_path, build_team, solve_stapu
 
-from instances import guarded_tree_instance, random_team_instance
 from test_max_product import SEED, team_models
 from test_mdp_oracle import reference_policy
 from test_team import mixed_team_instance
@@ -43,42 +42,42 @@ def mixed_teams(rng, count):
 
 
 def assert_matches_oracle(team, label):
-    oracle = max_product_reach(team.mdp, team.accepting, team.violating)
-    assert oracle is not None, label
-    values, _ = solve_blocks(team)
-    for k, (robot, i) in enumerate(team.keys):
-        assert values[robot][i] == oracle.values[k], (label, k)
-    sol = solve_stapu(team)
-    assert sol.value == oracle.values[0], label
-    expected = _walk_success_path(team, keyed_policy(team, oracle.policy))
+    """The solve against value iteration and the reference policy rule.
+    Returns whether the solve fell back to value iteration."""
+    vi = max_reach(team.mdp, team.accepting, team.violating, epsilon=1e-12)
+    res = max_product_reach(team.mdp, team.accepting, team.violating)
+    fallback = res is None
+    if fallback:
+        res = vi
+    sol = solve_stapu(team, epsilon=1e-12)
+    assert sol.value == res.values[0], label
+    for k in range(team.num_states):
+        assert res.values[k] == pytest.approx(vi.values[k], abs=1e-9), (label, k)
+    assert "choices" not in vars(team.mdp)  # the solvers run over the arrays
+    sure = set(res.almost_sure) - team.accepting
+    rule = reference_policy(team.mdp, res.values, set(team.accepting), sure)
+    assert res.policy == rule, label
+    expected = _walk_success_path(team, rule)
     assert (sol.allocation, sol.unallocated, sol.segments, sol.switches, sol.programs) == expected, label
-    assert "choices" not in vars(team.mdp)  # the oracle's policy passes run over the arrays
-    sure = {k for k in range(team.num_states) if oracle.values[k] == 1.0} - team.accepting
-    rule = reference_policy(team.mdp, oracle.values, set(team.accepting), sure)
-    assert oracle.policy == rule, label
+    return fallback
 
 
-def test_block_solve_matches_materialised_team_on_seeded_teams():
+def test_solve_stapu_matches_value_iteration_on_seeded_teams():
     teams = team_models(np.random.default_rng(SEED + 2), 40, max_nodes=8, max_tasks=3)
     assert any(t.failed for t in teams) and any(t.start_robot != 0 for t in teams)
     assert any(t.start_q != t.automata.start([t.products[t.start_robot].source], [t.entries[t.start_robot]])
                for t in teams)
     for n, team in enumerate(teams):
-        assert_matches_oracle(team, f"team {n}")
+        assert not assert_matches_oracle(team, f"team {n}")
 
 
-def test_block_solve_matches_materialised_team_on_mixed_maps():
+def test_solve_stapu_matches_value_iteration_on_mixed_maps():
     rng = np.random.default_rng(20261020)
-    checked = extended = 0
+    extended = 0
     for n, team in enumerate(mixed_teams(rng, 60)):
-        sizes = [p.num_states for p in team.products]
-        if solve_blocks(team) is None:
-            assert max_product_reach(team.mdp, team.accepting, team.violating) is None, n
-            continue
-        assert_matches_oracle(team, f"team {n}")
-        checked += 1
-        extended += any(len(p.states) > size for p, size in zip(team.products, sizes))
-    assert checked >= 100 and extended >= 40, (checked, extended)
+        assert not assert_matches_oracle(team, f"team {n}")
+        extended += any(len(p.states) > p.num_states for p in team.products)
+    assert extended >= 40, extended
 
 
 def two_atoms():
@@ -152,9 +151,9 @@ def test_failure_state_of_a_failed_robot_is_live():
                  atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
     miss = Mission(tasks=(parse_formula("F p1"),), safety=None)
     team = build_team(local_products([weak, strong], miss), failed={0})
-    assert solve_blocks(team) is None
     assert max_product_reach(team.mdp, team.accepting, team.violating) is None
     assert solve_stapu(team, epsilon=1e-12).value == pytest.approx(0.95, abs=1e-9)
+    assert assert_matches_oracle(team, "live failure state")
 
 
 def test_ties_break_on_team_action_indices():
@@ -176,17 +175,3 @@ def test_ties_break_on_team_action_indices():
     assert sol.allocation == {0: 1}
     assert sol.programs[1] == [(0, 2, 0, "b")]
     assert_matches_oracle(team, "ties")
-
-
-def test_replanning_never_builds_the_team_model(monkeypatch):
-    def refuse(team):
-        raise AssertionError("the team model was materialised")
-
-    monkeypatch.setattr(TeamMdp, "_explored", property(refuse))
-    rng = np.random.default_rng(SEED + 3)
-    replans = 0
-    for i in range(12):
-        model, miss = random_team_instance(rng, max_tasks=3) if i % 2 else guarded_tree_instance(rng)
-        _, report = run_stapu_with_realloc([model] * (2 + i % 3), miss)
-        replans += report.solves - 1
-    assert replans >= 10

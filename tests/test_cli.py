@@ -5,7 +5,10 @@ import json
 import pytest
 
 from teamplan.cli import main
-from teamplan.mdp import SolverError
+from teamplan.ltl import load_mission
+from teamplan.mdp import SolverError, load_model, max_product_reach, max_reach
+from teamplan.product import local_products
+from teamplan.team import build_team
 
 
 def write_mission(path, tasks, safety=None):
@@ -114,13 +117,15 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         assert "malformed mission" in capsys.readouterr().err
 
     # malformed model files: a successor or the initial state out of range,
-    # outcome probabilities that do not sum to 1, and fields of the wrong type
+    # outcome probabilities that do not sum to 1, fields of the wrong type,
+    # labels on a state outside the model or with an undeclared atom, a
+    # missing key and a label key that is not an integer
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
                  "--out", str(model)]) == 0
     good = model.read_text()
     (far_successor, huge_successor, far_initial, short_sum, float_successor, text_cost, text_states,
-     int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome) = (
-        json.loads(good) for _ in range(13))
+     int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome, far_label, unknown_atom,
+     no_outcomes, text_label_key) = (json.loads(good) for _ in range(17))
     far_successor["trans"][0]["outcomes"][0]["to"] = 99
     huge_successor["trans"][0]["outcomes"][0]["to"] = 10**12  # beyond int32
     far_initial["initial"] = 50
@@ -134,10 +139,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     int_actions["actions"] = 4
     int_transition["trans"] = [5]
     int_outcome["trans"][0]["outcomes"] = [3]
+    far_label["labels"]["99"] = ["p1"]
+    unknown_atom["labels"]["0"] = ["zz"]
+    del no_outcomes["trans"][0]["outcomes"]
+    text_label_key["labels"]["x"] = ["p1"]
     top_array = [json.loads(good)]
     for k, data in enumerate([far_successor, huge_successor, far_initial, short_sum, float_successor, text_cost,
                               text_states, int_trans, int_outcomes, list_labels, int_actions, int_transition,
-                              int_outcome, top_array]):
+                              int_outcome, top_array, far_label, unknown_atom, no_outcomes, text_label_key]):
         broken = tmp_path / f"model{k}.json"
         broken.write_text(json.dumps(data))
         for cmd in (["solve", "--out", str(tmp_path / "s.json")],
@@ -226,6 +235,29 @@ def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
     assert report["value"] + report["failure"] + report["unaddressed"] == pytest.approx(1.0, abs=1e-12)
     root = saved["chains"][0]["nodes"][0]
     assert root["actions"][0] == "crash" and root["steps"] == [[1.0, 1]]
+
+
+def test_solve_falls_back_to_value_iteration(tmp_path, capsys):
+    # "try" reaches the task node 1 w.p. 0.5, stays at node 0 w.p. 0.3 and
+    # breaks down w.p. 0.2: one move splits between two map states, which
+    # the exact solve declines
+    model = tmp_path / "split.json"
+    model.write_text(json.dumps({
+        "states": 3, "initial": 0, "atoms": ["p1"], "labels": {"1": ["p1"]}, "failure_state": 2,
+        "actions": ["try"],
+        "trans": [{"from": 0, "action": "try", "outcomes": [{"to": 1, "p": 0.5}, {"to": 0, "p": 0.3},
+                                                            {"to": 2, "p": 0.2}]}],
+    }))
+    mission = write_mission(tmp_path / "mission.json", ["F p1"])
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--models", str(model), str(model), "--mission", mission,
+                 "--out", str(solution)]) == 0
+    team = build_team(local_products([load_model(model)] * 2, load_mission(mission)))
+    assert max_product_reach(team.mdp, team.accepting, team.violating) is None
+    value = max_reach(team.mdp, team.accepting, team.violating).values[0]
+    assert value != 0.5 / 0.7  # value iteration stops short of the exact value
+    assert json.loads(solution.read_text())["value"] == value
+    assert capsys.readouterr().out == f'value {value:.6f}, allocation {{"0": 0}} -> {solution}\n'
 
 
 def test_realloc_time_limit_zero_writes_the_initial_plan(tmp_path, capsys):

@@ -17,7 +17,7 @@ from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import Choice, Mdp, max_product_reach, max_reach
 from teamplan.product import local_products
 from teamplan.realloc import find_realloc_points, synchronize
-from teamplan.team import _walk_success_path, build_team, keyed_policy, solve_blocks, solve_stapu
+from teamplan.team import _walk_success_path, build_team, solve_stapu
 
 from exhaustive import enumerate_best, evaluate_policy
 from instances import guarded_tree_instance, random_team_instance
@@ -99,7 +99,7 @@ def test_allocations_match_value_iteration(teams):
     for i, team in enumerate(teams):
         sol = solve_stapu(team)
         vi = max_reach(team.mdp, team.accepting, team.violating, epsilon=1e-12)
-        expected = _walk_success_path(team, keyed_policy(team, vi.policy))
+        expected = _walk_success_path(team, vi.policy)
         got = (sol.allocation, sol.unallocated, sol.segments, sol.switches, sol.programs)
         assert got == expected, f"team {i}"
 
@@ -115,8 +115,7 @@ def test_two_live_outcomes_fall_back_to_value_iteration(monkeypatch):
         [],
     ], atoms=("p1",), labels={1: frozenset({"p1"})}, failure_state=fail)
     team = build_team(local_products([model, model], Mission(tasks=(parse_formula("F p1"),), safety=None)))
-    assert solve_blocks(team) is None
-    assert "_explored" not in vars(team)  # the block solve built no team model
+    assert max_product_reach(team.mdp, team.accepting, team.violating) is None
 
     calls = []
 
@@ -136,8 +135,6 @@ def test_two_live_outcomes_fall_back_to_value_iteration(monkeypatch):
     sol = solve_stapu(team, epsilon=1e-12)
     assert calls == [1e-12]
     assert len(policies) == 1  # the fallback reads its policy
-    assert "_explored" in vars(team)  # the fallback did
-    assert max_product_reach(team.mdp, team.accepting, team.violating) is None
     assert sol.value == pytest.approx(0.8, abs=TOL)
     assert sol.allocation == {0: 0}
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from teamplan import mdp as mdp_module
 from teamplan.mdp import (
     Choice,
     DivergenceError,
@@ -161,14 +162,15 @@ def test_monotone_sweeps_from_zero():
     assert all(0.0 <= v <= exact for v, exact in zip(res.values, [0.4, 0.8, 1.0, 0.0]))
 
 
-def test_divergence_error_on_tiny_budget():
+def test_divergence_error_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(mdp_module, "MAX_SWEEPS", 2)
     m = make(3, 0, ["a", "stay"], {
         0: [("a", [(0, 0.999), (1, 0.0005), (2, 0.0005)])],
         1: [("stay", [(1, 1.0)])],
         2: [("stay", [(2, 1.0)])],
     })
     with pytest.raises(DivergenceError):
-        max_reach(m, {1}, max_iter=2)
+        max_reach(m, {1})
 
 
 # ------------------------------------------------------------------

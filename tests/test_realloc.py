@@ -384,6 +384,22 @@ def test_one_solve_per_distinct_replan_key(monkeypatch):
         assert policy_to_dict(jp, report)["report"]["solves"] == report.solves
 
 
+def test_replanning_checks_the_models_once(monkeypatch):
+    checked = []
+    original = realloc.check_class
+
+    def spy(model):
+        checked.append(model)
+        return original(model)
+
+    monkeypatch.setattr(realloc, "check_class", spy)
+    for models, miss in repeated_key_instances():
+        checked.clear()
+        _, report = run_stapu_with_realloc(models, miss)
+        assert report.solves > 1
+        assert checked == list({id(m): m for m in models}.values())
+
+
 def test_grafted_chains_share_no_nodes():
     for i, (models, miss) in enumerate(repeated_key_instances()):
         jp, report = run_stapu_with_realloc(models, miss, epsilon=1e-9)

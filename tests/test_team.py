@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_reach
+from teamplan.mdp import AVOID, LIVE, TARGET, Choice, Mdp, max_reach
 from teamplan.product import compile_mission, local_product
 from teamplan.team import (
     SWITCH,
@@ -86,20 +86,26 @@ def test_full_size_is_sum_of_products():
     assert team.full_size() == sum(p.full_size() for p in team.products)
 
 
+def team_states(team):
+    """(robot, map state, automaton vector) of every team state."""
+    return [(robot, *team.products[robot].states[i]) for robot, states in team.blocks for i in states.tolist()]
+
+
 def test_switch_preserves_vector_and_targets_entry():
     m = graph_model(4, [(0, 1), (1, 2), (2, 3)], failpoints={1}, pfail=0.2,
                     atom_nodes={"p1": 2, "p2": 3})
     team = team_for([m, m], mission("F p1", "F p2"))
+    states = team_states(team)
     switch_edges = 0
     for i, row in enumerate(team.mdp.choices):
-        robot, s, q = team.states[i]
+        robot, s, q = states[i]
         for c in row:
             if c.action != team.switch_action:
                 continue
             switch_edges += 1
             assert c.outcomes[0][1] == 1.0
             j = c.outcomes[0][0]
-            robot2, s2, q2 = team.states[j]
+            robot2, s2, q2 = states[j]
             assert robot2 == (robot + 1) % 2
             assert s2 == team.entries[robot2]
             assert q2 == q
@@ -109,7 +115,7 @@ def test_switch_preserves_vector_and_targets_entry():
 def test_switch_blocked_at_failure_state():
     m = corridor(0.5)
     team = team_for([m, m], mission("F p1"))
-    hit = [i for i, (_, s, _) in enumerate(team.states) if s == m.failure_state]
+    hit = [i for i, (_, s, _) in enumerate(team_states(team)) if s == m.failure_state]
     assert hit
     for i in hit:
         assert all(c.action != team.switch_action for c in team.mdp.choices[i])
@@ -118,7 +124,6 @@ def test_switch_blocked_at_failure_state():
 def test_switch_target_rule():
     m = graph_model(4, [(0, 1), (1, 2), (2, 3)], failpoints={1}, pfail=0.2, atom_nodes={"p1": 2, "p2": 3})
     team = team_for([m, m, m], mission("F (p1 & F p2)"))
-    team.mdp  # explores every block
     task = team.automata.tasks[0]
     kinds = set()
     for robot, pm in enumerate(team.products):
@@ -307,6 +312,13 @@ def reference_team(products, entries, start_robot, start_q, failed):
     return states, rows, accepting, violating
 
 
+def rows_by_key(keys, rows):
+    """Rows of (action name, outcomes, cost) by the key of their state,
+    with each successor named by its key."""
+    return {keys[k]: [(a, tuple((keys[t], p) for t, p in outs), cost) for a, outs, cost in row]
+            for k, row in enumerate(rows)}
+
+
 def csr_prefix(arrays, size):
     """The CSR arrays of states 0..size-1, as lists."""
     row_start, actions, out_start, targets, probs = arrays
@@ -322,7 +334,7 @@ def test_team_extends_products_without_changing_them():
         models, miss = mixed_team_instance(rng)
         shared = compile_mission(miss)
         products = [local_product(m, miss, automata=shared) for m in models]
-        before = [(pm.num_states, list(pm.states), csr_prefix(pm.arrays(), pm.num_states), pm.accepting,
+        before = [(pm.num_states, list(pm.states), csr_prefix(pm.arrays, pm.num_states), pm.accepting,
                    pm.violating) for pm in products]
         # a replan: robots mid-map, another start robot (failed on half
         # of them) and a mid-mission automaton vector
@@ -342,10 +354,14 @@ def test_team_extends_products_without_changing_them():
                 team.start_q,
                 team.failed,
             )
-            assert team.states == states, f"instance {n}"
-            assert [[(team.mdp.actions[c.action], c.outcomes, c.cost) for c in row]
-                    for row in team.mdp.choices] == rows, f"instance {n}"
-            assert (team.accepting, team.violating) == (accepting, violating), f"instance {n}"
+            # the same states by (robot, s, q), numbered block after block
+            keys = team_states(team)
+            assert team.num_states == len(keys) == len(set(keys)) and set(keys) == set(states), f"instance {n}"
+            assert keys[0] == states[0], f"instance {n}"
+            team_rows = [[(team.mdp.actions[c.action], c.outcomes, c.cost) for c in row] for row in team.mdp.choices]
+            assert rows_by_key(keys, team_rows) == rows_by_key(states, rows), f"instance {n}"
+            assert ({keys[k] for k in team.accepting}, {keys[k] for k in team.violating}) == (
+                {states[k] for k in accepting}, {states[k] for k in violating}), f"instance {n}"
             if math.prod(max(1, len(row)) for row in team.mdp.choices) <= 4000:
                 best = enumerate_best(team.mdp, team.accepting, team.violating)
                 assert solve_stapu(team).value == pytest.approx(best[0], abs=1e-9), f"instance {n}"
@@ -353,8 +369,13 @@ def test_team_extends_products_without_changing_them():
         for pm, (size, keys, prefix, acc, vio) in zip(products, before):
             assert pm.num_states == pm.mdp.num_states == size == len(keys)
             assert pm.states[:size] == keys
-            assert len(pm.arrays().row_start) == len(pm.states) + 1
-            assert csr_prefix(pm.arrays(), size) == prefix
+            assert len(pm.arrays.row_start) == len(pm.states) + 1
+            assert csr_prefix(pm.arrays, size) == prefix
+            assert pm.map_states.tolist() == [s for s, _ in pm.states]
+            vectors = list(dict.fromkeys(q for _, q in pm.states))
+            assert [vectors[v] for v in pm.vector_ids.tolist()] == [q for _, q in pm.states]
+            assert pm.classes.tolist() == [AVOID if shared.violating(q) else TARGET if shared.accepting(q) else LIVE
+                                           for _, q in pm.states]
             assert csr_prefix(pm.mdp.arrays, size) == prefix
             assert (pm.accepting, pm.violating) == (acc, vio)
             extended += len(pm.states) > size
