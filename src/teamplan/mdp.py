@@ -12,9 +12,9 @@ no solver reads.
 Two solvers compute maximal reach probabilities, one per model class:
 
 - `max_product_reach` serves models in which every choice has at most one
-  live outcome, i.e. the team models of deterministic-or-fail robots. One
-  label-setting pass from the targets over a backward index of the live
-  edges gives the exact values (`_label_setting`).
+  live outcome, i.e. the team models of deterministic-or-fail robots.
+  Frontier relaxation from the targets over a backward index of the live
+  edges gives the exact values (`_relax`), one numpy round per frontier.
 - `max_reach` serves every other model (the joint multi-agent MDP, team
   models of robots outside that class, model files of any shape). It is
   value iteration bracketed by graph precomputation: states that cannot
@@ -24,19 +24,18 @@ Two solvers compute maximal reach probabilities, one per model class:
   passes (layered, with `reduceat` over outcomes) and the Jacobi sweeps
   run in numpy over the model's arrays.
 
-Both read their policy off the values with `_layered_policy`, over a
-backward edge index with a usable flag per edge and pass: every outcome
-for `max_reach` (on the first read of `ReachResult.policy`), the live
-edges for `max_product_reach`.
+Both read their policy off the values on the first read of
+`ReachResult.policy`, with `_layered_policy`: layered frontier passes, one
+numpy pass per layer, over a backward edge index with a usable flag per
+edge and pass (every outcome for `max_reach`, the live edges for
+`max_product_reach`).
 """
 
 import json
-from array import array
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -345,17 +344,46 @@ class DivergenceError(SolverError):
     pass
 
 
+class Policy(Mapping):
+    """A read-only mapping from the states with choices to their actions,
+    over one action per state, -1 where a state has none."""
+
+    def __init__(self, actions):
+        self.actions = actions
+
+    def __getitem__(self, s):
+        if not 0 <= s < len(self.actions) or self.actions[s] < 0:
+            raise KeyError(s)
+        return int(self.actions[s])
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.actions >= 0).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self.actions >= 0))
+
+
 @dataclass
 class ReachResult:
+    """Values and sweeps of a solve. The sets of states of value 1 and 0,
+    given as masks, and the policy are built on first read."""
     values: list[float]
     iterations: int
-    almost_sure: frozenset[int]
-    zero: frozenset[int]
-    read_policy: Callable[[], dict[int, int]] = field(repr=False, compare=False)
+    sure_mask: np.ndarray = field(repr=False, compare=False)
+    zero_mask: np.ndarray = field(repr=False, compare=False)
+    read_policy: Callable[[], Policy] = field(repr=False, compare=False)
 
     @cached_property
-    def policy(self) -> dict[int, int]:
-        """One action per state with choices, read off on first access."""
+    def almost_sure(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.sure_mask).tolist())
+
+    @cached_property
+    def zero(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.zero_mask).tolist())
+
+    @cached_property
+    def policy(self) -> Policy:
+        """One action per state with choices."""
         return self.read_policy()
 
 
@@ -370,12 +398,12 @@ def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
     return target, avoid
 
 
-def _layered_policy(index, certificate, optimal, target, sure, positive, policy):
-    """The policy rule of every reachability solver, over a backward edge
-    index `(offsets, tails, actions)` of numpy columns: the edges into
-    state t are k in range(offsets[t], offsets[t + 1]), from tails[k] by
-    actions[k]. `certificate` and `optimal` flag edges, `target` lists
-    states, and `sure` and `positive` are state masks.
+def _layered_policy(arrays, index, certificate, optimal, target, sure, positive) -> Policy:
+    """The policy rule of every reachability solver for the model of
+    `arrays`, over a backward edge index `(offsets, tails, actions)` of
+    numpy columns: the edges into state t are k in range(offsets[t],
+    offsets[t + 1]), from tails[k] by actions[k]. `certificate` and
+    `optimal` flag edges; `target`, `sure` and `positive` are state masks.
 
     A first pass gives the almost-sure states certificate actions, layer
     by layer back from the targets: a state joins the layer after the
@@ -383,43 +411,33 @@ def _layered_policy(index, certificate, optimal, target, sure, positive, policy)
     those edges. A second gives the rest of the positive region
     value-optimal actions so, back from the targets and `sure`; a plain
     argmax can pick a choice that keeps the value forever without
-    reaching anything. Each pass must assign all its states.
+    reaching anything. Each layer is one numpy pass over the edges into
+    the last. Each pass must assign all its states; every other state
+    with choices gets its first action.
     """
-    sure_states, positive_states = np.flatnonzero(sure).tolist(), np.flatnonzero(positive).tolist()
-    passes = ((certificate & sure[index[1]], target, sure_states),
-              (optimal & positive[index[1]], target + sure_states, positive_states))
-    offsets, tails, actions = (array(c.dtype.char, c.tobytes()) for c in index)
-    for usable, frontier, need in passes:
-        usable = usable.tobytes()
-        assigned = bytearray(len(offsets) - 1)
-        for s in frontier:
-            assigned[s] = 1
-        while frontier:
-            best = {}
-            for t in frontier:
-                for k in range(offsets[t], offsets[t + 1]):
-                    s = tails[k]
-                    if usable[k] and not assigned[s]:
-                        a = best.get(s)
-                        if a is None or actions[k] < a:
-                            best[s] = actions[k]
-            frontier = list(best)
-            for s, a in best.items():
-                policy[s] = a
-                assigned[s] = 1
-        missing = [s for s in need if not assigned[s]]
-        if missing:
-            raise SolverError("internal: no progressing optimal action for states " + str(missing[:5]))
+    row_start, first = arrays[:2]
+    policy = np.full(len(row_start) - 1, -1, first.dtype)
+    has = np.flatnonzero(np.diff(row_start))
+    policy[has] = first[row_start[has]]
+    offsets, tails, actions = index
+    least = np.full_like(policy, np.iinfo(policy.dtype).max)  # a state joins one layer, so no reset
+    for usable, assigned, need in ((certificate & sure[tails], target.copy(), sure),
+                                   (optimal & positive[tails], target | sure, positive)):
+        frontier = np.flatnonzero(assigned)
+        while len(frontier):
+            k = _ranges(offsets, frontier)
+            k = k[usable[k] & ~assigned[tails[k]]]
+            np.minimum.at(least, tails[k], actions[k])
+            frontier = np.flatnonzero(np.bincount(tails[k], minlength=len(policy)))
+            policy[frontier] = least[frontier]
+            assigned[frontier] = True
+        missing = np.flatnonzero(need & ~assigned)
+        if len(missing):
+            raise SolverError("internal: no progressing optimal action for states " + str(missing[:5].tolist()))
+    return Policy(policy)
 
 
-def _first_actions(arrays):
-    """The first enabled action of every state with choices, by state."""
-    row_start, actions = arrays[:2]
-    states = np.flatnonzero(np.diff(row_start))
-    return dict(zip(states.tolist(), actions[row_start[states]].tolist()))
-
-
-def _reach_policy(mdp: Mdp, values, target, sure) -> dict[int, int]:
+def _reach_policy(mdp: Mdp, values, target, sure) -> Policy:
     """`_layered_policy` over every outcome of `mdp.arrays`, given numpy
     values and state masks. Certificate actions on the almost-sure states
     `sure`, whose outcomes all lie in `sure` or `target`; value-optimal
@@ -441,10 +459,8 @@ def _reach_policy(mdp: Mdp, values, target, sure) -> dict[int, int]:
     optimal = q >= np.repeat(np.maximum.reduceat(q, row_start[has]), row_count[has]) - PROB_ATOL
     certificate = np.logical_and.reduceat((sure | target)[targets], out_start[:-1])
     offsets, owner = _backward_index([targets, np.repeat(np.arange(len(actions)), out_count)], mdp.num_states)
-    policy = _first_actions(mdp.arrays)
-    _layered_policy((offsets, choice_state[owner], actions[owner]), certificate[owner], optimal[owner],
-                    np.flatnonzero(target).tolist(), sure, (values > 0.0) & ~target & ~sure, policy)
-    return policy
+    return _layered_policy(mdp.arrays, (offsets, choice_state[owner], actions[owner]), certificate[owner],
+                           optimal[owner], target, sure, (values > 0.0) & ~target & ~sure)
 
 
 MAX_SWEEPS = 100_000  # value iteration gives up after this many sweeps
@@ -501,9 +517,7 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
         else:
             raise DivergenceError(f"value iteration exceeded {MAX_SWEEPS} sweeps (last delta {delta})")
 
-    return ReachResult(x.tolist(), iterations, frozenset(np.flatnonzero(one).tolist()),
-                       frozenset(np.flatnonzero(zero).tolist()),
-                       lambda: _reach_policy(mdp, x, in_target, one & ~in_target))
+    return ReachResult(x.tolist(), iterations, one, zero, lambda: _reach_policy(mdp, x, in_target, one & ~in_target))
 
 
 # classes of a state for the max-product solver: a sink is absorbing and
@@ -537,47 +551,36 @@ def _backward_index(edges, n):
     return (np.searchsorted(edges[0][order], np.arange(n + 1)), *(c[order] for c in edges[1:]))
 
 
-def _label_setting(index, values, sources):
+def _relax(index, heads, values, frontier):
     """Raise `values` to the largest product of probabilities along the live
-    edges of `index` to a source, times the source's value (the targets,
-    at 1).
+    edges of `index` (with the head of each in `heads`) to a state of
+    `frontier`, times its value (the targets, at 1).
 
-    Knuth's generalisation of Dijkstra's algorithm (IPL 1977): p <= 1 never
-    raises a label, also in floating point, so a state's value is final
-    when it leaves the heap.
+    Each round relaxes the edges into the states that rose in the round
+    before and keeps the largest `p * values[head]` per tail. p <= 1 keeps
+    every product monotone, also in floating point, so the rounds stop at
+    the least fixpoint from below: the largest product over paths.
     """
-    offsets, tails, probs = (array(c.dtype.char, c.tobytes()) for c in index[:3])
-    heap = [(-values[s], s) for s in sources]
-    heapify(heap)
-    settled = bytearray(len(values))
-    while heap:
-        v, t = heappop(heap)
-        if settled[t]:
-            continue
-        settled[t] = 1
-        v = -v
-        for k in range(offsets[t], offsets[t + 1]):
-            s = tails[k]
-            w = probs[k] * v
-            if w > values[s]:
-                values[s] = w
-                heappush(heap, (-w, s))
+    offsets, tails, probs = index[:3]
+    while len(frontier):
+        k = _ranges(offsets, frontier)
+        w, tail = probs[k] * values[heads[k]], tails[k]
+        rose = w > values[tail]
+        tail = tail[rose]
+        np.maximum.at(values, tail, w[rose])
+        frontier = np.flatnonzero(np.bincount(tail, minlength=len(values)))  # np.unique imports numpy.ma
 
 
-def _max_product_policy(index, values, target, policy):
+def _max_product_policy(arrays, index, heads, values, target):
     """`_layered_policy` over the live-edge index of a model with one live
-    outcome per choice, for the target list: a choice is a certificate
-    when its live outcome is its only one, and value-optimal when p times
-    that outcome's value is within PROB_ATOL of its state's, which is its
-    best choice's.
+    outcome per choice, given numpy values and the target mask: a choice
+    is a certificate when its live outcome is its only one, and
+    value-optimal when p times that outcome's value is within PROB_ATOL of
+    its state's, which is its best choice's.
     """
     offsets, tails, probs, actions, alone = index
-    v = np.array(values)
-    heads = np.repeat(np.arange(len(v)), np.diff(offsets))
-    region = np.ones(len(v), bool)
-    region[target] = False
-    _layered_policy((offsets, tails, actions), alone, probs * v[heads] >= v[tails] - PROB_ATOL, target,
-                    region & (v == 1.0), region & (v > 0.0) & (v < 1.0), policy)
+    return _layered_policy(arrays, (offsets, tails, actions), alone, probs * values[heads] >= values[tails] - PROB_ATOL,
+                           target, ~target & (values == 1.0), ~target & (values > 0.0) & (values < 1.0))
 
 
 def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
@@ -587,11 +590,11 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     An outcome is dead when it is an avoid state or an absorbing non-target
     state: its value is 0. With one live outcome per choice, reached with
     probability p, the value of a state is the largest product of p along a
-    path to the target, which one label-setting pass from the targets
-    computes exactly. The policy follows the same rule as `max_reach`'s.
+    path to the target, which frontier relaxation from the targets
+    computes exactly (`_relax`). The policy follows the same rule as
+    `max_reach`'s.
     """
     target, avoid = _check_sets(mdp, target, avoid)
-    n = mdp.num_states
     cls = np.where(_absorbing(mdp.arrays), SINK, LIVE).astype(np.uint8)
     cls[list(avoid)] = AVOID
     cls[list(target)] = TARGET
@@ -599,14 +602,10 @@ def max_product_reach(mdp: Mdp, target, avoid=()) -> ReachResult | None:
     if index is None:
         return None
 
-    values = [0.0] * n
-    for s in target:
-        values[s] = 1.0
-    _label_setting(index, values, target)
-
-    policy = _first_actions(mdp.arrays)
-    _max_product_policy(index, values, sorted(target), policy)
+    in_target = cls == TARGET
+    values = in_target.astype(np.float64)
+    heads = np.repeat(np.arange(mdp.num_states, dtype=np.int32), np.diff(index[0]))
+    _relax(index, heads, values, np.flatnonzero(in_target))
     # a product of probabilities is 1.0 only over probability-1 steps
-    almost_sure = frozenset(s for s in range(n) if values[s] == 1.0)
-    zero = frozenset(s for s in range(n) if values[s] == 0.0)
-    return ReachResult(values, 0, almost_sure, zero, lambda: policy)
+    return ReachResult(values.tolist(), 0, values == 1.0, values == 0.0,
+                       lambda: _max_product_policy(mdp.arrays, index, heads, values, in_target))

@@ -2,18 +2,25 @@
 
 Every instance is small enough to enumerate all memoryless policies and
 evaluate each induced chain exactly, giving reference values with no shared
-machinery or tolerance with the iterative solver under test.
+machinery or tolerance with the iterative solver under test. Pure-Python
+references of the solvers' passes (label setting, the graph passes, value
+iteration, the policy rule) must agree with them exactly.
 """
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 import pytest
 
+from teamplan import mdp as mdp_module
 from teamplan.baseline import build_mamdp
 from teamplan.maps import MapSpec, gen_map, map_mission
 from teamplan.mdp import PROB_ATOL, Choice, Mdp, SolverError, max_product_reach, max_reach, validate
-from teamplan.product import local_product
+from teamplan.product import local_product, local_products
+from teamplan.team import build_team
 
 from exhaustive import enumerate_best, evaluate_policy
+from instances import guarded_tree_instance, random_team_instance
 
 SEED = 20240613
 INSTANCES = 200
@@ -251,3 +258,150 @@ def test_array_solve_equals_python_references(instances):
         gauss_seidel = reference_solve(m, target, avoid, 1e-12, jacobi=False)[2]
         assert max(abs(a - b) for a, b in zip(res.values, gauss_seidel)) <= 1e-9, i
     assert sweeps > 2 * len(cases) and products >= 10, (sweeps, products)
+
+
+def reference_label_setting(m, target, avoid):
+    """`max_product_reach`'s values over the rows `m.choices`, or None when
+    a choice of a live state has two live outcomes. A live outcome is a
+    target, or a state that is neither an avoid state nor absorbing (every
+    choice a one-outcome self-loop, or none).
+
+    Knuth's generalisation of Dijkstra's algorithm (IPL 1977): p <= 1 never
+    raises a label, also in floating point, so a state's value is final
+    when it leaves the heap.
+    """
+    def absorbing(s):
+        return all(len(c.outcomes) == 1 and c.outcomes[0][0] == s for c in m.choices[s])
+
+    live = [s not in target and s not in avoid and not absorbing(s) for s in range(m.num_states)]
+    pre = [[] for _ in range(m.num_states)]
+    for s in range(m.num_states):
+        for c in m.choices[s] if live[s] else ():
+            outs = [(t, p) for t, p in c.outcomes if live[t] or t in target]
+            if len(outs) > 1:
+                return None
+            for t, p in outs:
+                pre[t].append((s, p))
+    values = [1.0 if s in target else 0.0 for s in range(m.num_states)]
+    heap = [(-1.0, s) for s in target]
+    heapify(heap)
+    settled = set()
+    while heap:
+        v, t = heappop(heap)
+        if t in settled:
+            continue
+        settled.add(t)
+        for s, p in pre[t]:
+            w = p * -v
+            if w > values[s]:
+                values[s] = w
+                heappush(heap, (-w, s))
+    return values
+
+
+def assert_max_product_matches_references(m, target, avoid, label):
+    """`max_product_reach` against label setting, its values `==` and its
+    policy the reference rule's. False when the solver does not apply."""
+    expected = reference_label_setting(m, target, avoid)
+    res = max_product_reach(m, target, avoid)
+    assert (res is None) == (expected is None), label
+    if res is None:
+        return False
+    assert res.values == expected, label
+    sure = {s for s in range(m.num_states) if expected[s] == 1.0} - target
+    assert res.almost_sure == sure | target and res.zero == {s for s, v in enumerate(expected) if v == 0.0}, label
+    assert res.policy == reference_policy(m, expected, target, sure), label
+    return True
+
+
+def test_max_product_equals_label_setting_on_random_models():
+    # the first 40 instances of seeds 0-39: generating all 200 of each
+    # takes seconds, and about one in ten is in the max-product class
+    applied = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for i in range(40):
+            applied += assert_max_product_matches_references(*random_mdp(rng), (seed, i))
+    assert applied >= 120, applied
+
+
+def test_max_product_equals_label_setting_on_teams():
+    # every start robot, failed (at its failure state) or not
+    rng = np.random.default_rng(SEED + 1)
+    teams = solved = 0
+    for i in range(12):
+        model, mission = (random_team_instance(rng, max_tasks=3) if i % 2 else guarded_tree_instance(rng))
+        robots = 3 if i % 4 == 3 else 2
+        products = local_products([model] * robots, mission)
+        for start in range(robots):
+            for failed in ((), {start}):
+                entries = [model.failure_state if r in failed else model.initial for r in range(robots)]
+                team = build_team(products, entries=entries, start_robot=start, failed=failed)
+                teams += 1
+                solved += assert_max_product_matches_references(
+                    team.mdp, set(team.accepting), set(team.violating), (i, start, failed))
+    assert solved == teams == 54, (solved, teams)
+
+
+def chain(probs, detour=()):
+    """States 0..len(probs) in a chain, state i moving to i + 1 with
+    probs[i] and breaking down (to the last state) otherwise; `detour`
+    adds (state, action, probability) shortcuts straight to the chain's
+    end. Action 0 steps along the chain, action k a shortcut."""
+    n = len(probs) + 2
+    end, fail = n - 2, n - 1
+
+    def step(t, p):
+        return ((t, p), (fail, 1.0 - p)) if p < 1.0 else ((t, 1.0),)
+
+    rows = [[Choice(0, step(i + 1, p), None)] for i, p in enumerate(probs)] + [[], []]
+    for s, a, p in detour:
+        rows[s].append(Choice(a, step(end, p), None))
+    return Mdp(n, 0, tuple(f"a{k}" for k in range(1 + len(detour))), rows, failure_state=fail), {end}
+
+
+def test_longer_path_raises_a_settled_value():
+    # 0 reaches the end directly w.p. 0.5 in round one, then through
+    # 1, 2 and 3 w.p. 0.9 in round four: its value rises after it has
+    # already relaxed its own predecessors
+    m, target = chain([1.0, 1.0, 1.0, 0.9], detour=[(0, 1, 0.5)])
+    res = max_product_reach(m, target)
+    assert res.values[0] == 0.9 and res.policy[0] == 0
+    assert assert_max_product_matches_references(m, target, set(), "detour")
+
+
+def test_long_chain_relaxes_over_many_rounds():
+    probs = np.random.default_rng(1).uniform(0.999, 1.0, 1200).tolist()
+    m, target = chain(probs, detour=[(s, 1, 0.2) for s in range(0, 1200, 100)])
+    assert assert_max_product_matches_references(m, target, set(), "chain")
+    assert max_product_reach(m, target).values[0] > 0.2
+
+
+@pytest.mark.parametrize("solve", [max_reach, max_product_reach])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_lowest_action_wins_across_heads_of_one_layer(solve, p):
+    # 0 reaches the targets 1 and 2, both in the first layer, by the
+    # actions 2 and 1 (into 1) and 0 (into 2): the backward index lists
+    # the edges into 1 first, yet the lowest action, 0, must win
+    fail = 3
+
+    def step(t):
+        return ((t, p), (fail, 1.0 - p)) if p < 1.0 else ((t, 1.0),)
+
+    m = Mdp(4, 0, ("a", "b", "c"), [[Choice(2, step(1), None), Choice(1, step(1), None), Choice(0, step(2), None)],
+                                    [], [], []], failure_state=fail)
+    res = solve(m, {1, 2})
+    assert res.values[0] == p and res.policy[0] == 0
+    assert res.policy == reference_policy(m, res.values, {1, 2}, {0} if p == 1.0 else set())
+
+
+@pytest.mark.parametrize("pass_", ["certificate", "optimal"])
+def test_unassigned_state_raises(pass_):
+    # one edge, 0 -> 1 by action 0, that neither pass may use: the target
+    # 1 cannot give 0, which the pass must assign, an action
+    m = Mdp(2, 0, ("a",), [[Choice(0, ((1, 1.0),), None)], []])
+    index = (np.array([0, 0, 1]), np.array([0]), np.array([0]))
+    target, need, none = np.array([False, True]), np.array([True, False]), np.zeros(1, bool)
+    sure, positive = (need, ~need & ~target) if pass_ == "certificate" else (~need & ~target, need)
+    with pytest.raises(SolverError, match=r"no progressing optimal action for states \[0\]"):
+        mdp_module._layered_policy(m.arrays, index, none, none, target, sure, positive)
