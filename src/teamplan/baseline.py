@@ -2,29 +2,31 @@
 
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
-robots' successor labels (`Automata.advance_joint`). This module builds
-the joint-step rows over `mdp.Explorer` as numpy arrays: one move table
-per robot-position tuple, shared by every joint state there, plus one
-lookup per state from the table's successor tuples to joint states,
-stepping the vector once per (vector, successor positions) pair. The
-vector rules and the unpruned size come from `product.Automata`.
-Exponential in the team size, so
-construction is guarded by a state-count ceiling; within it, solving
-this model gives the unconstrained optimum that the sequential planner
-and the reallocation loop are measured against.
+robots' successor labels (`Automata.advance_joint`). `MamdpModel` builds
+it with `mdp.Explorer`, whose places here are the robots' position tuples:
+a layer's new positions get their move tables in one numpy pass, the
+product of the robots' choices and then of their outcomes, and the
+explorer steps every state's vector through the automata's dense step
+table. The vector rules and the unpruned size come from
+`product.Automata`. Exponential in the team size, so construction is
+guarded by a state-count ceiling; within it, solving this model gives the
+unconstrained optimum that the sequential planner and the reallocation
+loop are measured against.
 """
 
-import itertools
+import math
+from functools import cached_property
 
 import numpy as np
 
-from .mdp import Explorer, Mdp, _stack, max_reach
+from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, Moves, Numbering, _first_seen, _offsets, \
+    _ranges, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
 
 
-class CeilingExceeded(RuntimeError):
+class CeilingExceeded(BudgetExceeded):
     """Joint model too large to materialize."""
 
     def __init__(self, size, ceiling):
@@ -35,12 +37,106 @@ class CeilingExceeded(RuntimeError):
         self.ceiling = ceiling
 
 
+def _positions(codes, radix):
+    """The position tuples, as rows, of codes in the mixed radix `radix`."""
+    return codes[:, None] // radix[:-1] % (radix[1:] // radix[:-1])
+
+
+class _JointMoves:
+    """The place side of the joint model's `Explorer`. A place is a slot,
+    a position tuple numbered when first seen and keyed by its code in the
+    mixed radix of the robots' state counts. `table` builds the move tables
+    of a layer's new places in order of first expansion, the order in which
+    joint action names are interned into `names`."""
+
+    def __init__(self, models, automata):
+        self.models, self.automata = models, automata
+        self.names, self._name_index, self._by_code = [], {}, {}
+        # each robot's choices per state, idle (-1) last: it is always
+        # available so the joint optimum dominates any execution in which
+        # finished robots stand still
+        self._robots = []
+        for m in models:
+            rows = [[(c.action, c.outcomes) for c in row] + [(-1, ((s, 1.0),))] for s, row in enumerate(m.choices)]
+            flat = [c for row in rows for c in row]
+            outs = [o for _, outcomes in flat for o in outcomes]
+            self._robots.append(Arrays(_offsets([len(row) for row in rows]), np.array([a for a, _ in flat]),
+                                       _offsets([len(o) for _, o in flat]), np.array([t for t, _ in outs]),
+                                       np.array([p for _, p in outs])))
+        # per-robot action parts of a joint action are coded in mixed radix too
+        self.radix = np.cumprod([1] + [m.num_states for m in models])
+        self.stride = int(self.radix[-1])
+        self._act_radix = np.cumprod([1] + [len(m.actions) + 1 for m in models])
+        self.slots, self._labels, self._rows, self._moves = Numbering(), [], Numbering(), None
+
+    def slot(self, codes):
+        """The slot of each position code, numbering new ones and their labels."""
+        slots = self.slots(codes)
+        for pos in _positions(self.slots.keys[len(self._labels):], self.radix).tolist():
+            self._labels.append(self.automata.label_id(
+                frozenset().union(*(m.label(s) for m, s in zip(self.models, pos)))))
+        return slots
+
+    def _action(self, code):
+        """The joint action index of per-robot action parts coded in mixed
+        radix; combinations whose names coincide share one index."""
+        idx = self._by_code.get(code)
+        if idx is None:
+            parts = [code // r % (len(m.actions) + 1) - 1 for m, r in zip(self.models, self._act_radix.tolist())]
+            name = "|".join(IDLE if a < 0 else m.actions[a] for m, a in zip(self.models, parts))
+            idx = self._by_code[code] = self._name_index.setdefault(name, len(self.names))
+            if idx == len(self.names):
+                self.names.append(name)
+        return idx
+
+    def table(self, places):
+        """The move tables, built for new places in order of first
+        occurrence, and the row of each of `places`."""
+        built = len(self._rows.keys)
+        rows = self._rows(places)
+        if len(self._rows.keys) > built:
+            new = self._move_table(self.slots.keys[self._rows.keys[built:]])
+            self._moves = new if self._moves is None else Moves(*(
+                np.concatenate((a, b[1:] + a[-1]) if name.endswith("start") else (a, b))
+                for name, a, b in zip(Moves._fields, self._moves, new)))
+        return self._moves, rows
+
+    def _move_table(self, codes):
+        """The `Moves` rows of the position codes `codes`: every joint
+        choice, then every joint outcome of each, successor tuples numbered
+        per row in first-appearance order."""
+        positions, place, chosen = _positions(codes, self.radix), np.arange(len(codes)), []
+        parts = np.zeros(len(codes), np.int64)  # the joint action's per-robot parts, coded
+        for r, t in enumerate(self._robots):
+            s = positions[place, r]
+            n = t.row_start[s + 1] - t.row_start[s]
+            c = _ranges(t.row_start, s)
+            place, parts = np.repeat(place, n), np.repeat(parts, n) + (t.actions[c] + 1) * self._act_radix[r]
+            chosen = [np.repeat(x, n) for x in chosen] + [c]
+        owner, probs, succ = np.arange(len(place)), np.ones(len(place)), np.zeros(len(place), np.int64)
+        for r, t in enumerate(self._robots):
+            c = chosen[r][owner]
+            n = t.out_start[c + 1] - t.out_start[c]
+            o = _ranges(t.out_start, c)
+            owner, probs, succ = np.repeat(owner, n), np.repeat(probs, n) * t.probs[o], \
+                np.repeat(succ, n) + t.targets[o] * self.radix[r]
+        rank, distinct = _first_seen(place[owner] * self.stride + succ)
+        succ_start = _offsets(np.bincount(distinct // self.stride, minlength=len(codes)))
+        joint, order = _first_seen(parts)
+        slots = self.slot(distinct % self.stride)
+        return Moves(_offsets(np.bincount(place, minlength=len(codes))),
+                     np.array([self._action(a) for a in order.tolist()], np.int64)[joint],
+                     _offsets(np.bincount(owner, minlength=len(place))), rank - succ_start[place[owner]], probs,
+                     succ_start, slots, np.array(self._labels, np.int64)[slots])
+
+
 class MamdpModel:
     """Reachable joint product of all robots with the mission automata.
 
     Joint action names join the per-robot action names with "|"; every
     robot can also "idle" (self-loop) in any state. Safety violating
-    joint states keep their action names but become self-loops.
+    joint states keep their action names but become self-loops. `states`
+    lists (position tuple, automaton vector) pairs, built on first read.
     """
 
     def __init__(self, models, mission, ceiling=10_000_000, automata=None):
@@ -48,89 +144,29 @@ class MamdpModel:
         if not models:
             raise ValueError("at least one robot required")
         self.automata = automata = automata if automata is not None else compile_mission(mission)
-        advance_joint, violating = automata.advance_joint, automata.violating
-
-        bound = 1
-        for m in models:
-            bound *= m.num_states
-        for d in automata.dfas:
-            bound *= d.num_states
+        bound = math.prod(m.num_states for m in models) * math.prod(d.num_states for d in automata.dfas)
         if ceiling is not None and bound > ceiling:
             raise CeilingExceeded(bound, ceiling)
+        # the build's tables live in `joint` and `explorer`, both dropped here
+        joint, entries = _JointMoves(models, automata), tuple(m.initial for m in models)
+        explorer = Explorer(automata, joint.stride, joint.table)
+        explorer.explore(int(joint.slot(np.array([np.dot(entries, joint.radix[:-1])]))[0]),
+                         automata.vector_id(automata.start(models, entries)))
+        self.mdp = Mdp(len(explorer.places), 0, tuple(joint.names), arrays=explorer.arrays)
+        self._codes, self._radix, self._vectors = joint.slots.keys[explorer.places], joint.radix, explorer.vectors
+        classes = automata.classes_of(explorer.vectors)
+        self.accepting = frozenset(np.flatnonzero(classes == TARGET).tolist())
+        self.violating = frozenset(np.flatnonzero(classes == AVOID).tolist())
 
-        names = []
-        name_index = {}
-        by_parts = {}
-
-        def action_index(parts):
-            """Joint action index of per-robot action indices (-1 for idle),
-            its name joined once per distinct combination; combinations
-            whose names coincide share one index."""
-            idx = by_parts.get(parts)
-            if idx is None:
-                name = "|".join(IDLE if a < 0 else m.actions[a] for m, a in zip(models, parts))
-                idx = name_index.get(name)
-                if idx is None:
-                    idx = name_index[name] = len(names)
-                    names.append(name)
-                by_parts[parts] = idx
-            return idx
-
-        # each robot's (action index, outcomes) pairs per state; idle (-1) is
-        # always available so the joint optimum dominates any execution in
-        # which finished robots stand still
-        moves = [[[(c.action, c.outcomes) for c in row] + [(-1, ((s, 1.0),))] for s, row in enumerate(m.choices)]
-                 for m in models]
-        tables = {}
-
-        def move_table(pos):
-            """Joint action indices, outcome counts, local successor ids and
-            probabilities of the robots at `pos`, and its successor tuples
-            in first-appearance order: no automaton vector changes them."""
-            acts, counts, local, probs, succs = [], [], [], [], {}
-            for combo in itertools.product(*[moves[r][s] for r, s in enumerate(pos)]):
-                acts.append(action_index(tuple([a for a, _ in combo])))
-                first = len(local)
-                for branch in itertools.product(*[outcomes for _, outcomes in combo]):
-                    p = 1.0
-                    for _, pr in branch:
-                        p *= pr
-                    local.append(succs.setdefault(tuple([s2 for s2, _ in branch]), len(succs)))
-                    probs.append(p)
-                counts.append(len(local) - first)
-            tables[pos] = np.array(acts), np.array(counts), np.array(local), np.array(probs), list(succs)
-            return tables[pos]
-
-        # (vector, successor positions) -> joint state index, for this build
-        # only: joint outcomes repeat, and each repeat skips the label union
-        # and the vector step
-        successor = {}
-
-        def expand(key, intern):
-            pos, q = key
-            acts, counts, local, probs, succs = tables.get(pos) or move_table(pos)
-            if violating(q):
-                return acts, np.ones(len(acts), np.int64), np.full(len(acts), intern(key), np.int32), np.ones(len(acts))
-            after = successor.setdefault(q, {})
-            lookup = []
-            for tgt in succs:
-                j = after.get(tgt)
-                if j is None:
-                    j = after[tgt] = intern((tgt, advance_joint(q, models, tgt)))
-                lookup.append(j)
-            return acts, counts, np.array(lookup, np.int32)[local], probs
-
-        entries = tuple(m.initial for m in models)
-        explorer = Explorer(expand)
-        explorer.explore((entries, automata.start(models, entries)))
-        self.states = explorer.keys
-        self.mdp = Mdp(len(self.states), 0, tuple(names), arrays=_stack(explorer.rows))
-        self.accepting = frozenset(i for i, (_, q) in enumerate(self.states) if automata.accepting(q))
-        self.violating = frozenset(i for i, (_, q) in enumerate(self.states) if automata.violating(q))
+    @cached_property
+    def states(self):
+        vectors = self.automata.vectors
+        return [(tuple(p), vectors[v])
+                for p, v in zip(_positions(self._codes, self._radix).tolist(), self._vectors.tolist())]
 
     @property
     def num_states(self):
-        return len(self.states)
+        return self.mdp.num_states
 
     def full_size(self):
         """Unpruned size; it leaves out the robots' failure states, which

@@ -24,21 +24,8 @@ from .team import build_team
 
 log = logging.getLogger(__name__)
 
-COLUMNS = (
-    "robots",
-    "tasks",
-    "failpoints",
-    "seed",
-    "team_states",
-    "team_trans",
-    "stapu_ms",
-    "reallocations",
-    "guarantee",
-    "mamdp_states",
-    "mamdp_trans",
-    "mamdp_ms",
-    "mamdp_value",
-)
+COLUMNS = ("robots", "tasks", "failpoints", "seed", "team_states", "team_trans", "stapu_ms", "reallocations",
+           "guarantee", "mamdp_states", "mamdp_trans", "mamdp_ms", "mamdp_value")
 
 DEFAULT_CEILING = 60_000
 
@@ -60,21 +47,11 @@ class BenchRow:
     mamdp_value: float | None = None
 
     def csv_values(self):
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        out = []
-        for name in COLUMNS:
-            v = getattr(self, name)
-            if name.endswith("_ms") and v is not None:
-                out.append(f"{v:.3f}")
-            else:
-                out.append(cell(v))
-        return out
+        """Each column as text: empty for None, `_ms` columns to the
+        microsecond, other floats by repr."""
+        values = [getattr(self, name) for name in COLUMNS]
+        return ["" if v is None else f"{v:.3f}" if name.endswith("_ms") else repr(v) if isinstance(v, float)
+                else str(v) for name, v in zip(COLUMNS, values)]
 
 
 def _timed(fn, reps):
@@ -90,24 +67,10 @@ def _timed(fn, reps):
     return result, statistics.median(times)
 
 
-def run_cell(
-    robots,
-    tasks,
-    failpoints,
-    seed,
-    nodes=30,
-    pfail=0.1,
-    hazards=0,
-    reps=3,
-    ceiling=DEFAULT_CEILING,
-    max_realloc=None,
-    epsilon=1e-6,
-):
+def run_cell(robots, tasks, failpoints, seed, nodes=30, pfail=0.1, hazards=0, reps=3, ceiling=DEFAULT_CEILING,
+             max_realloc=None, epsilon=1e-6):
     """Measure one grid point; MAMDP columns stay empty above the ceiling."""
-    spec = MapSpec(
-        nodes=nodes, failpoints=failpoints, pfail=pfail, tasks=tasks,
-        hazards=hazards, seed=seed,
-    )
+    spec = MapSpec(nodes=nodes, failpoints=failpoints, pfail=pfail, tasks=tasks, hazards=hazards, seed=seed)
     model = gen_map(spec)
     mission = map_mission(spec)
     models = [model] * robots
@@ -117,31 +80,14 @@ def run_cell(
     team = build_team([pm] * robots)
 
     (jp, report), stapu_ms = _timed(
-        lambda: run_stapu_with_realloc(
-            models, mission, max_realloc=max_realloc, epsilon=epsilon
-        ),
-        reps,
-    )
-    row = BenchRow(
-        robots=robots,
-        tasks=tasks,
-        failpoints=failpoints,
-        seed=seed,
-        team_states=team.full_size(),
-        team_trans=team.mdp.transition_count(),
-        stapu_ms=stapu_ms,
-        reallocations=report.reallocations,
-        guarantee=report.value,
-    )
+        lambda: run_stapu_with_realloc(models, mission, max_realloc=max_realloc, epsilon=epsilon), reps)
+    row = BenchRow(robots, tasks, failpoints, seed, team_states=team.full_size(),
+                   team_trans=team.mdp.transition_count(), stapu_ms=stapu_ms, reallocations=report.reallocations,
+                   guarantee=report.value)
     try:
-        (mm, value), mamdp_ms = _timed(
-            lambda: _solve_joint(models, mission, ceiling, shared, epsilon), reps
-        )
+        (mm, value), mamdp_ms = _timed(lambda: _solve_joint(models, mission, ceiling, shared, epsilon), reps)
     except CeilingExceeded as e:
-        log.info(
-            "cell robots=%d tasks=%d failpoints=%d seed=%d: %s", robots, tasks,
-            failpoints, seed, e,
-        )
+        log.info("cell robots=%d tasks=%d failpoints=%d seed=%d: %s", robots, tasks, failpoints, seed, e)
         return row
     row.mamdp_states = mm.full_size()
     row.mamdp_trans = mm.mdp.transition_count()
@@ -175,24 +121,16 @@ def bench_sweep(config):
     reps = config.get("reps", 3)
     if not isinstance(reps, int) or reps < 1:
         raise ValueError(f"sweep config 'reps' must be a positive integer, not {reps!r}")
-    kwargs = {
-        "nodes": config.get("nodes", 30),
-        "pfail": config.get("pfail", 0.1),
-        "hazards": config.get("hazards", 0),
-        "reps": reps,
-        "ceiling": config.get("ceiling", DEFAULT_CEILING),
-        "max_realloc": config.get("max_realloc"),
-        "epsilon": config.get("epsilon", 1e-6),
-    }
+    kwargs = {"nodes": config.get("nodes", 30), "pfail": config.get("pfail", 0.1), "hazards": config.get("hazards", 0),
+              "reps": reps, "ceiling": config.get("ceiling", DEFAULT_CEILING), "max_realloc": config.get("max_realloc"),
+              "epsilon": config.get("epsilon", 1e-6)}
     rows = []
     for robots, tasks, failpoints, seed in itertools.product(*grids):
         try:
             rows.append(run_cell(robots, tasks, failpoints, seed, **kwargs))
         except Exception:
-            log.exception(
-                "cell robots=%d tasks=%d failpoints=%d seed=%d failed; continuing",
-                robots, tasks, failpoints, seed,
-            )
+            log.exception("cell robots=%d tasks=%d failpoints=%d seed=%d failed; continuing",
+                          robots, tasks, failpoints, seed)
     return rows
 
 

@@ -2,8 +2,8 @@
 
 Artifacts move through JSON files (models, missions, automata, joint
 policies) and CSV for sweeps; stdout carries a one-line summary per
-command. Exit codes: 0 success, 1 bad input, 2 solver failure, 3 joint
-baseline over its size ceiling.
+command. Exit codes: 0 success, 1 bad input, 2 solver failure, 3 a model
+over its size budget (the joint baseline's ceiling, `product.MAX_STATES`).
 """
 
 import argparse
@@ -11,12 +11,12 @@ import json
 import math
 import sys
 
-from .baseline import CeilingExceeded, build_mamdp, solve_mamdp
+from .baseline import build_mamdp, solve_mamdp
 from .bench import bench_sweep, write_csv
 from .dfa import compile_formula
 from .ltl import classify, format_formula, load_mission, parse_formula
 from .maps import MapSpec, gen_map, map_mission
-from .mdp import SolverError, load_model, save_model
+from .mdp import BudgetExceeded, SolverError, load_model, save_model
 from .product import local_products
 from .realloc import policy_from_dict, policy_to_dict, run_stapu_with_realloc
 from .simulate import simulate
@@ -204,7 +204,7 @@ def main(argv=None):
     except CliError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except CeilingExceeded as e:
+    except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as e:

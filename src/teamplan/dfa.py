@@ -12,56 +12,25 @@ that accept the same language by Moore's partition refinement.
 import json
 from itertools import combinations
 
-from .ltl import (
-    FALSE,
-    TRUE,
-    And,
-    Atom,
-    Eventually,
-    Always,
-    FalseConst,
-    Formula,
-    Next,
-    NotAtom,
-    Or,
-    TrueConst,
-    Until,
-    atoms_of,
-    format_formula,
-    is_syntactically_cosafe,
-    is_syntactically_safe,
-    classify,
-    FormulaClass,
-)
+from .ltl import (FALSE, TRUE, And, Atom, Eventually, Always, FalseConst, Formula, FormulaClass, Next, NotAtom, Or,
+                  TrueConst, Until, atoms_of, classify, format_formula, is_syntactically_cosafe, is_syntactically_safe)
 
 
 class CompileError(ValueError):
     pass
 
 
+# node kinds in the order `_key` sorts them
+_KIND = {TrueConst: 0, FalseConst: 1, Atom: 2, NotAtom: 3, Next: 4, Eventually: 5, Always: 6, Until: 7, And: 8, Or: 9}
+
+
 def _key(f: Formula):
     """Structural total order used to sort conjunct/disjunct lists."""
-    if isinstance(f, TrueConst):
-        return (0, "", ())
-    if isinstance(f, FalseConst):
-        return (1, "", ())
-    if isinstance(f, Atom):
-        return (2, f.name, ())
-    if isinstance(f, NotAtom):
-        return (3, f.name, ())
-    if isinstance(f, Next):
-        return (4, "", (_key(f.child),))
-    if isinstance(f, Eventually):
-        return (5, "", (_key(f.child),))
-    if isinstance(f, Always):
-        return (6, "", (_key(f.child),))
-    if isinstance(f, Until):
-        return (7, "", (_key(f.left), _key(f.right)))
-    if isinstance(f, And):
-        return (8, "", tuple(_key(c) for c in f.children))
-    if isinstance(f, Or):
-        return (9, "", tuple(_key(c) for c in f.children))
-    raise TypeError(f"not a formula node: {f!r}")
+    kind = _KIND.get(type(f))
+    if kind is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    children = f.children if kind >= 8 else (f.left, f.right) if kind == 7 else (f.child,) if kind >= 4 else ()
+    return kind, getattr(f, "name", ""), tuple(_key(c) for c in children)
 
 
 def _antichain(sets):

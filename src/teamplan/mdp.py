@@ -1,13 +1,15 @@
 """Explicit-state MDPs and maximal reachability.
 
-The local products and the joint baseline number their states with
-`Explorer`, the one reachable-state explorer, and build one row format:
-per state, numpy `(actions, outcome counts, targets, probabilities)`,
-which `_stack` stacks into the CSR `Arrays` of an `Mdp` (`_concat` joins
-a product's arrays with those of the states it appends). The team model
-fills its arrays from the products'. `Choice` rows exist only for source
-models (model files, `maps.gen_map`) and as the `Mdp.choices` view, which
-no solver reads.
+The local products and the joint baseline are built by `Explorer`, the
+one reachable-state explorer. It expands a whole breadth-first layer per
+numpy pass: each state's place (map state or position tuple) has one CSR
+move table (`Moves`), its automaton vector steps through the dense tables
+of `product.Automata`, and `Numbering` numbers the new (vector, place)
+keys in order of first occurrence. It writes the CSR `Arrays` of an `Mdp`
+(`_concat` joins a product's arrays with those of the states it appends).
+The team model fills its arrays from the products'. `Choice` rows exist
+only for source models (model files, `maps.gen_map`) and as the
+`Mdp.choices` view, which no solver reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -94,13 +96,6 @@ def _offsets(counts):
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def _stack(rows):
-    """The `Arrays` of explorer rows, one `(actions, outcome counts,
-    targets, probabilities)` row per state in state order."""
-    actions, counts, targets, probs = (np.concatenate(col) for col in zip(*rows))
-    return Arrays(_offsets([len(row[0]) for row in rows]), actions, _offsets(counts), targets, probs)
-
-
 def _concat(parts):
     """The `Arrays` holding the states of each of `parts` in turn, their
     targets as they are."""
@@ -129,45 +124,136 @@ def _absorbing(arrays):
     return np.bincount(state[~loop], minlength=n) == 0
 
 
-class Explorer:
-    """Append-only reachable-state explorer shared by every model builder.
+class BudgetExceeded(RuntimeError):
+    """A model outgrew its state budget."""
 
-    Keys are numbered in first-visit breadth-first order. `expand(key,
-    intern)` builds the row of one key exactly once, as `_stack` takes it,
-    calling `intern` to number each successor key; an index, a key and a
-    row never change once assigned. A later `explore` from a new root
-    appends what is reachable from it after everything already explored.
-    `rows` holds the rows expanded since the last `take`.
+
+# The move tables of an explorer's places, CSR by row: row r has choices k in range(choice_start[r],
+# choice_start[r + 1]), choice k takes actions[k] to the row's successor local[o] with probs[o] for o in
+# range(out_start[k], out_start[k + 1]), and the row's distinct successor places are succ[j], of label ids
+# labels[j], for j in range(succ_start[r], succ_start[r + 1]).
+Moves = namedtuple("Moves", ["choice_start", "actions", "out_start", "local", "probs", "succ_start", "succ", "labels"])
+
+
+def _first_seen(keys):
+    """Per key, the rank of its value among the distinct `keys` in order of
+    first occurrence, and those distinct keys in that order (a stable
+    argsort: np.unique would import numpy.ma)."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    head = np.empty(len(keys), bool)  # the first of each run of equal keys in `ordered`
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    firsts = order[head]
+    first = np.zeros(len(keys), bool)
+    first[firsts] = True
+    rank = np.empty(len(keys), np.int64)
+    rank[order] = (first.cumsum() - 1)[firsts][head.cumsum() - 1]
+    return rank, keys[first]
+
+
+class Numbering:
+    """Numbers int64 keys in order of first occurrence. `keys` lists the
+    keys by number; `sorted` holds them in order, then a sentinel above
+    every key, and `ids` their numbers, -1 for the sentinel."""
+
+    def __init__(self):
+        self.keys = np.zeros(0, np.int64)
+        self.sorted, self.ids = np.array([np.iinfo(np.int64).max]), np.array([-1])
+
+    def __call__(self, keys):
+        """The number of each of `keys`, the new ones numbered after every
+        known key."""
+        at = self.sorted.searchsorted(keys)
+        out = self.ids[at]
+        miss = self.sorted[at] != keys
+        if miss.any():
+            n = len(self.keys)
+            rank, new = _first_seen(keys[miss])
+            out[miss] = n + rank
+            merged = np.concatenate((self.sorted, new))
+            order = merged.argsort(kind="stable")
+            self.sorted, self.ids = merged[order], np.concatenate((self.ids, np.arange(n, n + len(new))))[order]
+            self.keys = np.concatenate((self.keys, new))
+        return out
+
+    def truncate(self, n):
+        """Forget every key numbered n or later."""
+        keep = self.ids < n
+        self.keys, self.sorted, self.ids = self.keys[:n], self.sorted[keep], self.ids[keep]
+
+
+class Explorer:
+    """Append-only breadth-first explorer of (place, automaton vector id)
+    states, shared by every model builder: one numpy pass per layer.
+
+    A place is where the robots stand; `table(places)` gives the `Moves`
+    and each place's row in them, and `automata.step` steps vector ids. A
+    state's key is vector id * `stride` + place. A layer's successor keys,
+    state by state and place by place in row order, number the new ones
+    after every known state in order of first occurrence: first-visit
+    breadth-first order. A state with a violating vector keeps its actions
+    as one-outcome self-loops. An index and a row never change once
+    assigned: `explore` from a new root appends what is reachable from it.
+    `places`, `vectors` and `arrays` hold every state's place, vector id
+    and row. Past `budget` states, checked once per layer, it forgets the
+    states of the call and raises `BudgetExceeded`.
     """
 
-    def __init__(self, expand):
-        self.expand = expand
-        self.keys = []
-        self.index = {}
-        self.rows = []
-        self.taken = 0
+    def __init__(self, automata, stride, table, budget=None):
+        self.automata, self.stride, self.table, self.budget = automata, stride, table, budget
+        self.places = self.vectors = np.zeros(0, np.int64)
+        self.arrays = None
+        self._numbering = Numbering()
 
-    def intern(self, key):
-        j = self.index.get(key)
-        if j is None:
-            j = len(self.keys)
-            self.index[key] = j
-            self.keys.append(key)
-        return j
-
-    def explore(self, key) -> int:
-        """Index of `key`, after expanding everything reachable from it."""
-        root = self.intern(key)
-        keys, rows, expand, intern, taken = self.keys, self.rows, self.expand, self.intern, self.taken
-        while taken + len(rows) < len(keys):
-            rows.append(expand(keys[taken + len(rows)], intern))
+    def explore(self, place, vector) -> int:
+        """Index of state (place, vector id), after expanding everything
+        reachable from it."""
+        numbering, stride = self._numbering, self.stride
+        key = vector * stride + place
+        at = numbering.sorted.searchsorted(key)
+        if numbering.sorted[at] == key:  # every known state is expanded
+            return int(numbering.ids[at])
+        layer = old = len(self.places)
+        root = int(numbering(np.array([key]))[0])
+        succs, found = [], []
+        while layer < len(numbering.keys):
+            keys = numbering.keys[layer:]
+            layer += len(keys)
+            m, r = self.table(keys % stride)
+            v = keys // stride
+            live = self.automata.classes_of(v) != AVOID
+            succs.append(np.where(live, m.succ_start[r + 1] - m.succ_start[r], 0))
+            j = _ranges(m.succ_start, r[live])
+            nxt = self.automata.step(np.repeat(v[live], succs[-1][live]), m.labels[j])
+            found.append(numbering(nxt * stride + m.succ[j]))
+            if self.budget is not None and len(numbering.keys) > self.budget:
+                numbering.truncate(old)  # back to the states before this call, all expanded
+                raise BudgetExceeded(f"exploration passed the budget of {self.budget} states")
+        new = numbering.keys[old:]
+        self.places, self.vectors = np.append(self.places, new % stride), np.append(self.vectors, new // stride)
+        new = self._rows(old, np.concatenate(succs), np.concatenate(found))
+        self.arrays = new if self.arrays is None else _concat((self.arrays, new))
         return root
 
-    def take(self):
-        """The rows expanded since the last call, which the explorer drops."""
-        rows, self.rows = self.rows, []
-        self.taken += len(rows)
-        return rows
+    def _rows(self, lo, succs, found):
+        """The `Arrays` of states lo.. given each one's successor count (0
+        for a self-looping state) and the states of their successors."""
+        m, r = self.table(self.places[lo:])
+        choices = m.choice_start[r + 1] - m.choice_start[r]
+        c = _ranges(m.choice_start, r)
+        loop = np.repeat(self.automata.classes_of(self.vectors[lo:]) == AVOID, choices)
+        counts = m.out_start[c + 1] - m.out_start[c]
+        counts[loop] = 1
+        o = _ranges(m.out_start, c[~loop])
+        looped = np.repeat(loop, counts)
+        targets = np.empty(len(looped), np.int32)
+        targets[looped] = np.repeat(np.arange(lo, len(self.places)), choices)[loop]
+        first = np.repeat(np.repeat(_offsets(succs)[:-1], choices)[~loop], counts[~loop])  # of each row's successors
+        targets[~looped] = found[first + m.local[o]]
+        probs = np.ones(len(targets))
+        probs[~looped] = m.probs[o]
+        return Arrays(_offsets(choices), m.actions[c], _offsets(counts), targets, probs)
 
 
 PROB_ATOL = 1e-9

@@ -6,22 +6,29 @@ safety formula is present; the safety automaton's accepting states are
 its non-violating ones, so a vector is accepting when every component
 is. Components advance on the label of the successor map state; the
 initial map state's label is applied once at construction so a task true
-at the start is immediately accepting. `Automata.advance` caches each
-(vector, label) step: few distinct pairs occur (about 2,800 in 38,000
-steps over a 15,000-state team's products), so one dictionary replaces
-per-component stepping and no second automaton representation is needed.
+at the start is immediately accepting.
+
+`Automata` numbers vectors and labels and steps vector ids through one
+dense (vector id, label id) table. Few distinct pairs occur (about 2,800
+in 38,000 steps over a 15,000-state team's products); each layer of an
+exploration fills its misses in one batch from per-DFA dense tables over
+(state, label code). The joint chain's `advance_joint` reads the same
+table one step at a time.
 
 `ProductMdp` is the only model builder that applies the advance to a
-robot's moves; the team model reads its stacked `arrays` and the classes
-and vector ids of its states.
+robot's moves, exploring with `mdp.Explorer`; the team model reads its
+stacked `arrays` and the classes and vector ids of its states.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, _concat, _stack
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, Numbering, _first_seen, _offsets
+
+MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
 
 class ProductError(ValueError):
@@ -33,27 +40,85 @@ class Automata:
     automaton or None. `dfas` lists every component of a vector in order.
     Unpacks as the pair `tasks, safety`.
 
-    A class with slots rather than a named tuple: the per-state rules
-    below read its attributes, which a tuple subclass serves more slowly.
+    Vectors and labels are numbered when first seen; `vectors` lists the
+    vectors by id and `classes` their TARGET, AVOID or LIVE class. `step`
+    takes vector ids through `table`, dense over (vector id, label id) and
+    -1 where not yet known, and fills a batch's misses at once from a
+    dense table per DFA over (state, label code), a label's code setting
+    bit i when the label holds the DFA's i-th atom.
     """
 
-    __slots__ = ("tasks", "safety", "dfas", "steps")
+    __slots__ = ("tasks", "safety", "dfas", "vectors", "table", "classes", "_vids", "_lids", "_kinds", "_codes",
+                 "_comps", "_deltas")
 
     def __init__(self, tasks, safety):
         self.tasks = tuple(tasks)
         self.safety = safety
         self.dfas = self.tasks if safety is None else (*self.tasks, safety)
-        self.steps = {}  # (vector, label) -> next vector
+        self.vectors, self._vids, self._kinds, self._lids = [], {}, [], {}
+        self._codes = self._comps = np.zeros((0, len(self.dfas)), np.int64)
+        self.classes, self.table = np.zeros(0, np.uint8), np.zeros((0, 0), np.int64)
+        self._deltas = [np.zeros((d.num_states, 1 << len(d.atoms)), np.int64) for d in self.dfas]
+        for d, delta in zip(self.dfas, self._deltas):
+            for (q, label), r in d.delta.items():
+                delta[q, sum(1 << d.atoms.index(a) for a in label)] = r
 
     def __iter__(self):
         return iter((self.tasks, self.safety))
 
+    def vector_id(self, qvec):
+        v = self._vids.get(qvec)
+        if v is None:
+            v = self._vids[qvec] = len(self.vectors)
+            self.vectors.append(qvec)
+            self._kinds.append(TARGET if self.accepting(qvec) else AVOID if self.violating(qvec) else LIVE)
+        return v
+
+    def label_id(self, label):
+        """The id of `label`, a hashable set of atoms."""
+        i = self._lids.get(label)
+        if i is None:
+            i = self._lids[label] = len(self._lids)
+            self._codes = np.vstack((self._codes, [sum(1 << k for k, a in enumerate(d.atoms) if a in label)
+                                                   for d in self.dfas]))
+        return i
+
+    def kind(self, qvec):
+        """TARGET, AVOID or LIVE."""
+        return self._kinds[self.vector_id(qvec)]
+
+    def classes_of(self, vids):
+        self._sync()
+        return self.classes[vids]
+
+    def _sync(self):
+        """Grow the numpy columns and the table to the vectors and labels seen."""
+        n, width = len(self.vectors), len(self._lids)
+        if len(self.classes) < n:
+            self.classes = np.array(self._kinds, np.uint8)
+            self._comps = np.array(self.vectors, np.int64).reshape(n, len(self.dfas))
+        if self.table.shape != (n, width):
+            grown = np.full((n, width), -1)
+            grown[:self.table.shape[0], :self.table.shape[1]] = self.table
+            self.table = grown
+
+    def step(self, vids, lids):
+        """The next vector id of each (vector id, label id) pair."""
+        self._sync()
+        nxt = self.table[vids, lids]
+        miss = nxt < 0
+        if miss.any():
+            v, label = vids[miss], lids[miss]
+            states, codes = self._comps[v].T, self._codes[label].T
+            ids = [self.vector_id(q) for q in zip(*[d[q, c].tolist() for d, q, c in zip(self._deltas, states, codes)])]
+            self.table[v, label] = nxt[miss] = ids
+        return nxt
+
     def advance(self, qvec, label):
         """The next vector; `label` is a hashable set of atoms."""
-        nxt = self.steps.get((qvec, label))
-        if nxt is None:
-            nxt = self.steps[qvec, label] = tuple([d.advance(q, label) for d, q in zip(self.dfas, qvec)])
-        return nxt
+        v, i = self.vector_id(qvec), self.label_id(label)
+        nxt = self.table[v, i] if v < self.table.shape[0] and i < self.table.shape[1] else -1
+        return self.vectors[nxt if nxt >= 0 else self.step(np.array([v]), np.array([i]))[0]]
 
     def advance_joint(self, qvec, models, positions):
         """Advance on the union of the labels of every robot's position."""
@@ -65,32 +130,22 @@ class Automata:
         return self.advance_joint(tuple(d.initial for d in self.dfas), models, positions)
 
     def accepting(self, qvec):
-        for k, d in enumerate(self.dfas):
-            if qvec[k] not in d.accepting:
-                return False
-        return True
+        return all(q in d.accepting for d, q in zip(self.dfas, qvec))
 
     def violating(self, qvec):
         return self.safety is not None and qvec[-1] not in self.safety.accepting
 
     def switchable(self, qvec):
         """True when every component is at its initial state or accepting."""
-        for k, d in enumerate(self.dfas):
-            if qvec[k] != d.initial and qvec[k] not in d.accepting:
-                return False
-        return True
+        return all(q == d.initial or q in d.accepting for d, q in zip(self.dfas, qvec))
 
     def unpruned_size(self, models):
         """Size of the unpruned product of `models` with every automaton.
         The designated failure states carry no task progress, so they are
         not counted as map factors. Reachable models do contain them, so a
         reachable count can exceed this size."""
-        n = 1
-        for m in models:
-            n *= m.num_states - (1 if m.failure_state is not None else 0)
-        for d in self.dfas:
-            n *= d.num_states
-        return n
+        return math.prod(m.num_states - (m.failure_state is not None) for m in models) * math.prod(
+            d.num_states for d in self.dfas)
 
 
 def compile_mission(mission):
@@ -100,85 +155,61 @@ def compile_mission(mission):
 
 
 class ProductMdp:
-    """Product of one robot's model with the mission automata.
+    """Product of one robot's model with the mission automata, built by the
+    `Explorer` over the robot's map states as places.
 
     The only model builder that advances the automaton vector on one
     robot's moves. Safety-violating product states keep their action names
     but turn into self-loops: nothing that happens after a violation can
-    matter, and the collapse keeps the trap region from multiplying out
-    the map.
+    matter, and the collapse keeps the trap region from multiplying out the
+    map. A state's row is its map state's move table with each distinct
+    successor numbered once, in first-appearance order; rows carry no costs.
 
-    A state's row is its map state's move table with each distinct
-    successor interned once, in first-appearance order; rows carry no costs.
-    Per state, `states` holds (map state, automaton vector) and `arrays`
-    its row; the numpy columns `map_states`, `vector_ids` (distinct
-    vectors numbered in order of first appearance) and `classes` (TARGET,
-    AVOID or LIVE by the vector) say the same for the team model's build.
-
-    `mdp`, `accepting`, `violating` and `num_states` describe the product
-    reachable from the robot's initial state; the two sets are built on
-    first read. `explore((s, q))` extends the product from another root,
-    appending the states reachable from it; the first `num_states` states
-    never change.
+    Per state, `arrays` holds its row and the numpy columns `map_states`,
+    `vector_ids` (distinct vectors numbered in order of first appearance)
+    and `classes` (TARGET, AVOID or LIVE by the vector) say what the team
+    model's build reads; `states` lists (map state, vector) tuples, built
+    on read. `mdp`, `accepting`, `violating` and `num_states` describe the
+    product reachable from the robot's initial state. `explore((s, q))`
+    extends the product from another root, appending the states reachable
+    from it. Past `MAX_STATES` states, exploring raises `BudgetExceeded`.
     """
 
     def __init__(self, source, mission, automata):
-        self.source = source
-        self.mission = mission
-        self.automata = automata
-        advance, violating = automata.advance, automata.violating
-
-        def move_table(choices):
-            """Action indices, outcome counts, local successor ids and
-            probabilities of a map state's choices, and its distinct
-            successors with their labels in first-appearance order."""
-            succs = {}
-            local = [succs.setdefault(t, len(succs)) for c in choices for t, _ in c.outcomes]
-            return (np.array([c.action for c in choices], np.int64),
-                    np.array([len(c.outcomes) for c in choices], np.int64), np.array(local, np.int64),
-                    np.array([p for c in choices for _, p in c.outcomes], np.float64),
-                    [(t, source.label(t)) for t in succs])
-
-        tables = [move_table(row) for row in source.choices]
-
-        def expand(key, intern):
-            s, qvec = key
-            acts, counts, local, probs, succs = tables[s]
-            if violating(qvec):
-                return acts, np.ones_like(counts), np.full(len(acts), intern(key), np.int32), np.ones(len(acts))
-            lookup = [intern((t, advance(qvec, label))) for t, label in succs]
-            return acts, counts, np.array(lookup, np.int32)[local], probs
-
-        # expand holds no reference to self, so a product is freed without
-        # waiting for the cycle collector
-        self._explorer = Explorer(expand)
-        self.states = self._explorer.keys
-        self._vectors = {}
-        self.arrays = self.map_states = self.vector_ids = self.classes = None
+        self.source, self.mission, self.automata = source, mission, automata
+        n = source.num_states
+        row_start, actions, out_start, targets, probs = source.arrays
+        owner = np.repeat(np.arange(n), np.diff(out_start[row_start]))
+        rank, succ = _first_seen(owner * n + targets)  # each map state's distinct successors, in order
+        succ_start = _offsets(np.bincount(succ // n, minlength=n))
+        labels = np.array([automata.label_id(source.label(t)) for t in range(n)], np.int64)
+        moves = Moves(row_start, actions.astype(np.int64), out_start, rank - succ_start[owner], probs, succ_start,
+                      succ % n, labels[succ % n])
+        self._explorer = Explorer(automata, n, lambda places: (moves, places), MAX_STATES)
+        self._vector_ids, self._states = Numbering(), []
+        self.map_states = self.vector_ids = np.zeros(0, np.int32)
         self.explore((source.initial, automata.start([source], [source.initial])))
-        n = self.num_states = len(self.states)
-        self.mdp = Mdp(n, 0, source.actions, arrays=self.arrays)
+        self.num_states = len(self.map_states)
+        self.mdp = Mdp(self.num_states, 0, source.actions, arrays=self.arrays)
 
     def explore(self, key):
         """Index of product state `key`, after appending every state
-        reachable from it; stacks the appended rows onto `arrays`."""
-        root = self._explorer.explore(key)
-        rows = self._explorer.take()
-        if rows:
-            automata, vectors = self.automata, self._vectors  # vector -> (id, class)
-
-            def kind(q):
-                return TARGET if automata.accepting(q) else AVOID if automata.violating(q) else LIVE
-
-            new = self.states[-len(rows):]
-            ids, kinds = np.array([vectors.get(q) or vectors.setdefault(q, (len(vectors), kind(q)))
-                                   for _, q in new], np.int32).T
-            grown = (_stack(rows), np.array([s for s, _ in new], np.int32), ids, kinds.astype(np.uint8))
-            if self.arrays is not None:
-                old = (self.map_states, self.vector_ids, self.classes)
-                grown = (_concat((self.arrays, grown[0])), *map(np.concatenate, zip(old, grown[1:])))
-            self.arrays, self.map_states, self.vector_ids, self.classes = grown
+        reachable from it to `arrays` and the columns."""
+        explorer, old = self._explorer, len(self.map_states)
+        root = explorer.explore(key[0], self.automata.vector_id(key[1]))
+        if len(explorer.places) > old:
+            self.arrays, self.classes = explorer.arrays, self.automata.classes_of(explorer.vectors)
+            self.map_states = np.append(self.map_states, explorer.places[old:].astype(np.int32))
+            self.vector_ids = np.append(self.vector_ids, self._vector_ids(explorer.vectors[old:]).astype(np.int32))
         return root
+
+    @property
+    def states(self):
+        have = self._states
+        if len(have) < len(self.map_states):
+            vectors = self.automata.vectors
+            have += zip(self.map_states[len(have):].tolist(), [vectors[v] for v in self._explorer.vectors[len(have):]])
+        return have
 
     @cached_property
     def accepting(self):

@@ -31,7 +31,7 @@ import itertools
 import time
 from dataclasses import asdict, dataclass, field
 
-from .mdp import PROB_ATOL, _integer, _typed
+from .mdp import AVOID, PROB_ATOL, TARGET, _integer, _typed
 from .product import local_products
 from .team import build_team, check_class, solve_stapu
 
@@ -66,14 +66,8 @@ class JointNode:
     child: object = None
 
     def to_dict(self, chain_index):
-        out = {
-            "t": self.t,
-            "positions": list(self.positions),
-            "statuses": list(self.statuses),
-            "q": list(self.q),
-            "kind": self.kind,
-            "steps": [[p, j] for p, j in self.steps],
-        }
+        out = {"t": self.t, "positions": list(self.positions), "statuses": list(self.statuses), "q": list(self.q),
+               "kind": self.kind, "steps": [[p, j] for p, j in self.steps]}
         if self.actions is not None:
             out["actions"] = list(self.actions)
         if self.fresh:
@@ -168,9 +162,10 @@ def _copy_chain(chain):
 
 
 def _classify(automata, q, statuses, fresh):
-    if automata.accepting(q):
+    kind = automata.kind(q)
+    if kind == TARGET:
         return SUCCESS
-    if automata.violating(q):
+    if kind == AVOID:
         return VIOLATED
     if fresh and any(st != FAILED for st in statuses):
         return POINT
@@ -210,14 +205,8 @@ def _expand(team, models, progs, node, nodes):
             elif node.t + 1 >= len(progs[r]):
                 sts[r] = DONE
         q = team.automata.advance_joint(node.q, models, pos)
-        child = JointNode(
-            t=node.t + 1,
-            positions=tuple(pos),
-            statuses=tuple(sts),
-            q=q,
-            kind=_classify(team.automata, q, sts, fresh),
-            fresh=tuple(fresh),
-        )
+        child = JointNode(t=node.t + 1, positions=tuple(pos), statuses=tuple(sts), q=q,
+                          kind=_classify(team.automata, q, sts, fresh), fresh=tuple(fresh))
         node.steps.append((prob, len(nodes)))
         nodes.append(child)
 
@@ -228,13 +217,8 @@ def _build_chain(sol, q0):
     statuses = [FAILED if r in team.failed else EXECUTING if prog else DONE
                 for r, prog in enumerate(sol.programs)]
     q0 = tuple(team.automata.start(models, team.entries) if q0 is None else q0)
-    root = JointNode(
-        t=0,
-        positions=tuple(team.entries),
-        statuses=tuple(statuses),
-        q=q0,
-        kind=_classify(team.automata, q0, statuses, ()),
-    )
+    root = JointNode(t=0, positions=tuple(team.entries), statuses=tuple(statuses), q=q0,
+                     kind=_classify(team.automata, q0, statuses, ()))
     nodes = [root]
     i = 0
     while i < len(nodes):
@@ -264,10 +248,8 @@ def _require_class(models):
             continue
         checked.add(id(model))
         if not check_class(model):
-            raise UnsupportedModelError(
-                f"robot {r}: actions must be deterministic or two-outcome splits with "
-                f"the failure state, and the failure state must be absorbing"
-            )
+            raise UnsupportedModelError(f"robot {r}: actions must be deterministic or two-outcome splits with "
+                                        f"the failure state, and the failure state must be absorbing")
 
 
 def _survey(jp):
@@ -315,13 +297,8 @@ def solve_realloc(point, products, epsilon=1e-6):
     """Replan from a failure: fresh team model whose entries are the
     robots' current positions, started at the failed robot so the ring
     hands its tasks onward."""
-    team = build_team(
-        products,
-        entries=list(point.positions),
-        start_robot=point.robot,
-        start_q=point.q,
-        failed=point.failed,
-    )
+    team = build_team(products, entries=list(point.positions), start_robot=point.robot, start_q=point.q,
+                      failed=point.failed)
     sol = solve_stapu(team, epsilon=epsilon)
     point.mark_addressed()
     return sol
@@ -344,16 +321,9 @@ class GuaranteeReport:
 
 def _log_entry(survey, reallocations, point_prob, new_value, t0):
     success, failure, unaddressed, _ = survey
-    return {
-        "reallocations": reallocations,
-        "point_probability": point_prob,
-        "value": new_value,
-        "guarantee": success,
-        "success": success,
-        "failure": failure,
-        "unaddressed": unaddressed,
-        "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
-    }
+    return {"reallocations": reallocations, "point_probability": point_prob, "value": new_value,
+            "guarantee": success, "success": success, "failure": failure, "unaddressed": unaddressed,
+            "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
 
 
 def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, epsilon=1e-6):
@@ -396,25 +366,15 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
         survey = _survey(jp)
         log.append(_log_entry(survey, reallocations, point.prob, value, t0))
     success, failure, unaddressed, _ = survey
-    report = GuaranteeReport(
-        value=success,
-        initial_value=sol.value,
-        reallocations=reallocations,
-        solves=1 + len(replans),
-        unaddressed=unaddressed,
-        failure=failure,
-        log=log,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    report = GuaranteeReport(value=success, initial_value=sol.value, reallocations=reallocations,
+                             solves=1 + len(replans), unaddressed=unaddressed, failure=failure, log=log,
+                             wall_ms=(time.perf_counter() - t0) * 1000.0)
     return jp, report
 
 
 def policy_to_dict(jp, report=None):
     index = {id(c): k for k, c in enumerate(jp.chains)}
-    out = {
-        "robots": jp.robots,
-        "chains": [{"nodes": [nd.to_dict(index) for nd in c.nodes]} for c in jp.chains],
-    }
+    out = {"robots": jp.robots, "chains": [{"nodes": [nd.to_dict(index) for nd in c.nodes]} for c in jp.chains]}
     if report is not None:
         out["report"] = report.to_dict()
     return out

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from teamplan import product
 from teamplan.cli import main
 from teamplan.ltl import load_mission
-from teamplan.mdp import SolverError, load_model, max_product_reach, max_reach
+from teamplan.mdp import BudgetExceeded, SolverError, load_model, max_product_reach, max_reach
 from teamplan.product import local_products
 from teamplan.team import build_team
 
@@ -288,6 +289,25 @@ def test_ceiling_exits_three(tmp_path):
                  "--mission", mission, "--ceiling", "10"]) == 3
     assert main(["baseline", "--models", str(model), str(model),
                  "--mission", mission, "--ceiling", "0"]) == 3
+
+
+def test_product_budget_exits_three(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "map.json"
+    assert main(["genmap", "--nodes", "6", "--failpoints", "1", "--tasks", "2",
+                 "--out", str(model)]) == 0
+    mission = write_mission(tmp_path / "mission.json", ["F p1", "F p2"])
+    assert main(["solve", "--models", str(model), "--mission", mission,
+                 "--out", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(product, "MAX_STATES", 4)
+    assert main(["solve", "--models", str(model), "--mission", mission,
+                 "--out", str(tmp_path / "s.json")]) == 3
+    assert main(["realloc", "--models", str(model), str(model), "--mission", mission,
+                 "--out", str(tmp_path / "p.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: exploration passed the budget of 4 states"] * 2
+    with pytest.raises(BudgetExceeded):
+        local_products([load_model(model)], load_mission(mission))
 
 
 def test_solver_failures_exit_two(tmp_path, monkeypatch, capsys):

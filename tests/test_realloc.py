@@ -416,6 +416,7 @@ import numpy as np
 
 from instances import guarded_tree_instance
 from teamplan.baseline import build_mamdp, solve_mamdp
+from teamplan.product import local_product
 from teamplan.realloc import run_stapu_with_realloc
 from teamplan.simulate import simulate
 
@@ -424,13 +425,20 @@ jp, report = run_stapu_with_realloc([model, model], miss)
 assert report.solves > 1, report.solves
 simulate(jp, runs=2000, seed=1)
 solve_mamdp(build_mamdp([model, model], miss))
+pm = local_product(model, miss)
+known = set(pm.states)
+root = next((s, q) for _, q in pm.states for s in range(model.num_states) if (s, q) not in known)
+pm.explore(root)
+assert len(pm.states) > len(known)
 print("numpy.ma" in sys.modules)
 """
 
 
 def test_plan_path_never_imports_numpy_ma():
     # np.unique imports numpy.ma on its first call, which adds 1.5-1.9 MB
-    # of peak RSS to the benchmark's plan, rollout and joint solve
+    # of peak RSS to the benchmark's plan, rollout and joint solve; the
+    # probe also builds and solves a joint model and extends a product from
+    # a root outside it
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     done = subprocess.run([sys.executable, "-c", PLAN_PATH_PROBE], env=env, capture_output=True, text=True,
