@@ -12,6 +12,7 @@ to differ between identical sweeps.
 import csv
 import itertools
 import logging
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -106,24 +107,35 @@ def _grid(config, key, least):
     v = config.get(key)
     if v is None:
         raise ValueError(f"sweep config needs a {key!r} list")
-    if isinstance(v, int):
+    if type(v) is int:  # bool is an int subclass but not a count
         v = [v]
-    if not isinstance(v, list) or not v or not all(isinstance(x, int) for x in v):
+    if not isinstance(v, list) or not v or not all(type(x) is int for x in v):
         raise ValueError(f"sweep config {key!r} must be a nonempty list of integers")
     if min(v) < least:
         raise ValueError(f"sweep config {key!r} values must be at least {least}, not {min(v)}")
     return v
 
 
+# what each scalar key of a sweep config must be, and its test; `run_cell` has the defaults
+SETTINGS = {
+    "nodes": ("an integer of at least 2", lambda v: type(v) is int and v >= 2),
+    "pfail": ("a number", lambda v: type(v) in (int, float)),
+    "hazards": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "reps": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "ceiling": ("a non-negative integer or null", lambda v: v is None or type(v) is int and v >= 0),
+    "max_realloc": ("a non-negative integer or null", lambda v: v is None or type(v) is int and v >= 0),
+    "epsilon": ("a positive finite number", lambda v: type(v) in (int, float) and 0.0 < v < math.inf),
+}
+
+
 def bench_sweep(config):
-    """Run every grid cell; failed cells are logged and skipped."""
+    """Check the config, then run every grid cell; failed cells are logged and skipped."""
     grids = [_grid(config, k, least) for k, least in (("robots", 1), ("tasks", 1), ("failpoints", 0), ("seeds", 0))]
-    reps = config.get("reps", 3)
-    if not isinstance(reps, int) or reps < 1:
-        raise ValueError(f"sweep config 'reps' must be a positive integer, not {reps!r}")
-    kwargs = {"nodes": config.get("nodes", 30), "pfail": config.get("pfail", 0.1), "hazards": config.get("hazards", 0),
-              "reps": reps, "ceiling": config.get("ceiling", DEFAULT_CEILING), "max_realloc": config.get("max_realloc"),
-              "epsilon": config.get("epsilon", 1e-6)}
+    kwargs = {key: config[key] for key in SETTINGS if key in config}
+    for key, v in kwargs.items():
+        what, ok = SETTINGS[key]
+        if not ok(v):
+            raise ValueError(f"sweep config {key!r} must be {what}, not {v!r}")
     rows = []
     for robots, tasks, failpoints, seed in itertools.product(*grids):
         try:

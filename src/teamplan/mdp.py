@@ -1,15 +1,12 @@
 """Explicit-state MDPs and maximal reachability.
 
-The local products and the joint baseline are built by `Explorer`, the
-one reachable-state explorer. It expands a whole breadth-first layer per
-numpy pass: each state's place (map state or position tuple) has one CSR
-move table (`Moves`), its automaton vector steps through the dense tables
-of `product.Automata`, and `Numbering` numbers the new (vector, place)
-keys in order of first occurrence. It writes the CSR `Arrays` of an `Mdp`
-(`_concat` joins a product's arrays with those of the states it appends).
-The team model fills its arrays from the products'. `Choice` rows exist
-only for source models (model files, `maps.gen_map`) and as the
-`Mdp.choices` view, which no solver reads.
+`Explorer`, the one reachable-state explorer, builds the local products
+and the joint baseline one breadth-first layer per numpy pass, from one
+CSR move table (`Moves`) per place and the dense automaton tables of
+`product.Automata`, into the CSR `Arrays` of an `Mdp`. The team model
+fills its arrays from the products'. `Choice` rows exist only for source
+models (model files, `maps.gen_map`) and as the `Mdp.choices` view, which
+no solver reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -22,15 +19,15 @@ Two solvers compute maximal reach probabilities, one per model class:
   value iteration bracketed by graph precomputation: states that cannot
   reach the target under any scheduler are pinned to 0 and states with an
   almost-sure strategy are pinned to 1 before iteration starts, so the
-  iterated region only contains genuinely quantitative states. The graph
-  passes (layered, with `reduceat` over outcomes) and the Jacobi sweeps
-  run in numpy over the model's arrays.
+  iterated region only contains genuinely quantitative states. The Jacobi
+  sweeps run in numpy over the model's arrays.
 
 Both read their policy off the values on the first read of
-`ReachResult.policy`, with `_layered_policy`: layered frontier passes, one
-numpy pass per layer, over a backward edge index with a usable flag per
-edge and pass (every outcome for `max_reach`, the live edges for
-`max_product_reach`).
+`ReachResult.policy`, with `_layered_policy`. Every layered graph pass
+(prob0, prob1, both policy passes and the team model's closure) runs
+`_frontier`, one numpy pass per breadth-first layer over an edge index:
+for the solvers a backward index of every outcome (`max_reach`) or of
+the live edges (`max_product_reach`), built once per solve.
 """
 
 import json
@@ -111,6 +108,24 @@ def _ranges(offsets, idx):
     counts = offsets[idx + 1] - offsets[idx]
     shift = np.repeat(offsets[idx] + counts - np.cumsum(counts), counts)
     return shift + np.arange(len(shift))
+
+
+def _frontier(index, reached, usable=None):
+    """Breadth-first layers from the states of the mask `reached` over the
+    edges k in range(offsets[s], offsets[s + 1]) from each state s to
+    ends[k]: per layer, the `usable` edges (all when None) out of the last
+    and the states they newly reach, in order, which it then marks."""
+    offsets, ends = index
+    layer = np.flatnonzero(reached)
+    while len(layer):
+        k = _ranges(offsets, layer)
+        if usable is not None:
+            k = k[usable[k]]
+        found = np.zeros(len(reached), bool)
+        found[ends[k]] = True
+        layer = np.flatnonzero(found & ~reached)
+        yield k, layer
+        reached[layer] = True
 
 
 def _absorbing(arrays):
@@ -486,10 +501,9 @@ def _check_sets(mdp: Mdp, target, avoid) -> tuple[set[int], set[int]]:
 
 def _layered_policy(arrays, index, certificate, optimal, target, sure, positive) -> Policy:
     """The policy rule of every reachability solver for the model of
-    `arrays`, over a backward edge index `(offsets, tails, actions)` of
-    numpy columns: the edges into state t are k in range(offsets[t],
-    offsets[t + 1]), from tails[k] by actions[k]. `certificate` and
-    `optimal` flag edges; `target`, `sure` and `positive` are state masks.
+    `arrays`, over a `_backward_index` `(offsets, tails, actions)`, edge k
+    coming from tails[k] by actions[k]. `certificate` and `optimal` flag
+    edges; `target`, `sure` and `positive` are state masks.
 
     A first pass gives the almost-sure states certificate actions, layer
     by layer back from the targets: a state joins the layer after the
@@ -497,42 +511,35 @@ def _layered_policy(arrays, index, certificate, optimal, target, sure, positive)
     those edges. A second gives the rest of the positive region
     value-optimal actions so, back from the targets and `sure`; a plain
     argmax can pick a choice that keeps the value forever without
-    reaching anything. Each layer is one numpy pass over the edges into
-    the last. Each pass must assign all its states; every other state
-    with choices gets its first action.
+    reaching anything. Each pass must assign all its states; every other
+    state with choices gets its first action.
     """
     row_start, first = arrays[:2]
     policy = np.full(len(row_start) - 1, -1, first.dtype)
     has = np.flatnonzero(np.diff(row_start))
     policy[has] = first[row_start[has]]
     offsets, tails, actions = index
-    least = np.full_like(policy, np.iinfo(policy.dtype).max)  # a state joins one layer, so no reset
+    least = np.full_like(policy, np.iinfo(policy.dtype).max)  # read when a state joins a layer, so no reset
     for usable, assigned, need in ((certificate & sure[tails], target.copy(), sure),
                                    (optimal & positive[tails], target | sure, positive)):
-        frontier = np.flatnonzero(assigned)
-        while len(frontier):
-            k = _ranges(offsets, frontier)
-            k = k[usable[k] & ~assigned[tails[k]]]
+        for k, layer in _frontier((offsets, tails), assigned, usable):
             np.minimum.at(least, tails[k], actions[k])
-            frontier = np.flatnonzero(np.bincount(tails[k], minlength=len(policy)))
-            policy[frontier] = least[frontier]
-            assigned[frontier] = True
+            policy[layer] = least[layer]
         missing = np.flatnonzero(need & ~assigned)
         if len(missing):
             raise SolverError("internal: no progressing optimal action for states " + str(missing[:5].tolist()))
     return Policy(policy)
 
 
-def _reach_policy(mdp: Mdp, values, target, sure) -> Policy:
-    """`_layered_policy` over every outcome of `mdp.arrays`, given numpy
-    values and state masks. Certificate actions on the almost-sure states
-    `sure`, whose outcomes all lie in `sure` or `target`; value-optimal
-    ones, within PROB_ATOL of the state's best choice, on the rest of the
-    positive region; the first enabled action everywhere else.
+def _reach_policy(arrays, index, values, target, sure) -> Policy:
+    """`_layered_policy` over `max_reach`'s index of every outcome, given
+    numpy values and state masks. Certificate actions on the almost-sure
+    states `sure`, whose outcomes all lie in `sure` or `target`;
+    value-optimal ones, within PROB_ATOL of the state's best choice, on the
+    rest of the positive region; the first enabled action everywhere else.
     """
-    row_start, actions, out_start, targets, probs = mdp.arrays
+    row_start, actions, out_start, targets, probs = arrays
     row_count, out_count = np.diff(row_start), np.diff(out_start)
-    choice_state = np.repeat(np.arange(mdp.num_states), row_count)
     # each choice's terms added left to right, one outcome position at a
     # time: np.add.reduceat sums three or more terms in another order
     q = np.zeros(len(actions))
@@ -544,9 +551,9 @@ def _reach_policy(mdp: Mdp, values, target, sure) -> Policy:
     has = np.flatnonzero(row_count)
     optimal = q >= np.repeat(np.maximum.reduceat(q, row_start[has]), row_count[has]) - PROB_ATOL
     certificate = np.logical_and.reduceat((sure | target)[targets], out_start[:-1])
-    offsets, owner = _backward_index([targets, np.repeat(np.arange(len(actions)), out_count)], mdp.num_states)
-    return _layered_policy(mdp.arrays, (offsets, choice_state[owner], actions[owner]), certificate[owner],
-                           optimal[owner], target, sure, (values > 0.0) & ~target & ~sure)
+    offsets, tails, owner = index
+    return _layered_policy(arrays, (offsets, tails, actions[owner]), certificate[owner], optimal[owner], target,
+                           sure, (values > 0.0) & ~target & ~sure)
 
 
 MAX_SWEEPS = 100_000  # value iteration gives up after this many sweeps
@@ -561,35 +568,34 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
     fixpoint: shrink a candidate set u, avoid states left out, to the
     states that reach the target by choices staying in u). On the rest,
     Jacobi sweeps over `mdp.arrays` (every choice has an outcome) run from
-    zero until the largest update falls below `epsilon` (absolute).
+    zero until the largest update falls below `epsilon` (absolute, positive).
     """
     target, avoid = _check_sets(mdp, target, avoid)
+    if not 0.0 < _number(epsilon, "epsilon") < np.inf:
+        raise ValueError(f"epsilon {epsilon!r} is not a positive finite number")
     n = mdp.num_states
     row_start, _, out_start, targets, probs = mdp.arrays
     row_count, out_count = np.diff(row_start), np.diff(out_start)
-    out_first, choice_state = out_start[:-1], np.repeat(np.arange(n), row_count)
+    offsets, owner = _backward_index([targets, np.repeat(np.arange(len(out_count), dtype=np.int32), out_count)], n)
+    tails = np.repeat(np.arange(n, dtype=np.int32), row_count)[owner]
     in_target, u = np.zeros(n, bool), np.ones(n, bool)
     in_target[list(target)] = True
     u[list(avoid)] = False
 
-    def attract(allowed, usable):
-        """The least superset of the targets holding every `allowed` state
-        with a `usable` choice reaching it, grown one backward layer a pass."""
-        v = in_target
-        while True:
-            grown = np.zeros(n, bool)
-            grown[choice_state[usable & np.logical_or.reduceat(v[targets], out_first)]] = True
-            grown = v | (grown & allowed)
-            if np.array_equal(grown, v):
-                return v
-            v = grown
+    def attract(usable):
+        """The least superset of the targets holding the tail of every
+        `usable` edge into it."""
+        reached = in_target.copy()
+        for _ in _frontier((offsets, tails), reached, usable):
+            pass
+        return reached
 
-    zero = ~attract(u, True)
-    while not np.array_equal(one := attract(u, np.logical_and.reduceat(u[targets], out_first)), u):
+    zero = ~attract(u[tails])
+    while ((one := attract(np.logical_and.reduceat(u[targets], out_start[:-1])[owner] & u[tails])) != u).any():
         u = one
 
     x, mid = one.astype(np.float64), np.flatnonzero(~(zero | one))
-    mid_choices = ~(zero | one)[choice_state]
+    mid_choices = np.repeat(~(zero | one), row_count)
     mid_targets, mid_probs = (a[np.repeat(mid_choices, out_count)] for a in (targets, probs))
     mid_out, mid_rows = _offsets(out_count[mid_choices])[:-1], _offsets(row_count[mid])[:-1]
     iterations = 0
@@ -603,7 +609,8 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
         else:
             raise DivergenceError(f"value iteration exceeded {MAX_SWEEPS} sweeps (last delta {delta})")
 
-    return ReachResult(x.tolist(), iterations, one, zero, lambda: _reach_policy(mdp, x, in_target, one & ~in_target))
+    return ReachResult(x.tolist(), iterations, one, zero,
+                       lambda: _reach_policy(mdp.arrays, (offsets, tails, owner), x, in_target, one & ~in_target))
 
 
 # classes of a state for the max-product solver: a sink is absorbing and

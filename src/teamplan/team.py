@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, Mdp, _ranges, max_product_reach, max_reach
+from .mdp import AVOID, TARGET, Arrays, Mdp, _frontier, _ranges, max_product_reach, max_reach
 
 SWITCH = "switch"
 
@@ -83,18 +83,12 @@ class TeamMdp:
             start_q = self.automata.start([products[start_robot].source], [entries[start_robot]])
         self.start_q = tuple(start_q)
 
-        names = []
-        seen = {}
-        for p in products:
-            for a in p.source.actions:
-                if a not in seen:
-                    seen[a] = len(names)
-                    names.append(a)
-        if SWITCH in seen:
+        names = dict.fromkeys(a for p in products for a in p.source.actions)  # in order of first appearance
+        if SWITCH in names:
             raise TeamError(f"action name {SWITCH!r} is reserved for the team model")
-        self.switch_action = len(names)
-        names.append(SWITCH)
-        self.actions = tuple(names)
+        seen = {a: i for i, a in enumerate(names)}
+        self.switch_action = len(seen)
+        self.actions = (*names, SWITCH)
         self.action_map = [[seen[a] for a in p.source.actions] for p in products]
         self.root = products[start_robot].explore((entries[start_robot], self.start_q))
         self._build()
@@ -220,18 +214,12 @@ def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):
 
 def _closure(arrays, roots):
     """Product states reachable from the distinct `roots`: the roots, then
-    each breadth-first layer in state order."""
+    each `_frontier` layer over the outcomes, in state order."""
     row_start, _, out_start, targets, _ = arrays
-    outcomes = out_start[row_start]  # the outcomes of state s start at outcomes[s]
-    order = [np.array(roots, np.int64)]
-    seen = np.zeros(len(row_start) - 1, bool)
-    seen[order[0]] = True
-    while len(order[-1]):
-        found = np.zeros(len(seen), bool)
-        found[targets[_ranges(outcomes, order[-1])]] = True
-        order.append(np.flatnonzero(found & ~seen))
-        seen[order[-1]] = True
-    return np.concatenate(order)
+    reached = np.zeros(len(row_start) - 1, bool)
+    reached[roots] = True
+    # the outcomes of state s are range(out_start[row_start[s]], out_start[row_start[s + 1]])
+    return np.concatenate([roots, *(layer for _, layer in _frontier((out_start[row_start], targets), reached))])
 
 
 @dataclass

@@ -97,11 +97,24 @@ def test_config_grids_are_validated(tmp_path, capsys):
         config.write_text(json.dumps(dict(BASE, reps=reps)))
         assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, reps
         assert "'reps' must be a positive integer" in capsys.readouterr().err, reps
+    for key in ("robots", "seeds"):  # JSON booleans are not counts
+        with pytest.raises(ValueError, match=f"'{key}' must be a nonempty list of integers"):
+            bench_sweep(dict(BASE, **{key: [True]}))
     for key, value in (("robots", 0), ("tasks", 0), ("failpoints", -1), ("seeds", -1)):
         config.write_text(json.dumps(dict(BASE, **{key: [1, value]})))
         assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, key
         assert f"'{key}' values must be at least {0 if value < 0 else 1}" in capsys.readouterr().err, key
+    # each would fail every cell, after 100,000 sweeps per cell for a negative epsilon
+    for key, value in (("nodes", "x"), ("nodes", 1), ("nodes", None), ("pfail", "x"), ("pfail", None),
+                       ("hazards", -1), ("hazards", 0.5), ("ceiling", -1), ("ceiling", 2.5), ("ceiling", True),
+                       ("max_realloc", -1), ("max_realloc", "2"), ("epsilon", -1), ("epsilon", 0),
+                       ("epsilon", float("inf")), ("epsilon", float("nan")), ("epsilon", None), ("epsilon", "x")):
+        config.write_text(json.dumps(dict(BASE, **{key: value})))
+        assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, (key, value)
+        assert f"sweep config '{key}' must be" in capsys.readouterr().err, (key, value)
     assert not out.exists()
+    for key in ("ceiling", "max_realloc"):  # null: no ceiling, no limit on reallocations
+        assert len(bench_sweep(dict(BASE, tasks=[1], seeds=[0], **{key: None}))) == 1, key
     single = dict(BASE, robots=2, tasks=[1], seeds=[0])
     assert len(bench_sweep(single)) == 1
 

@@ -1,4 +1,5 @@
-"""`teamplan` depends on nothing beyond the standard library and numpy."""
+"""`teamplan` depends on nothing beyond the standard library and numpy,
+and calls no numpy function that imports numpy.ma."""
 
 import ast
 import sys
@@ -23,3 +24,20 @@ def test_sources_import_only_stdlib_and_numpy():
     outside = {(f.name, name) for f in files for name in imported_modules(ast.parse(f.read_text()))
                if name not in ALLOWED}
     assert not outside, sorted(outside)
+
+
+# each of these imports numpy.ma on its first call (numpy 2.4), which adds
+# 1.5-1.9 MB of peak RSS; np.isin and np.bincount do not
+MA_IMPORTERS = {"unique", "union1d", "intersect1d", "setdiff1d"}
+
+
+def test_sources_call_no_numpy_ma_importer():
+    found = set()
+    for f in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in MA_IMPORTERS and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                found.add((f.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found |= {(f.name, node.lineno, a.name) for a in node.names if a.name in MA_IMPORTERS}
+    assert not found, sorted(found)

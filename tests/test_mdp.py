@@ -173,6 +173,38 @@ def test_divergence_error_on_tiny_budget(monkeypatch):
         max_reach(m, {1})
 
 
+def test_prob1_round_drops_a_state_of_the_round_before():
+    # 5 reaches {0, 1} surely, and both reach the target 2 with positive
+    # probability, so the first prob1 round keeps 5; 1 may fall into the
+    # sink 3, and once 1 is dropped, 5's only choice leaves the candidate
+    # set: a round reading the candidate set or usable edges of the round
+    # before would pin 5 to 1
+    m = make(6, 5, ["a", "b", "stay"], {
+        0: [("a", [(1, 1.0)]), ("b", [(2, 0.5), (0, 0.5)])],
+        1: [("a", [(2, 0.5), (3, 0.5)])],
+        2: [("stay", [(2, 1.0)])],
+        3: [("stay", [(3, 1.0)])],
+        5: [("a", [(0, 0.5), (1, 0.5)])],
+    })
+    res = max_reach(m, {2}, epsilon=1e-12)
+    assert res.zero == frozenset({3, 4})
+    assert res.almost_sure == frozenset({0, 2})
+    assert res.values[5] == pytest.approx(0.75, abs=1e-9)
+    assert res.policy[0] == 1 and res.policy[5] == 0
+
+
+@pytest.mark.parametrize("epsilon", [0, -1, 0.0, float("inf"), float("nan"), None, "x", True])
+def test_epsilon_must_be_positive_and_finite(epsilon, monkeypatch):
+    monkeypatch.setattr(mdp_module, "MAX_SWEEPS", 2)  # without the check, fail fast, not after 100,000 sweeps
+    m = make(3, 0, ["a", "stay"], {
+        0: [("a", [(0, 0.5), (1, 0.25), (2, 0.25)])],
+        1: [("stay", [(1, 1.0)])],
+        2: [("stay", [(2, 1.0)])],
+    })
+    with pytest.raises(ValueError, match="epsilon"):
+        max_reach(m, {1}, epsilon=epsilon)
+
+
 # ------------------------------------------------------------------
 # validation and files
 

@@ -424,7 +424,7 @@ model, miss = guarded_tree_instance(np.random.default_rng(5))
 jp, report = run_stapu_with_realloc([model, model], miss)
 assert report.solves > 1, report.solves
 simulate(jp, runs=2000, seed=1)
-solve_mamdp(build_mamdp([model, model], miss))
+solve_mamdp(build_mamdp([model, model], miss))[1].policy
 pm = local_product(model, miss)
 known = set(pm.states)
 root = next((s, q) for _, q in pm.states for s in range(model.num_states) if (s, q) not in known)
@@ -437,8 +437,8 @@ print("numpy.ma" in sys.modules)
 def test_plan_path_never_imports_numpy_ma():
     # np.unique imports numpy.ma on its first call, which adds 1.5-1.9 MB
     # of peak RSS to the benchmark's plan, rollout and joint solve; the
-    # probe also builds and solves a joint model and extends a product from
-    # a root outside it
+    # probe also builds and solves a joint model, reads its policy and
+    # extends a product from a root outside it
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     done = subprocess.run([sys.executable, "-c", PLAN_PATH_PROBE], env=env, capture_output=True, text=True,
