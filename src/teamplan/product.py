@@ -17,7 +17,7 @@ table one step at a time.
 
 `ProductMdp` is the only model builder that applies the advance to a
 robot's moves, exploring with `mdp.Explorer`; the team model reads its
-stacked `arrays` and the classes and vector ids of its states.
+stacked `arrays` and the columns of its states.
 """
 
 import math
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, Numbering, _first_seen, _offsets
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _first_seen, _offsets
 
 MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
@@ -41,15 +41,16 @@ class Automata:
     Unpacks as the pair `tasks, safety`.
 
     Vectors and labels are numbered when first seen; `vectors` lists the
-    vectors by id and `classes` their TARGET, AVOID or LIVE class. `step`
+    vectors by id, `classes` their TARGET, AVOID or LIVE class and
+    `handover` whether a switch may hand them on (`switchable`). `step`
     takes vector ids through `table`, dense over (vector id, label id) and
     -1 where not yet known, and fills a batch's misses at once from a
     dense table per DFA over (state, label code), a label's code setting
     bit i when the label holds the DFA's i-th atom.
     """
 
-    __slots__ = ("tasks", "safety", "dfas", "vectors", "table", "classes", "_vids", "_lids", "_kinds", "_codes",
-                 "_comps", "_deltas")
+    __slots__ = ("tasks", "safety", "dfas", "vectors", "table", "classes", "handover", "_vids", "_lids", "_kinds",
+                 "_codes", "_comps", "_deltas")
 
     def __init__(self, tasks, safety):
         self.tasks = tuple(tasks)
@@ -57,7 +58,7 @@ class Automata:
         self.dfas = self.tasks if safety is None else (*self.tasks, safety)
         self.vectors, self._vids, self._kinds, self._lids = [], {}, [], {}
         self._codes = self._comps = np.zeros((0, len(self.dfas)), np.int64)
-        self.classes, self.table = np.zeros(0, np.uint8), np.zeros((0, 0), np.int64)
+        self.classes, self.handover, self.table = np.zeros(0, np.uint8), np.zeros(0, bool), np.zeros((0, 0), np.int64)
         self._deltas = [np.zeros((d.num_states, 1 << len(d.atoms)), np.int64) for d in self.dfas]
         for d, delta in zip(self.dfas, self._deltas):
             for (q, label), r in d.delta.items():
@@ -71,7 +72,8 @@ class Automata:
         if v is None:
             v = self._vids[qvec] = len(self.vectors)
             self.vectors.append(qvec)
-            self._kinds.append(TARGET if self.accepting(qvec) else AVOID if self.violating(qvec) else LIVE)
+            self._kinds.append((TARGET if self.accepting(qvec) else AVOID if self.violating(qvec) else LIVE,
+                                self.switchable(qvec)))
         return v
 
     def label_id(self, label):
@@ -85,7 +87,7 @@ class Automata:
 
     def kind(self, qvec):
         """TARGET, AVOID or LIVE."""
-        return self._kinds[self.vector_id(qvec)]
+        return self._kinds[self.vector_id(qvec)][0]
 
     def classes_of(self, vids):
         self._sync()
@@ -95,7 +97,8 @@ class Automata:
         """Grow the numpy columns and the table to the vectors and labels seen."""
         n, width = len(self.vectors), len(self._lids)
         if len(self.classes) < n:
-            self.classes = np.array(self._kinds, np.uint8)
+            self.classes, handover = np.array(self._kinds, np.uint8).T.copy()
+            self.handover = handover.astype(bool)
             self._comps = np.array(self.vectors, np.int64).reshape(n, len(self.dfas))
         if self.table.shape != (n, width):
             grown = np.full((n, width), -1)
@@ -136,8 +139,9 @@ class Automata:
         return self.safety is not None and qvec[-1] not in self.safety.accepting
 
     def switchable(self, qvec):
-        """True when every component is at its initial state or accepting."""
-        return all(q == d.initial or q in d.accepting for d, q in zip(self.dfas, qvec))
+        """True when `qvec` is not violating and every component is at its
+        initial state or accepting."""
+        return not self.violating(qvec) and all(q == d.initial or q in d.accepting for d, q in zip(self.dfas, qvec))
 
     def unpruned_size(self, models):
         """Size of the unpruned product of `models` with every automaton.
@@ -166,13 +170,13 @@ class ProductMdp:
     successor numbered once, in first-appearance order; rows carry no costs.
 
     Per state, `arrays` holds its row and the numpy columns `map_states`,
-    `vector_ids` (distinct vectors numbered in order of first appearance)
-    and `classes` (TARGET, AVOID or LIVE by the vector) say what the team
-    model's build reads; `states` lists (map state, vector) tuples, built
-    on read. `mdp`, `accepting`, `violating` and `num_states` describe the
-    product reachable from the robot's initial state. `explore((s, q))`
-    extends the product from another root, appending the states reachable
-    from it. Past `MAX_STATES` states, exploring raises `BudgetExceeded`.
+    `vector_ids` (ids into `automata.vectors`) and `classes` (TARGET,
+    AVOID or LIVE by the vector) say what the team model reads; `states`
+    builds (map state, vector) tuples on each read, which no plan does.
+    `mdp`, `accepting`, `violating` and `num_states` describe the product
+    reachable from the robot's initial state. `explore((s, q))` extends
+    the product from another root, appending the states reachable from
+    it. Past `MAX_STATES` states, exploring raises `BudgetExceeded`.
     """
 
     def __init__(self, source, mission, automata):
@@ -186,8 +190,7 @@ class ProductMdp:
         moves = Moves(row_start, actions.astype(np.int64), out_start, rank - succ_start[owner], probs, succ_start,
                       succ % n, labels[succ % n])
         self._explorer = Explorer(automata, n, lambda places: (moves, places), MAX_STATES)
-        self._vector_ids, self._states = Numbering(), []
-        self.map_states = self.vector_ids = np.zeros(0, np.int32)
+        self.classes = np.zeros(0, np.uint8)
         self.explore((source.initial, automata.start([source], [source.initial])))
         self.num_states = len(self.map_states)
         self.mdp = Mdp(self.num_states, 0, source.actions, arrays=self.arrays)
@@ -195,21 +198,17 @@ class ProductMdp:
     def explore(self, key):
         """Index of product state `key`, after appending every state
         reachable from it to `arrays` and the columns."""
-        explorer, old = self._explorer, len(self.map_states)
+        explorer = self._explorer
         root = explorer.explore(key[0], self.automata.vector_id(key[1]))
-        if len(explorer.places) > old:
-            self.arrays, self.classes = explorer.arrays, self.automata.classes_of(explorer.vectors)
-            self.map_states = np.append(self.map_states, explorer.places[old:].astype(np.int32))
-            self.vector_ids = np.append(self.vector_ids, self._vector_ids(explorer.vectors[old:]).astype(np.int32))
+        if len(explorer.places) > len(self.classes):
+            self.arrays, self.map_states, self.vector_ids = explorer.arrays, explorer.places, explorer.vectors
+            self.classes = self.automata.classes_of(explorer.vectors)
         return root
 
     @property
     def states(self):
-        have = self._states
-        if len(have) < len(self.map_states):
-            vectors = self.automata.vectors
-            have += zip(self.map_states[len(have):].tolist(), [vectors[v] for v in self._explorer.vectors[len(have):]])
-        return have
+        vectors = self.automata.vectors
+        return list(zip(self.map_states.tolist(), [vectors[v] for v in self.vector_ids.tolist()]))
 
     @cached_property
     def accepting(self):

@@ -383,61 +383,72 @@ def policy_to_dict(jp, report=None):
 def _step(step, where):
     if len(_typed(step, list, f"{where}: step")) != 2:
         raise ValueError(f"{where}: step {step!r} is not a [probability, target] pair")
-    return _probability(step[0], where), _integer(step[1], f"{where}: target")
-
-
-def _probability(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{where}: step probability {value!r} is not in [0, 1]")
-    return value
+    p = step[0]
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"{where}: step probability {p!r} is not in [0, 1]")
+    return p, _integer(step[1], f"{where}: target")
 
 
 def policy_from_dict(data):
-    """Rebuild a saved joint policy. Steps must point forward within their
-    chain and children to a later chain, the order mass propagation and
-    rollouts rely on; only step nodes have steps, with probabilities in
-    [0, 1] that sum to 1, and only reallocation points have children.
-    Anything else raises ValueError ("malformed policy")."""
-    if not _typed(_typed(data, dict, "malformed policy: policy")["chains"], list, "malformed policy: chains"):
-        raise ValueError("malformed policy: no chains")
-    chains = []
-    links = []
-    num_chains = len(data["chains"])
-    for ci, cd in enumerate(data["chains"]):
-        where = f"malformed policy: chain {ci}"
-        if not _typed(_typed(cd, dict, f"{where}: chain")["nodes"], list, f"{where}: nodes"):
-            raise ValueError(f"{where} has no nodes")
-        nodes = []
-        for ni, nd in enumerate(cd["nodes"]):
-            where = f"malformed policy: chain {ci}, node {ni}"
-            if _typed(nd, dict, f"{where}: node")["kind"] not in KINDS:
-                raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
-            node = JointNode(
-                t=_integer(nd["t"], f"{where}: time"),
-                positions=tuple(_typed(nd["positions"], list, f"{where}: positions")),
-                statuses=tuple(_typed(nd["statuses"], list, f"{where}: statuses")),
-                q=tuple(_typed(nd["q"], list, f"{where}: q")),
-                kind=nd["kind"],
-                actions=tuple(_typed(nd["actions"], list, f"{where}: actions")) if "actions" in nd else None,
-                fresh=tuple(_typed(nd.get("fresh", []), list, f"{where}: fresh")),
-            )
-            node.steps = [_step(step, where) for step in _typed(nd["steps"], list, f"{where}: steps")]
-            for _, j in node.steps:
-                if not ni < j < len(cd["nodes"]):
-                    raise ValueError(f"{where}: step target {j} out of range")
-            if node.kind != STEP and node.steps:
-                raise ValueError(f"{where}: a {node.kind} node has steps")
-            total = sum(p for p, _ in node.steps)
-            if node.kind == STEP and abs(total - 1.0) > PROB_ATOL:
-                raise ValueError(f"{where}: step probabilities sum to {total!r}, not 1")
-            if "child" in nd:
-                if not ci < _integer(nd["child"], f"{where}: child chain") < num_chains:
-                    raise ValueError(f"{where}: child chain {nd['child']} out of range")
-                if node.kind != POINT:
-                    raise ValueError(f"{where}: a {node.kind} node has a child chain")
-                links.append((ci, ni, nd["child"]))
-            nodes.append(node)
-        chains.append(JointChain(nodes))
-    for ci, ni, target in links:
-        chains[ci].nodes[ni].child = chains[target]
-    return JointPolicy(chains, robots=data["robots"])
+    """Rebuild a saved joint policy: `robots` is a positive integer, and a
+    node has one position and status per robot. Steps must point forward
+    within their chain and children to a later chain, the order mass
+    propagation and rollouts rely on; only step nodes have steps, with
+    probabilities in [0, 1] that sum to 1, and only reallocation points
+    have children. A point names fresh robots, all in range. Anything
+    else raises ValueError ("malformed policy")."""
+    try:
+        robots = _integer(_typed(data, dict, "malformed policy: policy")["robots"], "malformed policy: robots")
+        if robots < 1:
+            raise ValueError(f"malformed policy: robots {robots} is not positive")
+        if not _typed(data["chains"], list, "malformed policy: chains"):
+            raise ValueError("malformed policy: no chains")
+        chains = [JointChain(_nodes(ci, cd, robots, len(data["chains"]))) for ci, cd in enumerate(data["chains"])]
+    except KeyError as e:
+        raise ValueError(f"malformed policy: missing key {e}") from None
+    for node in (nd for chain in chains for nd in chain.nodes if nd.child is not None):
+        node.child = chains[node.child]
+    return JointPolicy(chains, robots=robots)
+
+
+def _nodes(ci, cd, robots, num_chains):
+    """Chain `ci`'s nodes, children as chain indices."""
+    where = f"malformed policy: chain {ci}"
+    if not _typed(_typed(cd, dict, f"{where}: chain")["nodes"], list, f"{where}: nodes"):
+        raise ValueError(f"{where} has no nodes")
+    nodes = []
+    for ni, nd in enumerate(cd["nodes"]):
+        where = f"malformed policy: chain {ci}, node {ni}"
+        if _typed(nd, dict, f"{where}: node")["kind"] not in KINDS:
+            raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
+        node = JointNode(
+            t=_integer(nd["t"], f"{where}: time"),
+            positions=tuple(_typed(nd["positions"], list, f"{where}: positions")),
+            statuses=tuple(_typed(nd["statuses"], list, f"{where}: statuses")),
+            q=tuple(_typed(nd["q"], list, f"{where}: q")),
+            kind=nd["kind"],
+            actions=tuple(_typed(nd["actions"], list, f"{where}: actions")) if "actions" in nd else None,
+            fresh=tuple(_typed(nd.get("fresh", []), list, f"{where}: fresh")),
+        )
+        if len(node.positions) != robots or len(node.statuses) != robots:
+            raise ValueError(f"{where}: positions and statuses not one per robot")
+        if not all(0 <= _integer(r, f"{where}: fresh robot") < robots for r in node.fresh) or (
+                node.kind == POINT and not node.fresh):
+            raise ValueError(f"{where}: fresh robots {list(node.fresh)} out of range or missing")
+        node.steps = [_step(step, where) for step in _typed(nd["steps"], list, f"{where}: steps")]
+        for _, j in node.steps:
+            if not ni < j < len(cd["nodes"]):
+                raise ValueError(f"{where}: step target {j} out of range")
+        if node.kind != STEP and node.steps:
+            raise ValueError(f"{where}: a {node.kind} node has steps")
+        total = sum(p for p, _ in node.steps)
+        if node.kind == STEP and abs(total - 1.0) > PROB_ATOL:
+            raise ValueError(f"{where}: step probabilities sum to {total!r}, not 1")
+        if "child" in nd:
+            if not ci < _integer(nd["child"], f"{where}: child chain") < num_chains:
+                raise ValueError(f"{where}: child chain {nd['child']} out of range")
+            if node.kind != POINT:
+                raise ValueError(f"{where}: a {node.kind} node has a child chain")
+            node.child = nd["child"]
+        nodes.append(node)
+    return nodes

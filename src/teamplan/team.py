@@ -4,9 +4,9 @@ One robot plans at a time; a switch hands the whole automaton vector,
 unchanged, to the next robot in the ring, which continues from its own
 entry state. Switching costs nothing and takes probability 1: it is a
 planning construct, not an executed action. The products advance and
-classify the automaton vectors and `product.Automata` says when a vector
-may be handed on; this module owns the switch rule only, in one method,
-`TeamMdp.switch_target`.
+classify the automaton vectors and `product.Automata.handover` says when
+a vector may be handed on; this module owns the switch rule only, in one
+numpy pass per block, `TeamMdp._switches`.
 
 The ring stops before it returns to the start robot, so the team model is
 a chain of robot blocks: a robot's block is the part of its product
@@ -46,24 +46,24 @@ class TeamMdp:
     """Robots' product spaces plus switches, as one explicit `Mdp`.
 
     `root` is the start robot's product state at its entry with `start_q`.
-    `switch_target` is the switch rule. Robots listed in `failed` start at
-    the failure state in a reallocation solve and may pass their remaining
+    `_switches` is the switch rule. Robots listed in `failed` start at the
+    failure state in a reallocation solve and may pass their remaining
     tasks to the ring successor.
 
     `blocks` lists (robot, product states) in ring order from the start
-    robot, and `offsets` where each block's states start in the team
-    model: team state `offsets[b] + k` is robot `blocks[b][0]`'s product
-    state `blocks[b][1][k]`, and team state 0 is the root. `mdp`,
-    `accepting`, `violating` and `num_states` describe the team model.
+    robot. Team states are numbered block after block in the order of
+    each block's product states, the root first; the columns `map_states`
+    and `vector_ids` hold each one's map state and automaton vector id.
+    `mdp`, `accepting`, `violating` and `num_states` describe the model.
     """
 
     def __init__(self, products, entries=None, start_robot=0, start_q=None, failed=()):
         if not products:
             raise TeamError("at least one robot required")
-        mission = products[0].mission
-        for k, p in enumerate(products):
-            if p.mission != mission:
-                raise TeamError(f"robot {k} was built for a different mission")
+        mission, automata = products[0].mission, products[0].automata
+        for k, p in enumerate(products):  # vector ids are only shared within one `Automata`
+            if p.mission != mission or p.automata is not automata:
+                raise TeamError(f"robot {k} was not built from robot 0's mission and automata")
         n = len(products)
         if entries is None:
             entries = [p.source.initial for p in products]
@@ -78,7 +78,7 @@ class TeamMdp:
         self.entries = list(entries)
         self.start_robot = start_robot
         self.failed = frozenset(failed)
-        self.automata = products[0].automata
+        self.automata = automata
         if start_q is None:
             start_q = self.automata.start([products[start_robot].source], [entries[start_robot]])
         self.start_q = tuple(start_q)
@@ -99,7 +99,7 @@ class TeamMdp:
         before, and the block's sizes. Then the team model's arrays, filled
         block by block."""
         n = len(self.products)
-        self.blocks, blocks, ends = [], [], [(0, 0, 0)]  # ends: team states, choices, outcomes
+        blocks, ends = [], [(0, 0, 0)]  # ends: team states, choices, outcomes
         roots = np.array([self.root])
         for k in range(n):
             robot = (self.start_robot + k) % n
@@ -107,22 +107,19 @@ class TeamMdp:
             # the product's first states are those reachable from its initial
             # one; `_closure` lists the roots first, in order
             states = np.arange(pm.num_states) if len(roots) == 1 and roots[0] == 0 else _closure(pm.arrays, roots)
-            if k + 1 < n:  # the last block of the chain has no next block to switch into
-                switching, targets = self._switches(robot, states)
-                roots = np.flatnonzero(np.bincount(targets))  # np.unique would import numpy.ma
-                # the next block starts with its roots, in order
-                targets = ends[-1][0] + len(states) + np.searchsorted(roots, targets)
-            else:
-                switching, targets = np.zeros(len(states), bool), np.zeros(0, np.int64)
+            switching, targets = self._switches(robot, states)
+            roots = np.flatnonzero(np.bincount(targets))  # np.unique would import numpy.ma
+            # the next block starts with its roots, in order
+            targets = ends[-1][0] + len(states) + np.searchsorted(roots, targets)
             row_start, _, out_start = pm.arrays[:3]
             first, last = row_start[states], row_start[states + 1]
             extra = int(switching.sum())  # one choice and one outcome per switch
             size, choices, outcomes = ends[-1]
             ends.append((size + len(states), choices + int((last - first).sum()) + extra,
                          outcomes + int((out_start[last] - out_start[first]).sum()) + extra))
-            self.blocks.append((robot, states))
             blocks.append((robot, states, switching, targets, size))
-        self.offsets, (self.num_states, choices, outcomes) = [e[0] for e in ends[:-1]], ends[-1]
+        self.blocks = [block[:2] for block in blocks]
+        self.num_states, choices, outcomes = ends[-1]
 
         arrays = Arrays(np.zeros(self.num_states + 1, np.int64), np.empty(choices, np.int32),
                         np.zeros(choices + 1, np.int64), np.empty(outcomes, np.int32), np.empty(outcomes))
@@ -132,27 +129,36 @@ class TeamMdp:
         for counts in (arrays.row_start, arrays.out_start):
             np.cumsum(counts, out=counts)
         self.mdp = Mdp(self.num_states, 0, self.actions, arrays=arrays)
-        classes = np.concatenate([self.products[robot].classes[states] for robot, states in self.blocks])
+        self.map_states, self.vector_ids, classes = (np.concatenate(
+            [getattr(self.products[robot], column)[states] for robot, states in self.blocks])
+            for column in ("map_states", "vector_ids", "classes"))
         self.accepting = frozenset(np.flatnonzero(classes == TARGET).tolist())
         self.violating = frozenset(np.flatnonzero(classes == AVOID).tolist())
 
     def _switches(self, robot, states):
         """Which of the product states `states` of `robot` may switch, and
-        the next robot's product state each switch leads to. The rule reads
-        a state's map state only for being the failure state, so it runs
-        once per distinct (vector, at the failure state) key, on any state
-        with that key."""
-        pm = self.products[robot]
-        fail = pm.source.failure_state
-        key = pm.vector_ids[states] * 2 + (pm.map_states[states] == (-1 if fail is None else fail))
-        some = np.full(key.max(initial=0) + 1, -1)
-        some[key] = states
-        target = np.full(len(some), -1)
-        for k in np.flatnonzero(some >= 0).tolist():
-            j = self.switch_target(robot, int(some[k]))
-            target[k] = -1 if j is None else j
-        target = target[key]
-        return target >= 0, target[target >= 0]
+        the next robot's product state each switch leads to.
+
+        The ring stops before it returns to the start robot: wrapping
+        would restart a robot at its entry without traveling back there.
+        A robot that breaks down mid-plan cannot hand anything on, that is
+        what reallocation is for, so the switch is barred from the failure
+        state of a robot not listed in `failed`. Nor is a violating vector
+        or one in the middle of a task handed on (`Automata.handover`). The
+        switch leads to the next robot's entry with the vector unchanged,
+        so the next product is explored once per distinct vector, in
+        vector id order."""
+        pm, nxt = self.products[robot], (robot + 1) % len(self.products)
+        vids = pm.vector_ids[states]
+        # synced by `ProductMdp.explore`
+        switching = self.automata.handover[vids] & (nxt != self.start_robot)
+        if robot not in self.failed:  # all True if that state is None
+            switching &= pm.map_states[states] != pm.source.failure_state
+        vids = vids[switching]
+        target = np.bincount(vids)  # np.unique would import numpy.ma
+        for v in np.flatnonzero(target).tolist():
+            target[v] = self.products[nxt].explore((self.entries[nxt], self.automata.vectors[v]))
+        return switching, target[vids]
 
     def _fill(self, robot, states, switching, targets, first, out):
         """Write one block into `out`, its slices of the team's `Arrays`
@@ -179,30 +185,6 @@ class TeamMdp:
         out.targets[~to_switch] = local[successors[outs]]
         out.probs[to_switch] = 1.0
         out.probs[~to_switch] = probs[outs]
-
-    def switch_target(self, robot, i):
-        """The next robot's product state a switch from state `i` of
-        `robot`'s product leads to, or None where no switch is enabled.
-
-        The ring stops before it returns to the start robot: wrapping
-        would restart a robot at its entry without traveling back there.
-        A robot that breaks down mid-plan cannot hand anything on, that is
-        what reallocation is for, so the switch is barred from the failure
-        state of a robot not listed in `failed`. Nor is a violating vector
-        or one in the middle of a task handed on: every component must be
-        at its initial state or accepting. The switch leads to the next
-        robot's entry with the vector unchanged.
-        """
-        nxt = (robot + 1) % len(self.products)
-        if nxt == self.start_robot:
-            return None
-        pm = self.products[robot]
-        s, q = pm.states[i]
-        if s == pm.source.failure_state and robot not in self.failed:
-            return None
-        if self.automata.violating(q) or not self.automata.switchable(q):
-            return None
-        return self.products[nxt].explore((self.entries[nxt], q))
 
     def full_size(self):
         return sum(p.full_size() for p in self.products)
@@ -272,21 +254,21 @@ def _walk_success_path(team, policy):
     """Follow the policy along non-failure outcomes, splitting at switches.
 
     `policy` maps team states to team actions, as either solver returns
-    it; the walk reads `team.mdp`'s rows from team state 0. Returns the
-    allocation, the unallocated tasks, the segments, the switches and the
-    programs of `StapuSolution`. A task is allocated to the robot whose
-    move makes its component accepting. Exact for the deterministic-or-fail
-    class, best effort (highest-probability branch) elsewhere. The
-    hand-over ring stops before it returns to the start robot, so each
-    robot gets at most one segment; a move stays in its robot's block.
+    it; the walk reads `team.mdp`'s rows and the team's columns from team
+    state 0. Returns the allocation, the unallocated tasks, the segments,
+    the switches and the programs of `StapuSolution`. A task is allocated
+    to the robot whose move makes its component accepting. Exact for the
+    deterministic-or-fail class, best effort (highest-probability branch)
+    elsewhere. The hand-over ring stops before it returns to the start
+    robot, so each robot gets at most one segment; a move stays in its
+    robot's block.
     """
-    tasks = team.automata.tasks
+    tasks, vectors = team.automata.tasks, team.automata.vectors
     m = len(tasks)
     row_start, actions, out_start, targets, probs = team.mdp.arrays
-    block = k = 0
-    robot, states = team.blocks[block]
-    pm = team.products[robot]
-    s, q = pm.states[team.root]
+    map_states, vector_ids = team.map_states, team.vector_ids
+    k, robot = 0, team.start_robot
+    s, q = int(map_states[k]), vectors[vector_ids[k]]
     allocation = {t: robot for t in range(m) if q[t] in tasks[t].accepting}
     segments = [_segment(robot, s, q)]
     switches = []
@@ -297,31 +279,28 @@ def _walk_success_path(team, policy):
         c = row_start[k] + np.flatnonzero(actions[row_start[k]:row_start[k + 1]] == action)[0]
         first, last = out_start[c], out_start[c + 1]
         if action == team.switch_action:
-            block += 1
-            prev, (robot, states) = robot, team.blocks[block]
-            pm = team.products[robot]
+            prev, robot = robot, (robot + 1) % len(team.products)
             k = int(targets[first])
             visited.add(k)
             switches.append({"from_robot": prev, "to_robot": robot, "state": {"s": s, "q": list(q)}})
-            s, q = pm.states[states[k - team.offsets[block]]]
+            s, q = int(map_states[k]), vectors[vector_ids[k]]
             segments.append(_segment(robot, s, q))
             continue
         name = team.actions[action]
         segments[-1]["choices"].append({"state": {"s": s, "q": list(q)}, "action": name})
         outcomes = list(zip(targets[first:last].tolist(), probs[first:last].tolist()))
-        where = {t: pm.states[states[t - team.offsets[block]]] for t, _ in outcomes}
-        fail = pm.source.failure_state
-        live = [(t, p) for t, p in outcomes if where[t][0] != fail]
+        fail = team.products[robot].source.failure_state
+        live = [(t, p) for t, p in outcomes if map_states[t] != fail]
         if not live:
             programs[robot].append((s, None, 1.0, name))
             break
         nxt = max(live, key=lambda tp: tp[1])[0]
-        pfail = sum(p for t, p in outcomes if where[t][0] == fail)
-        programs[robot].append((s, where[nxt][0], pfail, name))
+        pfail = sum(p for t, p in outcomes if map_states[t] == fail)
+        programs[robot].append((s, int(map_states[nxt]), pfail, name))
         if nxt in visited:
             break
         visited.add(nxt)
-        s, q = where[nxt]
+        s, q = int(map_states[nxt]), vectors[vector_ids[nxt]]
         for t in range(m):
             if t not in allocation and q[t] in tasks[t].accepting:
                 allocation[t] = robot
@@ -338,19 +317,11 @@ def check_class(mdp):
     """True when `mdp` is deterministic-or-fail: its failure state, if it
     has one, is absorbing, and every action is deterministic or a
     two-outcome split with the failure state."""
-    fail = mdp.failure_state
-    if fail is not None and any(len(c.outcomes) != 1 or c.outcomes[0][0] != fail for c in mdp.choices[fail]):
-        return False
-    for s in range(mdp.num_states):
-        for c in mdp.choices[s]:
-            if len(c.outcomes) == 1 and abs(c.outcomes[0][1] - 1.0) <= 1e-9:
-                continue
-            if (
-                len(c.outcomes) == 2
-                and fail is not None
-                and any(t == fail for t, _ in c.outcomes)
-                and abs(sum(p for _, p in c.outcomes) - 1.0) <= 1e-9
-            ):
-                continue
-            return False
-    return True
+    fail = -1 if mdp.failure_state is None else mdp.failure_state
+    row_start, _, out_start, targets, probs = mdp.arrays
+    count = np.diff(out_start)
+    owner = np.repeat(np.arange(len(count)), count)
+    total, hits = (np.bincount(owner, weights, len(count)) for weights in (probs, targets == fail))
+    at_fail = slice(row_start[fail], row_start[fail + 1]) if fail >= 0 else slice(0)
+    return bool((count[at_fail] == 1).all() and (hits[at_fail] == 1).all() and (
+        (np.abs(total - 1.0) <= 1e-9) & ((count == 1) | ((count == 2) & (hits > 0)))).all())

@@ -160,8 +160,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # chain out of range, step probabilities outside [0, 1] or not summing
     # to 1, a non-numeric probability, a non-integer target, no chains, an
     # unknown node kind, node positions, node steps or the chains not
-    # lists, a step or a node not a list or object, a non-integer time, and
-    # a child chain under a node that is not a reallocation point
+    # lists, a step or a node not a list or object, a non-integer time, a
+    # child chain under a node that is not a reallocation point, a missing
+    # key, a robot count that is not a positive integer, positions or
+    # statuses not one per robot, and a reallocation point naming no fresh
+    # robot or one out of range
     policy = tmp_path / "policy.json"
     risky = tmp_path / "risky.json"  # its plan has a step node with two successors
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
@@ -192,18 +195,31 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     int_node["chains"][0]["nodes"] = [5]
     text_t["chains"][0]["nodes"][0]["t"] = "x"
     step_child["chains"][0]["nodes"][0]["child"] = 1
+    missing = [json.loads(good) for _ in range(3)]
+    del missing[0]["robots"], missing[1]["chains"][0]["nodes"][0]["kind"], missing[2]["chains"][0]["nodes"]
+    robots = [dict(json.loads(good), robots=n) for n in (-1, 0, True, 1.5)]
+    short = [json.loads(good) for _ in range(2)]
+    short[0]["chains"][0]["nodes"][0]["positions"].pop()
+    short[1]["chains"][0]["nodes"][0]["statuses"].append("idle")
+    points = [json.loads(good) for _ in range(3)]
+    for data, fresh in zip(points, ([], [2], [-1])):
+        next(nd for nd in data["chains"][0]["nodes"] if nd["kind"] == "point")["fresh"] = fresh
     cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
              (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
              (no_chains, "no chains"), (odd_kind, "unknown kind"), (int_positions, "not a list"),
              (int_steps, "not a list"), (object_chains, "not a list"), (int_step, "not a list"),
              (int_node, "not an object"), (text_t, "not an integer"), ([json.loads(good)], "not an object"),
-             (step_child, "step node has a child chain")]
+             (step_child, "step node has a child chain"),
+             *((data, f"missing key '{key}'") for data, key in zip(missing, ("robots", "kind", "nodes"))),
+             *((data, "robots") for data in robots), *((data, "one per robot") for data in short),
+             *((data, "fresh robots") for data in points)]
     for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))
         assert main(["simulate", "--policy", str(broken), "--runs", "10"]) == 1, k
         err = capsys.readouterr().err
         assert "malformed policy" in err and reason in err, (k, err)
+    assert main(["simulate", "--policy", str(policy), "--runs", "10"]) == 0
 
     # a negative or non-finite time limit or tolerance, a zero tolerance and
     # a negative replan budget

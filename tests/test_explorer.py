@@ -84,7 +84,7 @@ def vector_class(automata, q):
 
 
 def reference_product(source, automata, roots=()):
-    """States, `Arrays` and (map state, vector id, class) columns of the
+    """States, `Arrays` and (map state, vector, class) columns of the
     product of `source`, explored from its initial state and then from
     each of `roots` in turn; the arrays are stacked in state order."""
 
@@ -107,8 +107,7 @@ def reference_product(source, automata, roots=()):
     for key in [(source.initial, start), *roots]:
         explorer.explore(key)
     states = explorer.keys
-    vectors = list(dict.fromkeys(q for _, q in states))
-    columns = (np.array([s for s, _ in states], np.int32), np.array([vectors.index(q) for _, q in states], np.int32),
+    columns = (np.array([s for s, _ in states], np.int64), [q for _, q in states],
                np.array([vector_class(automata, q) for _, q in states], np.uint8))
     return states, stack(explorer.take()), columns
 
@@ -159,6 +158,15 @@ def same_arrays(found, expected):
     return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(found, expected))
 
 
+def same_columns(pm, columns):
+    """The product's map state, vector (its id in `pm.automata.vectors`)
+    and class columns equal the reference's, value by value and the map
+    states and classes dtype by dtype."""
+    map_states, vectors, classes = columns
+    return (same_arrays((pm.map_states, pm.classes), (map_states, classes))
+            and [pm.automata.vectors[v] for v in pm.vector_ids.tolist()] == vectors)
+
+
 def seeded_instances(count, seed=SEED):
     """Seeded teams; every other mission guards its last task atom with a
     `G !p` safety formula instead of visiting it."""
@@ -182,7 +190,7 @@ def test_products_equal_reference_builds():
         states, arrays, columns = reference_product(model, compile_mission(mission))
         assert pm.states == states and pm.num_states == len(states), k
         assert same_arrays(pm.arrays, arrays) and same_arrays(pm.mdp.arrays, arrays), k
-        assert same_arrays((pm.map_states, pm.vector_ids, pm.classes), columns), k
+        assert same_columns(pm, columns), k
         assert pm.accepting == frozenset(np.flatnonzero(columns[2] == TARGET).tolist()), k
         assert pm.violating == frozenset(np.flatnonzero(columns[2] == AVOID).tolist()), k
         guarded += bool(pm.violating)
@@ -211,7 +219,7 @@ def test_extended_products_equal_reference_builds():
             states, arrays, columns = reference_product(m, compile_mission(mission), roots)
             assert pm.states == states and pm.num_states == size, (n, r)
             assert same_arrays(pm.arrays, arrays), (n, r)
-            assert same_arrays((pm.map_states, pm.vector_ids, pm.classes), columns), (n, r)
+            assert same_columns(pm, columns), (n, r)
             extended += len(states) > size
             failed += roots[-1] not in pm.states[:size]
     assert extended >= 40 and failed >= 20, (extended, failed)

@@ -8,7 +8,8 @@ import pytest
 
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import AVOID, LIVE, TARGET, Choice, Mdp, max_reach
-from teamplan.product import compile_mission, local_product
+from teamplan.product import ProductMdp, compile_mission, local_product
+from teamplan.realloc import run_stapu_with_realloc
 from teamplan.team import (
     SWITCH,
     TeamError,
@@ -125,26 +126,30 @@ def test_switch_target_rule():
     m = graph_model(4, [(0, 1), (1, 2), (2, 3)], failpoints={1}, pfail=0.2, atom_nodes={"p1": 2, "p2": 3})
     team = team_for([m, m, m], mission("F (p1 & F p2)"))
     task = team.automata.tasks[0]
+    states = team_states(team)
     kinds = set()
-    for robot, pm in enumerate(team.products):
-        for i, (s, q) in enumerate(pm.states):
-            target = team.switch_target(robot, i)
-            if robot == 2:
-                kind = "end of ring"  # the next robot is the start robot
-            elif s == m.failure_state:
-                kind = "failure state"
-            elif q[0] != task.initial and q[0] not in task.accepting:
-                kind = "mid-task"
-            else:
-                kind = "switch"
-                assert team.products[robot + 1].states[target] == (team.entries[robot + 1], q)
-            kinds.add(kind)
-            assert (target is None) == (kind != "switch"), (robot, s, q)
+    for i, (robot, s, q) in enumerate(states):
+        switches = [c.outcomes for c in team.mdp.choices[i] if c.action == team.switch_action]
+        if robot == 2:
+            kind = "end of ring"  # the next robot is the start robot
+        elif s == m.failure_state:
+            kind = "failure state"
+        elif q[0] != task.initial and q[0] not in task.accepting:
+            kind = "mid-task"
+        else:
+            kind = "switch"
+            assert switches == [((switches[0][0][0], 1.0),)], (robot, s, q)
+            assert states[switches[0][0][0]] == (robot + 1, team.entries[robot + 1], q)
+        kinds.add(kind)
+        assert bool(switches) == (kind == "switch"), (robot, s, q)
     assert kinds == {"end of ring", "failure state", "mid-task", "switch"}
     # a robot listed as failed hands its tasks on from its failure state
     fail = m.failure_state
     team = team_for([m, m, m], mission("F (p1 & F p2)"), entries=[fail, 0, 0], failed=(0,))
-    assert team.switch_target(0, team.root) is not None
+    states = team_states(team)
+    assert states[0][:2] == (0, fail)
+    switches = [c.outcomes for c in team.mdp.choices[0] if c.action == team.switch_action]
+    assert len(switches) == 1 and states[switches[0][0][0]] == (1, 0, states[0][2])
 
 
 def test_removing_switches_never_increases_value():
@@ -219,6 +224,16 @@ def test_team_build_errors():
     reserved = Mdp(1, 0, ("switch",), [[]], atoms=("x",))
     with pytest.raises(TeamError):
         build_team([local_product(reserved, Mission(tasks=(parse_formula("F x"),), safety=None))])
+
+
+def test_team_products_share_one_compilation():
+    # vector ids number the vectors of one `Automata`: products compiled
+    # apart may give one vector two ids, so they cannot form a team
+    m, miss = corridor(0.9), mission("F p1")
+    with pytest.raises(TeamError, match="robot 1"):
+        build_team([local_product(m, miss), local_product(m, miss)])
+    shared = compile_mission(miss)
+    assert build_team([local_product(m, miss, automata=shared), local_product(m, miss, automata=shared)])
 
 
 def eq1_best(models, miss, epsilon=1e-9):
@@ -362,6 +377,8 @@ def test_team_extends_products_without_changing_them():
             assert rows_by_key(keys, team_rows) == rows_by_key(states, rows), f"instance {n}"
             assert ({keys[k] for k in team.accepting}, {keys[k] for k in team.violating}) == (
                 {states[k] for k in accepting}, {states[k] for k in violating}), f"instance {n}"
+            assert [(s, shared.vectors[v]) for s, v in zip(team.map_states.tolist(), team.vector_ids.tolist())] == [
+                key[1:] for key in keys], f"instance {n}"
             if math.prod(max(1, len(row)) for row in team.mdp.choices) <= 4000:
                 best = enumerate_best(team.mdp, team.accepting, team.violating)
                 assert solve_stapu(team).value == pytest.approx(best[0], abs=1e-9), f"instance {n}"
@@ -371,12 +388,31 @@ def test_team_extends_products_without_changing_them():
             assert pm.states[:size] == keys
             assert len(pm.arrays.row_start) == len(pm.states) + 1
             assert csr_prefix(pm.arrays, size) == prefix
-            assert pm.map_states.tolist() == [s for s, _ in pm.states]
-            vectors = list(dict.fromkeys(q for _, q in pm.states))
-            assert [vectors[v] for v in pm.vector_ids.tolist()] == [q for _, q in pm.states]
+            columns = [(s, shared.vectors[v]) for s, v in zip(pm.map_states.tolist(), pm.vector_ids.tolist())]
+            assert columns == pm.states and columns[:size] == keys
             assert pm.classes.tolist() == [AVOID if shared.violating(q) else TARGET if shared.accepting(q) else LIVE
                                            for _, q in pm.states]
             assert csr_prefix(pm.mdp.arrays, size) == prefix
             assert (pm.accepting, pm.violating) == (acc, vio)
             extended += len(pm.states) > size
     assert extended >= 50 and enumerated >= 40, (extended, enumerated)
+
+
+def test_planning_builds_no_state_tuples(monkeypatch):
+    """Team builds, solves and reallocation read the products' numpy
+    columns only, also where a switch or a replan extends a product."""
+
+    def refuse(pm):
+        raise AssertionError("planning read ProductMdp.states")
+
+    monkeypatch.setattr(ProductMdp, "states", property(refuse))
+    rng = np.random.default_rng(20261019)
+    extended = replans = 0
+    for _ in range(30):
+        models, miss = mixed_team_instance(rng)
+        shared = compile_mission(miss)
+        products = [local_product(m, miss, automata=shared) for m in models]
+        solve_stapu(build_team(products))
+        extended += any(len(pm.map_states) > pm.num_states for pm in products)
+        replans += run_stapu_with_realloc(models, miss)[1].reallocations
+    assert extended >= 15 and replans >= 5, (extended, replans)
