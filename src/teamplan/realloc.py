@@ -395,8 +395,9 @@ def policy_from_dict(data):
     within their chain and children to a later chain, the order mass
     propagation and rollouts rely on; only step nodes have steps, with
     probabilities in [0, 1] that sum to 1, and only reallocation points
-    have children. A point names fresh robots, all in range. Anything
-    else raises ValueError ("malformed policy")."""
+    have children, each chain at most one point's. A point names fresh
+    robots, all in range. Anything else raises ValueError ("malformed
+    policy")."""
     try:
         robots = _integer(_typed(data, dict, "malformed policy: policy")["robots"], "malformed policy: robots")
         if robots < 1:
@@ -406,8 +407,16 @@ def policy_from_dict(data):
         chains = [JointChain(_nodes(ci, cd, robots, len(data["chains"]))) for ci, cd in enumerate(data["chains"])]
     except KeyError as e:
         raise ValueError(f"malformed policy: missing key {e}") from None
-    for node in (nd for chain in chains for nd in chain.nodes if nd.child is not None):
-        node.child = chains[node.child]
+    grafted = set()
+    for ci, chain in enumerate(chains):
+        for ni, node in enumerate(chain.nodes):
+            if node.child is None:
+                continue
+            if node.child in grafted:
+                raise ValueError(f"malformed policy: chain {ci}, node {ni}: child chain {node.child} "
+                                 f"is grafted at two points")
+            grafted.add(node.child)
+            node.child = chains[node.child]
     return JointPolicy(chains, robots=robots)
 
 

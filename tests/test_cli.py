@@ -163,8 +163,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # lists, a step or a node not a list or object, a non-integer time, a
     # child chain under a node that is not a reallocation point, a missing
     # key, a robot count that is not a positive integer, positions or
-    # statuses not one per robot, and a reallocation point naming no fresh
-    # robot or one out of range
+    # statuses not one per robot, a reallocation point naming no fresh
+    # robot or one out of range, and a chain grafted at two points
     policy = tmp_path / "policy.json"
     risky = tmp_path / "risky.json"  # its plan has a step node with two successors
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
@@ -204,6 +204,12 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     points = [json.loads(good) for _ in range(3)]
     for data, fresh in zip(points, ([], [2], [-1])):
         next(nd for nd in data["chains"][0]["nodes"] if nd["kind"] == "point")["fresh"] = fresh
+    node = {"t": 0, "positions": [0], "statuses": ["executing"], "q": [0]}
+    twice_grafted = {"robots": 1, "chains": [
+        {"nodes": [dict(node, kind="step", steps=[[0.5, 1], [0.5, 2]]),
+                   dict(node, kind="point", steps=[], fresh=[0], child=1),
+                   dict(node, kind="point", steps=[], fresh=[0], child=1)]},
+        {"nodes": [dict(node, kind="success", steps=[])]}]}
     cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
              (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
              (no_chains, "no chains"), (odd_kind, "unknown kind"), (int_positions, "not a list"),
@@ -212,7 +218,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
              (step_child, "step node has a child chain"),
              *((data, f"missing key '{key}'") for data, key in zip(missing, ("robots", "kind", "nodes"))),
              *((data, "robots") for data in robots), *((data, "one per robot") for data in short),
-             *((data, "fresh robots") for data in points)]
+             *((data, "fresh robots") for data in points), (twice_grafted, "grafted at two points")]
     for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))

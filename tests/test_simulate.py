@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from teamplan.realloc import POINT, STEP, SUCCESS, run_stapu_with_realloc
+from teamplan.realloc import (
+    DEAD,
+    POINT,
+    STEP,
+    SUCCESS,
+    VIOLATED,
+    JointChain,
+    JointNode,
+    JointPolicy,
+    policy_from_dict,
+    run_stapu_with_realloc,
+)
 from teamplan.simulate import SimReport, simulate
 
 from instances import graph_model, guarded_tree_instance
@@ -70,6 +81,12 @@ def test_rejects_empty_sample():
     jp, _ = run_stapu_with_realloc([corridor()], mission("F p1"))
     with pytest.raises(ValueError):
         simulate(jp, runs=0)
+    for runs in (True, 2.5, 100.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            simulate(jp, runs=runs)
+        # checked before the tree is read
+        with pytest.raises(ValueError, match="not an integer"):
+            simulate(None, runs=runs)
 
 
 def per_draw_simulate(jp, runs, seed):
@@ -119,3 +136,53 @@ def test_block_draws_equal_per_draw_reference():
         seed = int(rng.integers(1 << 30))
         # enough runs that the rollouts use several blocks of draws
         assert simulate(jp, runs=4000, seed=seed).to_dict() == per_draw_simulate(jp, 4000, seed).to_dict(), i
+
+
+def random_policy(rng):
+    """A seeded random well-formed policy dict with what planning rarely
+    writes: steps of three or more branches and of zero probability,
+    ungrafted points, chain roots that succeed or are points, single-step
+    runs into violated and dead nodes, and unreachable chains."""
+    chains = []
+    for _ in range(int(rng.integers(1, 6))):
+        n = int(rng.integers(1, 10))
+        nodes = []
+        for i in range(n):
+            kinds = [SUCCESS, VIOLATED, DEAD, POINT] + [STEP] * 4 * (i < n - 1)
+            nd = {"t": i, "positions": [0], "statuses": ["executing"], "q": [0],
+                  "kind": str(rng.choice(kinds)), "steps": []}
+            if nd["kind"] == POINT:
+                nd["fresh"] = [0]
+            if nd["kind"] == STEP:
+                targets = rng.integers(i + 1, n, size=int(rng.choice([1, 1, 2, 3, 4])))
+                p = rng.random(len(targets)) * (rng.random(len(targets)) < 0.8)
+                p = p / p.sum() if p.sum() > 0 else np.full(len(targets), 1.0 / len(targets))
+                nd["steps"] = [[float(q), int(j)] for q, j in zip(p, targets)]
+            nodes.append(nd)
+        chains.append({"nodes": nodes})
+    points = []
+    for c, chain in enumerate(chains):
+        if c and points and rng.random() < 0.9:
+            nd = points.pop(int(rng.integers(len(points))))
+            nd["child"] = c
+        points += [nd for nd in chain["nodes"] if nd["kind"] == POINT]
+    return {"robots": 1, "chains": chains}
+
+
+def test_decision_table_matches_per_draw_walk_on_random_policies():
+    rng = np.random.default_rng(20261019)
+    for k in range(200):
+        jp = policy_from_dict(random_policy(rng))
+        seed = int(rng.integers(1 << 30))
+        rep, ref = simulate(jp, runs=300, seed=seed), per_draw_simulate(jp, 300, seed)
+        assert rep.to_dict() == ref.to_dict(), k
+        assert list(rep.triggers) == list(ref.triggers), k
+
+
+def test_deep_single_step_chain_rolls_out():
+    n = 100_000
+    nodes = [JointNode(t=i, positions=(0,), statuses=("executing",), q=(0,), kind=STEP, steps=[(1.0, i + 1)])
+             for i in range(n - 1)]
+    nodes.append(JointNode(t=n - 1, positions=(0,), statuses=("executing",), q=(0,), kind=SUCCESS))
+    rep = simulate(JointPolicy([JointChain(nodes)], robots=1), runs=3)
+    assert rep.frequency == 1.0
