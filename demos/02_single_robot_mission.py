@@ -21,13 +21,15 @@ res = max_reach(pm.mdp, pm.accepting, pm.violating, epsilon=1e-9)
 print(f"product: {pm.num_states} reachable of {pm.full_size()} possible states")
 print(f"best completion probability: {res.values[0]:.4f}")
 
-# walk the policy along its intended (non-failure) route
+# walk the policy along its intended (non-failure) route, over the
+# product's CSR arrays: state i's choices are row_start[i]..row_start[i + 1]
+row_start, actions, out_start, targets, probs = pm.mdp.arrays
 i = 0
 route = [pm.states[i][0]]
 seen = set()
 while i in res.policy and i not in seen and i not in pm.accepting:
     seen.add(i)
-    choice = next(c for c in pm.mdp.choices[i] if c.action == res.policy[i])
-    i = max(choice.outcomes, key=lambda o: o[1])[0]
+    k = row_start[i] + actions[row_start[i]:row_start[i + 1]].tolist().index(res.policy[i])
+    i = int(targets[out_start[k] + probs[out_start[k]:out_start[k + 1]].argmax()])
     route.append(pm.states[i][0])
 print("planned route:", " -> ".join(str(s) for s in route))

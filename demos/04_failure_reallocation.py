@@ -10,23 +10,23 @@ seeded simulation of the final policy reproduces it.
 """
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp
+from teamplan.mdp import model_from_dict
 from teamplan.realloc import run_stapu_with_realloc
 from teamplan.simulate import simulate
 
-risky = Mdp(
-    num_states=3,
-    initial=0,
-    actions=("go", "stay"),
-    choices=[
-        [Choice(0, ((1, 0.9), (2, 0.1)), None)],
-        [Choice(1, ((1, 1.0),), None)],
-        [],
+# the same dict as a model file: state 2 is the absorbing failure state
+risky = model_from_dict({
+    "states": 3,
+    "initial": 0,
+    "actions": ["go", "stay"],
+    "trans": [
+        {"from": 0, "action": "go", "outcomes": [{"to": 1, "p": 0.9}, {"to": 2, "p": 0.1}]},
+        {"from": 1, "action": "stay", "outcomes": [{"to": 1, "p": 1.0}]},
     ],
-    atoms=("p1",),
-    labels={1: {"p1"}},
-    failure_state=2,
-)
+    "atoms": ["p1"],
+    "labels": {"1": ["p1"]},
+    "failure_state": 2,
+})
 mission = Mission(tasks=(parse_formula("F p1"),))
 
 for budget in (0, 1, None):

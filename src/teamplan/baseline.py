@@ -57,12 +57,12 @@ class _JointMoves:
         # finished robots stand still
         self._robots = []
         for m in models:
-            rows = [[(c.action, c.outcomes) for c in row] + [(-1, ((s, 1.0),))] for s, row in enumerate(m.choices)]
-            flat = [c for row in rows for c in row]
-            outs = [o for _, outcomes in flat for o in outcomes]
-            self._robots.append(Arrays(_offsets([len(row) for row in rows]), np.array([a for a, _ in flat]),
-                                       _offsets([len(o) for _, o in flat]), np.array([t for t, _ in outs]),
-                                       np.array([p for _, p in outs])))
+            row_start, actions, out_start, targets, probs = m.arrays
+            ends = row_start[1:]
+            self._robots.append(Arrays(row_start + np.arange(len(row_start)), np.insert(actions, ends, -1),
+                                       _offsets(np.insert(np.diff(out_start), ends, 1)),
+                                       np.insert(targets, out_start[ends], np.arange(m.num_states)),
+                                       np.insert(probs, out_start[ends], 1.0)))
         # per-robot action parts of a joint action are coded in mixed radix too
         self.radix = np.cumprod([1] + [m.num_states for m in models])
         self.stride = int(self.radix[-1])

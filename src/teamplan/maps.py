@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ltl import Mission, parse_formula
-from .mdp import Choice, Mdp, validate
+from .mdp import Arrays, Mdp, _offsets, validate
 from .team import check_class
 
 HAZARD_ATOM = "h"
@@ -138,18 +138,15 @@ def gen_map(spec):
 
     # the designated failure state only exists when something can reach it
     fail = n if failure_nodes else None
-    choices = []
-    for u in range(n):
-        row = []
-        for v in sorted(adj[u]):
-            if u in failure_nodes:
-                outs = ((v, 1.0 - spec.pfail), (fail, spec.pfail))
-            else:
-                outs = ((v, 1.0),)
-            row.append(Choice(v, outs, None))
-        choices.append(row)
-    if fail is not None:
-        choices.append([])  # no moves out of the failure state
+    degree = [len(a) for a in adj]
+    moves = np.array([v for a in adj for v in sorted(a)], np.int64)  # action go{v} moves to v
+    risky = np.repeat([u in failure_nodes for u in range(n)], degree)
+    out_start = _offsets(1 + risky)
+    targets = np.full(out_start[-1], n, np.int32)  # a risky move's second outcome: the failure state
+    targets[out_start[:-1]] = moves
+    probs = np.ones(out_start[-1])
+    probs[out_start[:-1][risky]], probs[out_start[1:][risky] - 1] = 1.0 - spec.pfail, spec.pfail
+    arrays = Arrays(_offsets(degree + [0] * (fail is not None)), moves, out_start, targets, probs)
 
     labels = {}
     atoms = []
@@ -163,10 +160,10 @@ def gen_map(spec):
             labels.setdefault(v, set()).add(HAZARD_ATOM)
 
     model = Mdp(
-        n + (1 if fail is not None else 0),
+        len(arrays.row_start) - 1,
         0,
         [f"go{v}" for v in range(n)],
-        choices,
+        arrays,
         atoms=tuple(atoms),
         labels=labels,
         failure_state=fail,

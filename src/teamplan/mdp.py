@@ -4,9 +4,9 @@
 and the joint baseline one breadth-first layer per numpy pass, from one
 CSR move table (`Moves`) per place and the dense automaton tables of
 `product.Automata`, into the CSR `Arrays` of an `Mdp`. The team model
-fills its arrays from the products'. `Choice` rows exist only for source
-models (model files, `maps.gen_map`) and as the `Mdp.choices` view, which
-no solver reads.
+fills its arrays from the products', and `model_from_dict` and
+`maps.gen_map` write theirs directly. `Mdp.choices`, `Choice` rows read
+off the arrays, is a view no module here reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -38,54 +38,48 @@ from functools import cached_property
 
 import numpy as np
 
-Choice = namedtuple("Choice", ["action", "outcomes", "cost"])
-# action: index into Mdp.actions; outcomes: tuple of (successor, probability); cost: float or None
 Arrays = namedtuple("Arrays", ["row_start", "actions", "out_start", "targets", "probs"])
 # CSR form: state s has choices k in range(row_start[s], row_start[s + 1]), choice k takes
 # actions[k] to targets[o] with probs[o] for o in range(out_start[k], out_start[k + 1])
+Choice = namedtuple("Choice", ["action", "outcomes", "cost"])  # of the Mdp.choices view
 
 
 class Mdp:
-    """Sparse explicit MDP. Treated as immutable once built.
+    """Sparse explicit MDP over CSR `arrays`, with an optional float column
+    `costs`, NaN for a choice without. Treated as immutable once built."""
 
-    Built from rows (`choices`) or from `arrays`, the other form derived
-    on first read. Arrays carry no costs: rows read off them have None.
-    """
-
-    def __init__(self, num_states, initial, actions, choices=None, atoms=(), labels=None, failure_state=None,
-                 arrays=None):
+    def __init__(self, num_states, initial, actions, arrays, atoms=(), labels=None, failure_state=None, costs=None):
         self.num_states: int = num_states
         self.initial: int = initial
         self.actions: tuple[str, ...] = tuple(actions)
-        if choices is not None:
-            self.choices = choices
-        if arrays is not None:
-            self.arrays = arrays
+        self.arrays: Arrays = arrays
         self.atoms: tuple[str, ...] = tuple(atoms)
         self.labels: dict[int, frozenset[str]] = {s: frozenset(l) for s, l in (labels or {}).items()}
         self.failure_state: int | None = failure_state
+        self.costs: np.ndarray | None = costs
 
     @cached_property
     def choices(self) -> list[list[Choice]]:
-        """choices[s] lists the enabled (action, outcomes, cost) triples of s."""
-        row_start, actions, out_start, targets, probs = (a.tolist() for a in self.arrays)
-        outcomes = list(zip(targets, probs))
-        flat = [Choice(a, tuple(outcomes[out_start[k]:out_start[k + 1]]), None) for k, a in enumerate(actions)]
+        """choices[s] lists the enabled choices of s, with cost None for none."""
+        flat = [Choice(a, tuple(outcomes), cost) for _, a, outcomes, cost in _each_choice(self)]
+        row_start = self.arrays.row_start.tolist()
         return [flat[row_start[s]:row_start[s + 1]] for s in range(self.num_states)]
-
-    @cached_property
-    def arrays(self) -> Arrays:
-        flat = [c for row in self.choices for c in row]
-        outcomes = [o for c in flat for o in c.outcomes]
-        return Arrays(_offsets([len(row) for row in self.choices]), np.array([c.action for c in flat], np.int64),
-                      _offsets([len(c.outcomes) for c in flat]), np.array([t for t, _ in outcomes], np.int32),
-                      np.array([p for _, p in outcomes], np.float64))
 
     def label(self, s: int) -> frozenset[str]:
         return self.labels.get(s, frozenset())
 
     def transition_count(self) -> int:
         return len(self.arrays.targets)
+
+
+def _each_choice(mdp):
+    """Per choice in order: state, action, outcomes and cost (None for none)."""
+    row_start, actions, out_start, targets, probs = mdp.arrays
+    costs = np.full(len(actions), np.nan) if mdp.costs is None else mdp.costs
+    outcomes, out_start = list(zip(targets.tolist(), probs.tolist())), out_start.tolist()
+    states = np.repeat(np.arange(len(row_start) - 1), np.diff(row_start)).tolist()
+    for k, (s, a, c) in enumerate(zip(states, actions.tolist(), np.where(np.isnan(costs), None, costs).tolist())):
+        yield s, a, outcomes[out_start[k]:out_start[k + 1]], c
 
 
 def _offsets(counts):
@@ -276,37 +270,33 @@ PROB_ATOL = 1e-9
 
 def validate(mdp: Mdp) -> list[str]:
     """Structural diagnostics; an empty list means the model is well formed."""
-    problems = []
     if not (0 <= mdp.initial < mdp.num_states):
-        problems.append(f"initial state {mdp.initial} out of range")
-        return problems
-    for s in range(mdp.num_states):
-        seen_actions = set()
-        for c in mdp.choices[s]:
-            if not (0 <= c.action < len(mdp.actions)):
-                problems.append(f"state {s}: action index {c.action} out of range")
-                continue
-            if c.action in seen_actions:
-                problems.append(f"state {s}: action {mdp.actions[c.action]!r} enabled twice")
-            seen_actions.add(c.action)
-            total = 0.0
-            for t, p in c.outcomes:
-                if not (0 <= t < mdp.num_states):
-                    problems.append(f"state {s}, action {mdp.actions[c.action]!r}: successor {t} out of range")
-                if not (0.0 < p <= 1.0):
-                    problems.append(f"state {s}, action {mdp.actions[c.action]!r}: probability {p} outside (0, 1]")
-                total += p
-            if abs(total - 1.0) > PROB_ATOL:
-                problems.append(
-                    f"state {s}, action {mdp.actions[c.action]!r}: probabilities sum to {total!r}, not 1"
-                )
-            if c.cost is not None and c.cost < 0:
-                problems.append(f"state {s}, action {mdp.actions[c.action]!r}: negative cost {c.cost}")
+        return [f"initial state {mdp.initial} out of range"]
+    problems, seen = [], set()
+    for s, a, outcomes, cost in _each_choice(mdp):
+        if not (0 <= a < len(mdp.actions)):
+            problems.append(f"state {s}: action index {a} out of range")
+            continue
+        if (s, a) in seen:
+            problems.append(f"state {s}: action {mdp.actions[a]!r} enabled twice")
+        seen.add((s, a))
+        where = f"state {s}, action {mdp.actions[a]!r}"
+        total = 0.0
+        for t, p in outcomes:
+            if not (0 <= t < mdp.num_states):
+                problems.append(f"{where}: successor {t} out of range")
+            if not (0.0 < p <= 1.0):
+                problems.append(f"{where}: probability {p} outside (0, 1]")
+            total += p
+        if abs(total - 1.0) > PROB_ATOL:
+            problems.append(f"{where}: probabilities sum to {total!r}, not 1")
+        if cost is not None and cost < 0:
+            problems.append(f"{where}: negative cost {cost}")
     if mdp.failure_state is not None:
         f = mdp.failure_state
         if not (0 <= f < mdp.num_states):
             problems.append(f"failure state {f} out of range")
-        elif any(len(c.outcomes) != 1 or c.outcomes[0][0] != f for c in mdp.choices[f]):
+        elif not _absorbing(mdp.arrays)[f]:
             problems.append(f"failure state {f} is not absorbing")
     return problems
 
@@ -317,16 +307,11 @@ def validate(mdp: Mdp) -> list[str]:
 
 def model_to_dict(mdp: Mdp) -> dict:
     trans = []
-    for s in range(mdp.num_states):
-        for c in mdp.choices[s]:
-            entry = {
-                "from": s,
-                "action": mdp.actions[c.action],
-                "outcomes": [{"to": t, "p": p} for t, p in c.outcomes],
-            }
-            if c.cost is not None:
-                entry["cost"] = c.cost
-            trans.append(entry)
+    for s, a, outcomes, cost in _each_choice(mdp):
+        entry = {"from": s, "action": mdp.actions[a], "outcomes": [{"to": t, "p": p} for t, p in outcomes]}
+        if cost is not None:
+            entry["cost"] = cost
+        trans.append(entry)
     return {
         "states": mdp.num_states,
         "initial": mdp.initial,
@@ -374,23 +359,26 @@ def _outcome(o):
 
 
 def model_from_dict(data: dict) -> Mdp:
+    from . import product  # which imports this module
+
     try:
         num_states = _integer(_typed(data, dict, "malformed model: model")["states"], "malformed model: states")
+        if num_states > product.MAX_STATES:  # before storing anything per state
+            raise BudgetExceeded(f"exploration passed the budget of {product.MAX_STATES} states")
         actions = _strings(data["actions"], "malformed model: actions")
         atoms = tuple(_strings(data.get("atoms", []), "malformed model: atoms"))
         action_index = {a: i for i, a in enumerate(actions)}
-        choices: list[list[Choice]] = [[] for _ in range(num_states)]
+        table, outcomes, costs = [], [], []
         for t in _typed(data["trans"], list, "malformed model: trans"):
             source = _typed(t, dict, "malformed model: transition")["from"]
             if not 0 <= _integer(source, "malformed model: transition source") < num_states:
                 raise ValueError(f"transition source {t['from']} out of range")
             if _typed(t["action"], str, "malformed model: action") not in action_index:
                 raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
-            outcomes = tuple(map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes")))
+            outcomes += map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes"))
             cost = t.get("cost")
-            if cost is not None:
-                _number(cost, "malformed model: cost")
-            choices[t["from"]].append(Choice(action_index[t["action"]], outcomes, cost))
+            costs.append(np.nan if cost is None else _number(cost, "malformed model: cost"))
+            table.append((source, action_index[t["action"]], len(t["outcomes"])))
         labels = {}
         for key, l in _typed(data.get("labels", {}), dict, "malformed model: labels").items():
             try:
@@ -407,18 +395,25 @@ def model_from_dict(data: dict) -> Mdp:
         initial = _integer(data["initial"], "malformed model: initial state")
     except KeyError as e:
         raise ValueError(f"malformed model: missing key {e}") from None
+    sources, chosen, counts = np.array(table, np.int64).reshape(-1, 3).T
+    order = np.argsort(sources, kind="stable")  # each state's choices in file order
+    targets, probs = np.array(outcomes, object).reshape(-1, 2)[_ranges(_offsets(counts), order)].T
+    arrays = Arrays(_offsets(np.bincount(sources, minlength=max(num_states, 0))), chosen[order],
+                    _offsets(counts[order]), targets, probs.astype(np.float64))
     mdp = Mdp(
         num_states=num_states,
         initial=initial,
         actions=actions,
-        choices=choices,
+        arrays=arrays,
         atoms=atoms,
         labels=labels,
         failure_state=None if failure_state is None else _integer(failure_state, "malformed model: failure state"),
+        costs=np.array(costs)[order],
     )
     problems = validate(mdp)
     if problems:
         raise ValueError("malformed model: " + "; ".join(problems[:3]))
+    mdp.arrays = arrays._replace(targets=arrays.targets.astype(np.int32))  # object until known in range
     return mdp
 
 

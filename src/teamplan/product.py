@@ -17,7 +17,9 @@ table one step at a time.
 
 `ProductMdp` is the only model builder that applies the advance to a
 robot's moves, exploring with `mdp.Explorer`; the team model reads its
-stacked `arrays` and the columns of its states.
+stacked `arrays` and the columns of its states. Its move table is the
+robot model's arrays, a row per model state, so `MAX_STATES` also bounds
+the states of a model file as `mdp.model_from_dict` reads it.
 """
 
 import math
@@ -167,7 +169,7 @@ class ProductMdp:
     but turn into self-loops: nothing that happens after a violation can
     matter, and the collapse keeps the trap region from multiplying out the
     map. A state's row is its map state's move table with each distinct
-    successor numbered once, in first-appearance order; rows carry no costs.
+    successor numbered once, in first-appearance order; no costs carry over.
 
     Per state, `arrays` holds its row and the numpy columns `map_states`,
     `vector_ids` (ids into `automata.vectors`) and `classes` (TARGET,

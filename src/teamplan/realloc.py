@@ -395,9 +395,9 @@ def policy_from_dict(data):
     within their chain and children to a later chain, the order mass
     propagation and rollouts rely on; only step nodes have steps, with
     probabilities in [0, 1] that sum to 1, and only reallocation points
-    have children, each chain at most one point's. A point names fresh
-    robots, all in range. Anything else raises ValueError ("malformed
-    policy")."""
+    have children, each chain but the first one point's. A point names
+    fresh robots, all in range. Anything else raises ValueError
+    ("malformed policy")."""
     try:
         robots = _integer(_typed(data, dict, "malformed policy: policy")["robots"], "malformed policy: robots")
         if robots < 1:
@@ -417,6 +417,8 @@ def policy_from_dict(data):
                                  f"is grafted at two points")
             grafted.add(node.child)
             node.child = chains[node.child]
+    if len(grafted) < len(chains) - 1:
+        raise ValueError(f"malformed policy: chain {min(set(range(1, len(chains))) - grafted)} is grafted nowhere")
     return JointPolicy(chains, robots=robots)
 
 

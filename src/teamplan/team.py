@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, Mdp, _frontier, _ranges, max_product_reach, max_reach
+from .mdp import AVOID, TARGET, Arrays, Mdp, _absorbing, _frontier, _ranges, max_product_reach, max_reach
 
 SWITCH = "switch"
 
@@ -318,10 +318,9 @@ def check_class(mdp):
     has one, is absorbing, and every action is deterministic or a
     two-outcome split with the failure state."""
     fail = -1 if mdp.failure_state is None else mdp.failure_state
-    row_start, _, out_start, targets, probs = mdp.arrays
+    _, _, out_start, targets, probs = mdp.arrays
     count = np.diff(out_start)
     owner = np.repeat(np.arange(len(count)), count)
     total, hits = (np.bincount(owner, weights, len(count)) for weights in (probs, targets == fail))
-    at_fail = slice(row_start[fail], row_start[fail + 1]) if fail >= 0 else slice(0)
-    return bool((count[at_fail] == 1).all() and (hits[at_fail] == 1).all() and (
+    return bool((fail < 0 or _absorbing(mdp.arrays)[fail]) and (
         (np.abs(total - 1.0) <= 1e-9) & ((count == 1) | ((count == 2) & (hits > 0)))).all())

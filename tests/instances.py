@@ -3,7 +3,9 @@
 import numpy as np
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp
+from teamplan.mdp import Choice
+
+from rows import from_rows
 
 
 def graph_model(nodes, edges, failpoints, pfail, atom_nodes):
@@ -32,7 +34,7 @@ def graph_model(nodes, edges, failpoints, pfail, atom_nodes):
     by_node = {}
     for atom, node in atom_nodes.items():
         by_node.setdefault(node, set()).add(atom)
-    return Mdp(
+    return from_rows(
         nodes + 1,
         0,
         [f"go{v}" for v in range(nodes)],

@@ -6,11 +6,12 @@ import pytest
 from teamplan import mdp as mdp_module
 from teamplan.baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_reach
+from teamplan.mdp import Choice, max_reach
 from teamplan.product import compile_mission, local_product
 from teamplan.realloc import run_stapu_with_realloc
 
 from instances import graph_model, guarded_tree_instance, random_team_instance
+from rows import from_rows
 from test_mdp_oracle import reference_policy
 
 
@@ -77,7 +78,7 @@ def test_full_size_formulas():
     assert mm.full_size() == 2 * 2 * 2 == 8
     assert compile_mission(mission("F p1")).unpruned_size([m, m]) == 8
 
-    free = Mdp(2, 0, ("go",), [
+    free = from_rows(2, 0, ("go",), [
         [Choice(0, ((1, 1.0),), None)],
         [],
     ], atoms=("p1",), labels={1: frozenset({"p1"})})

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_product_reach, max_reach
+from teamplan.mdp import Choice, max_product_reach, max_reach
 from teamplan.product import compile_mission, local_product, local_products
 from teamplan.team import _walk_success_path, build_team, solve_stapu
 
+from rows import from_rows
 from test_max_product import SEED, team_models
 from test_mdp_oracle import reference_policy
 from test_team import mixed_team_instance
@@ -90,10 +91,10 @@ def test_value_through_the_switch_of_a_map_sink():
     # absorbing in robot 0's product, but robot 0 hands over there, so its
     # value 0.8 comes through the switch alone.
     fail = 2
-    sink = Mdp(3, 0, ("go",), [[Choice(0, ((1, 1.0),), None)], [], []],
-               atoms=("p1", "p2"), labels={1: {"p1"}}, failure_state=fail)
-    risky = Mdp(3, 0, ("go",), [[Choice(0, ((1, 0.8), (fail, 0.2)), None)], [], []],
-                atoms=("p1", "p2"), labels={1: {"p2"}}, failure_state=fail)
+    sink = from_rows(3, 0, ("go",), [[Choice(0, ((1, 1.0),), None)], [], []],
+                     atoms=("p1", "p2"), labels={1: {"p1"}}, failure_state=fail)
+    risky = from_rows(3, 0, ("go",), [[Choice(0, ((1, 0.8), (fail, 0.2)), None)], [], []],
+                      atoms=("p1", "p2"), labels={1: {"p2"}}, failure_state=fail)
     team = build_team(local_products([sink, risky], two_atoms()))
     sol = solve_stapu(team)
     assert sol.value == 0.8
@@ -110,10 +111,10 @@ def test_value_through_the_switch_of_a_looping_sink():
     # raises its value nor picks its action.
     fail = 2
     loop = [Choice(0, ((1, 1.0),), None)]
-    sink = Mdp(3, 0, ("go",), [[Choice(0, ((1, 1.0),), None)], loop, []],
-               atoms=("p1", "p2"), labels={1: {"p1"}}, failure_state=fail)
-    risky = Mdp(3, 0, ("go",), [[Choice(0, ((1, 0.8), (fail, 0.2)), None)], [], []],
-                atoms=("p1", "p2"), labels={1: {"p2"}}, failure_state=fail)
+    sink = from_rows(3, 0, ("go",), [[Choice(0, ((1, 1.0),), None)], loop, []],
+                     atoms=("p1", "p2"), labels={1: {"p1"}}, failure_state=fail)
+    risky = from_rows(3, 0, ("go",), [[Choice(0, ((1, 0.8), (fail, 0.2)), None)], [], []],
+                      atoms=("p1", "p2"), labels={1: {"p2"}}, failure_state=fail)
     team = build_team(local_products([sink, risky], two_atoms()))
     sol = solve_stapu(team)
     assert sol.value == 0.8
@@ -126,10 +127,11 @@ def test_failed_robot_hands_over_from_a_looping_failure_state():
     # Robot 0 failed and sits at its failure state, which has a self-loop:
     # a sink where it hands over, so the task goes to robot 1 (w.p. 0.9).
     fail = 2
-    weak = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.5), (fail, 0.5)), None)], [], [Choice(0, ((fail, 1.0),), None)]],
-               atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
-    strong = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.9), (fail, 0.1)), None)], [], []],
-                 atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    weak = from_rows(3, 0, ("try",),
+                     [[Choice(0, ((1, 0.5), (fail, 0.5)), None)], [], [Choice(0, ((fail, 1.0),), None)]],
+                     atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    strong = from_rows(3, 0, ("try",), [[Choice(0, ((1, 0.9), (fail, 0.1)), None)], [], []],
+                       atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
     miss = Mission(tasks=(parse_formula("F p1"),), safety=None)
     team = build_team(local_products([weak, strong], miss), entries=[fail, 0], failed={0})
     sol = solve_stapu(team)
@@ -145,10 +147,10 @@ def test_failure_state_of_a_failed_robot_is_live():
     # state, two live outcomes, so the exact solve must decline and value
     # iteration gives 0.5 + 0.5 * 0.9.
     fail = 2
-    weak = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.5), (fail, 0.5)), None)], [], []],
-               atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
-    strong = Mdp(3, 0, ("try",), [[Choice(0, ((1, 0.9), (fail, 0.1)), None)], [], []],
-                 atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    weak = from_rows(3, 0, ("try",), [[Choice(0, ((1, 0.5), (fail, 0.5)), None)], [], []],
+                     atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
+    strong = from_rows(3, 0, ("try",), [[Choice(0, ((1, 0.9), (fail, 0.1)), None)], [], []],
+                       atoms=("p1",), labels={1: {"p1"}}, failure_state=fail)
     miss = Mission(tasks=(parse_formula("F p1"),), safety=None)
     team = build_team(local_products([weak, strong], miss), failed={0})
     assert max_product_reach(team.mdp, team.accepting, team.violating) is None
@@ -161,9 +163,9 @@ def test_ties_break_on_team_action_indices():
     # them as c, b, a; at its entry "b" and "c" both reach the task in one
     # step, "a" does not. The lowest team index wins: "b", where robot 1's
     # own order would pick "c".
-    mover = Mdp(2, 0, ("a", "b", "c"), [[Choice(0, ((1, 1.0),), None)], [Choice(1, ((0, 1.0),), None)]],
-                atoms=("p1",))
-    tied = Mdp(4, 0, ("c", "b", "a"), [
+    mover = from_rows(2, 0, ("a", "b", "c"), [[Choice(0, ((1, 1.0),), None)], [Choice(1, ((0, 1.0),), None)]],
+                      atoms=("p1",))
+    tied = from_rows(4, 0, ("c", "b", "a"), [
         [Choice(0, ((1, 1.0),), None), Choice(1, ((2, 1.0),), None), Choice(2, ((3, 1.0),), None)],
         [], [], [Choice(2, ((0, 1.0),), None)],
     ], atoms=("p1",), labels={1: {"p1"}, 2: {"p1"}})

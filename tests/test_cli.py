@@ -164,7 +164,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # child chain under a node that is not a reallocation point, a missing
     # key, a robot count that is not a positive integer, positions or
     # statuses not one per robot, a reallocation point naming no fresh
-    # robot or one out of range, and a chain grafted at two points
+    # robot or one out of range, a chain grafted at two points and one
+    # grafted nowhere
     policy = tmp_path / "policy.json"
     risky = tmp_path / "risky.json"  # its plan has a step node with two successors
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--seed", "1",
@@ -210,6 +211,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                    dict(node, kind="point", steps=[], fresh=[0], child=1),
                    dict(node, kind="point", steps=[], fresh=[0], child=1)]},
         {"nodes": [dict(node, kind="success", steps=[])]}]}
+    ungrafted = {"robots": 1, "chains": [{"nodes": [dict(node, kind="success", steps=[])]}] * 2}
     cases = [(past_end, "out of range"), (no_chain, "out of range"), (outside, "not in [0, 1]"),
              (short_sum, "not 1"), (text_p, "not in [0, 1]"), (float_target, "not an integer"),
              (no_chains, "no chains"), (odd_kind, "unknown kind"), (int_positions, "not a list"),
@@ -218,7 +220,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
              (step_child, "step node has a child chain"),
              *((data, f"missing key '{key}'") for data, key in zip(missing, ("robots", "kind", "nodes"))),
              *((data, "robots") for data in robots), *((data, "one per robot") for data in short),
-             *((data, "fresh robots") for data in points), (twice_grafted, "grafted at two points")]
+             *((data, "fresh robots") for data in points), (twice_grafted, "grafted at two points"),
+             (ungrafted, "chain 1 is grafted nowhere")]
     for k, (data, reason) in enumerate(cases):
         broken = tmp_path / f"policy{k}.json"
         broken.write_text(json.dumps(data))
@@ -330,6 +333,30 @@ def test_product_budget_exits_three(tmp_path, monkeypatch, capsys):
     assert err == ["error: exploration passed the budget of 4 states"] * 2
     with pytest.raises(BudgetExceeded):
         local_products([load_model(model)], load_mission(mission))
+
+
+def test_model_past_budget_exits_three(tmp_path, monkeypatch, capsys):
+    """A model file declaring more states than the product budget is
+    refused as it loads."""
+    model = tmp_path / "map.json"
+    assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
+                 "--out", str(model)]) == 0
+    mission = write_mission(tmp_path / "mission.json", ["F p1"])
+    data = json.loads(model.read_text())
+    data["states"] += 1  # a seventh state, without choices
+    model.write_text(json.dumps(data))
+    assert load_model(model).num_states == 7
+    monkeypatch.setattr(product, "MAX_STATES", 6)
+    capsys.readouterr()
+    for cmd in (["solve", "--out", str(tmp_path / "s.json")], ["realloc", "--out", str(tmp_path / "p.json")],
+                ["baseline"]):
+        assert main([*cmd, "--models", str(model), "--mission", mission]) == 3, cmd[0]
+    assert capsys.readouterr().err.splitlines() == ["error: exploration passed the budget of 6 states"] * 3
+    with pytest.raises(BudgetExceeded):
+        load_model(model)
+    data["states"] -= 1
+    model.write_text(json.dumps(data))
+    assert load_model(model).num_states == 6
 
 
 def test_solver_failures_exit_two(tmp_path, monkeypatch, capsys):

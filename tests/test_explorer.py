@@ -17,10 +17,11 @@ import pytest
 from teamplan import product
 from teamplan.baseline import IDLE, build_mamdp
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import AVOID, LIVE, TARGET, Arrays, BudgetExceeded, Choice, Mdp
+from teamplan.mdp import AVOID, LIVE, TARGET, Arrays, BudgetExceeded, Choice
 from teamplan.product import compile_mission, local_product
 
 from instances import random_team_instance
+from rows import from_rows
 from test_team import mixed_team_instance
 
 SEED = 20261019
@@ -240,7 +241,7 @@ def test_mamdps_equal_reference_builds():
         mm = build_mamdp(models, mission)
         automata = compile_mission(mission)
         keys, rows, names = reference_mamdp(models, automata)
-        expected = Mdp(len(keys), 0, names, choices=rows).arrays
+        expected = from_rows(len(keys), 0, names, rows).arrays
         assert mm.states == keys and mm.num_states == len(keys), k
         assert mm.mdp.actions == names, k
         assert same_arrays(mm.mdp.arrays, expected), k

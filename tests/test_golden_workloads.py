@@ -3,10 +3,10 @@
 Each recipe is a 30-node `teamplan.maps` map with the benchmark
 workload's counts and placement seed, planned for the workload's number
 of robots. `tests/fixtures/workloads.json` holds, per recipe, the
-SHA-256 of what `solve` writes, what `realloc` writes with its timing
-fields removed, what `simulate` prints for that policy, what `baseline`
-prints for two robots on the recipe's joint mission, and the exact joint
-value. A change that means to alter these outputs regenerates them with
+SHA-256 of the map file `save_model` writes, of what `solve` writes,
+what `realloc` writes with its timing fields removed, what `simulate`
+prints for that policy, what `baseline` prints for two robots on the
+recipe's joint mission, and the exact joint value. A change that means to alter these outputs regenerates them with
 
     PYTHONPATH=src python tests/test_golden_workloads.py
 
@@ -57,7 +57,7 @@ def outputs(name, tmp, read_stdout):
     save_model(model, tmp / "map.json")
     joint = Mission(tasks=mission.tasks[:joint_tasks], safety=mission.safety)
     models = ["--models", *[str(tmp / "map.json")] * robots, "--mission", _mission_file(tmp / "mission.json", mission)]
-    files = {}
+    files = {"map.json": (tmp / "map.json").read_bytes()}
     _run(["solve", *models, "--out", str(tmp / "solve.json")])
     files["solve.json"] = (tmp / "solve.json").read_bytes()
     _run(["realloc", *models, "--out", str(tmp / "policy.json")])

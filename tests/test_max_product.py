@@ -14,13 +14,14 @@ import pytest
 from teamplan import mdp as mdp_module
 from teamplan import team as team_module
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_product_reach, max_reach
+from teamplan.mdp import Choice, max_product_reach, max_reach
 from teamplan.product import local_products
 from teamplan.realloc import find_realloc_points, synchronize
 from teamplan.team import _walk_success_path, build_team, solve_stapu
 
 from exhaustive import enumerate_best, evaluate_policy
 from instances import guarded_tree_instance, random_team_instance
+from rows import from_rows
 
 SEED = 20261018
 TOL = 1e-9
@@ -108,7 +109,7 @@ def test_two_live_outcomes_fall_back_to_value_iteration(monkeypatch):
     # "try" reaches the task node 1 directly w.p. 0.5, the detour node 2
     # w.p. 0.3 and breaks down w.p. 0.2: two live outcomes in one action
     fail = 3
-    model = Mdp(4, 0, ("try", "go"), [
+    model = from_rows(4, 0, ("try", "go"), [
         [Choice(0, ((1, 0.5), (2, 0.3), (fail, 0.2)), None)],
         [],
         [Choice(1, ((1, 1.0),), None)],
@@ -150,7 +151,7 @@ def test_nearer_layer_then_lowest_action_wins(solve, p):
     def step(t, q):
         return ((t, q), (fail, 1.0 - q)) if q < 1.0 else ((t, 1.0),)
 
-    m = Mdp(4, 0, ("far", "near", "also_near"), [
+    m = from_rows(4, 0, ("far", "near", "also_near"), [
         [Choice(0, step(1, p), None), Choice(1, step(2, p * p), None), Choice(2, step(2, p * p), None)],
         [Choice(0, step(2, p), None)],
         [],

@@ -2,13 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from teamplan import mdp as mdp_module
 from teamplan.mdp import (
     Choice,
     DivergenceError,
-    Mdp,
     load_model,
     max_reach,
     model_from_dict,
@@ -18,6 +18,7 @@ from teamplan.mdp import (
 )
 
 from exhaustive import evaluate_policy
+from rows import from_rows, row_validate
 
 
 def make(num_states, initial, actions, table, **kw):
@@ -29,7 +30,7 @@ def make(num_states, initial, actions, table, **kw):
             name, outs = entry[0], entry[1]
             cost = entry[2] if len(entry) > 2 else None
             choices[s].append(Choice(index[name], tuple(outs), cost))
-    return Mdp(num_states, initial, actions, choices, **kw)
+    return from_rows(num_states, initial, actions, choices, **kw)
 
 
 def absorbing(name="stay"):
@@ -215,7 +216,7 @@ def test_validate_accepts_well_formed():
 
 
 def test_validate_reports_problems():
-    bad = Mdp(3, 0, ("a",), [
+    bad = from_rows(3, 0, ("a",), [
         [Choice(0, ((1, 0.5), (1, 0.4)), None)],
         [Choice(0, ((5, 1.0),), None), Choice(0, ((1, 1.0),), -2.0)],
         [],
@@ -278,3 +279,93 @@ def test_model_json_shape(tmp_path):
         "from": 0, "action": "a", "outcomes": [{"to": 1, "p": 1.0}], "cost": 0.5,
     }
     assert "cost" not in data["trans"][1]
+
+
+def test_model_from_dict_keeps_file_order_per_state():
+    data = {
+        "states": 3, "initial": 0, "actions": ["a", "b", "c"],
+        "trans": [
+            {"from": 1, "action": "c", "outcomes": [{"to": 2, "p": 1.0}]},
+            {"from": 0, "action": "b", "outcomes": [{"to": 1, "p": 0.25}, {"to": 2, "p": 0.75}], "cost": 2},
+            {"from": 1, "action": "a", "outcomes": [{"to": 0, "p": 1.0}]},
+            {"from": 0, "action": "a", "outcomes": [{"to": 2, "p": 1.0}]},
+        ],
+    }
+    m = model_from_dict(data)
+    assert m.choices == [
+        [Choice(1, ((1, 0.25), (2, 0.75)), 2.0), Choice(0, ((2, 1.0),), None)],
+        [Choice(2, ((2, 1.0),), None), Choice(0, ((0, 1.0),), None)],
+        [],
+    ]
+    assert m.arrays.targets.dtype == np.int32
+    # a file cost comes back as a float
+    assert model_to_dict(m)["trans"][0] == {"from": 0, "action": "b", "cost": 2.0,
+                                            "outcomes": [{"to": 1, "p": 0.25}, {"to": 2, "p": 0.75}]}
+
+
+def faulty_model(rng):
+    """A seeded random model over actions a, b, c, with faults injected at
+    random choices: an action out of range, a duplicate action, a
+    successor out of range, a probability outside (0, 1], a bad sum and a
+    negative cost; then, at random, a failure state that is absorbing, is
+    not, or is out of range, and an initial state out of range."""
+    n = int(rng.integers(2, 6))
+    rows = []
+    for s in range(n):
+        row = []
+        for a in rng.permutation(3)[:int(rng.integers(0, 4))].tolist():
+            k = int(rng.integers(1, 4))
+            p = rng.uniform(0.1, 1.0, k)
+            outs = tuple(zip(rng.integers(0, n, k).tolist(), (p / p.sum()).tolist()))
+            row.append(Choice(a, outs, float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else None))
+        rows.append(row)
+    spots = [(s, j) for s, row in enumerate(rows) for j in range(len(row))]
+    for fault in range(6):
+        if not spots or rng.random() < 0.6:
+            continue
+        s, j = spots[int(rng.integers(len(spots)))]
+        c = rows[s][j]
+        outs, o = list(c.outcomes), int(rng.integers(len(c.outcomes)))
+        if fault == 0:
+            c = c._replace(action=int(rng.choice([-1, 3, 7])))
+        elif fault == 1:
+            c = c._replace(action=rows[s][0].action if j else rows[s][-1].action)
+        elif fault == 2:
+            outs[o] = (int(rng.choice([-1, n, n + 4])), outs[o][1])
+        elif fault == 3:
+            outs[o] = (outs[o][0], float(rng.choice([0.0, -0.25, 1.5, np.nan])))
+        elif fault == 4:
+            outs[o] = (outs[o][0], outs[o][1] * 0.5)
+        else:
+            c = c._replace(cost=-float(rng.uniform(0.1, 2.0)))
+        rows[s][j] = c._replace(outcomes=tuple(outs))
+    failure = None
+    if rng.random() < 0.5:
+        failure = int(rng.integers(-1, n + 1))
+        if 0 <= failure < n and rng.random() < 0.5:
+            rows[failure] = [Choice(a, ((failure, 1.0),), None) for a in range(int(rng.integers(0, 3)))]
+    initial = int(rng.choice([0, 0, 0, 0, 0, 0, 0, 0, -1, n]))
+    return from_rows(n, initial, ("a", "b", "c"), rows, failure_state=failure)
+
+
+def test_validate_matches_row_reference_on_faulty_models():
+    """`validate` reads the arrays; its messages, in order, are the row
+    loop's, and a model file of the model fails to load with the first
+    three of them."""
+    rng = np.random.default_rng(20261020)
+    seen = dict.fromkeys(["action index", "enabled twice", "successor", "outside (0, 1]", "sum to", "negative cost",
+                          "is not absorbing", "failure state -1", "initial state"], 0)
+    for i in range(400):
+        m = faulty_model(rng)
+        problems = row_validate(m)
+        assert validate(m) == problems, i
+        for key in seen:
+            seen[key] += any(key in p for p in problems)
+        if ((m.arrays.actions >= 0) & (m.arrays.actions < 3)).all():  # a file names actions, so they are in range
+            if problems:
+                with pytest.raises(ValueError) as err:
+                    model_from_dict(model_to_dict(m))
+                assert str(err.value) == "malformed model: " + "; ".join(problems[:3]), i
+            else:
+                assert model_from_dict(model_to_dict(m)).choices == m.choices, i
+    assert min(seen.values()) >= 10, seen

@@ -21,6 +21,7 @@ from teamplan.team import build_team
 
 from exhaustive import enumerate_best, evaluate_policy
 from instances import guarded_tree_instance, random_team_instance
+from rows import from_rows
 
 SEED = 20240613
 INSTANCES = 200
@@ -41,7 +42,7 @@ def random_mdp(rng):
             cost = float(rng.uniform(0.1, 2.0))
             row.append(Choice(a, outs, cost))
         choices.append(row)
-    m = Mdp(n, 0, tuple(f"a{i}" for i in range(3)), choices)
+    m = from_rows(n, 0, tuple(f"a{i}" for i in range(3)), choices)
     targets = {int(t) for t in rng.choice(n, size=int(rng.integers(1, 3)), replace=False)}
     avoid = set()
     if rng.random() < 0.3:
@@ -99,7 +100,7 @@ def test_rows_survive_the_array_round_trip(instances):
         rows = [[c._replace(cost=None) for c in row] for row in m.choices]  # the arrays carry no costs
         from_arrays = Mdp(m.num_states, m.initial, m.actions, arrays=m.arrays)
         assert from_arrays.choices == rows, i
-        again = Mdp(m.num_states, m.initial, m.actions, from_arrays.choices).arrays
+        again = from_rows(m.num_states, m.initial, m.actions, from_arrays.choices).arrays
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(again, m.arrays)), i
         count = sum(len(c.outcomes) for row in rows for c in row)
         assert m.transition_count() == from_arrays.transition_count() == count, i
@@ -236,8 +237,8 @@ def test_array_solve_equals_python_references(instances):
     # of the same terms gives 0.8260000000000001 and makes "a" optimal too
     spread = ((1, 0.174), (1, 0.174), (1, 0.12), (2, 0.065), (2, 0.022), (2, 0.087), (1, 0.098), (1, 0.022),
               (1, 0.022), (1, 0.216))
-    wide = Mdp(3, 0, ("a", "b"), [[Choice(0, spread, None), Choice(1, ((1, 0.826000001), (2, 0.173999999)), None)],
-                                  [], []])
+    wide = from_rows(3, 0, ("a", "b"),
+                     [[Choice(0, spread, None), Choice(1, ((1, 0.826000001), (2, 0.173999999)), None)], [], []])
     assert validate(wide) == []
     cases = [*instances, (mm.mdp, set(mm.accepting), set(mm.violating)), (wide, {1}, set())]
     sweeps = products = 0
@@ -357,7 +358,7 @@ def chain(probs, detour=()):
     rows = [[Choice(0, step(i + 1, p), None)] for i, p in enumerate(probs)] + [[], []]
     for s, a, p in detour:
         rows[s].append(Choice(a, step(end, p), None))
-    return Mdp(n, 0, tuple(f"a{k}" for k in range(1 + len(detour))), rows, failure_state=fail), {end}
+    return from_rows(n, 0, tuple(f"a{k}" for k in range(1 + len(detour))), rows, failure_state=fail), {end}
 
 
 def test_longer_path_raises_a_settled_value():
@@ -388,8 +389,9 @@ def test_lowest_action_wins_across_heads_of_one_layer(solve, p):
     def step(t):
         return ((t, p), (fail, 1.0 - p)) if p < 1.0 else ((t, 1.0),)
 
-    m = Mdp(4, 0, ("a", "b", "c"), [[Choice(2, step(1), None), Choice(1, step(1), None), Choice(0, step(2), None)],
-                                    [], [], []], failure_state=fail)
+    m = from_rows(4, 0, ("a", "b", "c"),
+                  [[Choice(2, step(1), None), Choice(1, step(1), None), Choice(0, step(2), None)], [], [], []],
+                  failure_state=fail)
     res = solve(m, {1, 2})
     assert res.values[0] == p and res.policy[0] == 0
     assert res.policy == reference_policy(m, res.values, {1, 2}, {0} if p == 1.0 else set())
@@ -399,7 +401,7 @@ def test_lowest_action_wins_across_heads_of_one_layer(solve, p):
 def test_unassigned_state_raises(pass_):
     # one edge, 0 -> 1 by action 0, that neither pass may use: the target
     # 1 cannot give 0, which the pass must assign, an action
-    m = Mdp(2, 0, ("a",), [[Choice(0, ((1, 1.0),), None)], []])
+    m = from_rows(2, 0, ("a",), [[Choice(0, ((1, 1.0),), None)], []])
     index = (np.array([0, 0, 1]), np.array([0]), np.array([0]))
     target, need, none = np.array([False, True]), np.array([True, False]), np.zeros(1, bool)
     sure, positive = (need, ~need & ~target) if pass_ == "certificate" else (~need & ~target, need)

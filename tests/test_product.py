@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp, max_reach
+from teamplan.mdp import Choice, max_reach
 from teamplan.product import ProductError, compile_mission, local_product
 
 from conformance import is_good_prefix
+from rows import from_rows
 
 
 def make(num_states, initial, actions, table, **kw):
@@ -18,7 +19,7 @@ def make(num_states, initial, actions, table, **kw):
             name, outs = entry[0], entry[1]
             cost = entry[2] if len(entry) > 2 else None
             choices[s].append(Choice(index[name], tuple(outs), cost))
-    return Mdp(num_states, initial, actions, choices, **kw)
+    return from_rows(num_states, initial, actions, choices, **kw)
 
 
 def mission(*tasks, safety=None):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import Choice, Mdp
+from teamplan.mdp import Choice
 from teamplan.product import compile_mission, local_product, local_products
 from teamplan import realloc
 from teamplan.realloc import (
@@ -29,6 +29,7 @@ from teamplan.realloc import (
 from teamplan.team import build_team, solve_stapu
 
 from instances import graph_model, guarded_tree_instance, random_team_instance
+from rows import from_rows
 
 
 def mission(*tasks, safety=None):
@@ -90,7 +91,7 @@ def test_unallocated_robot_idles():
 
 
 def test_points_ordered_by_probability():
-    m = Mdp(4, 0, ("a", "b"), [
+    m = from_rows(4, 0, ("a", "b"), [
         [Choice(0, ((1, 0.9), (3, 0.1)), None)],
         [Choice(1, ((2, 0.95), (3, 0.05)), None)],
         [],
@@ -248,7 +249,7 @@ def test_policy_json_round_trip():
 
 
 def test_rejects_models_outside_class():
-    bad = Mdp(3, 0, ("gamble",), [
+    bad = from_rows(3, 0, ("gamble",), [
         [Choice(0, ((1, 0.5), (2, 0.5)), None)],
         [],
         [],
@@ -257,7 +258,7 @@ def test_rejects_models_outside_class():
         run_stapu_with_realloc([bad], mission("F p1"))
     # a failure state that moves on: the team model would report 1.0 for a
     # plan whose chain delivers 0.5
-    moving_failure = Mdp(3, 0, ("go",), [
+    moving_failure = from_rows(3, 0, ("go",), [
         [Choice(0, ((1, 0.5), (2, 0.5)), None)],
         [],
         [Choice(0, ((1, 1.0),), None)],

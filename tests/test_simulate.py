@@ -142,7 +142,9 @@ def random_policy(rng):
     """A seeded random well-formed policy dict with what planning rarely
     writes: steps of three or more branches and of zero probability,
     ungrafted points, chain roots that succeed or are points, single-step
-    runs into violated and dead nodes, and unreachable chains."""
+    runs into violated and dead nodes, and unreachable chains (grafted
+    under points no run reaches). Every chain after the first is grafted
+    at one point, as `policy_from_dict` requires."""
     chains = []
     for _ in range(int(rng.integers(1, 6))):
         n = int(rng.integers(1, 10))
@@ -162,7 +164,10 @@ def random_policy(rng):
         chains.append({"nodes": nodes})
     points = []
     for c, chain in enumerate(chains):
-        if c and points and rng.random() < 0.9:
+        if c and not points:  # no free point left to graft this chain or any later one
+            del chains[c:]
+            break
+        if c:
             nd = points.pop(int(rng.integers(len(points))))
             nd["child"] = c
         points += [nd for nd in chain["nodes"] if nd["kind"] == POINT]

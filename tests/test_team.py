@@ -1,14 +1,17 @@
 """Team construction, switch semantics, allocation, and the allocation oracle."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from teamplan.baseline import build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
-from teamplan.mdp import AVOID, LIVE, TARGET, Choice, Mdp, max_reach
-from teamplan.product import ProductMdp, compile_mission, local_product
+from teamplan.maps import MapSpec, gen_map, map_mission
+from teamplan.mdp import AVOID, LIVE, TARGET, Choice, Mdp, load_model, max_reach, save_model, validate
+from teamplan.product import ProductMdp, compile_mission, local_product, local_products
 from teamplan.realloc import run_stapu_with_realloc
 from teamplan.team import (
     SWITCH,
@@ -20,6 +23,7 @@ from teamplan.team import (
 
 from exhaustive import enumerate_best
 from instances import graph_model, random_connected_edges, random_team_instance
+from rows import from_rows
 
 
 def mission(*tasks, safety=None):
@@ -158,7 +162,7 @@ def test_removing_switches_never_increases_value():
     full = max_reach(team.mdp, team.accepting, team.violating, epsilon=1e-9).values[0]
     stripped_rows = [[c for c in row if c.action != team.switch_action]
                      for row in team.mdp.choices]
-    stripped = Mdp(team.mdp.num_states, 0, team.mdp.actions, stripped_rows)
+    stripped = from_rows(team.mdp.num_states, 0, team.mdp.actions, stripped_rows)
     alone = max_reach(stripped, team.accepting, team.violating, epsilon=1e-9).values[0]
     assert alone <= full + 1e-9
     assert alone == pytest.approx(0.5, abs=1e-9)
@@ -180,7 +184,7 @@ def test_check_class():
     assert check_class(ok)
     deterministic = graph_model(3, [(0, 1), (1, 2)], failpoints=set(), pfail=0.0, atom_nodes={"p1": 2})
     assert check_class(deterministic)
-    bad = Mdp(3, 0, ("a",), [
+    bad = from_rows(3, 0, ("a",), [
         [Choice(0, ((1, 0.5), (2, 0.5)), None)],
         [],
         [],
@@ -188,7 +192,7 @@ def test_check_class():
     assert not check_class(bad)
     # the failure state moves on to the task node: the team model prices a
     # breakdown as a detour (value 1) that no robot executes
-    moving_failure = Mdp(3, 0, ("go",), [
+    moving_failure = from_rows(3, 0, ("go",), [
         [Choice(0, ((1, 0.5), (2, 0.5)), None)],
         [],
         [Choice(0, ((1, 1.0),), None)],
@@ -221,7 +225,7 @@ def test_team_build_errors():
     other = local_product(corridor(0.9, atom="p1"), mission("F p1", safety="G !p1"))
     with pytest.raises(TeamError):
         build_team([p, other])
-    reserved = Mdp(1, 0, ("switch",), [[]], atoms=("x",))
+    reserved = from_rows(1, 0, ("switch",), [[]], atoms=("x",))
     with pytest.raises(TeamError):
         build_team([local_product(reserved, Mission(tasks=(parse_formula("F x"),), safety=None))])
 
@@ -269,8 +273,8 @@ def one_way(model):
     leaves never comes back, so a team that enters it with tasks already
     done needs product states its own exploration never reached."""
     choices = [[c for c in row if c.outcomes[0][0] != model.initial] for row in model.choices]
-    return Mdp(model.num_states, model.initial, model.actions, choices, atoms=model.atoms,
-               labels=model.labels, failure_state=model.failure_state)
+    return from_rows(model.num_states, model.initial, model.actions, choices, atoms=model.atoms,
+                     labels=model.labels, failure_state=model.failure_state)
 
 
 def mixed_team_instance(rng):
@@ -416,3 +420,30 @@ def test_planning_builds_no_state_tuples(monkeypatch):
         extended += any(len(pm.map_states) > pm.num_states for pm in products)
         replans += run_stapu_with_realloc(models, miss)[1].reallocations
     assert extended >= 15 and replans >= 5, (extended, replans)
+
+
+def test_source_paths_read_no_rows(monkeypatch, tmp_path):
+    """Models are generated, loaded, checked, saved, composed, solved
+    jointly and planned with reallocation on their arrays, a model file's
+    costs included: no path reads the `Mdp.choices` view."""
+
+    def refuse(mdp):
+        raise AssertionError("a source path read Mdp.choices")
+
+    monkeypatch.setattr(Mdp, "choices", property(refuse))
+    spec = MapSpec(nodes=8, failpoints=3, pfail=0.2, tasks=2, hazards=1, seed=3)
+    generated, miss = gen_map(spec), map_mission(spec)
+    save_model(generated, tmp_path / "map.json")
+    data = json.loads((tmp_path / "map.json").read_text())
+    for k, t in enumerate(data["trans"]):
+        t["cost"] = k % 3
+    (tmp_path / "costly.json").write_text(json.dumps(data))
+    costly = load_model(tmp_path / "costly.json")
+    assert costly.costs.tolist() == [float(k % 3) for k in range(len(data["trans"]))]
+    for model in (generated, load_model(tmp_path / "map.json"), costly):
+        assert validate(model) == []
+        save_model(model, tmp_path / "again.json")
+        assert local_products([model, model], miss)[0].num_states > 0
+        assert 0 < solve_mamdp(build_mamdp([model, model], miss))[0] <= 1
+        assert run_stapu_with_realloc([model, model], miss)[1].value > 0
+    assert json.loads((tmp_path / "again.json").read_text()) == json.loads(json.dumps(data))
