@@ -24,7 +24,7 @@ Two solvers compute maximal reach probabilities, one per model class:
 
 Both read their policy off the values on the first read of
 `ReachResult.policy`, with `_layered_policy`. Every layered graph pass
-(prob0, prob1, both policy passes and the team model's closure) runs
+(prob0, prob1, both policy passes and a product's closure) runs
 `_frontier`, one numpy pass per breadth-first layer over an edge index:
 for the solvers a backward index of every outcome (`max_reach`) or of
 the live edges (`max_product_reach`), built once per solve.
@@ -635,7 +635,8 @@ def _backward_index(edges, n):
     """Edge columns sorted by their first, the head, over states 0..n-1:
     (offsets, *the other columns), the edges into state t being k in
     range(offsets[t], offsets[t + 1])."""
-    order = np.argsort(edges[0], kind="stable")
+    # heads under 2**16 sort as uint16, by radix: the same stable order, faster
+    order = np.argsort(edges[0].astype(np.uint16) if n <= 65_536 else edges[0], kind="stable")
     return (np.searchsorted(edges[0][order], np.arange(n + 1)), *(c[order] for c in edges[1:]))
 
 

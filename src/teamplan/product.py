@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _first_seen, _offsets
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _first_seen, _frontier, _offsets
 
 MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
@@ -193,6 +193,7 @@ class ProductMdp:
                       succ % n, labels[succ % n])
         self._explorer = Explorer(automata, n, lambda places: (moves, places), MAX_STATES)
         self.classes = np.zeros(0, np.uint8)
+        self._closures = {}
         self.explore((source.initial, automata.start([source], [source.initial])))
         self.num_states = len(self.map_states)
         self.mdp = Mdp(self.num_states, 0, source.actions, arrays=self.arrays)
@@ -206,6 +207,17 @@ class ProductMdp:
             self.arrays, self.map_states, self.vector_ids = explorer.arrays, explorer.places, explorer.vectors
             self.classes = self.automata.classes_of(explorer.vectors)
         return root
+
+    def closure(self, roots):
+        """The states reachable from the distinct states `roots`, read-only:
+        the roots, then each `_frontier` layer over the outcomes, in state
+        order. States are only appended and a state's row never changes,
+        so a closure never does; each is computed once per roots in order."""
+        key = tuple(roots.tolist())
+        if key not in self._closures:
+            self._closures[key] = _closure(self, roots)
+            self._closures[key].flags.writeable = False
+        return self._closures[key]
 
     @property
     def states(self):
@@ -222,6 +234,16 @@ class ProductMdp:
 
     def full_size(self):
         return self.automata.unpruned_size([self.source])
+
+
+def _closure(pm, roots):
+    if len(roots) == 1 and roots[0] == 0:  # the first states are those reachable from the initial one
+        return np.arange(pm.num_states)
+    row_start, _, out_start, targets, _ = pm.arrays
+    reached = np.zeros(len(row_start) - 1, bool)
+    reached[roots] = True
+    # the outcomes of state s are range(out_start[row_start[s]], out_start[row_start[s + 1]])
+    return np.concatenate([roots, *(layer for _, layer in _frontier((out_start[row_start], targets), reached))])
 
 
 def local_product(mdp, mission, automata=None):

@@ -21,10 +21,11 @@ automaton vector, start robot and failed set, so each distinct replan is
 solved once per plan and a fresh copy of its continuation is grafted at
 every point that shares it; the joint policy stays a tree.
 
-One survey pass over that tree (`_survey`) propagates each chain's root
-mass from the point it is grafted at and collects the success, failure
-and unaddressed masses and the ungrafted points; `mission_masses`,
-`find_realloc_points` and the replan loop all read it.
+The `JointPolicy` keeps running success and failure totals and the
+ungrafted points in (chain, node) order. A graft surveys only the chains
+it appends, each root entered with the absolute mass of its point, so it
+costs the new chain plus the pending points; `mission_masses`,
+`find_realloc_points` and the replan loop read that survey.
 """
 
 import itertools
@@ -83,27 +84,21 @@ class JointChain:
 
     def __init__(self, nodes):
         self.nodes = nodes
-        self._propagate()
-
-    def _propagate(self):
         for nd in self.nodes:
             nd.mass = 0.0
         self.nodes[0].mass = 1.0
-        success = failure = 0.0
-        points = []
+        self.success_mass = self.failure_mass = 0.0
+        self.point_indices = []
         for i, nd in enumerate(self.nodes):
             if nd.kind == STEP:
                 for p, j in nd.steps:
                     self.nodes[j].mass += nd.mass * p
             elif nd.kind == SUCCESS:
-                success += nd.mass
+                self.success_mass += nd.mass
             elif nd.kind == POINT:
-                points.append(i)
+                self.point_indices.append(i)
             else:
-                failure += nd.mass
-        self.success_mass = success
-        self.failure_mass = failure
-        self.point_indices = points
+                self.failure_mass += nd.mass
 
 
 @dataclass
@@ -139,26 +134,52 @@ class ReallocPoint:
 
 
 class JointPolicy:
-    """Grafted tree of synchronized chains. Chain 0 is the initial plan."""
+    """Grafted tree of synchronized chains, chain 0 the initial plan, and
+    its survey: `success` and `failure` summed in chain order, `pending`."""
 
     def __init__(self, chains, robots):
         self.chains = list(chains)
         self.robots = robots
+        self.success = self.failure = 0.0
+        self.pending = []
+        self._survey(self.chains, {id(self.chains[0]): 1.0})
+
+    def _survey(self, chains, base):
+        """Add `chains` to the survey, each entered with its mass in `base`
+        (by chain id), which grafted points add to; a chain grafted at no
+        point is skipped."""
+        for chain in chains:
+            here = base.get(id(chain))
+            if here is None:
+                continue
+            self.success += here * chain.success_mass
+            self.failure += here * chain.failure_mass
+            for i in chain.point_indices:
+                nd = chain.nodes[i]
+                if nd.child is None:
+                    self.pending.append(ReallocPoint(chain, i, min(nd.fresh), here * nd.mass))
+                else:
+                    base[id(nd.child)] = here * nd.mass
 
     def graft(self, point, continuation):
-        if point.node.child is not None:
-            raise ValueError("reallocation point already grafted")
-        point.node.child = continuation.chains[0]
-        self.chains.extend(continuation.chains)
+        """Graft `continuation`, a joint policy or one ungrafted chain, at
+        `point`, one of `pending`, and survey its chains."""
+        k = next((k for k, p in enumerate(self.pending) if p is point), None)
+        if k is None:
+            raise ValueError("reallocation point already grafted, or not one of this policy's")
+        chains = [continuation] if isinstance(continuation, JointChain) else continuation.chains
+        point.node.child = chains[0]
+        self.chains.extend(chains)
+        self._survey(chains, {id(chains[0]): self.pending.pop(k).prob})
 
 
 def _copy_chain(chain):
-    """An ungrafted copy of a chain: new nodes with their own step lists."""
-    return JointChain([
-        JointNode(t=nd.t, positions=nd.positions, statuses=nd.statuses, q=nd.q, kind=nd.kind,
-                  actions=nd.actions, steps=list(nd.steps), fresh=nd.fresh)
-        for nd in chain.nodes
-    ])
+    """An ungrafted copy of a chain: new nodes with their own step lists,
+    and the chain's masses taken from it, not propagated again."""
+    dup = object.__new__(JointChain)  # positional node fields: twice as fast as keywords
+    dup.__dict__.update(chain.__dict__, nodes=[JointNode(nd.t, nd.positions, nd.statuses, nd.q, nd.kind, nd.actions,
+                                                         list(nd.steps), nd.fresh, nd.mass) for nd in chain.nodes])
+    return dup
 
 
 def _classify(automata, q, statuses, fresh):
@@ -252,45 +273,15 @@ def _require_class(models):
                                         f"the failure state, and the failure state must be absorbing")
 
 
-def _survey(jp):
-    """One pass over the grafted tree: (success, failure, unaddressed,
-    ungrafted points). A chain's root takes the absolute mass of the point
-    it is grafted at, which lies in an earlier chain. Success and failure
-    are summed in chain order, the unaddressed mass over the points in
-    (chain, node) order; the points are then sorted by decreasing
-    probability, ties keeping that order."""
-    base = {id(jp.chains[0]): 1.0}
-    success = failure = 0.0
-    points = []
-    for chain in jp.chains:
-        here = base.get(id(chain))
-        if here is None:
-            continue
-        success += here * chain.success_mass
-        failure += here * chain.failure_mass
-        for i in chain.point_indices:
-            nd = chain.nodes[i]
-            if nd.child is None:
-                points.append(ReallocPoint(chain, i, min(nd.fresh), here * nd.mass))
-            else:
-                base[id(nd.child)] = here * nd.mass
-    unaddressed = sum(p.prob for p in points)
-    points.sort(key=lambda p: -p.prob)
-    return success, failure, unaddressed, points
-
-
 def mission_masses(jp):
     """(success, failure, unaddressed) over the current joint policy."""
-    return _survey(jp)[:3]
+    return jp.success, jp.failure, sum(p.prob for p in jp.pending)
 
 
 def find_realloc_points(jp):
-    """Ungrafted points, highest reach probability first.
-
-    Probabilities are absolute, propagated forward through the grafted
-    tree. Ties keep graft-then-discovery order.
-    """
-    return _survey(jp)[3]
+    """Ungrafted points, highest absolute reach probability first; ties
+    keep (chain, node) order, that is graft-then-discovery order."""
+    return sorted(jp.pending, key=lambda p: -p.prob)
 
 
 def solve_realloc(point, products, epsilon=1e-6):
@@ -319,8 +310,8 @@ class GuaranteeReport:
         return asdict(self)
 
 
-def _log_entry(survey, reallocations, point_prob, new_value, t0):
-    success, failure, unaddressed, _ = survey
+def _log_entry(jp, reallocations, point_prob, new_value, t0):
+    success, failure, unaddressed = mission_masses(jp)
     return {"reallocations": reallocations, "point_probability": point_prob, "value": new_value,
             "guarantee": success, "success": success, "failure": failure, "unaddressed": unaddressed,
             "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
@@ -344,28 +335,22 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
     jp = JointPolicy([_build_chain(sol, None)], robots=len(models))
     # replan key -> (sub-plan value, ungrafted continuation chain)
     replans = {}
-    survey = _survey(jp)
-    log = [_log_entry(survey, 0, None, sol.value, t0)]
+    log = [_log_entry(jp, 0, None, sol.value, t0)]
     reallocations = 0
-    while max_realloc is None or reallocations < max_realloc:
+    while jp.pending and (max_realloc is None or reallocations < max_realloc):
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
             break
-        points = survey[3]
-        if not points:
-            break
-        point = points[0]
+        point = max(jp.pending, key=lambda p: p.prob)  # the first most probable, as `find_realloc_points` orders
         key = (point.positions, point.q, point.robot, point.failed)
-        if key in replans:
-            point.mark_addressed()
-        else:
+        if key not in replans:
             sub = solve_realloc(point, products, epsilon=epsilon)
             replans[key] = (sub.value, _build_chain(sub, point.q))
+        point.mark_addressed()
         value, template = replans[key]
-        jp.graft(point, JointPolicy([_copy_chain(template)], robots=jp.robots))
+        jp.graft(point, _copy_chain(template))
         reallocations += 1
-        survey = _survey(jp)
-        log.append(_log_entry(survey, reallocations, point.prob, value, t0))
-    success, failure, unaddressed, _ = survey
+        log.append(_log_entry(jp, reallocations, point.prob, value, t0))
+    success, failure, unaddressed = mission_masses(jp)
     report = GuaranteeReport(value=success, initial_value=sol.value, reallocations=reallocations,
                              solves=1 + len(replans), unaddressed=unaddressed, failure=failure, log=log,
                              wall_ms=(time.perf_counter() - t0) * 1000.0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, Mdp, _absorbing, _frontier, _ranges, max_product_reach, max_reach
+from .mdp import AVOID, TARGET, Arrays, Mdp, _absorbing, _ranges, max_product_reach, max_reach
 
 SWITCH = "switch"
 
@@ -104,9 +104,7 @@ class TeamMdp:
         for k in range(n):
             robot = (self.start_robot + k) % n
             pm = self.products[robot]
-            # the product's first states are those reachable from its initial
-            # one; `_closure` lists the roots first, in order
-            states = np.arange(pm.num_states) if len(roots) == 1 and roots[0] == 0 else _closure(pm.arrays, roots)
+            states = pm.closure(roots)  # the roots first, in order
             switching, targets = self._switches(robot, states)
             roots = np.flatnonzero(np.bincount(targets))  # np.unique would import numpy.ma
             # the next block starts with its roots, in order
@@ -192,16 +190,6 @@ class TeamMdp:
 
 def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):
     return TeamMdp(products, entries, start_robot, start_q, failed)
-
-
-def _closure(arrays, roots):
-    """Product states reachable from the distinct `roots`: the roots, then
-    each `_frontier` layer over the outcomes, in state order."""
-    row_start, _, out_start, targets, _ = arrays
-    reached = np.zeros(len(row_start) - 1, bool)
-    reached[roots] = True
-    # the outcomes of state s are range(out_start[row_start[s]], out_start[row_start[s + 1]])
-    return np.concatenate([roots, *(layer for _, layer in _frontier((out_start[row_start], targets), reached))])
 
 
 @dataclass

@@ -365,6 +365,54 @@ def test_survey_matches_a_recursive_walk():
     assert ties > 0, "no two points share a probability"
 
 
+def survey_reads(jp):
+    """`mission_masses` and, most probable first, each ungrafted point as
+    (chain index, node index, probability)."""
+    index = {id(c): k for k, c in enumerate(jp.chains)}
+    return mission_masses(jp), [(index[id(p.chain)], p.node_index, p.prob) for p in find_realloc_points(jp)]
+
+
+def test_incremental_survey_matches_a_fresh_pass():
+    # the reference loop, except that the first graft of each instance
+    # takes the least probable point; every read must equal, bit for bit,
+    # a survey of the same tree read back from its policy file
+    skipped = 0
+    for i, (models, miss) in enumerate(repeated_key_instances()):
+        products = local_products(models, miss)
+        jp = synchronize(solve_stapu(build_team(products), epsilon=1e-9))
+        assert survey_reads(jp) == survey_reads(policy_from_dict(policy_to_dict(jp))), i
+        step = 0
+        while points := find_realloc_points(jp):
+            point = points[-1] if step == 0 else points[0]
+            skipped += point.prob < points[0].prob
+            cont = synchronize(solve_realloc(point, products, epsilon=1e-9), q0=point.q)
+            jp.graft(point, cont)
+            step += 1
+            reads = survey_reads(jp)
+            assert reads == survey_reads(policy_from_dict(policy_to_dict(jp))), (i, step)
+            chains = len(jp.chains)
+            with pytest.raises(ValueError, match="already grafted"):
+                jp.graft(point, cont)
+            assert survey_reads(jp) == reads and len(jp.chains) == chains, (i, step)
+    assert skipped > 0, "no first graft skipped a more probable point"
+
+
+def test_each_point_is_built_once(monkeypatch):
+    built = []
+
+    class Counted(ReallocPoint):
+        def __init__(self, *args, **kwargs):
+            built.append(args[:2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(realloc, "ReallocPoint", Counted)
+    for i, (models, miss) in enumerate(repeated_key_instances()):
+        built.clear()
+        jp, report = run_stapu_with_realloc(models, miss, epsilon=1e-9)
+        assert report.reallocations > 1, i
+        assert len(built) == sum(len(c.point_indices) for c in jp.chains), i
+
+
 def test_one_solve_per_distinct_replan_key(monkeypatch):
     solved = []
     original = realloc.solve_realloc

@@ -10,7 +10,8 @@ import pytest
 from teamplan.baseline import build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
 from teamplan.maps import MapSpec, gen_map, map_mission
-from teamplan.mdp import AVOID, LIVE, TARGET, Choice, Mdp, load_model, max_reach, save_model, validate
+from teamplan.mdp import AVOID, LIVE, TARGET, Choice, Mdp, _frontier, load_model, max_reach, save_model, validate
+from teamplan import product
 from teamplan.product import ProductMdp, compile_mission, local_product, local_products
 from teamplan.realloc import run_stapu_with_realloc
 from teamplan.team import (
@@ -24,6 +25,7 @@ from teamplan.team import (
 from exhaustive import enumerate_best
 from instances import graph_model, random_connected_edges, random_team_instance
 from rows import from_rows
+from test_golden_workloads import RECIPES
 
 
 def mission(*tasks, safety=None):
@@ -400,6 +402,61 @@ def test_team_extends_products_without_changing_them():
             assert (pm.accepting, pm.violating) == (acc, vio)
             extended += len(pm.states) > size
     assert extended >= 50 and enumerated >= 40, (extended, enumerated)
+
+
+def fresh_closure(pm, roots):
+    """The states reachable from `roots` over the product's current
+    arrays: the roots, then each breadth-first layer in state order."""
+    row_start, _, out_start, targets, _ = pm.arrays
+    reached = np.zeros(len(row_start) - 1, bool)
+    reached[list(roots)] = True
+    layers = [layer.tolist() for _, layer in _frontier((out_start[row_start], targets), reached)]
+    return [*roots, *itertools.chain.from_iterable(layers)]
+
+
+def test_closure_memo_survives_product_extension():
+    rng = np.random.default_rng(20261020)
+    extended = checked = 0
+    for n in range(40):
+        models, miss = mixed_team_instance(rng)
+        shared = compile_mission(miss)
+        products = [local_product(m, miss, automata=shared) for m in models]
+        build_team(products)
+        memo = [{key: pm.closure(np.array(key)) for key in pm._closures} for pm in products]
+        for model, pm in zip(models, products):
+            known = set(pm.states)
+            root = next(((s, q) for _, q in pm.states for s in range(model.num_states) if (s, q) not in known), None)
+            if root is not None:
+                pm.explore(root)
+                extended += len(pm.states) > len(known)
+        for pm, closures in zip(products, memo):
+            for key, states in closures.items():
+                assert pm.closure(np.array(key)) is states, f"instance {n}"
+                assert not states.flags.writeable
+                assert states.tolist() == fresh_closure(pm, key), f"instance {n}"
+                checked += 1
+    assert extended >= 20 and checked >= 80, (extended, checked)
+
+
+def test_closure_computed_once_per_product_and_roots(monkeypatch):
+    calls, computed = [], []
+    closure, compute = ProductMdp.closure, product._closure
+
+    def spy_closure(pm, roots):
+        calls.append((id(pm), tuple(roots.tolist())))
+        return closure(pm, roots)
+
+    def spy_compute(pm, roots):
+        computed.append((id(pm), tuple(roots.tolist())))
+        return compute(pm, roots)
+
+    monkeypatch.setattr(ProductMdp, "closure", spy_closure)
+    monkeypatch.setattr(product, "_closure", spy_compute)
+    spec, robots, _, guarantee, reallocations = RECIPES["realloc-wide"]
+    _, report = run_stapu_with_realloc([gen_map(spec)] * robots, map_mission(spec))
+    assert (report.value, report.reallocations) == (guarantee, reallocations)
+    assert len(computed) == len(set(computed)) and set(computed) == set(calls)
+    assert len(calls) > len(computed), (len(calls), len(computed))
 
 
 def test_planning_builds_no_state_tuples(monkeypatch):
