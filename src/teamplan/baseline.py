@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, Moves, Numbering, _first_seen, _offsets, \
-    _ranges, max_reach
+from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, Moves, Numbering, _dense_number, \
+    _first_seen, _offsets, _ranges, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
@@ -46,56 +46,61 @@ class _JointMoves:
     """The place side of the joint model's `Explorer`. A place is a slot,
     a position tuple numbered when first seen and keyed by its code in the
     mixed radix of the robots' state counts. `table` builds the move tables
-    of a layer's new places in order of first expansion, the order in which
-    joint action names are interned into `names`."""
+    of a layer's new places in order of first expansion. `actions` numbers
+    joint actions by their code in the mixed radix of the robots' distinct
+    action names, idle first. A slot's label, the union of the robots',
+    is built once per tuple of each robot's first state with that label."""
 
     def __init__(self, models, automata):
         self.models, self.automata = models, automata
-        self.names, self._name_index, self._by_code = [], {}, {}
-        # each robot's choices per state, idle (-1) last: it is always
-        # available so the joint optimum dominates any execution in which
-        # finished robots stand still
-        self._robots = []
+        self._robots, self._names, self._canon, self._union = [], [], [], []
         for m in models:
+            # each robot's choices per state, idle (name 0) last: it is always
+            # available so the joint optimum dominates any execution in which
+            # finished robots stand still
+            names, labels = {IDLE: 0}, {}
+            codes = np.array([0] + [names.setdefault(a, len(names)) for a in m.actions], np.int64)
+            self._names.append(list(names))
+            self._canon.append(np.array([labels.setdefault(m.label(s), s) for s in range(m.num_states)]))
             row_start, actions, out_start, targets, probs = m.arrays
             ends = row_start[1:]
-            self._robots.append(Arrays(row_start + np.arange(len(row_start)), np.insert(actions, ends, -1),
+            self._robots.append(Arrays(row_start + np.arange(len(row_start)), codes[np.insert(actions, ends, -1) + 1],
                                        _offsets(np.insert(np.diff(out_start), ends, 1)),
                                        np.insert(targets, out_start[ends], np.arange(m.num_states)),
                                        np.insert(probs, out_start[ends], 1.0)))
-        # per-robot action parts of a joint action are coded in mixed radix too
         self.radix = np.cumprod([1] + [m.num_states for m in models])
         self.stride = int(self.radix[-1])
-        self._act_radix = np.cumprod([1] + [len(m.actions) + 1 for m in models])
-        self.slots, self._labels, self._rows, self._moves = Numbering(), [], Numbering(), None
+        self._act_radix = np.cumprod([1] + [len(n) for n in self._names])
+        self.slots, self.actions, self._tuples = Numbering(), Numbering(), Numbering()
+        self._labels, self._rows, self._moves, self._built = np.zeros(0, np.int64), np.zeros(0, np.int64), None, 0
 
     def slot(self, codes):
         """The slot of each position code, numbering new ones and their labels."""
         slots = self.slots(codes)
-        for pos in _positions(self.slots.keys[len(self._labels):], self.radix).tolist():
-            self._labels.append(self.automata.label_id(
+        new = _positions(self.slots.keys[len(self._labels):], self.radix)
+        tuples = self._tuples(sum(c[new[:, r]] * k for r, (c, k) in enumerate(zip(self._canon, self.radix.tolist()))))
+        for pos in _positions(self._tuples.keys[len(self._union):], self.radix).tolist():
+            self._union.append(self.automata.label_id(
                 frozenset().union(*(m.label(s) for m, s in zip(self.models, pos)))))
+        self._labels = np.concatenate((self._labels, np.array(self._union, np.int64)[tuples]))
         return slots
 
-    def _action(self, code):
-        """The joint action index of per-robot action parts coded in mixed
-        radix; combinations whose names coincide share one index."""
-        idx = self._by_code.get(code)
-        if idx is None:
-            parts = [code // r % (len(m.actions) + 1) - 1 for m, r in zip(self.models, self._act_radix.tolist())]
-            name = "|".join(IDLE if a < 0 else m.actions[a] for m, a in zip(self.models, parts))
-            idx = self._by_code[code] = self._name_index.setdefault(name, len(self.names))
-            if idx == len(self.names):
-                self.names.append(name)
-        return idx
+    def named(self, arrays):
+        """The joint action names, the robots' names joined by "|", and
+        `arrays` with actions by name: a "|" in a name can join two codes."""
+        index, radix = {}, self._act_radix.tolist()
+        parts = zip(*(np.array(n)[self.actions.keys // k % len(n)].tolist() for n, k in zip(self._names, radix)))
+        at = np.array([index.setdefault("|".join(p), len(index)) for p in parts], np.int64)
+        return tuple(index), arrays._replace(actions=at[arrays.actions])
 
     def table(self, places):
         """The move tables, built for new places in order of first
         occurrence, and the row of each of `places`."""
-        built = len(self._rows.keys)
-        rows = self._rows(places)
-        if len(self._rows.keys) > built:
-            new = self._move_table(self.slots.keys[self._rows.keys[built:]])
+        self._rows = np.append(self._rows, np.full(len(self.slots.keys) - len(self._rows), -1))  # by slot
+        rows, new = _dense_number(self._rows, places, self._built)
+        if len(new):
+            self._built += len(new)
+            new = self._move_table(self.slots.keys[new])
             self._moves = new if self._moves is None else Moves(*(
                 np.concatenate((a, b[1:] + a[-1]) if name.endswith("start") else (a, b))
                 for name, a, b in zip(Moves._fields, self._moves, new)))
@@ -111,7 +116,7 @@ class _JointMoves:
             s = positions[place, r]
             n = t.row_start[s + 1] - t.row_start[s]
             c = _ranges(t.row_start, s)
-            place, parts = np.repeat(place, n), np.repeat(parts, n) + (t.actions[c] + 1) * self._act_radix[r]
+            place, parts = np.repeat(place, n), np.repeat(parts, n) + t.actions[c] * self._act_radix[r]
             chosen = [np.repeat(x, n) for x in chosen] + [c]
         owner, probs, succ = np.arange(len(place)), np.ones(len(place)), np.zeros(len(place), np.int64)
         for r, t in enumerate(self._robots):
@@ -122,12 +127,10 @@ class _JointMoves:
                 np.repeat(succ, n) + t.targets[o] * self.radix[r]
         rank, distinct = _first_seen(place[owner] * self.stride + succ)
         succ_start = _offsets(np.bincount(distinct // self.stride, minlength=len(codes)))
-        joint, order = _first_seen(parts)
         slots = self.slot(distinct % self.stride)
-        return Moves(_offsets(np.bincount(place, minlength=len(codes))),
-                     np.array([self._action(a) for a in order.tolist()], np.int64)[joint],
+        return Moves(_offsets(np.bincount(place, minlength=len(codes))), self.actions(parts),
                      _offsets(np.bincount(owner, minlength=len(place))), rank - succ_start[place[owner]], probs,
-                     succ_start, slots, np.array(self._labels, np.int64)[slots])
+                     succ_start, slots, self._labels[slots])
 
 
 class MamdpModel:
@@ -149,10 +152,10 @@ class MamdpModel:
             raise CeilingExceeded(bound, ceiling)
         # the build's tables live in `joint` and `explorer`, both dropped here
         joint, entries = _JointMoves(models, automata), tuple(m.initial for m in models)
-        explorer = Explorer(automata, joint.stride, joint.table)
+        explorer = Explorer(automata, joint.table)
         explorer.explore(int(joint.slot(np.array([np.dot(entries, joint.radix[:-1])]))[0]),
                          automata.vector_id(automata.start(models, entries)))
-        self.mdp = Mdp(len(explorer.places), 0, tuple(joint.names), arrays=explorer.arrays)
+        self.mdp = Mdp(len(explorer.places), 0, *joint.named(explorer.arrays))
         self._codes, self._radix, self._vectors = joint.slots.keys[explorer.places], joint.radix, explorer.vectors
         classes = automata.classes_of(explorer.vectors)
         self.accepting = frozenset(np.flatnonzero(classes == TARGET).tolist())

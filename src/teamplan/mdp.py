@@ -3,10 +3,11 @@
 `Explorer`, the one reachable-state explorer, builds the local products
 and the joint baseline one breadth-first layer per numpy pass, from one
 CSR move table (`Moves`) per place and the dense automaton tables of
-`product.Automata`, into the CSR `Arrays` of an `Mdp`. The team model
-fills its arrays from the products', and `model_from_dict` and
-`maps.gen_map` write theirs directly. `Mdp.choices`, `Choice` rows read
-off the arrays, is a view no module here reads.
+`product.Automata`, into the CSR `Arrays` of an `Mdp`, numbering states
+in a dense table (`Explorer`). The team model fills its arrays from the
+products', and `model_from_dict` and `maps.gen_map` write theirs
+directly. `Mdp.choices`, `Choice` rows read off the arrays, is a view no
+module here reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -161,10 +162,23 @@ def _first_seen(keys):
     return rank, keys[first]
 
 
+def _dense_number(table, keys, n):
+    """The number in the flat table `table`, -1 for none, of each of `keys`,
+    new ones numbered from n by first occurrence without sorting; and the new keys."""
+    out = table[keys]
+    miss = np.flatnonzero(out < 0)
+    keys, at = keys[miss], np.arange(len(miss))
+    table[keys[::-1]] = at[::-1]  # each new key holds its first position
+    new = keys[table[keys] == at]
+    table[new] = np.arange(n, n + len(new))
+    out[miss] = table[keys]
+    return out, new
+
+
 class Numbering:
-    """Numbers int64 keys in order of first occurrence. `keys` lists the
-    keys by number; `sorted` holds them in order, then a sentinel above
-    every key, and `ids` their numbers, -1 for the sentinel."""
+    """Numbers int64 keys too wide for a dense table by first occurrence.
+    `keys` lists the keys by number; `sorted` holds them in order, then a
+    sentinel above every key, and `ids` their numbers, -1 for the sentinel."""
 
     def __init__(self):
         self.keys = np.zeros(0, np.int64)
@@ -186,11 +200,6 @@ class Numbering:
             self.keys = np.concatenate((self.keys, new))
         return out
 
-    def truncate(self, n):
-        """Forget every key numbered n or later."""
-        keep = self.ids < n
-        self.keys, self.sorted, self.ids = self.keys[:n], self.sorted[keep], self.ids[keep]
-
 
 class Explorer:
     """Append-only breadth-first explorer of (place, automaton vector id)
@@ -198,52 +207,56 @@ class Explorer:
 
     A place is where the robots stand; `table(places)` gives the `Moves`
     and each place's row in them, and `automata.step` steps vector ids. A
-    state's key is vector id * `stride` + place. A layer's successor keys,
-    state by state and place by place in row order, number the new ones
-    after every known state in order of first occurrence: first-visit
-    breadth-first order. A state with a violating vector keeps its actions
-    as one-outcome self-loops. An index and a row never change once
-    assigned: `explore` from a new root appends what is reachable from it.
+    table `ids[vector id, place]`, doubling an axis a state passes (at
+    most 4 * vectors * places entries), numbers a layer's new successors
+    after every known state in row order of first occurrence, unsorted:
+    first-visit breadth-first order. A violating vector's state keeps its
+    actions as one-outcome self-loops. An index and a row never change
+    once assigned: `explore` from a new root appends what is reachable.
     `places`, `vectors` and `arrays` hold every state's place, vector id
     and row. Past `budget` states, checked once per layer, it forgets the
     states of the call and raises `BudgetExceeded`.
     """
 
-    def __init__(self, automata, stride, table, budget=None):
-        self.automata, self.stride, self.table, self.budget = automata, stride, table, budget
+    def __init__(self, automata, table, budget=None):
+        self.automata, self.table, self.budget = automata, table, budget
         self.places = self.vectors = np.zeros(0, np.int64)
-        self.arrays = None
-        self._numbering = Numbering()
+        self.arrays, self._ids = None, np.full((0, 0), -1, np.int32)
 
     def explore(self, place, vector) -> int:
         """Index of state (place, vector id), after expanding everything
         reachable from it."""
-        numbering, stride = self._numbering, self.stride
-        key = vector * stride + place
-        at = numbering.sorted.searchsorted(key)
-        if numbering.sorted[at] == key:  # every known state is expanded
-            return int(numbering.ids[at])
-        layer = old = len(self.places)
-        root = int(numbering(np.array([key]))[0])
-        succs, found = [], []
-        while layer < len(numbering.keys):
-            keys = numbering.keys[layer:]
-            layer += len(keys)
-            m, r = self.table(keys % stride)
-            v = keys // stride
+        if vector < self._ids.shape[0] and place < self._ids.shape[1] and self._ids[vector, place] >= 0:
+            return int(self._ids[vector, place])  # every known state is expanded
+        old = n = len(self.places)
+        nxt, succ, layers, succs, found = np.array([vector]), np.array([place]), [], [], []
+        while True:  # number the states nxt, succ; expand the new ones
+            tops = nxt.max(initial=-1), succ.max(initial=-1)
+            shape = tuple(k if t < k else max(2 * k, int(t) + 1) for k, t in zip(self._ids.shape, tops))
+            if shape != self._ids.shape:  # double an axis the states pass
+                known, self._ids = self._ids, np.full(shape, -1, np.int32)
+                self._ids[:known.shape[0], :known.shape[1]] = known
+            ids, new = _dense_number(self._ids.reshape(-1), nxt * self._ids.shape[1] + succ, n)
+            v, p = np.divmod(new, self._ids.shape[1])
+            if self.budget is not None and layers and n + len(v) > self.budget:
+                for q, s in [*layers, (v, p)]:  # back to the states before this call, all expanded
+                    self._ids[q, s] = -1
+                raise BudgetExceeded(f"exploration passed the budget of {self.budget} states")
+            found.append(ids)
+            if not len(v):
+                break
+            layers.append((v, p))
+            n += len(v)
+            m, r = self.table(p)
             live = self.automata.classes_of(v) != AVOID
             succs.append(np.where(live, m.succ_start[r + 1] - m.succ_start[r], 0))
             j = _ranges(m.succ_start, r[live])
-            nxt = self.automata.step(np.repeat(v[live], succs[-1][live]), m.labels[j])
-            found.append(numbering(nxt * stride + m.succ[j]))
-            if self.budget is not None and len(numbering.keys) > self.budget:
-                numbering.truncate(old)  # back to the states before this call, all expanded
-                raise BudgetExceeded(f"exploration passed the budget of {self.budget} states")
-        new = numbering.keys[old:]
-        self.places, self.vectors = np.append(self.places, new % stride), np.append(self.vectors, new // stride)
-        new = self._rows(old, np.concatenate(succs), np.concatenate(found))
+            nxt, succ = self.automata.step(np.repeat(v[live], succs[-1][live]), m.labels[j]), m.succ[j]
+        vectors, places = (np.concatenate(c) for c in zip(*layers))
+        self.places, self.vectors = np.append(self.places, places), np.append(self.vectors, vectors)
+        new = self._rows(old, np.concatenate(succs), np.concatenate(found[1:]))
         self.arrays = new if self.arrays is None else _concat((self.arrays, new))
-        return root
+        return old
 
     def _rows(self, lo, succs, found):
         """The `Arrays` of states lo.. given each one's successor count (0
@@ -560,9 +573,9 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
     Avoid states are treated as absorbing with value 0 but stay part of the
     state space. States that cannot reach the target are pinned to 0, and
     states with an almost-sure strategy to 1 (the classical double
-    fixpoint: shrink a candidate set u, avoid states left out, to the
-    states that reach the target by choices staying in u). On the rest,
-    Jacobi sweeps over `mdp.arrays` (every choice has an outcome) run from
+    fixpoint: shrink a candidate set u, from the states of positive value,
+    to the states that reach the target by choices staying in u). On the
+    rest, Jacobi sweeps over `mdp.arrays` (every choice has an outcome) run from
     zero until the largest update falls below `epsilon` (absolute, positive).
     """
     target, avoid = _check_sets(mdp, target, avoid)
@@ -586,8 +599,12 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
         return reached
 
     zero = ~attract(u[tails])
-    while ((one := attract(np.logical_and.reduceat(u[targets], out_start[:-1])[owner] & u[tails])) != u).any():
-        u = one
+    one = ~zero  # the states of value 1 have positive value
+    while True:
+        u, stay = one, np.ones(len(out_count), bool)  # stay: per choice, every outcome in u
+        stay[owner[_ranges(offsets, np.flatnonzero(~u))]] = False
+        if ((one := attract(stay[owner] & u[tails])) == u).all():
+            break
 
     x, mid = one.astype(np.float64), np.flatnonzero(~(zero | one))
     mid_choices = np.repeat(~(zero | one), row_count)

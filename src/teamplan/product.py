@@ -11,9 +11,9 @@ at the start is immediately accepting.
 `Automata` numbers vectors and labels and steps vector ids through one
 dense (vector id, label id) table. Few distinct pairs occur (about 2,800
 in 38,000 steps over a 15,000-state team's products); each layer of an
-exploration fills its misses in one batch from per-DFA dense tables over
-(state, label code). The joint chain's `advance_joint` reads the same
-table one step at a time.
+exploration steps each distinct miss once, in one batch from per-DFA
+dense tables over (state, label code). The joint chain's `advance_joint`
+reads the same table one step at a time.
 
 `ProductMdp` is the only model builder that applies the advance to a
 robot's moves, exploring with `mdp.Explorer`; the team model reads its
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _first_seen, _frontier, _offsets
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _dense_number, _first_seen, _frontier, _offsets
 
 MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
@@ -108,15 +108,16 @@ class Automata:
             self.table = grown
 
     def step(self, vids, lids):
-        """The next vector id of each (vector id, label id) pair."""
+        """The next vector id of each (vector id, label id) pair, a missed pair stepped once."""
         self._sync()
         nxt = self.table[vids, lids]
-        miss = nxt < 0
-        if miss.any():
-            v, label = vids[miss], lids[miss]
+        if (nxt < 0).any():  # the missed pairs, each once and in order, numbered in the table until stepped
+            v, label = np.divmod(_dense_number(self.table.reshape(-1), vids * self.table.shape[1] + lids, 0)[1],
+                                 self.table.shape[1])
             states, codes = self._comps[v].T, self._codes[label].T
             ids = [self.vector_id(q) for q in zip(*[d[q, c].tolist() for d, q, c in zip(self._deltas, states, codes)])]
-            self.table[v, label] = nxt[miss] = ids
+            self.table[v, label] = ids
+            nxt = self.table[vids, lids]
         return nxt
 
     def advance(self, qvec, label):
@@ -191,7 +192,7 @@ class ProductMdp:
         labels = np.array([automata.label_id(source.label(t)) for t in range(n)], np.int64)
         moves = Moves(row_start, actions.astype(np.int64), out_start, rank - succ_start[owner], probs, succ_start,
                       succ % n, labels[succ % n])
-        self._explorer = Explorer(automata, n, lambda places: (moves, places), MAX_STATES)
+        self._explorer = Explorer(automata, lambda places: (moves, places), MAX_STATES)
         self.classes = np.zeros(0, np.uint8)
         self._closures = {}
         self.explore((source.initial, automata.start([source], [source.initial])))

@@ -14,13 +14,13 @@ import itertools
 import numpy as np
 import pytest
 
-from teamplan import product
+from teamplan import baseline, mdp, product
 from teamplan.baseline import IDLE, build_mamdp
 from teamplan.ltl import Mission, parse_formula
 from teamplan.mdp import AVOID, LIVE, TARGET, Arrays, BudgetExceeded, Choice
 from teamplan.product import compile_mission, local_product
 
-from instances import random_team_instance
+from instances import graph_model, random_team_instance
 from rows import from_rows
 from test_team import mixed_team_instance
 
@@ -200,19 +200,23 @@ def test_products_equal_reference_builds():
 
 def test_extended_products_equal_reference_builds():
     """Products extended from roots outside their initial product: robots
-    mid-map with vectors of other robots' products, and a failed robot at
-    its failure state."""
+    mid-map with vectors of other robots' products or with a vector the
+    automata has not numbered yet, which grows the rows of the explorer's
+    state table, and a failed robot at its failure state."""
     rng = np.random.default_rng(SEED)
-    extended = failed = 0
+    extended = failed = grown = 0
     for n in range(40):
         models, mission = mixed_team_instance(rng)
         shared = compile_mission(mission)
         products = [local_product(m, mission, automata=shared) for m in models]
         vectors = sorted({q for pm in products for _, q in pm.states})
         for r, (m, pm) in enumerate(zip(models, products)):
-            size = pm.num_states
+            size, rows = pm.num_states, pm._explorer._ids.shape[0]
             roots = [(int(rng.integers(0, m.num_states)), vectors[int(rng.integers(0, len(vectors)))])
                      for _ in range(3)]
+            unseen = (q for q in itertools.product(*(range(d.num_states) for d in shared.dfas))
+                      if q not in shared.vectors)
+            roots += [(0, q) for q in itertools.islice(unseen, 1)]  # at map state 0, drawing nothing from rng
             roots.append((m.failure_state, vectors[int(rng.integers(0, len(vectors)))]))
             for root in roots:
                 at = pm.explore(root)
@@ -221,9 +225,11 @@ def test_extended_products_equal_reference_builds():
             assert pm.states == states and pm.num_states == size, (n, r)
             assert same_arrays(pm.arrays, arrays), (n, r)
             assert same_columns(pm, columns), (n, r)
+            assert pm._explorer._ids.size <= 4 * (len(shared.vectors) + 1) * (m.num_states + 1), (n, r)
             extended += len(states) > size
             failed += roots[-1] not in pm.states[:size]
-    assert extended >= 40 and failed >= 20, (extended, failed)
+            grown += pm._explorer._ids.shape[0] > rows
+    assert extended >= 40 and failed >= 20 and grown >= 30, (extended, failed, grown)
 
 
 def mamdp_cases():
@@ -235,10 +241,17 @@ def mamdp_cases():
     return cases + [mixed_team_instance(rng) for _ in range(8)]
 
 
-def test_mamdps_equal_reference_builds():
+def test_mamdps_equal_reference_builds(monkeypatch):
+    """Also: the joint explorer's state table, grown as a layer passes its
+    vectors or slots, holds at most 4 * (vectors + 1) * (places + 1)
+    entries."""
+    made = []
+    monkeypatch.setattr(baseline, "Explorer", lambda *args: made.append(mdp.Explorer(*args)) or made[-1])
     sizes = set()
     for k, (models, mission) in enumerate(mamdp_cases()):
         mm = build_mamdp(models, mission)
+        places = len({pos for pos, _ in mm.states})
+        assert made[-1]._ids.size <= 4 * (len(mm.automata.vectors) + 1) * (places + 1), k
         automata = compile_mission(mission)
         keys, rows, names = reference_mamdp(models, automata)
         expected = from_rows(len(keys), 0, names, rows).arrays
@@ -249,6 +262,18 @@ def test_mamdps_equal_reference_builds():
         assert mm.violating == frozenset(i for i, (_, q) in enumerate(keys) if automata.violating(q)), k
         sizes.add(len(models))
     assert sizes == {2, 3}
+
+
+def test_joint_names_that_coincide_share_one_index():
+    """A "|" in the robots' action names can spell two joint actions the
+    same, here "x|y|z" twice; they share one index, as in the reference."""
+    a, b = (graph_model(3, [(0, 1), (0, 2)], failpoints=set(), pfail=0.0, atom_nodes={"p1": 2}) for _ in range(2))
+    a.actions, b.actions = ("go0", "x|y", "x"), ("go0", "z", "y|z")
+    mission = Mission(tasks=(parse_formula("F p1"),), safety=None)
+    mm = build_mamdp([a, b], mission)
+    keys, rows, names = reference_mamdp([a, b], compile_mission(mission))
+    assert mm.states == keys and mm.mdp.actions == names and names.count("x|y|z") == 1
+    assert same_arrays(mm.mdp.arrays, from_rows(len(keys), 0, names, rows).arrays)
 
 
 def test_a_product_past_its_budget_stays_as_it_was(monkeypatch):

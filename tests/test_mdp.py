@@ -19,6 +19,7 @@ from teamplan.mdp import (
 
 from exhaustive import evaluate_policy
 from rows import from_rows, row_validate
+from test_mdp_oracle import reference_solve
 
 
 def make(num_states, initial, actions, table, **kw):
@@ -192,6 +193,28 @@ def test_prob1_round_drops_a_state_of_the_round_before():
     assert res.almost_sure == frozenset({0, 2})
     assert res.values[5] == pytest.approx(0.75, abs=1e-9)
     assert res.policy[0] == 1 and res.policy[5] == 0
+
+
+def test_prob1_starts_from_the_positive_region(monkeypatch):
+    # 1 is no avoid state and its self-loop stays outside the avoid state
+    # 3, but it has value 0: a first round from every non-avoid state
+    # would keep 0, whose only choice may fall into 1, and need a round
+    # more to drop it; from the positive region {0, 2} one round drops 0
+    m = make(4, 0, ["a", "stay"], {
+        0: [("a", [(2, 0.5), (1, 0.5)])],
+        1: [("stay", [(1, 1.0)])],
+        2: [("stay", [(2, 1.0)])],
+        3: [("stay", [(3, 1.0)])],
+    })
+    passes = []
+    frontier = mdp_module._frontier
+    monkeypatch.setattr(mdp_module, "_frontier", lambda *args: passes.append(args) or frontier(*args))
+    res = max_reach(m, {2}, {3})
+    assert len(passes) == 3  # prob0, then two prob1 rounds: the second confirms the first
+    zero, sure, values, _ = reference_solve(m, {2}, {3}, 1e-6, jacobi=True)
+    assert (res.zero, res.almost_sure, res.values) == (zero, sure | {2}, values) == ({1, 3}, {2}, [0.5, 0.0, 1.0, 0.0])
+    assert np.array_equal(res.zero_mask, [False, True, False, True])
+    assert np.array_equal(res.sure_mask, [False, False, True, False])
 
 
 @pytest.mark.parametrize("epsilon", [0, -1, 0.0, float("inf"), float("nan"), None, "x", True])

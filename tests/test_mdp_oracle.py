@@ -22,6 +22,7 @@ from teamplan.team import build_team
 from exhaustive import enumerate_best, evaluate_policy
 from instances import guarded_tree_instance, random_team_instance
 from rows import from_rows
+from test_explorer import mamdp_cases
 
 SEED = 20240613
 INSTANCES = 200
@@ -240,7 +241,8 @@ def test_array_solve_equals_python_references(instances):
     wide = from_rows(3, 0, ("a", "b"),
                      [[Choice(0, spread, None), Choice(1, ((1, 0.826000001), (2, 0.173999999)), None)], [], []])
     assert validate(wide) == []
-    cases = [*instances, (mm.mdp, set(mm.accepting), set(mm.violating)), (wide, {1}, set())]
+    joint = [build_mamdp(models, mission) for models, mission in mamdp_cases()]
+    cases = [*instances, *((m.mdp, set(m.accepting), set(m.violating)) for m in [mm, *joint]), (wide, {1}, set())]
     sweeps = products = 0
     for i, (m, target, avoid) in enumerate(cases):
         for epsilon in (1e-6, 1e-12):

@@ -1,22 +1,27 @@
 """The automaton step tables and the joint build change no model.
 
 `Automata` steps (vector id, label id) pairs through a dense table filled
-from per-DFA tables, and `MamdpModel` builds its move tables a layer at a
-time and interns joint action names by per-robot action codes. Each must
-give what stepping every component and expanding every state afresh
-gives: the reference builds of `test_explorer`.
+from per-DFA tables, each distinct missed pair once, and `MamdpModel`
+builds its move tables a layer at a time and numbers joint actions by
+codes of the robots' action names. Each must give what stepping every
+component and expanding every state afresh gives: the reference builds
+of `test_explorer`.
 """
 
 import itertools
+import sys
 
 import numpy as np
 
 from teamplan.baseline import build_mamdp
+from teamplan.ltl import Mission
+from teamplan.maps import gen_map, map_mission
 from teamplan.mdp import Mdp
 from teamplan.product import Automata, compile_mission, local_products
 from teamplan.realloc import policy_to_dict, run_stapu_with_realloc
 
 from test_explorer import componentwise, reference_mamdp, reference_product, seeded_instances
+from test_golden_workloads import RECIPES
 from test_team import mixed_team_instance
 
 SEED = 20261018
@@ -92,3 +97,47 @@ def test_array_build_equals_reference_on_wider_teams():
     for k, (models, mission) in enumerate(teams):
         mm = build_mamdp(models, mission)
         assert (mm.states, mm.mdp.choices, mm.mdp.actions) == reference_mamdp(models, compile_mission(mission)), k
+
+
+def test_each_missed_pair_is_stepped_once(monkeypatch):
+    """On the joint-baseline recipe's joint model, `step` numbers one
+    vector per distinct missed (vector id, label id) pair, 88 of 8,147
+    misses, and numbers the vectors in the order a step per miss does."""
+    spec, _, joint_tasks, _, _ = RECIPES["joint-baseline"]
+    model, full = gen_map(spec), map_mission(spec)
+    mission = Mission(tasks=full.tasks[:joint_tasks], safety=full.safety)
+    step, vector_id = Automata.step, Automata.vector_id
+    misses, stepped = [], []
+
+    def recording_step(self, vids, lids):
+        self._sync()
+        miss = self.table[vids, lids] < 0
+        misses.extend(zip(vids[miss].tolist(), lids[miss].tolist()))
+        return step(self, vids, lids)
+
+    def recording_vector_id(self, qvec):
+        frame = sys._getframe(1)
+        if step.__code__ in (frame.f_code, frame.f_back.f_code):  # from step or a comprehension in it
+            stepped.append(qvec)
+        return vector_id(self, qvec)
+
+    monkeypatch.setattr(Automata, "step", recording_step)
+    monkeypatch.setattr(Automata, "vector_id", recording_vector_id)
+    mm = build_mamdp([model, model], mission)
+    assert (len(misses), len(set(misses)), len(stepped)) == (8147, 88, 88)
+
+    def per_miss_step(self, vids, lids):
+        """Every miss stepped on its own, component by component."""
+        self._sync()
+        labels = {i: label for label, i in self._lids.items()}
+        nxt = self.table[vids, lids]
+        for k in np.flatnonzero(nxt < 0).tolist():
+            v, i = int(vids[k]), int(lids[k])
+            nxt[k] = self.table[v, i] = vector_id(self, componentwise(self, self.vectors[v], labels[i]))
+        return nxt
+
+    monkeypatch.setattr(Automata, "step", per_miss_step)
+    monkeypatch.setattr(Automata, "vector_id", vector_id)
+    reference = build_mamdp([model, model], mission)
+    assert mm.automata.vectors == reference.automata.vectors
+    assert mm.states == reference.states and mm.mdp.actions == reference.mdp.actions
