@@ -2,7 +2,7 @@
 
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
-robots' successor labels (`Automata.advance_joint`). `MamdpModel` builds
+robots' successor labels (`Automata.joint_label`). `MamdpModel` builds
 it with `mdp.Explorer`, whose places here are the robots' position tuples:
 a layer's new positions get their move tables in one numpy pass, the
 product of the robots' choices and then of their outcomes, and the
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, Moves, Numbering, _dense_number, \
-    _first_seen, _offsets, _ranges, max_reach
+    _first_seen, _grow, _offsets, _ranges, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
@@ -80,8 +80,7 @@ class _JointMoves:
         new = _positions(self.slots.keys[len(self._labels):], self.radix)
         tuples = self._tuples(sum(c[new[:, r]] * k for r, (c, k) in enumerate(zip(self._canon, self.radix.tolist()))))
         for pos in _positions(self._tuples.keys[len(self._union):], self.radix).tolist():
-            self._union.append(self.automata.label_id(
-                frozenset().union(*(m.label(s) for m, s in zip(self.models, pos)))))
+            self._union.append(self.automata.joint_label(self.models, pos))
         self._labels = np.concatenate((self._labels, np.array(self._union, np.int64)[tuples]))
         return slots
 
@@ -96,7 +95,7 @@ class _JointMoves:
     def table(self, places):
         """The move tables, built for new places in order of first
         occurrence, and the row of each of `places`."""
-        self._rows = np.append(self._rows, np.full(len(self.slots.keys) - len(self._rows), -1))  # by slot
+        self._rows = _grow(self._rows, (len(self.slots.keys),))  # by slot
         rows, new = _dense_number(self._rows, places, self._built)
         if len(new):
             self._built += len(new)
@@ -154,7 +153,7 @@ class MamdpModel:
         joint, entries = _JointMoves(models, automata), tuple(m.initial for m in models)
         explorer = Explorer(automata, joint.table)
         explorer.explore(int(joint.slot(np.array([np.dot(entries, joint.radix[:-1])]))[0]),
-                         automata.vector_id(automata.start(models, entries)))
+                         automata.start(models, entries))
         self.mdp = Mdp(len(explorer.places), 0, *joint.named(explorer.arrays))
         self._codes, self._radix, self._vectors = joint.slots.keys[explorer.places], joint.radix, explorer.vectors
         classes = automata.classes_of(explorer.vectors)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ltl import Mission, parse_formula
-from .mdp import Arrays, Mdp, _offsets, validate
-from .team import check_class
+from .mdp import Arrays, Mdp, _offsets
 
 HAZARD_ATOM = "h"
 
@@ -110,7 +109,8 @@ def gen_map(spec):
 
     The designated failure state is the extra last index, so a 30 node
     map yields 31 states. Rejects disconnected graphs and out-of-range
-    placements.
+    placements; these checks and the construction make every model
+    well formed and deterministic-or-fail, so it is not validated again.
     """
     n = spec.nodes
     if n < 2:
@@ -148,18 +148,12 @@ def gen_map(spec):
     probs[out_start[:-1][risky]], probs[out_start[1:][risky] - 1] = 1.0 - spec.pfail, spec.pfail
     arrays = Arrays(_offsets(degree + [0] * (fail is not None)), moves, out_start, targets, probs)
 
+    atoms = [f"p{k + 1}" for k in range(len(task_nodes))] + [HAZARD_ATOM] * bool(hazard_nodes)
     labels = {}
-    atoms = []
-    for k, v in enumerate(task_nodes):
-        atom = f"p{k + 1}"
-        atoms.append(atom)
+    for v, atom in [*zip(task_nodes, atoms), *((v, HAZARD_ATOM) for v in hazard_nodes)]:
         labels.setdefault(v, set()).add(atom)
-    if hazard_nodes:
-        atoms.append(HAZARD_ATOM)
-        for v in hazard_nodes:
-            labels.setdefault(v, set()).add(HAZARD_ATOM)
 
-    model = Mdp(
+    return Mdp(
         len(arrays.row_start) - 1,
         0,
         [f"go{v}" for v in range(n)],
@@ -168,12 +162,6 @@ def gen_map(spec):
         labels=labels,
         failure_state=fail,
     )
-    problems = validate(model)
-    if problems:
-        raise MapError("generated model is malformed: " + "; ".join(problems))
-    if not check_class(model):
-        raise MapError("generated model left the deterministic-or-fail class")
-    return model
 
 
 def map_mission(spec):

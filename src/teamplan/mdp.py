@@ -175,6 +175,16 @@ def _dense_number(table, keys, n):
     return out, new
 
 
+def _grow(table, shape):
+    """`table`, or a copy of at least `shape` doubling each axis passed, -1 in its new entries."""
+    grown = tuple(k if t <= k else max(2 * k, t) for k, t in zip(table.shape, shape))
+    if grown == table.shape:
+        return table
+    out = np.full(grown, -1, table.dtype)
+    out[tuple(slice(k) for k in table.shape)] = table
+    return out
+
+
 class Numbering:
     """Numbers int64 keys too wide for a dense table by first occurrence.
     `keys` lists the keys by number; `sorted` holds them in order, then a
@@ -231,11 +241,7 @@ class Explorer:
         old = n = len(self.places)
         nxt, succ, layers, succs, found = np.array([vector]), np.array([place]), [], [], []
         while True:  # number the states nxt, succ; expand the new ones
-            tops = nxt.max(initial=-1), succ.max(initial=-1)
-            shape = tuple(k if t < k else max(2 * k, int(t) + 1) for k, t in zip(self._ids.shape, tops))
-            if shape != self._ids.shape:  # double an axis the states pass
-                known, self._ids = self._ids, np.full(shape, -1, np.int32)
-                self._ids[:known.shape[0], :known.shape[1]] = known
+            self._ids = _grow(self._ids, (int(nxt.max(initial=-1)) + 1, int(succ.max(initial=-1)) + 1))
             ids, new = _dense_number(self._ids.reshape(-1), nxt * self._ids.shape[1] + succ, n)
             v, p = np.divmod(new, self._ids.shape[1])
             if self.budget is not None and layers and n + len(v) > self.budget:

@@ -8,12 +8,13 @@ is. Components advance on the label of the successor map state; the
 initial map state's label is applied once at construction so a task true
 at the start is immediately accepting.
 
-`Automata` numbers vectors and labels and steps vector ids through one
-dense (vector id, label id) table. Few distinct pairs occur (about 2,800
-in 38,000 steps over a 15,000-state team's products); each layer of an
-exploration steps each distinct miss once, in one batch from per-DFA
-dense tables over (state, label code). The joint chain's `advance_joint`
-reads the same table one step at a time.
+`Automata` numbers vectors and labels; modules pass a vector as its id,
+and tuples enter only by `vector_id` and leave by `vectors`. Ids step
+through one dense (vector id, label id) table. Few distinct pairs occur
+(about 2,800 in 38,000 steps over a 15,000-state team's products); each
+layer of an exploration steps each distinct miss once, in one batch from
+per-DFA dense tables over (state, label code). The starts and the joint
+chain `advance` one id at a time on a `joint_label`.
 
 `ProductMdp` is the only model builder that applies the advance to a
 robot's moves, exploring with `mdp.Explorer`; the team model reads its
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _dense_number, _first_seen, _frontier, _offsets
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _dense_number, _first_seen, _frontier, _grow, _offsets
 
 MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
@@ -44,21 +45,22 @@ class Automata:
 
     Vectors and labels are numbered when first seen; `vectors` lists the
     vectors by id, `classes` their TARGET, AVOID or LIVE class and
-    `handover` whether a switch may hand them on (`switchable`). `step`
-    takes vector ids through `table`, dense over (vector id, label id) and
-    -1 where not yet known, and fills a batch's misses at once from a
-    dense table per DFA over (state, label code), a label's code setting
-    bit i when the label holds the DFA's i-th atom.
+    `handover` whether a switch may hand them on (`switchable`), both
+    appended by `_sync`. `step` takes vector ids through `table`, dense
+    over (vector id, label id), -1 where not yet known and grown by
+    doubling, and fills a batch's misses at once from a dense table per
+    DFA over (state, label code), a label's code setting bit i when the
+    label holds the DFA's i-th atom.
     """
 
-    __slots__ = ("tasks", "safety", "dfas", "vectors", "table", "classes", "handover", "_vids", "_lids", "_kinds",
-                 "_codes", "_comps", "_deltas")
+    __slots__ = ("tasks", "safety", "dfas", "vectors", "table", "classes", "handover", "_vids", "_lids", "_codes",
+                 "_comps", "_deltas")
 
     def __init__(self, tasks, safety):
         self.tasks = tuple(tasks)
         self.safety = safety
         self.dfas = self.tasks if safety is None else (*self.tasks, safety)
-        self.vectors, self._vids, self._kinds, self._lids = [], {}, [], {}
+        self.vectors, self._vids, self._lids = [], {}, {}
         self._codes = self._comps = np.zeros((0, len(self.dfas)), np.int64)
         self.classes, self.handover, self.table = np.zeros(0, np.uint8), np.zeros(0, bool), np.zeros((0, 0), np.int64)
         self._deltas = [np.zeros((d.num_states, 1 << len(d.atoms)), np.int64) for d in self.dfas]
@@ -74,8 +76,6 @@ class Automata:
         if v is None:
             v = self._vids[qvec] = len(self.vectors)
             self.vectors.append(qvec)
-            self._kinds.append((TARGET if self.accepting(qvec) else AVOID if self.violating(qvec) else LIVE,
-                                self.switchable(qvec)))
         return v
 
     def label_id(self, label):
@@ -85,27 +85,29 @@ class Automata:
             i = self._lids[label] = len(self._lids)
             self._codes = np.vstack((self._codes, [sum(1 << k for k, a in enumerate(d.atoms) if a in label)
                                                    for d in self.dfas]))
+            self.table = _grow(self.table, (0, i + 1))
         return i
 
-    def kind(self, qvec):
-        """TARGET, AVOID or LIVE."""
-        return self._kinds[self.vector_id(qvec)][0]
+    def joint_label(self, models, positions):
+        """The id of the union of the labels of the robots' positions."""
+        return self.label_id(frozenset().union(*(m.label(s) for m, s in zip(models, positions))))
 
     def classes_of(self, vids):
         self._sync()
         return self.classes[vids]
 
     def _sync(self):
-        """Grow the numpy columns and the table to the vectors and labels seen."""
-        n, width = len(self.vectors), len(self._lids)
-        if len(self.classes) < n:
-            self.classes, handover = np.array(self._kinds, np.uint8).T.copy()
-            self.handover = handover.astype(bool)
-            self._comps = np.array(self.vectors, np.int64).reshape(n, len(self.dfas))
-        if self.table.shape != (n, width):
-            grown = np.full((n, width), -1)
-            grown[:self.table.shape[0], :self.table.shape[1]] = self.table
-            self.table = grown
+        """Append the columns of the vectors numbered since the last call
+        and give each a row of the table."""
+        n = len(self.classes)
+        if n == len(self.vectors):
+            return
+        new = self.vectors[n:]
+        self.classes = np.concatenate((self.classes, np.array(
+            [TARGET if self.accepting(q) else AVOID if self.violating(q) else LIVE for q in new], np.uint8)))
+        self.handover = np.concatenate((self.handover, np.array([self.switchable(q) for q in new], bool)))
+        self._comps = np.concatenate((self._comps, np.array(new, np.int64).reshape(len(new), len(self.dfas))))
+        self.table = _grow(self.table, (len(self.vectors), 0))
 
     def step(self, vids, lids):
         """The next vector id of each (vector id, label id) pair, a missed pair stepped once."""
@@ -120,20 +122,15 @@ class Automata:
             nxt = self.table[vids, lids]
         return nxt
 
-    def advance(self, qvec, label):
-        """The next vector; `label` is a hashable set of atoms."""
-        v, i = self.vector_id(qvec), self.label_id(label)
-        nxt = self.table[v, i] if v < self.table.shape[0] and i < self.table.shape[1] else -1
-        return self.vectors[nxt if nxt >= 0 else self.step(np.array([v]), np.array([i]))[0]]
-
-    def advance_joint(self, qvec, models, positions):
-        """Advance on the union of the labels of every robot's position."""
-        return self.advance(qvec, frozenset().union(*(m.label(s) for m, s in zip(models, positions))))
+    def advance(self, v, label):
+        """The id of vector `v` stepped on the label of id `label`."""
+        nxt = self.table[v, label] if v < len(self.table) else -1
+        return int(nxt if nxt >= 0 else self.step(np.array([v]), np.array([label]))[0])
 
     def start(self, models, positions):
-        """The vector at a start: every automaton's initial state, advanced
-        once on the union of the labels of the robots' start positions."""
-        return self.advance_joint(tuple(d.initial for d in self.dfas), models, positions)
+        """The id of the vector at a start: every automaton's initial state,
+        advanced once on the union of the labels of the robots' positions."""
+        return self.advance(self.vector_id(tuple(d.initial for d in self.dfas)), self.joint_label(models, positions))
 
     def accepting(self, qvec):
         return all(q in d.accepting for d, q in zip(self.dfas, qvec))
@@ -177,9 +174,10 @@ class ProductMdp:
     AVOID or LIVE by the vector) say what the team model reads; `states`
     builds (map state, vector) tuples on each read, which no plan does.
     `mdp`, `accepting`, `violating` and `num_states` describe the product
-    reachable from the robot's initial state. `explore((s, q))` extends
-    the product from another root, appending the states reachable from
-    it. Past `MAX_STATES` states, exploring raises `BudgetExceeded`.
+    reachable from the robot's initial state. `explore(s, v)` extends
+    the product from another root, map state `s` and vector id `v`,
+    appending the states reachable from it. Past `MAX_STATES` states,
+    exploring raises `BudgetExceeded`.
     """
 
     def __init__(self, source, mission, automata):
@@ -195,15 +193,16 @@ class ProductMdp:
         self._explorer = Explorer(automata, lambda places: (moves, places), MAX_STATES)
         self.classes = np.zeros(0, np.uint8)
         self._closures = {}
-        self.explore((source.initial, automata.start([source], [source.initial])))
+        self.explore(source.initial, automata.start([source], [source.initial]))
         self.num_states = len(self.map_states)
         self.mdp = Mdp(self.num_states, 0, source.actions, arrays=self.arrays)
 
-    def explore(self, key):
-        """Index of product state `key`, after appending every state
-        reachable from it to `arrays` and the columns."""
+    def explore(self, s, v):
+        """Index of the product state of map state `s` and vector id `v`,
+        after appending every state reachable from it to `arrays` and the
+        columns."""
         explorer = self._explorer
-        root = explorer.explore(key[0], self.automata.vector_id(key[1]))
+        root = explorer.explore(s, v)
         if len(explorer.places) > len(self.classes):
             self.arrays, self.map_states, self.vector_ids = explorer.arrays, explorer.places, explorer.vectors
             self.classes = self.automata.classes_of(explorer.vectors)

@@ -4,13 +4,13 @@ The solved team model moves one robot at a time. At execution time every
 robot runs its own program (`StapuSolution.programs`) simultaneously, so
 this module rebuilds the plan as a synchronized Markov chain over joint
 states: one map position per robot plus a single shared automaton vector,
-advanced once per step on the union of the labels of all robots' current
-positions. It executes only robots that pass `team.check_class`, the one
-gate of the deterministic-or-fail class; `_require_class` raises
-`UnsupportedModelError` for any other. Union semantics credits a task
-even when a robot other than the allocated one walks over its atom;
-instances meant for exact comparisons should keep task atoms off the
-other robots' paths.
+whose id advances once per step on the union of the labels of all robots'
+current positions (`Automata.joint_label`). It executes only robots that
+pass `team.check_class`, the one gate of the deterministic-or-fail class;
+`_require_class` raises `UnsupportedModelError` for any other. Union
+semantics credits a task even when a robot other than the allocated one
+walks over its atom; instances meant for exact comparisons should keep
+task atoms off the other robots' paths.
 
 States where a robot has just broken down become absorbing reallocation
 points. Addressing a point solves a fresh team model from the robots'
@@ -182,8 +182,8 @@ def _copy_chain(chain):
     return dup
 
 
-def _classify(automata, q, statuses, fresh):
-    kind = automata.kind(q)
+def _classify(automata, v, statuses, fresh):
+    kind = automata.classes_of(v)
     if kind == TARGET:
         return SUCCESS
     if kind == AVOID:
@@ -195,12 +195,12 @@ def _classify(automata, q, statuses, fresh):
     return DEAD
 
 
-def _expand(team, models, progs, node, nodes):
-    n = len(models)
+def _expand(automata, models, progs, node, v, nodes, vids):
+    """Append the children of `node`, of vector id `v`, to `nodes` and their ids to `vids`."""
     movers = []
     opts = []
     names = []
-    for r in range(n):
+    for r in range(len(models)):
         if node.statuses[r] != EXECUTING:
             names.append(IDLE)
             continue
@@ -225,26 +225,29 @@ def _expand(team, models, progs, node, nodes):
                 fresh.append(r)
             elif node.t + 1 >= len(progs[r]):
                 sts[r] = DONE
-        q = team.automata.advance_joint(node.q, models, pos)
-        child = JointNode(node.t + 1, tuple(pos), tuple(sts), q, _classify(team.automata, q, sts, fresh), None, [],
-                          tuple(fresh))  # positional: twice as fast as keywords
+        w = automata.advance(v, automata.joint_label(models, pos))
+        child = JointNode(node.t + 1, tuple(pos), tuple(sts), automata.vectors[w], _classify(automata, w, sts, fresh),
+                          None, [], tuple(fresh))  # positional: twice as fast as keywords
         node.steps.append((prob, len(nodes)))
         nodes.append(child)
+        vids.append(w)
 
 
-def _build_chain(sol, q0):
+def _build_chain(sol, v0):
+    """`sol`'s chain from the vector of id `v0`, or from the mission start when it is None."""
     team = sol.team
+    automata = team.automata
     models = [p.source for p in team.products]
     statuses = [FAILED if r in team.failed else EXECUTING if prog else DONE
                 for r, prog in enumerate(sol.programs)]
-    q0 = tuple(team.automata.start(models, team.entries) if q0 is None else q0)
-    root = JointNode(0, tuple(team.entries), tuple(statuses), q0, _classify(team.automata, q0, statuses, ()))
-    nodes = [root]
-    i = 0
-    while i < len(nodes):
-        if nodes[i].kind == STEP:
-            _expand(team, models, sol.programs, nodes[i], nodes)
-        i += 1
+    if v0 is None:
+        v0 = automata.start(models, team.entries)
+    nodes = [JointNode(0, tuple(team.entries), tuple(statuses), automata.vectors[v0],
+                       _classify(automata, v0, statuses, ()))]
+    vids = [v0]
+    for node, v in zip(nodes, vids):  # breadth first: both lists grow as nodes are expanded
+        if node.kind == STEP:
+            _expand(automata, models, sol.programs, node, v, nodes, vids)
     return JointChain(nodes)
 
 
@@ -257,7 +260,8 @@ def synchronize(sol, q0=None):
     point's vector, which already accounts for every robot's position.
     """
     _require_class([p.source for p in sol.team.products])
-    return JointPolicy([_build_chain(sol, q0)], robots=len(sol.team.products))
+    v0 = None if q0 is None else sol.team.automata.vector_id(tuple(q0))
+    return JointPolicy([_build_chain(sol, v0)], robots=len(sol.team.products))
 
 
 def _require_class(models):
@@ -343,7 +347,7 @@ def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, e
         key = (point.positions, point.q, point.robot, point.failed)
         if key not in replans:
             sub = solve_realloc(point, products, epsilon=epsilon)
-            replans[key] = (sub.value, _build_chain(sub, point.q))
+            replans[key] = (sub.value, _build_chain(sub, int(sub.team.vector_ids[0])))  # the id of point.q
         point.mark_addressed()
         value, template = replans[key]
         jp.graft(point, _copy_chain(template))

@@ -4,9 +4,9 @@ One robot plans at a time; a switch hands the whole automaton vector,
 unchanged, to the next robot in the ring, which continues from its own
 entry state. Switching costs nothing and takes probability 1: it is a
 planning construct, not an executed action. The products advance and
-classify the automaton vectors and `product.Automata.handover` says when
-a vector may be handed on; this module owns the switch rule only, in one
-numpy pass per block, `TeamMdp._switches`.
+classify the automaton vectors, by `Automata` id, and `Automata.handover`
+says when a vector may be handed on; this module owns the switch rule
+only, in one numpy pass per block over ids, `TeamMdp._switches`.
 
 The ring stops before it returns to the start robot, so the team model is
 a chain of robot blocks: a robot's block is the part of its product
@@ -80,8 +80,10 @@ class TeamMdp:
         self.failed = frozenset(failed)
         self.automata = automata
         if start_q is None:
-            start_q = self.automata.start([products[start_robot].source], [entries[start_robot]])
-        self.start_q = tuple(start_q)
+            v = automata.start([products[start_robot].source], [entries[start_robot]])
+        else:  # the one vector tuple the team numbers; it passes ids on
+            v = automata.vector_id(tuple(start_q))
+        self.start_q = automata.vectors[v]
 
         names = dict.fromkeys(a for p in products for a in p.source.actions)  # in order of first appearance
         if SWITCH in names:
@@ -90,7 +92,7 @@ class TeamMdp:
         self.switch_action = len(seen)
         self.actions = (*names, SWITCH)
         self.action_map = [[seen[a] for a in p.source.actions] for p in products]
-        self.root = products[start_robot].explore((entries[start_robot], self.start_q))
+        self.root = products[start_robot].explore(entries[start_robot], v)
         self._build()
 
     def _build(self):
@@ -155,7 +157,7 @@ class TeamMdp:
         vids = vids[switching]
         target = np.bincount(vids)  # np.unique would import numpy.ma
         for v in np.flatnonzero(target).tolist():
-            target[v] = self.products[nxt].explore((self.entries[nxt], self.automata.vectors[v]))
+            target[v] = self.products[nxt].explore(self.entries[nxt], v)
         return switching, target[vids]
 
     def _fill(self, robot, states, switching, targets, first, out):

@@ -66,8 +66,8 @@ def assert_matches_oracle(team, label):
 def test_solve_stapu_matches_value_iteration_on_seeded_teams():
     teams = team_models(np.random.default_rng(SEED + 2), 40, max_nodes=8, max_tasks=3)
     assert any(t.failed for t in teams) and any(t.start_robot != 0 for t in teams)
-    assert any(t.start_q != t.automata.start([t.products[t.start_robot].source], [t.entries[t.start_robot]])
-               for t in teams)
+    assert any(t.start_q != t.automata.vectors[t.automata.start([t.products[t.start_robot].source],
+                                                                [t.entries[t.start_robot]])] for t in teams)
     for n, team in enumerate(teams):
         assert not assert_matches_oracle(team, f"team {n}")
 

@@ -41,3 +41,50 @@ def test_sources_call_no_numpy_ma_importer():
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
                 found |= {(f.name, node.lineno, a.name) for a in node.names if a.name in MA_IMPORTERS}
     assert not found, sorted(found)
+
+
+def package_edges():
+    """(importer, imported, enclosing function or None) for every
+    `from .x import` and `from . import x` between `teamplan` modules."""
+    edges = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                for name in [child.module] if child.module else [a.name for a in child.names]:
+                    edges.add((module, name.split(".")[0], function))
+            visit(child, module, function)
+
+    for f in sorted(SRC.glob("*.py")):
+        visit(ast.parse(f.read_text()), f.stem, None)
+    return edges
+
+
+def test_package_layering_is_acyclic():
+    """The modules import each other in layers. The one back edge is the
+    lazy `product` import in `mdp.model_from_dict`, kept so that a patched
+    `product.MAX_STATES` bounds model files too."""
+    edges = package_edges()
+    back = {e for e in edges if e[:2] == ("mdp", "product")}
+    assert back == {("mdp", "product", "model_from_dict")}, back
+    graph = {}
+    for importer, imported, _ in edges - back:
+        graph.setdefault(importer, set()).add(imported)
+    done, path = set(), []
+
+    def walk(module):
+        assert module not in path, f"import cycle: {' -> '.join(path[path.index(module):] + [module])}"
+        if module not in done:
+            path.append(module)
+            for imported in sorted(graph.get(module, ())):
+                walk(imported)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        walk(module)
+    assert len(done) >= 10
+    assert graph["maps"] == {"ltl", "mdp"}

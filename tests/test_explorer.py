@@ -219,7 +219,7 @@ def test_extended_products_equal_reference_builds():
             roots += [(0, q) for q in itertools.islice(unseen, 1)]  # at map state 0, drawing nothing from rng
             roots.append((m.failure_state, vectors[int(rng.integers(0, len(vectors)))]))
             for root in roots:
-                at = pm.explore(root)
+                at = pm.explore(root[0], shared.vector_id(root[1]))
                 assert pm.states[at] == root, (n, r)
             states, arrays, columns = reference_product(m, compile_mission(mission), roots)
             assert pm.states == states and pm.num_states == size, (n, r)
@@ -293,9 +293,9 @@ def test_a_product_past_its_budget_stays_as_it_was(monkeypatch):
         before = (list(pm.states), pm.arrays, pm.map_states.copy(), pm.vector_ids.copy(), pm.classes.copy())
         for _ in range(2):
             with pytest.raises(BudgetExceeded):
-                pm.explore(grown[0])
+                pm.explore(grown[0][0], pm.automata.vector_id(grown[0][1]))
             assert pm.states == before[0] and pm.arrays is before[1], k
             assert same_arrays((pm.map_states, pm.vector_ids, pm.classes), before[2:]), k
-        assert pm.explore(states[-1]) == len(states) - 1, k
+        assert pm.explore(states[-1][0], pm.automata.vector_id(states[-1][1])) == len(states) - 1, k
         checked += 1
     assert checked >= 10, checked

@@ -1,5 +1,6 @@
 """Seeded map generation: shapes, determinism, and placement rules."""
 
+import numpy as np
 import pytest
 
 from teamplan.ltl import format_formula
@@ -121,3 +122,41 @@ def test_mission_needs_tasks():
     assert model.atoms == ()
     with pytest.raises(MapError, match="task"):
         map_mission(MapSpec(tasks=0))
+
+
+def sweep_spec(rng):
+    """A valid spec: 2-40 nodes, failure points, tasks and hazards drawn to
+    fit, `pfail` anywhere in (0, 1) including its ends, and in about half
+    the specs explicit edges (a random spanning tree plus extra edges,
+    some repeated or reversed) or explicit placements (overlaps allowed)."""
+    n = int(rng.integers(2, 41))
+    tasks = int(rng.integers(0, n))
+    failpoints = int(rng.integers(0, n - tasks))
+    hazards = int(rng.integers(0, n - tasks - failpoints))
+    pfail = float(rng.choice([1e-12, 1e-6, rng.uniform(0.01, 0.99), 1 - 1e-6, 1 - 1e-12]))
+    kw = {}
+    if rng.random() < 0.5:
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+        edges += [tuple(int(x) for x in rng.permutation(n)[:2]) for _ in range(int(rng.integers(0, n)))]
+        kw["edges"] = tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in edges)
+    if rng.random() < 0.5:
+        for name in ("failure_nodes", "task_nodes", "hazard_nodes"):
+            kw[name] = tuple(int(v) for v in rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+    return MapSpec(nodes=n, failpoints=failpoints, pfail=pfail, tasks=tasks, hazards=hazards,
+                   seed=int(rng.integers(0, 1 << 30)), **kw)
+
+
+def test_generated_models_are_well_formed_and_in_class():
+    """`gen_map` does not check its own output: its edge, placement and
+    `pfail` checks leave nothing for `validate` or `check_class` to find."""
+    rng = np.random.default_rng(20261020)
+    risky = explicit = hazards = 0
+    for k in range(300):
+        spec = sweep_spec(rng)
+        model = gen_map(spec)
+        assert validate(model) == [], (k, spec)
+        assert check_class(model), (k, spec)
+        risky += model.failure_state is not None
+        explicit += spec.edges is not None and spec.task_nodes is not None
+        hazards += "h" in model.atoms
+    assert risky >= 150 and explicit >= 50 and hazards >= 100, (risky, explicit, hazards)

@@ -477,7 +477,7 @@ solve_mamdp(build_mamdp([model, model], miss))[1].policy
 pm = local_product(model, miss)
 known = set(pm.states)
 root = next((s, q) for _, q in pm.states for s in range(model.num_states) if (s, q) not in known)
-pm.explore(root)
+pm.explore(root[0], pm.automata.vector_id(root[1]))
 assert len(pm.states) > len(known)
 print("numpy.ma" in sys.modules)
 """

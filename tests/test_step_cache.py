@@ -9,6 +9,7 @@ of `test_explorer`.
 """
 
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -17,10 +18,11 @@ from teamplan.baseline import build_mamdp
 from teamplan.ltl import Mission
 from teamplan.maps import gen_map, map_mission
 from teamplan.mdp import Mdp
-from teamplan.product import Automata, compile_mission, local_products
-from teamplan.realloc import policy_to_dict, run_stapu_with_realloc
+from teamplan.product import Automata, compile_mission, local_product, local_products
+from teamplan.realloc import policy_to_dict, run_stapu_with_realloc, synchronize
+from teamplan.team import build_team, solve_stapu
 
-from test_explorer import componentwise, reference_mamdp, reference_product, seeded_instances
+from test_explorer import componentwise, reference_mamdp, reference_product, seeded_instances, vector_class
 from test_golden_workloads import RECIPES
 from test_team import mixed_team_instance
 
@@ -61,9 +63,10 @@ def test_cached_step_equals_componentwise_step():
             for label in labels:
                 expected = componentwise(fresh, q, label)
                 assert not known(fresh, q, label)
-                assert fresh.advance(q, label) == expected, (k, q, label)  # cold
+                v, i = fresh.vector_id(q), fresh.label_id(label)
+                assert fresh.vectors[fresh.advance(v, i)] == expected, (k, q, label)  # cold
                 assert known(fresh, q, label)
-                assert fresh.advance(q, label) == expected, (k, q, label)  # repeat
+                assert fresh.vectors[fresh.advance(v, i)] == expected, (k, q, label)  # repeat
         assert np.count_nonzero(fresh.table >= 0) == len(vectors) * len(labels)
 
 
@@ -76,9 +79,13 @@ def test_models_and_plans_equal_uncached_builds(monkeypatch):
         policy = untimed_plan([model, model], mission)
         cached.append((products[0].states, products[0].mdp.choices, mm.states, mm.mdp.choices, mm.mdp.actions, policy))
 
+    def componentwise_ids(self, v, i):
+        label = next(label for label, j in self._lids.items() if j == i)
+        return self.vector_id(componentwise(self, self.vectors[v], label))
+
     # the plan's start vectors and joint chains step through the patched
     # `advance`; its products are built by the layered explorer
-    monkeypatch.setattr(Automata, "advance", componentwise)
+    monkeypatch.setattr(Automata, "advance", componentwise_ids)
     for k, ((model, mission), found) in enumerate(zip(cases, cached)):
         states, arrays, _ = reference_product(model, compile_mission(mission))
         choices = Mdp(len(states), 0, model.actions, arrays=arrays).choices
@@ -141,3 +148,52 @@ def test_each_missed_pair_is_stepped_once(monkeypatch):
     reference = build_mamdp([model, model], mission)
     assert mm.automata.vectors == reference.automata.vectors
     assert mm.states == reference.states and mm.mdp.actions == reference.mdp.actions
+
+
+def test_step_table_grows_by_doubling(monkeypatch):
+    """Over the plan-large recipe's plan the step table is reallocated at
+    most once per doubling of the vectors and of the labels, plus its
+    first row and column."""
+    slot, grown, owners = Automata.table, [], set()
+
+    def set_table(self, table):
+        try:
+            old = slot.__get__(self)
+        except AttributeError:  # set in __init__
+            old = None
+        if old is not None and table is not old:
+            grown.append(table.shape)
+            owners.add(self)
+        slot.__set__(self, table)
+
+    monkeypatch.setattr(Automata, "table", property(slot.__get__, set_table))
+    spec, robots, _, guarantee, _ = RECIPES["plan-large"]
+    assert run_stapu_with_realloc([gen_map(spec)] * robots, map_mission(spec))[1].value == guarantee
+    (automata,) = owners
+    vectors, labels = len(automata.vectors), len(automata._lids)
+    assert len(grown) <= math.ceil(math.log2(vectors)) + math.ceil(math.log2(labels)) + 2, (grown, vectors, labels)
+    assert automata.table.shape[0] >= len(automata.classes) and automata.table.shape[1] >= labels
+
+
+def test_vector_columns_equal_the_predicates():
+    """`classes` and `handover`, appended a batch of vectors at a time,
+    hold each numbered vector's class and `switchable` after a product,
+    team, joint chain and joint model build on one `Automata`, for
+    missions with and without a safety formula."""
+    spec, _, joint_tasks, _, _ = RECIPES["joint-baseline"]
+    model, full = gen_map(spec), map_mission(spec)
+    cases = [([model, model], Mission(tasks=full.tasks[:joint_tasks], safety=full.safety))]
+    cases += [([model, model], mission) for model, mission in instances()]
+    assert {mission.safety is None for _, mission in cases} == {False, True}
+    for k, (models, mission) in enumerate(cases):
+        automata = compile_mission(mission)
+        products = [local_product(m, mission, automata=automata) for m in models]
+        builds = [lambda: build_team(products), lambda: synchronize(solve_stapu(build_team(products))),
+                  lambda: build_mamdp(models, mission, automata=automata)]
+        for build in builds:
+            build()
+            vectors = automata.vectors
+            assert automata.classes_of(np.arange(len(vectors))).tolist() == [vector_class(automata, q)
+                                                                            for q in vectors], k
+            assert automata.handover.tolist() == [automata.switchable(q) for q in vectors], k
+            assert len(automata.classes) == len(automata.handover) == len(vectors), k

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from teamplan.realloc import run_stapu_with_realloc
 from teamplan.team import (
     SWITCH,
     TeamError,
+    TeamMdp,
     build_team,
     check_class,
     solve_stapu,
@@ -298,10 +301,14 @@ def mixed_team_instance(rng):
 
 def reference_team(products, entries, start_robot, start_q, failed):
     """States, rows (action names), accepting and violating sets of the
-    team model by breadth-first search over (robot, s, q)."""
+    team model by breadth-first search over (robot, s, q), every vector
+    stepped component by component (`Dfa.advance`)."""
     automata = products[0].automata
     states = [(start_robot, entries[start_robot], start_q)]
     index = {states[0]: 0}
+
+    def step(q, label):
+        return tuple(d.advance(x, label) for d, x in zip(automata.dfas, q))
 
     def intern(key):
         if key not in index:
@@ -320,8 +327,7 @@ def reference_team(products, entries, start_robot, start_q, failed):
             if violating:
                 row.append((src.actions[c.action], ((i, 1.0),), None))
             else:
-                outs = tuple((intern((robot, t, automata.advance(q, src.label(t)))), p)
-                             for t, p in c.outcomes)
+                outs = tuple((intern((robot, t, step(q, src.label(t)))), p) for t, p in c.outcomes)
                 row.append((src.actions[c.action], outs, c.cost))
         nxt = (robot + 1) % len(products)
         if (not violating and nxt != start_robot and (s != src.failure_state or robot in failed)
@@ -427,7 +433,7 @@ def test_closure_memo_survives_product_extension():
             known = set(pm.states)
             root = next(((s, q) for _, q in pm.states for s in range(model.num_states) if (s, q) not in known), None)
             if root is not None:
-                pm.explore(root)
+                pm.explore(root[0], shared.vector_id(root[1]))
                 extended += len(pm.states) > len(known)
         for pm, closures in zip(products, memo):
             for key, states in closures.items():
@@ -477,6 +483,46 @@ def test_planning_builds_no_state_tuples(monkeypatch):
         extended += any(len(pm.map_states) > pm.num_states for pm in products)
         replans += run_stapu_with_realloc(models, miss)[1].reallocations
     assert extended >= 15 and replans >= 5, (extended, replans)
+
+
+def test_vectors_cross_as_ids(monkeypatch):
+    """Team and joint builds pass automaton vectors as `Automata` ids:
+    no vector tuple is numbered from outside `Automata`, also where a
+    switch extends a product, and a replan's team converts its `start_q`
+    once."""
+    inside, todo = set(), [f.__code__ for f in vars(product.Automata).values() if hasattr(f, "__code__")]
+    while todo:  # the methods and the comprehensions in them
+        code = todo.pop()
+        inside.add(code)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    callers = []
+    vector_id = product.Automata.vector_id
+
+    def recording_vector_id(self, qvec):
+        callers.append(sys._getframe(1).f_code)
+        return vector_id(self, qvec)
+
+    def outside(build, *args, **kwargs):
+        callers.clear()
+        build(*args, **kwargs)
+        return [c for c in callers if c not in inside]
+
+    monkeypatch.setattr(product.Automata, "vector_id", recording_vector_id)
+    rng = np.random.default_rng(20261019)
+    extended = 0
+    for n in range(30):
+        models, miss = mixed_team_instance(rng)
+        shared = compile_mission(miss)
+        products = [local_product(m, miss, automata=shared) for m in models]
+        assert outside(build_team, products) == [], n
+        extended += any(len(pm.map_states) > pm.num_states for pm in products)
+        start = int(rng.integers(0, len(models)))
+        entries = [int(rng.integers(0, m.num_states)) for m in models]
+        start_q = shared.vectors[int(rng.choice(products[start].vector_ids))]
+        assert outside(build_team, products, entries=entries, start_robot=start, start_q=start_q) == [
+            TeamMdp.__init__.__code__], n
+        assert outside(build_mamdp, models, miss) == [], n
+    assert extended >= 15, extended
 
 
 def test_source_paths_read_no_rows(monkeypatch, tmp_path):
