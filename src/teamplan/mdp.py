@@ -2,12 +2,12 @@
 
 `Explorer`, the one reachable-state explorer, builds the local products
 and the joint baseline one breadth-first layer per numpy pass, from one
-CSR move table (`Moves`) per place and the dense automaton tables of
-`product.Automata`, into the CSR `Arrays` of an `Mdp`, numbering states
-in a dense table (`Explorer`). The team model fills its arrays from the
-products', and `model_from_dict` and `maps.gen_map` write theirs
-directly. `Mdp.choices`, `Choice` rows read off the arrays, is a view no
-module here reads.
+CSR move table (`Moves`, a row per place, built before exploring) and
+the dense automaton tables of `product.Automata`, into the CSR `Arrays`
+of an `Mdp`, numbering states in a dense table (`Explorer`). The team
+model fills its arrays from the products', and `model_from_dict` and
+`maps.gen_map` write theirs directly. `Mdp.choices`, `Choice` rows read
+off the arrays, is a view no module here reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -25,7 +25,8 @@ Two solvers compute maximal reach probabilities, one per model class:
 
 Both read their policy off the values on the first read of
 `ReachResult.policy`, with `_layered_policy`. Every layered graph pass
-(prob0, prob1, both policy passes and a product's closure) runs
+(prob0, prob1, both policy passes, and the `_reachable` states of a
+product's closure and of each robot of the joint model) runs
 `_frontier`, one numpy pass per breadth-first layer over an edge index:
 for the solvers a backward index of every outcome (`max_reach`) or of
 the live edges (`max_product_reach`), built once per solve.
@@ -123,6 +124,16 @@ def _frontier(index, reached, usable=None):
         reached[layer] = True
 
 
+def _reachable(arrays, roots):
+    """The states reachable over `arrays` from the distinct states `roots`:
+    the roots, then each `_frontier` layer over the outcomes, in state order."""
+    row_start, _, out_start, targets, _ = arrays
+    reached = np.zeros(len(row_start) - 1, bool)
+    reached[roots] = True
+    # the outcomes of state s are range(out_start[row_start[s]], out_start[row_start[s + 1]])
+    return np.concatenate([roots, *(layer for _, layer in _frontier((out_start[row_start], targets), reached))])
+
+
 def _absorbing(arrays):
     """Per state, True when every choice of it is a one-outcome self-loop
     (so also when it has no choices)."""
@@ -185,40 +196,14 @@ def _grow(table, shape):
     return out
 
 
-class Numbering:
-    """Numbers int64 keys too wide for a dense table by first occurrence.
-    `keys` lists the keys by number; `sorted` holds them in order, then a
-    sentinel above every key, and `ids` their numbers, -1 for the sentinel."""
-
-    def __init__(self):
-        self.keys = np.zeros(0, np.int64)
-        self.sorted, self.ids = np.array([np.iinfo(np.int64).max]), np.array([-1])
-
-    def __call__(self, keys):
-        """The number of each of `keys`, the new ones numbered after every
-        known key."""
-        at = self.sorted.searchsorted(keys)
-        out = self.ids[at]
-        miss = self.sorted[at] != keys
-        if miss.any():
-            n = len(self.keys)
-            rank, new = _first_seen(keys[miss])
-            out[miss] = n + rank
-            merged = np.concatenate((self.sorted, new))
-            order = merged.argsort(kind="stable")
-            self.sorted, self.ids = merged[order], np.concatenate((self.ids, np.arange(n, n + len(new))))[order]
-            self.keys = np.concatenate((self.keys, new))
-        return out
-
-
 class Explorer:
     """Append-only breadth-first explorer of (place, automaton vector id)
     states, shared by every model builder: one numpy pass per layer.
 
-    A place is where the robots stand; `table(places)` gives the `Moves`
-    and each place's row in them, and `automata.step` steps vector ids. A
-    table `ids[vector id, place]`, doubling an axis a state passes (at
-    most 4 * vectors * places entries), numbers a layer's new successors
+    A place is where the robots stand and numbers its row of the one
+    `Moves` table `moves`; `automata.step` steps vector ids. A table
+    `ids[vector id, place]`, doubling an axis a state passes (at most
+    4 * vectors * places entries), numbers a layer's new successors
     after every known state in row order of first occurrence, unsorted:
     first-visit breadth-first order. A violating vector's state keeps its
     actions as one-outcome self-loops. An index and a row never change
@@ -228,8 +213,8 @@ class Explorer:
     states of the call and raises `BudgetExceeded`.
     """
 
-    def __init__(self, automata, table, budget=None):
-        self.automata, self.table, self.budget = automata, table, budget
+    def __init__(self, automata, moves, budget=None):
+        self.automata, self.moves, self.budget = automata, moves, budget
         self.places = self.vectors = np.zeros(0, np.int64)
         self.arrays, self._ids = None, np.full((0, 0), -1, np.int32)
 
@@ -253,10 +238,9 @@ class Explorer:
                 break
             layers.append((v, p))
             n += len(v)
-            m, r = self.table(p)
-            live = self.automata.classes_of(v) != AVOID
-            succs.append(np.where(live, m.succ_start[r + 1] - m.succ_start[r], 0))
-            j = _ranges(m.succ_start, r[live])
+            m, live = self.moves, self.automata.classes_of(v) != AVOID
+            succs.append(np.where(live, m.succ_start[p + 1] - m.succ_start[p], 0))
+            j = _ranges(m.succ_start, p[live])
             nxt, succ = self.automata.step(np.repeat(v[live], succs[-1][live]), m.labels[j]), m.succ[j]
         vectors, places = (np.concatenate(c) for c in zip(*layers))
         self.places, self.vectors = np.append(self.places, places), np.append(self.vectors, vectors)
@@ -267,9 +251,9 @@ class Explorer:
     def _rows(self, lo, succs, found):
         """The `Arrays` of states lo.. given each one's successor count (0
         for a self-looping state) and the states of their successors."""
-        m, r = self.table(self.places[lo:])
-        choices = m.choice_start[r + 1] - m.choice_start[r]
-        c = _ranges(m.choice_start, r)
+        m, p = self.moves, self.places[lo:]
+        choices = m.choice_start[p + 1] - m.choice_start[p]
+        c = _ranges(m.choice_start, p)
         loop = np.repeat(self.automata.classes_of(self.vectors[lo:]) == AVOID, choices)
         counts = m.out_start[c + 1] - m.out_start[c]
         counts[loop] = 1

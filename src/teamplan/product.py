@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _dense_number, _first_seen, _frontier, _grow, _offsets
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _dense_number, _first_seen, _grow, _offsets, _reachable
 
 MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
@@ -166,8 +166,10 @@ class ProductMdp:
     robot's moves. Safety-violating product states keep their action names
     but turn into self-loops: nothing that happens after a violation can
     matter, and the collapse keeps the trap region from multiplying out the
-    map. A state's row is its map state's move table with each distinct
-    successor numbered once, in first-appearance order; no costs carry over.
+    map. The explorer's one `Moves` table has a row per map state, its
+    choices with each distinct successor numbered once, in first-appearance
+    order, and every product state there takes that row; no costs carry
+    over.
 
     Per state, `arrays` holds its row and the numpy columns `map_states`,
     `vector_ids` (ids into `automata.vectors`) and `classes` (TARGET,
@@ -190,7 +192,7 @@ class ProductMdp:
         labels = np.array([automata.label_id(source.label(t)) for t in range(n)], np.int64)
         moves = Moves(row_start, actions.astype(np.int64), out_start, rank - succ_start[owner], probs, succ_start,
                       succ % n, labels[succ % n])
-        self._explorer = Explorer(automata, lambda places: (moves, places), MAX_STATES)
+        self._explorer = Explorer(automata, moves, MAX_STATES)
         self.classes = np.zeros(0, np.uint8)
         self._closures = {}
         self.explore(source.initial, automata.start([source], [source.initial]))
@@ -239,11 +241,7 @@ class ProductMdp:
 def _closure(pm, roots):
     if len(roots) == 1 and roots[0] == 0:  # the first states are those reachable from the initial one
         return np.arange(pm.num_states)
-    row_start, _, out_start, targets, _ = pm.arrays
-    reached = np.zeros(len(row_start) - 1, bool)
-    reached[roots] = True
-    # the outcomes of state s are range(out_start[row_start[s]], out_start[row_start[s + 1]])
-    return np.concatenate([roots, *(layer for _, layer in _frontier((out_start[row_start], targets), reached))])
+    return _reachable(pm.arrays, roots)
 
 
 def local_product(mdp, mission, automata=None):

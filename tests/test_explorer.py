@@ -17,11 +17,13 @@ import pytest
 from teamplan import baseline, mdp, product
 from teamplan.baseline import IDLE, build_mamdp
 from teamplan.ltl import Mission, parse_formula
+from teamplan.maps import gen_map, map_mission
 from teamplan.mdp import AVOID, LIVE, TARGET, Arrays, BudgetExceeded, Choice
 from teamplan.product import compile_mission, local_product
 
 from instances import graph_model, random_team_instance
 from rows import from_rows
+from test_golden_workloads import RECIPES
 from test_team import mixed_team_instance
 
 SEED = 20261019
@@ -232,18 +234,38 @@ def test_extended_products_equal_reference_builds():
     assert extended >= 40 and failed >= 20 and grown >= 30, (extended, failed, grown)
 
 
+def reversed_with_island(model):
+    """A copy of `model` with its states numbered in reverse after an
+    unreachable two-state island; the island's first state carries the
+    initial state's label, so it is the first state with that label."""
+    n = model.num_states
+    rows = [[Choice(0, ((1, 1.0),), None)], [Choice(0, ((0, 1.0),), None)]]
+    rows += [[Choice(c.action, tuple((n + 1 - t, p) for t, p in c.outcomes), None) for c in model.choices[s]]
+             for s in reversed(range(n))]
+    labels = {n + 1 - s: label for s, label in model.labels.items()}
+    labels[0] = model.label(model.initial)
+    failure = None if model.failure_state is None else n + 1 - model.failure_state
+    return from_rows(n + 2, n + 1 - model.initial, model.actions, rows, atoms=model.atoms, labels=labels,
+                     failure_state=failure)
+
+
 def mamdp_cases():
-    """Two robots on one map, three robots on one map, and two or three
-    robots on maps of their own."""
+    """Two robots on one map, three robots on one map, two or three robots
+    on maps of their own, and two or three robots on a map and on its
+    `reversed_with_island` copy, which starts at a state other than 0."""
     cases = [([model] * 2, mission) for model, mission in seeded_instances(8)]
     cases += [([model] * 3, mission) for model, mission in seeded_instances(6, SEED + 1)]
     rng = np.random.default_rng(SEED)
-    return cases + [mixed_team_instance(rng) for _ in range(8)]
+    cases += [mixed_team_instance(rng) for _ in range(8)]
+    for k, (model, mission) in enumerate(seeded_instances(6, SEED + 2)):
+        copy = reversed_with_island(model)
+        cases.append(([model, copy] if k % 2 else [copy, model, copy], mission))
+    return cases
 
 
 def test_mamdps_equal_reference_builds(monkeypatch):
     """Also: the joint explorer's state table, grown as a layer passes its
-    vectors or slots, holds at most 4 * (vectors + 1) * (places + 1)
+    vectors or places, holds at most 4 * (vectors + 1) * (places + 1)
     entries."""
     made = []
     monkeypatch.setattr(baseline, "Explorer", lambda *args: made.append(mdp.Explorer(*args)) or made[-1])
@@ -262,6 +284,47 @@ def test_mamdps_equal_reference_builds(monkeypatch):
         assert mm.violating == frozenset(i for i, (_, q) in enumerate(keys) if automata.violating(q)), k
         sizes.add(len(models))
     assert sizes == {2, 3}
+
+
+def reachable_count(model):
+    """The number of states reachable from the model's initial state."""
+    seen, todo = {model.initial}, [model.initial]
+    while todo:
+        for c in model.choices[todo.pop()]:
+            todo += [t for t, _ in c.outcomes if t not in seen]
+            seen.update(t for t, _ in c.outcomes)
+    return len(seen)
+
+
+def test_joint_moves_are_built_before_exploring(monkeypatch):
+    """On the joint-baseline recipe the joint model hands `Explorer` one
+    `Moves` table, a row per tuple of robot-reachable states, and builds
+    no move table once exploring has started."""
+    spec, _, joint_tasks, _, _ = RECIPES["joint-baseline"]
+    model, full = gen_map(spec), map_mission(spec)
+    events, given, explore = [], [], mdp.Explorer.explore
+
+    class Recorded(mdp.Moves):
+        def __new__(cls, *columns):
+            events.append("table")
+            return mdp.Moves(*columns)
+
+    def recording_explorer(automata, moves, *budget):
+        given.append(moves)
+        return mdp.Explorer(automata, moves, *budget)
+
+    def recording_explore(self, place, vector):
+        events.append("explore")
+        return explore(self, place, vector)
+
+    monkeypatch.setattr(baseline, "Moves", Recorded)
+    monkeypatch.setattr(baseline, "Explorer", recording_explorer)
+    monkeypatch.setattr(mdp.Explorer, "explore", recording_explore)
+    build_mamdp([model, model], Mission(tasks=full.tasks[:joint_tasks], safety=full.safety))
+    (moves,) = given
+    assert type(moves) is mdp.Moves
+    assert len(moves.choice_start) - 1 == reachable_count(model) ** 2 == 961
+    assert events == ["table", "explore"]
 
 
 def test_joint_names_that_coincide_share_one_index():

@@ -2,8 +2,9 @@
 
 `Automata` steps (vector id, label id) pairs through a dense table filled
 from per-DFA tables, each distinct missed pair once, and `MamdpModel`
-builds its move tables a layer at a time and numbers joint actions by
-codes of the robots' action names. Each must give what stepping every
+builds one move table for every tuple of robot-reachable states before
+exploring and numbers joint actions by codes of the robots' action
+names. Each must give what stepping every
 component and expanding every state afresh gives: the reference builds
 of `test_explorer`.
 """
