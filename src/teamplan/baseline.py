@@ -11,7 +11,9 @@ automata's dense step table. The vector rules and the unpruned size
 come from `product.Automata`. Exponential in the team size, so
 construction is guarded by a state-count ceiling; within it, solving this
 model gives the unconstrained optimum that the sequential planner and the
-reallocation loop are measured against.
+reallocation loop are measured against. A joint step keeps or lowers
+the vector's `Automata.ranks`, so `solve_mamdp` sweeps the states one
+rank at a time, lowest first.
 """
 
 import math
@@ -168,6 +170,7 @@ def build_mamdp(models, mission, ceiling=10_000_000, automata=None):
 
 def solve_mamdp(mm, epsilon=1e-6):
     """Optimal mission probability at the joint start, with the solve's
-    `ReachResult` (whose policy is read off on first access)."""
-    res = max_reach(mm.mdp, mm.accepting, mm.violating, epsilon=epsilon)
+    `ReachResult` (whose policy is read off on first access), swept one
+    `Automata.ranks` block at a time."""
+    res = max_reach(mm.mdp, mm.accepting, mm.violating, epsilon=epsilon, blocks=mm.automata.ranks()[mm._vectors])
     return res.values[0], res

@@ -21,15 +21,17 @@ Two solvers compute maximal reach probabilities, one per model class:
   reach the target under any scheduler are pinned to 0 and states with an
   almost-sure strategy are pinned to 1 before iteration starts, so the
   iterated region only contains genuinely quantitative states. The Jacobi
-  sweeps run in numpy over the model's arrays.
+  sweeps run in numpy over the model's arrays, a block at a time when the
+  caller ranks the states in topological order.
 
 Both read their policy off the values on the first read of
 `ReachResult.policy`, with `_layered_policy`. Every layered graph pass
 (prob0, prob1, both policy passes, and the `_reachable` states of a
 product's closure and of each robot of the joint model) runs
 `_frontier`, one numpy pass per breadth-first layer over an edge index:
-for the solvers a backward index of every outcome (`max_reach`) or of
-the live edges (`max_product_reach`), built once per solve.
+for the solvers a backward index of the outcomes of non-target,
+non-avoid states (`max_reach`) or of the live edges
+(`max_product_reach`), built once per solve.
 """
 
 import json
@@ -465,7 +467,9 @@ class Policy(Mapping):
 @dataclass
 class ReachResult:
     """Values and sweeps of a solve. The sets of states of value 1 and 0,
-    given as masks, and the policy are built on first read."""
+    given as masks, and the policy are built on first read. `iterations`
+    counts the sweeps of value iteration, summed over the blocks of a
+    blocked `max_reach`; 0 for `max_product_reach`."""
     values: list[float]
     iterations: int
     sure_mask: np.ndarray = field(repr=False, compare=False)
@@ -530,7 +534,7 @@ def _layered_policy(arrays, index, certificate, optimal, target, sure, positive)
 
 
 def _reach_policy(arrays, index, values, target, sure) -> Policy:
-    """`_layered_policy` over `max_reach`'s index of every outcome, given
+    """`_layered_policy` over `max_reach`'s backward index, given
     numpy values and state masks. Certificate actions on the almost-sure
     states `sure`, whose outcomes all lie in `sure` or `target`;
     value-optimal ones, within PROB_ATOL of the state's best choice, on the
@@ -557,28 +561,40 @@ def _reach_policy(arrays, index, values, target, sure) -> Policy:
 MAX_SWEEPS = 100_000  # value iteration gives up after this many sweeps
 
 
-def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
+def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, blocks=None) -> ReachResult:
     """Maximal probability of reaching `target` while never entering `avoid`.
 
     Avoid states are treated as absorbing with value 0 but stay part of the
     state space. States that cannot reach the target are pinned to 0, and
     states with an almost-sure strategy to 1 (the classical double
     fixpoint: shrink a candidate set u, from the states of positive value,
-    to the states that reach the target by choices staying in u). On the
-    rest, Jacobi sweeps over `mdp.arrays` (every choice has an outcome) run from
-    zero until the largest update falls below `epsilon` (absolute, positive).
+    to the states that reach the target by choices staying in u, a round
+    dropping the choices into the states the last one took out). Both
+    passes and the policy read a backward index of the outcomes of the
+    choices of the states outside `target` and `avoid`. On the rest,
+    Jacobi sweeps over `mdp.arrays` (every choice has an outcome) run from
+    zero until the largest update falls below `epsilon` (absolute,
+    positive). With `blocks`, an int rank per state, they sweep one block
+    of equal rank at a time, lowest first, each to its own stop;
+    ValueError when an outcome of a quantitative state has a higher rank.
     """
     target, avoid = _check_sets(mdp, target, avoid)
     if not 0.0 < _number(epsilon, "epsilon") < np.inf:
         raise ValueError(f"epsilon {epsilon!r} is not a positive finite number")
     n = mdp.num_states
+    if blocks is not None and len(blocks) != n:
+        raise ValueError(f"blocks has {len(blocks)} ranks for {n} states")
     row_start, _, out_start, targets, probs = mdp.arrays
     row_count, out_count = np.diff(row_start), np.diff(out_start)
-    offsets, owner = _backward_index([targets, np.repeat(np.arange(len(out_count), dtype=np.int32), out_count)], n)
-    tails = np.repeat(np.arange(n, dtype=np.int32), row_count)[owner]
     in_target, u = np.zeros(n, bool), np.ones(n, bool)
     in_target[list(target)] = True
     u[list(avoid)] = False
+    # the index holds the outcomes of the states outside target and avoid.
+    # Its columns, like the sweeps' heads, are intp: numpy converts an
+    # index array of another type on every use
+    read = np.repeat(np.repeat(u & ~in_target, row_count), out_count)
+    offsets, owner = _backward_index([targets[read], np.repeat(np.arange(len(out_count)), out_count)[read]], n)
+    tails = np.repeat(np.arange(n), row_count)[owner]
 
     def attract(usable):
         """The least superset of the targets holding the tail of every
@@ -588,28 +604,37 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6) -> ReachResult:
             pass
         return reached
 
-    zero = ~attract(u[tails])
-    one = ~zero  # the states of value 1 have positive value
-    while True:
-        u, stay = one, np.ones(len(out_count), bool)  # stay: per choice, every outcome in u
-        stay[owner[_ranges(offsets, np.flatnonzero(~u))]] = False
-        if ((one := attract(stay[owner] & u[tails])) == u).all():
-            break
+    zero = ~attract(None)  # no edge of the index leaves an avoid state
+    # left: the states u lost in the last round; stay: per choice, every
+    # outcome in u. No state outside u has a choice that stays, or the
+    # round that took it out would have kept it: no edge needs a tail test
+    one, left, stay = ~zero, zero, np.ones(len(out_count), bool)
+    while left.any():
+        stay[owner[_ranges(offsets, np.flatnonzero(left))]] = False
+        u, one = one, attract(stay[owner])
+        left = u & ~one
 
-    x, mid = one.astype(np.float64), np.flatnonzero(~(zero | one))
-    mid_choices = np.repeat(~(zero | one), row_count)
-    mid_targets, mid_probs = (a[np.repeat(mid_choices, out_count)] for a in (targets, probs))
-    mid_out, mid_rows = _offsets(out_count[mid_choices])[:-1], _offsets(row_count[mid])[:-1]
+    x, mid, cuts = one.astype(np.float64), np.flatnonzero(~(zero | one)), []
+    if blocks is not None:
+        mid = mid[np.argsort(blocks[mid], kind="stable")]
+        cuts = np.flatnonzero(np.diff(blocks[mid])) + 1
     iterations = 0
-    if len(mid):
-        for iterations in range(1, MAX_SWEEPS + 1):
-            best = np.maximum.reduceat(np.add.reduceat(mid_probs * x[mid_targets], mid_out), mid_rows)
-            delta = float((best - x[mid]).max())
-            x[mid] = best
+    for block in np.split(mid, cuts) if len(mid) else ():
+        choices = _ranges(row_start, block)
+        outs = _ranges(out_start, choices)
+        heads, weights = targets[outs].astype(np.intp), probs[outs]
+        if blocks is not None and (blocks[heads] > blocks[block[0]]).any():
+            raise ValueError(f"blocks: a state of rank {blocks[block[0]]} has an outcome of higher rank")
+        starts, rows = _offsets(out_count[choices])[:-1], _offsets(row_count[block])[:-1]
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            best = np.maximum.reduceat(np.add.reduceat(weights * x[heads], starts), rows)
+            delta = float((best - x[block]).max())
+            x[block] = best
             if delta < epsilon:
                 break
         else:
             raise DivergenceError(f"value iteration exceeded {MAX_SWEEPS} sweeps (last delta {delta})")
+        iterations += sweeps
 
     return ReachResult(x.tolist(), iterations, one, zero,
                        lambda: _reach_policy(mdp.arrays, (offsets, tails, owner), x, in_target, one & ~in_target))
@@ -644,7 +669,7 @@ def _backward_index(edges, n):
     range(offsets[t], offsets[t + 1])."""
     # heads under 2**16 sort as uint16, by radix: the same stable order, faster
     order = np.argsort(edges[0].astype(np.uint16) if n <= 65_536 else edges[0], kind="stable")
-    return (np.searchsorted(edges[0][order], np.arange(n + 1)), *(c[order] for c in edges[1:]))
+    return (_offsets(np.bincount(edges[0], minlength=n)), *(c[order] for c in edges[1:]))
 
 
 def _relax(index, heads, values, frontier):

@@ -25,6 +25,7 @@ the states of a model file as `mdp.model_from_dict` reads it.
 
 import math
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -121,6 +122,43 @@ class Automata:
             self.table[v, label] = ids
             nxt = self.table[vids, lids]
         return nxt
+
+    def ranks(self):
+        """Each vector id's rank: the number of its strongly connected
+        component in the graph of the known steps of `table`, components
+        numbered in the order Tarjan's algorithm (run iteratively) closes
+        them, so that a step keeps or lowers the rank."""
+        self._sync()
+        succs = [row[row >= 0].tolist() for row in self.table[:len(self.vectors)]]
+        order, low, rank = [-1] * len(succs), [0] * len(succs), np.full(len(succs), -1, np.int64)
+        stack, calls, visits, closed = [], [], count(), 0
+
+        def call(v):
+            order[v] = low[v] = next(visits)
+            stack.append(v)
+            calls.append((v, iter(succs[v])))
+
+        for root in range(len(succs)):
+            if order[root] < 0:
+                call(root)
+            while calls:
+                v, todo = calls[-1]
+                for w in todo:
+                    if order[w] < 0:
+                        call(w)
+                        break
+                    if rank[w] < 0:  # w is on the stack
+                        low[v] = min(low[v], order[w])
+                else:
+                    calls.pop()
+                    if calls:
+                        low[calls[-1][0]] = min(low[calls[-1][0]], low[v])
+                    if low[v] == order[v]:
+                        at = stack.index(v)
+                        rank[stack[at:]] = closed
+                        del stack[at:]
+                        closed += 1
+        return rank
 
     def advance(self, v, label):
         """The id of vector `v` stepped on the label of id `label`."""

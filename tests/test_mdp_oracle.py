@@ -241,8 +241,17 @@ def test_array_solve_equals_python_references(instances):
     wide = from_rows(3, 0, ("a", "b"),
                      [[Choice(0, spread, None), Choice(1, ((1, 0.826000001), (2, 0.173999999)), None)], [], []])
     assert validate(wide) == []
+    # the target 2 and the avoid state 3 have choices back into the
+    # quantitative states 0 and 1, edges no pass of the solve may take
+    exits = from_rows(5, 0, ("a", "b"),
+                      [[Choice(0, ((1, 0.5), (2, 0.3), (3, 0.2)), None), Choice(1, ((4, 0.4), (2, 0.6)), None)],
+                       [Choice(0, ((2, 0.5), (4, 0.5)), None), Choice(1, ((0, 1.0),), None)],
+                       [Choice(0, ((0, 0.5), (1, 0.5)), None), Choice(1, ((3, 1.0),), None)],
+                       [Choice(0, ((1, 1.0),), None), Choice(1, ((0, 0.5), (2, 0.5)), None)], []])
+    assert validate(exits) == []
     joint = [build_mamdp(models, mission) for models, mission in mamdp_cases()]
-    cases = [*instances, *((m.mdp, set(m.accepting), set(m.violating)) for m in [mm, *joint]), (wide, {1}, set())]
+    cases = [*instances, *((m.mdp, set(m.accepting), set(m.violating)) for m in [mm, *joint]), (wide, {1}, set()),
+             (exits, {2}, {3})]
     sweeps = products = 0
     for i, (m, target, avoid) in enumerate(cases):
         for epsilon in (1e-6, 1e-12):
