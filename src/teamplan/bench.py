@@ -130,6 +130,8 @@ SETTINGS = {
 
 def bench_sweep(config):
     """Check the config, then run every grid cell; failed cells are logged and skipped."""
+    if not isinstance(config, dict):
+        raise ValueError(f"sweep config must be a JSON object, not {type(config).__name__}")
     grids = [_grid(config, k, least) for k, least in (("robots", 1), ("tasks", 1), ("failpoints", 0), ("seeds", 0))]
     kwargs = {key: config[key] for key in SETTINGS if key in config}
     for key, v in kwargs.items():

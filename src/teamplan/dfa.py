@@ -6,14 +6,16 @@ fragments yield a total deterministic automaton over the powerset of the
 formula's own atoms. Reachability formulas accept exactly in the `true`
 residual; invariant formulas reject exactly in the `false` residual (the
 trap), every other state being accepting. `minimize` merges the states
-that accept the same language by Moore's partition refinement.
+that accept the same language by Moore's partition refinement. A formula
+over `MAX_ATOMS` atoms is refused before any label is enumerated.
 """
 
 import json
 from itertools import combinations
 
 from .ltl import (FALSE, TRUE, And, Atom, Eventually, Always, FalseConst, Formula, FormulaClass, Next, NotAtom, Or,
-                  TrueConst, Until, atoms_of, classify, format_formula, is_syntactically_cosafe, is_syntactically_safe)
+                  TrueConst, Until, _subnodes, atoms_of, classify, format_formula, is_syntactically_cosafe,
+                  is_syntactically_safe)
 
 
 class CompileError(ValueError):
@@ -29,8 +31,7 @@ def _key(f: Formula):
     kind = _KIND.get(type(f))
     if kind is None:
         raise TypeError(f"not a formula node: {f!r}")
-    children = f.children if kind >= 8 else (f.left, f.right) if kind == 7 else (f.child,) if kind >= 4 else ()
-    return kind, getattr(f, "name", ""), tuple(_key(c) for c in children)
+    return kind, getattr(f, "name", ""), tuple(_key(c) for c in _subnodes(f))
 
 
 def _antichain(sets):
@@ -107,21 +108,11 @@ def canonical(f: Formula) -> Formula:
             terms.append(ordered[0] if len(ordered) == 1 else And(tuple(ordered)))
         terms = sorted(terms, key=_key)
         return terms[0] if len(terms) == 1 else Or(tuple(terms))
-    if isinstance(f, Next):
+    if isinstance(f, (Next, Eventually, Always)):
         c = canonical(f.child)
-        if isinstance(c, (TrueConst, FalseConst)):
+        if isinstance(c, (TrueConst, FalseConst)) or type(c) is type(f) is not Next:  # F F a = F a, G G a = G a
             return c
-        return Next(c)
-    if isinstance(f, Eventually):
-        c = canonical(f.child)
-        if isinstance(c, (TrueConst, FalseConst, Eventually)):  # F F a = F a
-            return c
-        return Eventually(c)
-    if isinstance(f, Always):
-        c = canonical(f.child)
-        if isinstance(c, (TrueConst, FalseConst, Always)):  # G G a = G a
-            return c
-        return Always(c)
+        return type(f)(c)
     if isinstance(f, Until):
         left = canonical(f.left)
         right = canonical(f.right)
@@ -147,10 +138,8 @@ def progress(f: Formula, label: frozenset[str]) -> Formula:
         return TRUE if f.name in label else FALSE
     if isinstance(f, NotAtom):
         return TRUE if f.name not in label else FALSE
-    if isinstance(f, And):
-        return canonical(And(tuple(progress(c, label) for c in f.children)))
-    if isinstance(f, Or):
-        return canonical(Or(tuple(progress(c, label) for c in f.children)))
+    if isinstance(f, (And, Or)):
+        return canonical(type(f)(tuple(progress(c, label) for c in f.children)))
     if isinstance(f, Next):
         return f.child
     if isinstance(f, Eventually):
@@ -204,11 +193,17 @@ class Dfa:
 
 
 MAX_STATES = 50_000  # progression gives up beyond this many automaton states
+# a compile steps every state on every subset of the formula's atoms, and
+# `product.Automata` keeps a column per subset, so both double with each
+# atom; at 12 (4,096 labels) `F (a0 & ... & a11)` compiles in about 0.5 s
+MAX_ATOMS = 12
 
 
 def _explore(f: Formula):
     f0 = canonical(f)
     atoms = tuple(sorted(atoms_of(f0)))
+    if len(atoms) > MAX_ATOMS:
+        raise CompileError(f"{format_formula(f)!r} has {len(atoms)} atoms, more than the {MAX_ATOMS} a compile allows")
     labels = _powerset(atoms)
     index = {f0: 0}
     order = [f0]

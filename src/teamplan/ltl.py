@@ -4,7 +4,8 @@ Formulas are in negation normal form by construction: negation is only
 allowed on atoms, so the node set has no general Not. Two fragments are
 supported, reachability-style formulas (no G) compiled for good-prefix
 acceptance and invariant-style formulas (no F/U) compiled for bad-prefix
-rejection.
+rejection. `_subnodes` is the one walk over a node's children and `_PREC`
+the one table of operator symbols and print precedences.
 """
 
 import json
@@ -82,7 +83,10 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TEMPORAL = {"X": Next, "F": Eventually, "G": Always}
+# each operator's symbol and binding strength for printing, higher binding
+# tighter; the unary operators bind tightest
+_PREC = {Or: ("|", 1), And: ("&", 2), Until: ("U", 3), Next: ("X", 4), Eventually: ("F", 4), Always: ("G", 4)}
+_TEMPORAL = {symbol: op for op, (symbol, prec) in _PREC.items() if prec == 4}
 
 # one token per match: a whitespace run, an operator, a word, or any other
 # character (an error); operators match before words, so `Fp` is `F p`
@@ -213,17 +217,19 @@ class FormulaClass(Enum):
     NEITHER = "neither"
 
 
+def _free_of(f: Formula, kinds) -> bool:
+    """True when no node of `f` is an instance of `kinds`."""
+    return not isinstance(f, kinds) and all(_free_of(c, kinds) for c in _subnodes(f))
+
+
 def is_syntactically_cosafe(f: Formula) -> bool:
     """True when no G occurs, so any satisfaction has a finite witness."""
-    if isinstance(f, Always):
-        return False
-    return all(is_syntactically_cosafe(c) for c in _subnodes(f))
+    return _free_of(f, Always)
+
 
 def is_syntactically_safe(f: Formula) -> bool:
     """True when no F or U occurs, so any violation has a finite witness."""
-    if isinstance(f, (Eventually, Until)):
-        return False
-    return all(is_syntactically_safe(c) for c in _subnodes(f))
+    return _free_of(f, (Eventually, Until))
 
 
 def classify(f: Formula) -> FormulaClass:
@@ -232,11 +238,9 @@ def classify(f: Formula) -> FormulaClass:
     Formulas in both fragments (no temporal operator, or X only) report
     COSAFE; use the predicates directly when the distinction matters.
     """
-    cosafe = is_syntactically_cosafe(f)
-    safe = is_syntactically_safe(f)
-    if cosafe:
+    if is_syntactically_cosafe(f):
         return FormulaClass.COSAFE
-    if safe:
+    if is_syntactically_safe(f):
         return FormulaClass.SAFE
     return FormulaClass.NEITHER
 
@@ -265,10 +269,6 @@ def format_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
-# binding strength for printing; higher binds tighter
-_PREC = {Or: 1, And: 2, Until: 3}
-
-
 def _fmt(f: Formula, parent_prec: int) -> str:
     if isinstance(f, TrueConst):
         return "true"
@@ -278,23 +278,17 @@ def _fmt(f: Formula, parent_prec: int) -> str:
         return f.name
     if isinstance(f, NotAtom):
         return f"!{f.name}"
-    if isinstance(f, Next):
-        return f"X {_fmt(f.child, 4)}"
-    if isinstance(f, Eventually):
-        return f"F {_fmt(f.child, 4)}"
-    if isinstance(f, Always):
-        return f"G {_fmt(f.child, 4)}"
+    if type(f) not in _PREC:
+        raise TypeError(f"not a formula node: {f!r}")
+    symbol, prec = _PREC[type(f)]
     if isinstance(f, Until):
         # right associative, so the left side needs parens at equal precedence
-        s = f"{_fmt(f.left, 4)} U {_fmt(f.right, 3)}"
-        return f"({s})" if parent_prec > 3 else s
-    if isinstance(f, And):
-        s = " & ".join(_fmt(c, 2) for c in f.children)
-        return f"({s})" if parent_prec > 2 else s
-    if isinstance(f, Or):
-        s = " | ".join(_fmt(c, 1) for c in f.children)
-        return f"({s})" if parent_prec > 1 else s
-    raise TypeError(f"not a formula node: {f!r}")
+        s = f"{_fmt(f.left, prec + 1)} U {_fmt(f.right, prec)}"
+    elif isinstance(f, (And, Or)):
+        s = f" {symbol} ".join(_fmt(c, prec) for c in f.children)
+    else:
+        s = f"{symbol} {_fmt(f.child, prec)}"
+    return f"({s})" if parent_prec > prec else s
 
 
 # ------------------------------------------------------------------

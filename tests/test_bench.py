@@ -112,6 +112,10 @@ def test_config_grids_are_validated(tmp_path, capsys):
         config.write_text(json.dumps(dict(BASE, **{key: value})))
         assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, (key, value)
         assert f"sweep config '{key}' must be" in capsys.readouterr().err, (key, value)
+    for value in ([BASE], "robots", 2, None):  # a config that is not an object
+        config.write_text(json.dumps(value))
+        assert main(["bench", "--config", str(config), "--csv", str(out)]) == 1, value
+        assert "sweep config must be a JSON object" in capsys.readouterr().err, value
     assert not out.exists()
     for key in ("ceiling", "max_realloc"):  # null: no ceiling, no limit on reallocations
         assert len(bench_sweep(dict(BASE, tasks=[1], seeds=[0], **{key: None}))) == 1, key

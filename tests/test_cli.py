@@ -6,6 +6,7 @@ import pytest
 
 from teamplan import product
 from teamplan.cli import main
+from teamplan.dfa import MAX_ATOMS
 from teamplan.ltl import load_mission
 from teamplan.mdp import BudgetExceeded, SolverError, load_model, max_product_reach, max_reach
 from teamplan.product import local_products
@@ -108,6 +109,16 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         assert main(["solve", "--models", str(model), "--mission", deep_task,
                      "--out", str(tmp_path / "s.json")]) == 1
         assert "nests deeper" in capsys.readouterr().err
+    # formulas over the automata's atom cap, as a formula, a mission task and a mission invariant
+    atoms = [f"a{k}" for k in range(MAX_ATOMS + 1)]
+    wide, invariant = f"F ({' & '.join(atoms)})", f"G ({' | '.join(atoms)})"
+    assert main(["compile", "--formula", wide, "--out", str(tmp_path / "d.json")]) == 1
+    assert f"has {MAX_ATOMS + 1} atoms" in capsys.readouterr().err
+    for tasks, safety in (([wide], None), (["F p1"], invariant)):
+        wide_mission = write_mission(tmp_path / "m4.json", tasks, safety)
+        assert main(["solve", "--models", str(model), "--mission", wide_mission,
+                     "--out", str(tmp_path / "s.json")]) == 1
+        assert f"has {MAX_ATOMS + 1} atoms" in capsys.readouterr().err
 
     # malformed mission files: a task or the safety formula not a string
     for k, data in enumerate([{"tasks": [5]}, {"tasks": ["F p1"], "safety": 3}]):

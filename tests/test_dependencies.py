@@ -88,3 +88,33 @@ def test_package_layering_is_acyclic():
         walk(module)
     assert len(done) >= 10
     assert graph["maps"] == {"ltl", "mdp"}
+
+
+def unread_private_names():
+    """(module, name) for every module-level private name of `teamplan` that
+    no source module reads, its own definition's body aside."""
+    trees = {f.stem: ast.parse(f.read_text()) for f in sorted(SRC.glob("*.py"))}
+    defined, read = set(), set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {top.name}
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            defined |= {(module, n) for n in names if n.startswith("_") and not n.startswith("__")}
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    read.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read |= {(node.module, a.name) for a in node.names}
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in trees:
+                    read.add((node.value.id, node.attr))
+    return defined - read
+
+
+def test_every_private_name_is_read():
+    assert not unread_private_names(), sorted(unread_private_names())

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from teamplan.dfa import CompileError, Dfa, canonical, compile_cosafe, compile_formula, compile_safe, minimize, progress
+from teamplan import dfa as dfa_module
+from teamplan.dfa import (MAX_ATOMS, CompileError, Dfa, canonical, compile_cosafe, compile_formula, compile_safe,
+                          minimize, progress)
 from teamplan.ltl import FALSE, TRUE, Atom, Eventually, Or, parse_formula
 
 from conformance import check_formula, family
@@ -250,3 +252,17 @@ def test_minimize_leaves_no_two_states_with_one_language():
                 seen |= fresh
                 stack.extend(fresh)
             assert seen == set(range(small.num_states)), f
+
+
+def test_compile_refuses_formulas_over_the_atom_cap(monkeypatch):
+    atoms = [f"a{k}" for k in range(MAX_ATOMS + 1)]
+    at_cap = compile_cosafe(parse_formula(f"F ({' | '.join(atoms[:MAX_ATOMS])})"))
+    assert len(at_cap.labels()) == 1 << MAX_ATOMS and at_cap.num_states == 2
+
+    def enumerate_labels(atoms):
+        raise AssertionError("labels enumerated past the atom cap")
+
+    monkeypatch.setattr(dfa_module, "_powerset", enumerate_labels)
+    for src in (f"F ({' & '.join(atoms)})", f"G ({' | '.join('!' + a for a in atoms)})"):
+        with pytest.raises(CompileError, match=f"has {MAX_ATOMS + 1} atoms, more than the {MAX_ATOMS}"):
+            compile_formula(parse_formula(src))
