@@ -5,15 +5,15 @@ jointly, and one shared automaton vector advances on the union of the
 robots' successor labels (`Automata.joint_label`). `MamdpModel` builds
 it with `mdp.Explorer`, whose places here are the tuples of the robots'
 reachable states: before exploring, one numpy pass builds every tuple's
-move table, the product of the robots' choices and then of their
-outcomes, and the explorer steps every state's vector through the
-automata's dense step table. The vector rules and the unpruned size
-come from `product.Automata`. Exponential in the team size, so
-construction is guarded by a state-count ceiling; within it, solving this
-model gives the unconstrained optimum that the sequential planner and the
-reallocation loop are measured against. A joint step keeps or lowers
-the vector's `Automata.ranks`, so `solve_mamdp` sweeps the states one
-rank at a time, lowest first.
+row of an `Arrays` move table, the product of the robots' choices and
+then of their outcomes, and the explorer steps every state's vector on
+each outcome through the automata's dense step table. The vector rules
+and the unpruned size come from `product.Automata`. Exponential in the
+team size, so construction is guarded by a state-count ceiling; within
+it, solving this model gives the unconstrained optimum that the
+sequential planner and the reallocation loop are measured against. A
+joint step keeps or lowers the vector's `Automata.ranks`, so
+`solve_mamdp` sweeps the states one rank at a time, lowest first.
 """
 
 import math
@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, Moves, _dense_number, _first_seen, _offsets, \
-    _ranges, _reachable, max_reach
+from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, _dense_number, _first_seen, _offsets, _ranges, \
+    _reachable, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
@@ -44,14 +44,15 @@ def _positions(codes, radix):
     return codes[:, None] // radix[:-1] % (radix[1:] // radix[:-1])
 
 
-class _JointMoves:
+class _JointPlaces:
     """The place side of the joint model's `Explorer`. A place is a tuple
     of robot states, each reachable from its robot's initial state, and
     is numbered in the mixed radix of the robots' reachable-state counts,
     robot 0 lowest, a robot's states in the order `_reachable` lists them:
-    place 0 is the start. `positions` holds every place's tuple and
-    `moves` every place's row. A place's label, the union of the robots',
-    is built once per tuple of each robot's first state with that label.
+    place 0 is the start. `positions` holds every place's tuple, `labels`
+    its label id and `moves` its row. A place's label, the union of the
+    robots', is built once per tuple of each robot's first state with
+    that label.
     Joint actions carry ids local to `moves`, numbering their codes in the
     mixed radix of the robots' distinct action names, idle first."""
 
@@ -78,10 +79,11 @@ class _JointMoves:
         full = np.cumprod([1] + [m.num_states for m in models])
         tuples, distinct = _first_seen(sum(c[self.positions[:, r]] * k for r, (c, k) in enumerate(zip(canon, full))))
         labels = np.array([automata.joint_label(models, pos) for pos in _positions(distinct, full).tolist()], np.int64)
+        self.labels = labels[tuples]
         digits = [np.zeros(m.num_states, np.int64) for m in models]  # a robot state's share of a place's number
         for d, r, k in zip(digits, reach, radix.tolist()):
             d[r] = np.arange(len(r)) * k
-        self.moves, self._codes = self._move_table(robots, digits, labels[tuples])
+        self.moves, self._codes = self._move_table(robots, digits)
 
     def named(self, arrays):
         """The joint action names, the robots' names joined by "|" and
@@ -93,11 +95,10 @@ class _JointMoves:
         at = np.array([index.setdefault("|".join(p), len(index)) for p in parts], np.int64)
         return tuple(index), arrays._replace(actions=at[ids])
 
-    def _move_table(self, robots, digits, labels):
-        """The `Moves` rows of every place, of label ids `labels`: every
-        joint choice, then every joint outcome of each, successor places
-        numbered per row in first-appearance order; and the joint action
-        codes by id."""
+    def _move_table(self, robots, digits):
+        """The `Arrays` rows of every place: every joint choice, then every
+        joint outcome of each, to its successor place; and the joint
+        action codes by id."""
         size = len(self.positions)
         place, chosen = np.arange(size), []
         parts = np.zeros(size, np.int64)  # the joint action's per-robot parts, coded
@@ -114,12 +115,9 @@ class _JointMoves:
             o = _ranges(t.out_start, c)
             owner, probs, succ = np.repeat(owner, n), np.repeat(probs, n) * t.probs[o], \
                 np.repeat(succ, n) + digits[r][t.targets[o]]
-        rank, distinct = _first_seen(place[owner] * size + succ)
-        succ_start = _offsets(np.bincount(distinct // size, minlength=size))
         actions, codes = _first_seen(parts)
-        return Moves(_offsets(np.bincount(place, minlength=size)), actions,
-                     _offsets(np.bincount(owner, minlength=len(place))), rank - succ_start[place[owner]], probs,
-                     succ_start, distinct % size, labels[distinct % size]), codes
+        return Arrays(_offsets(np.bincount(place, minlength=size)), actions,
+                      _offsets(np.bincount(owner, minlength=len(place))), succ, probs), codes
 
 
 class MamdpModel:
@@ -140,8 +138,8 @@ class MamdpModel:
         if ceiling is not None and bound > ceiling:
             raise CeilingExceeded(bound, ceiling)
         # the build's tables live in `joint` and `explorer`, both dropped here
-        joint = _JointMoves(models, automata)
-        explorer = Explorer(automata, joint.moves)
+        joint = _JointPlaces(models, automata)
+        explorer = Explorer(automata, joint.moves, joint.labels)
         explorer.explore(0, automata.start(models, tuple(m.initial for m in models)))
         self.mdp = Mdp(len(explorer.places), 0, *joint.named(explorer.arrays))
         self._positions, self._vectors = joint.positions[explorer.places], explorer.vectors

@@ -285,7 +285,8 @@ def _fmt(f: Formula, parent_prec: int) -> str:
         # right associative, so the left side needs parens at equal precedence
         s = f"{_fmt(f.left, prec + 1)} U {_fmt(f.right, prec)}"
     elif isinstance(f, (And, Or)):
-        s = f" {symbol} ".join(_fmt(c, prec) for c in f.children)
+        # the parser merges a chain of one operator, so a nested one needs parens
+        s = f" {symbol} ".join(_fmt(c, prec + 1) for c in f.children)
     else:
         s = f"{symbol} {_fmt(f.child, prec)}"
     return f"({s})" if parent_prec > prec else s

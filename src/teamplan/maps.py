@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ltl import Mission, parse_formula
-from .mdp import Arrays, Mdp, _offsets
+from .mdp import Arrays, Mdp, _frontier, _offsets
 
 HAZARD_ATOM = "h"
 
@@ -56,18 +56,6 @@ def grid_edges(nodes):
         if i + cols < nodes:
             edges.append((i, i + cols))
     return tuple(edges)
-
-
-def _connected(nodes, adj):
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == nodes
 
 
 def _placements(spec):
@@ -127,7 +115,9 @@ def gen_map(spec):
             raise MapError(f"self-loop edge at node {u}")
         adj[u].add(v)
         adj[v].add(u)
-    if not _connected(n, adj):
+    degree = [len(a) for a in adj]
+    moves = np.array([v for a in adj for v in sorted(a)], np.int64)  # action go{v} moves to v
+    if 1 + sum(len(layer) for _, layer in _frontier((_offsets(degree), moves), np.arange(n) == 0)) < n:
         raise MapError("map graph is disconnected")
     failure_nodes, task_nodes, hazard_nodes = _placements(spec)
     for v in set(failure_nodes) | set(task_nodes) | set(hazard_nodes):
@@ -138,8 +128,6 @@ def gen_map(spec):
 
     # the designated failure state only exists when something can reach it
     fail = n if failure_nodes else None
-    degree = [len(a) for a in adj]
-    moves = np.array([v for a in adj for v in sorted(a)], np.int64)  # action go{v} moves to v
     risky = np.repeat([u in failure_nodes for u in range(n)], degree)
     out_start = _offsets(1 + risky)
     targets = np.full(out_start[-1], n, np.int32)  # a risky move's second outcome: the failure state

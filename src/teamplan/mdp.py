@@ -2,12 +2,13 @@
 
 `Explorer`, the one reachable-state explorer, builds the local products
 and the joint baseline one breadth-first layer per numpy pass, from one
-CSR move table (`Moves`, a row per place, built before exploring) and
-the dense automaton tables of `product.Automata`, into the CSR `Arrays`
-of an `Mdp`, numbering states in a dense table (`Explorer`). The team
-model fills its arrays from the products', and `model_from_dict` and
-`maps.gen_map` write theirs directly. `Mdp.choices`, `Choice` rows read
-off the arrays, is a view no module here reads.
+move table (an `Arrays` with a row per place and places for targets,
+built before exploring) and the dense automaton tables of
+`product.Automata`, into the CSR `Arrays` of an `Mdp`, numbering states
+in a dense table (`Explorer`). The team model fills its arrays from the
+products', and `model_from_dict` and `maps.gen_map` write theirs
+directly. `Mdp.choices`, `Choice` rows read off the arrays, is a view no
+module here reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -151,13 +152,6 @@ class BudgetExceeded(RuntimeError):
     """A model outgrew its state budget."""
 
 
-# The move tables of an explorer's places, CSR by row: row r has choices k in range(choice_start[r],
-# choice_start[r + 1]), choice k takes actions[k] to the row's successor local[o] with probs[o] for o in
-# range(out_start[k], out_start[k + 1]), and the row's distinct successor places are succ[j], of label ids
-# labels[j], for j in range(succ_start[r], succ_start[r + 1]).
-Moves = namedtuple("Moves", ["choice_start", "actions", "out_start", "local", "probs", "succ_start", "succ", "labels"])
-
-
 def _first_seen(keys):
     """Per key, the rank of its value among the distinct `keys` in order of
     first occurrence, and those distinct keys in that order (a stable
@@ -202,8 +196,10 @@ class Explorer:
     """Append-only breadth-first explorer of (place, automaton vector id)
     states, shared by every model builder: one numpy pass per layer.
 
-    A place is where the robots stand and numbers its row of the one
-    `Moves` table `moves`; `automata.step` steps vector ids. A table
+    A place is where the robots stand: it numbers its row of the move
+    table `moves`, an `Arrays` whose targets are places, and its label id
+    in `labels`. `automata.step` steps the vector ids of a layer's
+    non-violating states on every outcome of their rows. A table
     `ids[vector id, place]`, doubling an axis a state passes (at most
     4 * vectors * places entries), numbers a layer's new successors
     after every known state in row order of first occurrence, unsorted:
@@ -215,8 +211,9 @@ class Explorer:
     states of the call and raises `BudgetExceeded`.
     """
 
-    def __init__(self, automata, moves, budget=None):
-        self.automata, self.moves, self.budget = automata, moves, budget
+    def __init__(self, automata, moves, labels, budget=None):
+        self.automata, self.moves, self.labels, self.budget = automata, moves, labels, budget
+        self._outs = moves.out_start[moves.row_start]  # the outcomes of place p: range(_outs[p], _outs[p + 1])
         self.places = self.vectors = np.zeros(0, np.int64)
         self.arrays, self._ids = None, np.full((0, 0), -1, np.int32)
 
@@ -226,7 +223,7 @@ class Explorer:
         if vector < self._ids.shape[0] and place < self._ids.shape[1] and self._ids[vector, place] >= 0:
             return int(self._ids[vector, place])  # every known state is expanded
         old = n = len(self.places)
-        nxt, succ, layers, succs, found = np.array([vector]), np.array([place]), [], [], []
+        nxt, succ, layers, found = np.array([vector]), np.array([place]), [], []
         while True:  # number the states nxt, succ; expand the new ones
             self._ids = _grow(self._ids, (int(nxt.max(initial=-1)) + 1, int(succ.max(initial=-1)) + 1))
             ids, new = _dense_number(self._ids.reshape(-1), nxt * self._ids.shape[1] + succ, n)
@@ -240,22 +237,22 @@ class Explorer:
                 break
             layers.append((v, p))
             n += len(v)
-            m, live = self.moves, self.automata.classes_of(v) != AVOID
-            succs.append(np.where(live, m.succ_start[p + 1] - m.succ_start[p], 0))
-            j = _ranges(m.succ_start, p[live])
-            nxt, succ = self.automata.step(np.repeat(v[live], succs[-1][live]), m.labels[j]), m.succ[j]
+            live = self.automata.classes_of(v) != AVOID
+            v, p = v[live], p[live]
+            succ = self.moves.targets[_ranges(self._outs, p)]
+            nxt = self.automata.step(np.repeat(v, self._outs[p + 1] - self._outs[p]), self.labels[succ])
         vectors, places = (np.concatenate(c) for c in zip(*layers))
         self.places, self.vectors = np.append(self.places, places), np.append(self.vectors, vectors)
-        new = self._rows(old, np.concatenate(succs), np.concatenate(found[1:]))
+        new = self._rows(old, np.concatenate(found[1:]))
         self.arrays = new if self.arrays is None else _concat((self.arrays, new))
         return old
 
-    def _rows(self, lo, succs, found):
-        """The `Arrays` of states lo.. given each one's successor count (0
-        for a self-looping state) and the states of their successors."""
+    def _rows(self, lo, found):
+        """The `Arrays` of states lo.. given the states of the outcomes of
+        the non-violating ones, in order."""
         m, p = self.moves, self.places[lo:]
-        choices = m.choice_start[p + 1] - m.choice_start[p]
-        c = _ranges(m.choice_start, p)
+        choices = m.row_start[p + 1] - m.row_start[p]
+        c = _ranges(m.row_start, p)
         loop = np.repeat(self.automata.classes_of(self.vectors[lo:]) == AVOID, choices)
         counts = m.out_start[c + 1] - m.out_start[c]
         counts[loop] = 1
@@ -263,8 +260,7 @@ class Explorer:
         looped = np.repeat(loop, counts)
         targets = np.empty(len(looped), np.int32)
         targets[looped] = np.repeat(np.arange(lo, len(self.places)), choices)[loop]
-        first = np.repeat(np.repeat(_offsets(succs)[:-1], choices)[~loop], counts[~loop])  # of each row's successors
-        targets[~looped] = found[first + m.local[o]]
+        targets[~looped] = found
         probs = np.ones(len(targets))
         probs[~looped] = m.probs[o]
         return Arrays(_offsets(choices), m.actions[c], _offsets(counts), targets, probs)
@@ -382,7 +378,9 @@ def model_from_dict(data: dict) -> Mdp:
                 raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
             outcomes += map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes"))
             cost = t.get("cost")
-            costs.append(np.nan if cost is None else _number(cost, "malformed model: cost"))
+            if cost is not None and not np.isfinite(_number(cost, "malformed model: cost")):
+                raise ValueError(f"malformed model: cost {cost!r} is not a finite number")  # NaN would read as none
+            costs.append(np.nan if cost is None else float(cost))
             table.append((source, action_index[t["action"]], len(t["outcomes"])))
         labels = {}
         for key, l in _typed(data.get("labels", {}), dict, "malformed model: labels").items():

@@ -11,10 +11,11 @@ at the start is immediately accepting.
 `Automata` numbers vectors and labels; modules pass a vector as its id,
 and tuples enter only by `vector_id` and leave by `vectors`. Ids step
 through one dense (vector id, label id) table. Few distinct pairs occur
-(about 2,800 in 38,000 steps over a 15,000-state team's products); each
-layer of an exploration steps each distinct miss once, in one batch from
-per-DFA dense tables over (state, label code). The starts and the joint
-chain `advance` one id at a time on a `joint_label`.
+(about 2,800 in 38,000 steps, one per outcome, over a 15,000-state
+team's products); each layer of an exploration steps each distinct miss
+once, in one batch from per-DFA dense tables over (state, label code).
+The starts and the joint chain `advance` one id at a time on a
+`joint_label`.
 
 `ProductMdp` is the only model builder that applies the advance to a
 robot's moves, exploring with `mdp.Explorer`; the team model reads its
@@ -30,7 +31,7 @@ from itertools import count
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, Moves, _dense_number, _first_seen, _grow, _offsets, _reachable
+from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, _dense_number, _grow, _reachable
 
 MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
 
@@ -204,10 +205,9 @@ class ProductMdp:
     robot's moves. Safety-violating product states keep their action names
     but turn into self-loops: nothing that happens after a violation can
     matter, and the collapse keeps the trap region from multiplying out the
-    map. The explorer's one `Moves` table has a row per map state, its
-    choices with each distinct successor numbered once, in first-appearance
-    order, and every product state there takes that row; no costs carry
-    over.
+    map. The explorer's move table is the robot model's own `arrays`, a
+    row per map state, and every product state there takes that row; no
+    costs carry over.
 
     Per state, `arrays` holds its row and the numpy columns `map_states`,
     `vector_ids` (ids into `automata.vectors`) and `classes` (TARGET,
@@ -222,15 +222,8 @@ class ProductMdp:
 
     def __init__(self, source, mission, automata):
         self.source, self.mission, self.automata = source, mission, automata
-        n = source.num_states
-        row_start, actions, out_start, targets, probs = source.arrays
-        owner = np.repeat(np.arange(n), np.diff(out_start[row_start]))
-        rank, succ = _first_seen(owner * n + targets)  # each map state's distinct successors, in order
-        succ_start = _offsets(np.bincount(succ // n, minlength=n))
-        labels = np.array([automata.label_id(source.label(t)) for t in range(n)], np.int64)
-        moves = Moves(row_start, actions.astype(np.int64), out_start, rank - succ_start[owner], probs, succ_start,
-                      succ % n, labels[succ % n])
-        self._explorer = Explorer(automata, moves, MAX_STATES)
+        labels = np.array([automata.label_id(source.label(t)) for t in range(source.num_states)], np.int64)
+        self._explorer = Explorer(automata, source.arrays, labels, MAX_STATES)
         self.classes = np.zeros(0, np.uint8)
         self._closures = {}
         self.explore(source.initial, automata.start([source], [source.initial]))

@@ -131,13 +131,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     # malformed model files: a successor or the initial state out of range,
     # outcome probabilities that do not sum to 1, fields of the wrong type,
     # labels on a state outside the model or with an undeclared atom, a
-    # missing key and a label key that is not an integer
+    # missing key, a label key that is not an integer and a NaN or infinite
+    # cost
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
                  "--out", str(model)]) == 0
     good = model.read_text()
     (far_successor, huge_successor, far_initial, short_sum, float_successor, text_cost, text_states,
      int_trans, int_outcomes, list_labels, int_actions, int_transition, int_outcome, far_label, unknown_atom,
-     no_outcomes, text_label_key) = (json.loads(good) for _ in range(17))
+     no_outcomes, text_label_key, nan_cost, inf_cost) = (json.loads(good) for _ in range(19))
     far_successor["trans"][0]["outcomes"][0]["to"] = 99
     huge_successor["trans"][0]["outcomes"][0]["to"] = 10**12  # beyond int32
     far_initial["initial"] = 50
@@ -155,10 +156,13 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     unknown_atom["labels"]["0"] = ["zz"]
     del no_outcomes["trans"][0]["outcomes"]
     text_label_key["labels"]["x"] = ["p1"]
+    nan_cost["trans"][0]["cost"] = float("nan")  # written as NaN, which json reads back
+    inf_cost["trans"][0]["cost"] = float("inf")  # written as Infinity
     top_array = [json.loads(good)]
     for k, data in enumerate([far_successor, huge_successor, far_initial, short_sum, float_successor, text_cost,
                               text_states, int_trans, int_outcomes, list_labels, int_actions, int_transition,
-                              int_outcome, top_array, far_label, unknown_atom, no_outcomes, text_label_key]):
+                              int_outcome, top_array, far_label, unknown_atom, no_outcomes, text_label_key,
+                              nan_cost, inf_cost]):
         broken = tmp_path / f"model{k}.json"
         broken.write_text(json.dumps(data))
         for cmd in (["solve", "--out", str(tmp_path / "s.json")],

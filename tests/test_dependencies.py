@@ -118,3 +118,22 @@ def unread_private_names():
 
 def test_every_private_name_is_read():
     assert not unread_private_names(), sorted(unread_private_names())
+
+
+def unread_imports():
+    """(module, name) for every name a `teamplan` module imports and never
+    reads; the package `__init__` only re-exports, so it is left out."""
+    found = set()
+    for f in sorted(SRC.glob("*.py")):
+        if f.stem == "__init__":
+            continue
+        tree = ast.parse(f.read_text())
+        bound = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {(f.stem, name) for name in bound - read}
+    return found
+
+
+def test_every_import_is_read():
+    assert not unread_imports(), sorted(unread_imports())

@@ -298,32 +298,34 @@ def reachable_count(model):
 
 def test_joint_moves_are_built_before_exploring(monkeypatch):
     """On the joint-baseline recipe the joint model hands `Explorer` one
-    `Moves` table, a row per tuple of robot-reachable states, and builds
-    no move table once exploring has started."""
+    `Arrays` move table, a row per tuple of robot-reachable states, and
+    builds no move table once exploring has started."""
     spec, _, joint_tasks, _, _ = RECIPES["joint-baseline"]
     model, full = gen_map(spec), map_mission(spec)
-    events, given, explore = [], [], mdp.Explorer.explore
+    events, tables, given, explore = [], [], [], mdp.Explorer.explore
+    move_table = baseline._JointPlaces._move_table
 
-    class Recorded(mdp.Moves):
-        def __new__(cls, *columns):
-            events.append("table")
-            return mdp.Moves(*columns)
+    def recording_move_table(self, *args):
+        table, codes = move_table(self, *args)
+        events.append("table")
+        tables.append(table)
+        return table, codes
 
-    def recording_explorer(automata, moves, *budget):
+    def recording_explorer(automata, moves, labels, *budget):
         given.append(moves)
-        return mdp.Explorer(automata, moves, *budget)
+        return mdp.Explorer(automata, moves, labels, *budget)
 
     def recording_explore(self, place, vector):
         events.append("explore")
         return explore(self, place, vector)
 
-    monkeypatch.setattr(baseline, "Moves", Recorded)
+    monkeypatch.setattr(baseline._JointPlaces, "_move_table", recording_move_table)
     monkeypatch.setattr(baseline, "Explorer", recording_explorer)
     monkeypatch.setattr(mdp.Explorer, "explore", recording_explore)
     build_mamdp([model, model], Mission(tasks=full.tasks[:joint_tasks], safety=full.safety))
     (moves,) = given
-    assert type(moves) is mdp.Moves
-    assert len(moves.choice_start) - 1 == reachable_count(model) ** 2 == 961
+    assert type(moves) is mdp.Arrays and tables == [moves]
+    assert len(moves.row_start) - 1 == reachable_count(model) ** 2 == 961
     assert events == ["table", "explore"]
 
 

@@ -138,22 +138,10 @@ def test_nesting_limit(kind):
         parse_formula(NESTINGS[kind](MAX_NESTING + 1))
 
 
-def _flat(f):
-    """`f` with every chain of one operator nested in another merged into it, as the parser builds it."""
-    if isinstance(f, (And, Or)):
-        parts = [g for c in map(_flat, f.children) for g in (c.children if type(c) is type(f) else (c,))]
-        return type(f)(tuple(parts))
-    if isinstance(f, Until):
-        return Until(_flat(f.left), _flat(f.right))
-    if isinstance(f, (Next, Eventually, Always)):
-        return type(f)(_flat(f.child))
-    return f
-
-
 def test_format_round_trip():
-    sources = ["F p1", "G !p", "p U (q & X r)", "a | b & c", "a U b U c", "(a | b) & c", "F (p & q) | true"]
-    # the families nest chains like And((And((p, q)), r)), which print flat as `p & q & r`
-    for f in [parse_formula(src) for src in sources] + [_flat(f) for kind in ("cosafe", "safe") for f in family(kind)]:
+    sources = ["F p1", "G !p", "p U (q & X r)", "a | b & c", "a U b U c", "(a | b) & c", "F (p & q) | true",
+               "(p & p) & q", "(a | b) | c"]
+    for f in [parse_formula(src) for src in sources] + [f for kind in ("cosafe", "safe") for f in family(kind)]:
         assert parse_formula(format_formula(f)) == f
 
 

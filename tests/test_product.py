@@ -50,6 +50,7 @@ def test_corridor_value_passes_through():
         3: [],
     }, atoms=("goal",), labels={2: {"goal"}}, failure_state=3)
     pm = local_product(m, mission("F goal"))
+    assert pm._explorer.moves is m.arrays  # the explorer walks the robot model's rows, not a copy
     res = max_reach(pm.mdp, pm.accepting, pm.violating)
     assert res.values[0] == pytest.approx(0.9, abs=1e-9)
 

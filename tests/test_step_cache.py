@@ -109,8 +109,10 @@ def test_array_build_equals_reference_on_wider_teams():
 
 def test_each_missed_pair_is_stepped_once(monkeypatch):
     """On the joint-baseline recipe's joint model, `step` numbers one
-    vector per distinct missed (vector id, label id) pair, 88 of 8,147
-    misses, and numbers the vectors in the order a step per miss does."""
+    vector per distinct missed (vector id, label id) pair, 88 of 10,057
+    misses (the explorer steps every outcome of a layer, repeated
+    successors too), and numbers the vectors in the order a step per miss
+    does."""
     spec, _, joint_tasks, _, _ = RECIPES["joint-baseline"]
     model, full = gen_map(spec), map_mission(spec)
     mission = Mission(tasks=full.tasks[:joint_tasks], safety=full.safety)
@@ -132,7 +134,7 @@ def test_each_missed_pair_is_stepped_once(monkeypatch):
     monkeypatch.setattr(Automata, "step", recording_step)
     monkeypatch.setattr(Automata, "vector_id", recording_vector_id)
     mm = build_mamdp([model, model], mission)
-    assert (len(misses), len(set(misses)), len(stepped)) == (8147, 88, 88)
+    assert (len(misses), len(set(misses)), len(stepped)) == (10057, 88, 88)
 
     def per_miss_step(self, vids, lids):
         """Every miss stepped on its own, component by component."""
