@@ -15,7 +15,6 @@ import logging
 import math
 import statistics
 import time
-from dataclasses import dataclass
 
 from .baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from .maps import MapSpec, gen_map, map_mission
@@ -31,21 +30,22 @@ COLUMNS = ("robots", "tasks", "failpoints", "seed", "team_states", "team_trans",
 DEFAULT_CEILING = 60_000
 
 
-@dataclass
 class BenchRow:
-    robots: int
-    tasks: int
-    failpoints: int
-    seed: int
-    team_states: int
-    team_trans: int
-    stapu_ms: float
-    reallocations: int
-    guarantee: float
-    mamdp_states: int | None = None
-    mamdp_trans: int | None = None
-    mamdp_ms: float | None = None
-    mamdp_value: float | None = None
+    def __init__(self, robots, tasks, failpoints, seed, team_states, team_trans, stapu_ms, reallocations, guarantee,
+                 mamdp_states=None, mamdp_trans=None, mamdp_ms=None, mamdp_value=None):
+        self.robots = robots
+        self.tasks = tasks
+        self.failpoints = failpoints
+        self.seed = seed
+        self.team_states = team_states
+        self.team_trans = team_trans
+        self.stapu_ms = stapu_ms
+        self.reallocations = reallocations
+        self.guarantee = guarantee
+        self.mamdp_states = mamdp_states
+        self.mamdp_trans = mamdp_trans
+        self.mamdp_ms = mamdp_ms
+        self.mamdp_value = mamdp_value
 
     def csv_values(self):
         """Each column as text: empty for None, `_ms` columns to the

@@ -176,7 +176,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="roll a saved joint policy out")
     p.add_argument("--policy", required=True)
     p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("genmap", help="generate a seeded benchmark map model")
@@ -184,7 +184,7 @@ def build_parser():
     p.add_argument("--failpoints", type=int, default=5)
     p.add_argument("--pfail", type=float, default=0.1)
     p.add_argument("--tasks", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_genmap)
 

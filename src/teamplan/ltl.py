@@ -10,65 +10,105 @@ the one table of operator symbols and print precedences.
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 
-class Formula:
-    """Base class for formula nodes; all nodes are frozen and hashable."""
+class _Frozen:
+    """Immutable record of the fields its subclass names in `__slots__`.
+
+    A subclass's `__slots__` become its `_fields` and `__match_args__`, and
+    `_key`, an `operator.attrgetter`, reads them as one tuple. Records are
+    equal when they are of one class with equal fields, and hash as the
+    tuple of their fields. They build positionally or by keyword, a field
+    left out taking its value in `_defaults`.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = fields = cls.__dict__["__slots__"]
+        if len(fields) > 1:
+            cls._key = staticmethod(attrgetter(*fields))
+        elif fields:
+            cls._key = staticmethod(lambda record, get=attrgetter(*fields): (get(record),))
+        else:
+            cls._key = staticmethod(lambda record: ())
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call, in field order."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        missing = [field for field in fields if field not in values and field not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return [values[field] if field in values else cls._defaults[field] for field in fields]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __reduce__(self):
+        # slots and a refusing __setattr__ leave pickle and copy no other way
+        return type(self), self._key(self)
 
 
-@dataclass(frozen=True)
-class TrueConst(Formula):
-    pass
+class Formula(_Frozen):
+    """Base class of the formula nodes; all nodes are frozen and hashable.
+
+    `_node(name, *fields)` makes each node class, a `_Frozen` record of the
+    fields: `Until(left, right)` equals `Until(left=left, right=right)`,
+    hashes as `(left, right)` and prints as that keyword call.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FalseConst(Formula):
-    pass
+def _node(name, *fields):
+    """The formula node class `name` with these fields."""
+    return type(name, (Formula,), {"__slots__": fields})
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class NotAtom(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    children: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    children: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Eventually(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Always(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
-
+TrueConst = _node("TrueConst")
+FalseConst = _node("FalseConst")
+Atom = _node("Atom", "name")
+NotAtom = _node("NotAtom", "name")
+And = _node("And", "children")
+Or = _node("Or", "children")
+Next = _node("Next", "child")
+Eventually = _node("Eventually", "child")
+Always = _node("Always", "child")
+Until = _node("Until", "left", "right")
 
 TRUE = TrueConst()
 FALSE = FalseConst()
@@ -295,12 +335,11 @@ def _fmt(f: Formula, parent_prec: int) -> str:
 # ------------------------------------------------------------------
 # missions
 
-@dataclass(frozen=True)
-class Mission:
+class Mission(_Frozen):
     """One or more reachability tasks plus an optional shared invariant."""
 
-    tasks: tuple[Formula, ...]
-    safety: Formula | None = None
+    __slots__ = ("tasks", "safety")
+    _defaults = {"safety": None}
 
     @property
     def atoms(self) -> frozenset[str]:

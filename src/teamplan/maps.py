@@ -9,11 +9,10 @@ points and atoms is seeded: the same spec always yields the same model.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ltl import Mission, parse_formula
+from .ltl import Mission, _Frozen, parse_formula
 from .mdp import Arrays, Mdp, _frontier, _offsets
 
 HAZARD_ATOM = "h"
@@ -23,8 +22,7 @@ class MapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(_Frozen):
     """Parameters of one benchmark map.
 
     Counts drive seeded placement; the explicit fields override sampling
@@ -33,16 +31,9 @@ class MapSpec:
     "h" so one invariant like "G !h" covers them.
     """
 
-    nodes: int = 30
-    failpoints: int = 5
-    pfail: float = 0.1
-    tasks: int = 3
-    hazards: int = 0
-    seed: int = 0
-    edges: tuple = None
-    failure_nodes: tuple = None
-    task_nodes: tuple = None
-    hazard_nodes: tuple = None
+    _defaults = {"nodes": 30, "failpoints": 5, "pfail": 0.1, "tasks": 3, "hazards": 0, "seed": 0,
+                 "edges": None, "failure_nodes": None, "task_nodes": None, "hazard_nodes": None}
+    __slots__ = tuple(_defaults)
 
 
 def grid_edges(nodes):

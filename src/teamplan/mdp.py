@@ -37,8 +37,7 @@ non-avoid states (`max_reach`) or of the live edges
 
 import json
 from collections import namedtuple
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -462,17 +461,19 @@ class Policy(Mapping):
         return int(np.count_nonzero(self.actions >= 0))
 
 
-@dataclass
 class ReachResult:
     """Values and sweeps of a solve. The sets of states of value 1 and 0,
-    given as masks, and the policy are built on first read. `iterations`
-    counts the sweeps of value iteration, summed over the blocks of a
-    blocked `max_reach`; 0 for `max_product_reach`."""
-    values: list[float]
-    iterations: int
-    sure_mask: np.ndarray = field(repr=False, compare=False)
-    zero_mask: np.ndarray = field(repr=False, compare=False)
-    read_policy: Callable[[], Policy] = field(repr=False, compare=False)
+    given as masks, and the policy, read by calling `read_policy`, are
+    built on first read. `iterations` counts the sweeps of value
+    iteration, summed over the blocks of a blocked `max_reach`; 0 for
+    `max_product_reach`."""
+
+    def __init__(self, values, iterations, sure_mask, zero_mask, read_policy):
+        self.values = values
+        self.iterations = iterations
+        self.sure_mask = sure_mask
+        self.zero_mask = zero_mask
+        self.read_policy = read_policy
 
     @cached_property
     def almost_sure(self) -> frozenset[int]:

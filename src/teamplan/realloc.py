@@ -30,7 +30,6 @@ costs the new chain plus the pending points; `mission_masses`,
 
 import itertools
 import time
-from dataclasses import asdict, dataclass, field
 
 from .mdp import AVOID, PROB_ATOL, TARGET, _integer, _typed
 from .product import local_products
@@ -53,18 +52,18 @@ class UnsupportedModelError(ValueError):
     """Inputs outside the deterministic-or-fail class the executor covers."""
 
 
-@dataclass
 class JointNode:
-    t: int
-    positions: tuple
-    statuses: tuple
-    q: tuple
-    kind: str
-    actions: tuple | None = None
-    steps: list = field(default_factory=list)
-    fresh: tuple = ()
-    mass: float = 0.0
-    child: object = None
+    def __init__(self, t, positions, statuses, q, kind, actions=None, steps=None, fresh=(), mass=0.0, child=None):
+        self.t = t
+        self.positions = positions
+        self.statuses = statuses
+        self.q = q
+        self.kind = kind
+        self.actions = actions
+        self.steps = [] if steps is None else steps
+        self.fresh = fresh
+        self.mass = mass
+        self.child = child
 
     def to_dict(self, chain_index):
         out = {"t": self.t, "positions": list(self.positions), "statuses": list(self.statuses), "q": list(self.q),
@@ -101,17 +100,17 @@ class JointChain:
                 self.failure_mass += nd.mass
 
 
-@dataclass
 class ReallocPoint:
     """A joint state some robot just failed in, node `node_index` of
     `chain`, reached with absolute probability `prob`. `addressed` is set
     once a replan is assigned to it."""
 
-    chain: JointChain
-    node_index: int
-    robot: int
-    prob: float
-    addressed: bool = False
+    def __init__(self, chain, node_index, robot, prob, addressed=False):
+        self.chain = chain
+        self.node_index = node_index
+        self.robot = robot
+        self.prob = prob
+        self.addressed = addressed
 
     @property
     def node(self):
@@ -298,19 +297,21 @@ def solve_realloc(point, products, epsilon=1e-6):
     return sol
 
 
-@dataclass
 class GuaranteeReport:
-    value: float
-    initial_value: float
-    reallocations: int
-    solves: int
-    unaddressed: float
-    failure: float
-    wall_ms: float
-    log: list
+    def __init__(self, value, initial_value, reallocations, solves, unaddressed, failure, wall_ms, log):
+        self.value = value
+        self.initial_value = initial_value
+        self.reallocations = reallocations
+        self.solves = solves
+        self.unaddressed = unaddressed
+        self.failure = failure
+        self.wall_ms = wall_ms
+        self.log = log  # a `_log_entry` dict for the initial plan and for each reallocation
 
     def to_dict(self):
-        return asdict(self)
+        return {"value": self.value, "initial_value": self.initial_value, "reallocations": self.reallocations,
+                "solves": self.solves, "unaddressed": self.unaddressed, "failure": self.failure,
+                "wall_ms": self.wall_ms, "log": [dict(entry) for entry in self.log]}
 
 
 def _log_entry(jp, reallocations, point_prob, new_value, t0):

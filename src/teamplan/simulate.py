@@ -19,7 +19,6 @@ every call, since grafting changes the tree.
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,14 +29,14 @@ from .realloc import POINT, STEP, SUCCESS
 WIN, LOSS, CROSS = -1, -2, -3
 
 
-@dataclass
 class SimReport:
-    runs: int
-    successes: int
-    frequency: float
-    stderr: float
-    triggers: dict = field(default_factory=dict)  # "chain:node" -> trigger frequency
-    mean_triggers: float = 0.0
+    def __init__(self, runs, successes, frequency, stderr, triggers=None, mean_triggers=0.0):
+        self.runs = runs
+        self.successes = successes
+        self.frequency = frequency
+        self.stderr = stderr
+        self.triggers = {} if triggers is None else triggers  # "chain:node" -> trigger frequency
+        self.mean_triggers = mean_triggers
 
     def to_dict(self):
         return {

@@ -29,8 +29,6 @@ per robot, which `solve_stapu` records as `StapuSolution.programs`, the
 step lists `realloc.synchronize` executes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mdp import AVOID, TARGET, Arrays, Mdp, _absorbing, _ranges, max_product_reach, max_reach
@@ -194,7 +192,6 @@ def build_team(products, entries=None, start_robot=0, start_q=None, failed=()):
     return TeamMdp(products, entries, start_robot, start_q, failed)
 
 
-@dataclass
 class StapuSolution:
     """A solved team model and the plan its policy implies.
 
@@ -205,13 +202,14 @@ class StapuSolution:
     plan for the solution file.
     """
 
-    team: TeamMdp
-    value: float
-    allocation: dict[int, int]
-    unallocated: tuple[int, ...]
-    segments: list[dict]
-    switches: list[dict]
-    programs: list[list[tuple]]
+    def __init__(self, team, value, allocation, unallocated, segments, switches, programs):
+        self.team = team
+        self.value = value
+        self.allocation = allocation  # task -> robot
+        self.unallocated = unallocated
+        self.segments = segments
+        self.switches = switches
+        self.programs = programs
 
     def to_dict(self):
         return {

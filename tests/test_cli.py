@@ -100,6 +100,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(["genmap", "--nodes", "30", flag, "-1", "--out", str(model)]) == 1, flag
         assert f"{flag[2:]} must not be negative" in capsys.readouterr().err, flag
+    # a negative seed is refused by the argument parser, which names the flag
+    policy = tmp_path / "policy.json"
+    assert main(["realloc", "--models", str(model), "--mission", mission, "--out", str(policy)]) == 0
+    for argv, seed in ((["genmap", "--nodes", "5", "--tasks", "1", "--out", str(model)], "-3"),
+                       (["simulate", "--policy", str(policy), "--runs", "10"], "-1")):
+        capsys.readouterr()
+        assert main(argv + ["--seed", seed]) == 1, argv[0]
+        assert f"argument --seed: '{seed}' is not a non-negative integer" in capsys.readouterr().err, argv[0]
     invariant_as_task = write_mission(tmp_path / "m2.json", ["G !p1"])
     assert main(["solve", "--models", str(model), "--mission", invariant_as_task,
                  "--out", str(tmp_path / "s.json")]) == 1

@@ -26,6 +26,14 @@ def test_sources_import_only_stdlib_and_numpy():
     assert not outside, sorted(outside)
 
 
+def test_sources_import_no_dataclasses():
+    """A dataclass generates and runs the code of its methods when its
+    module is imported, which every fresh import of the package pays for."""
+    found = sorted(f.stem for f in SRC.glob("*.py")
+                   if "dataclasses" in imported_modules(ast.parse(f.read_text())))
+    assert not found, found
+
+
 # each of these imports numpy.ma on its first call (numpy 2.4), which adds
 # 1.5-1.9 MB of peak RSS; np.isin and np.bincount do not
 MA_IMPORTERS = {"unique", "union1d", "intersect1d", "setdiff1d"}

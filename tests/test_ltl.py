@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from teamplan.dfa import compile_formula, minimize
@@ -6,6 +9,8 @@ from teamplan.ltl import (
     Atom,
     Eventually,
     Always,
+    FALSE,
+    Formula,
     FormulaClass,
     Mission,
     MissionError,
@@ -15,6 +20,8 @@ from teamplan.ltl import (
     ParseError,
     TRUE,
     MAX_NESTING,
+    TrueConst,
+    FalseConst,
     Until,
     atoms_of,
     classify,
@@ -208,7 +215,83 @@ def test_bad_prefix_rejects_reachability_fragment():
         is_bad_prefix(parse_formula("F p"), [])
 
 
+# the node contract: what the parser, the passes and callers may rely on
+
+P, Q = Atom("p"), NotAtom("q")
+# each node class with a sample of its fields, in field order
+NODES = [(TrueConst, {}), (FalseConst, {}), (Atom, {"name": "p"}), (NotAtom, {"name": "p"}),
+         (And, {"children": (P, Q)}), (Or, {"children": (P, TRUE)}), (Next, {"child": P}),
+         (Eventually, {"child": Q}), (Always, {"child": Q}), (Until, {"left": P, "right": TRUE})]
+
+
+@pytest.mark.parametrize("cls, fields", NODES, ids=[cls.__name__ for cls, _ in NODES])
+def test_nodes_build_positionally_or_by_keyword(cls, fields):
+    node = cls(*fields.values())
+    assert isinstance(node, Formula)
+    assert cls(**fields) == node
+    assert cls.__match_args__ == tuple(fields)
+    assert {name: getattr(node, name) for name in fields} == fields
+    assert hash(node) == hash(tuple(fields.values()))
+    with pytest.raises(TypeError):
+        cls(*fields.values(), P)  # one field too many
+    with pytest.raises(TypeError):
+        cls(*fields.values(), nam="p")  # an unknown field
+    if fields:
+        first = next(iter(fields))
+        with pytest.raises(TypeError):
+            cls()  # a missing field
+        with pytest.raises(TypeError):
+            cls(*fields.values(), **{first: fields[first]})  # a field given twice
+
+
+def test_nodes_are_frozen():
+    u = Until(P, TRUE)
+    for node, name in ((u, "left"), (P, "name"), (And((P, Q)), "children"), (TRUE, "name")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, FALSE)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert u == Until(P, TRUE)
+
+
+def test_nodes_compare_by_class_and_fields():
+    assert hash(Until(P, Q)) == hash((P, Q))
+    assert Atom("p") == P and Atom("p") != NotAtom("p") and Atom("p") != Atom("q")
+    assert TrueConst() == TRUE != FALSE
+    assert Next(P) != Eventually(P) and And((P, Q)) != Or((P, Q)) and And((P, Q)) != And((Q, P))
+    assert len({Atom("p"), Atom("p"), NotAtom("p"), Until(P, Q), Until(Atom("p"), NotAtom("q"))}) == 3
+    assert P != ("p",) and P != "p"
+
+
+def test_node_repr():
+    assert repr(Until(P, TRUE)) == "Until(left=Atom(name='p'), right=TrueConst())"
+    assert repr(And((P, Eventually(Q)))) == "And(children=(Atom(name='p'), Eventually(child=NotAtom(name='q'))))"
+    assert repr(FALSE) == "FalseConst()"
+
+
+def test_nodes_survive_pickle_and_copies():
+    f = parse_formula("(F (p & X q) | G !r) U (s & true) | false")
+    for clone in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        g = clone(f)
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert type(g) is type(f) and format_formula(g) == format_formula(f)
+
+
 # missions
+
+
+def test_missions_compare_and_hash_by_fields():
+    tasks, safety = (Eventually(P), Eventually(Atom("r"))), Always(Q)
+    m = Mission(tasks, safety)
+    assert m == Mission(tasks=tasks, safety=safety) and hash(m) == hash((tasks, safety))
+    assert Mission(tasks).safety is None and Mission(tasks) == Mission(tasks, None) != m
+    assert Mission(tasks[:1], safety) != m
+    assert not isinstance(m, Formula)
+    for name in ("tasks", "safety"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+    clone = pickle.loads(pickle.dumps(m))
+    assert clone == m and hash(clone) == hash(m) and clone.atoms == frozenset({"p", "q", "r"})
 
 
 def test_mission_from_dict():

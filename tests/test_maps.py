@@ -1,5 +1,7 @@
 """Seeded map generation: shapes, determinism, and placement rules."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ def risky_nodes(model):
         for c in model.choices[s]
         if len(c.outcomes) == 2
     }
+
+
+def test_specs_compare_and_hash_by_fields():
+    spec = MapSpec(nodes=12, failpoints=2, tasks=2, seed=5, edges=((0, 1),))
+    same = MapSpec(12, 2, 0.1, 2, 0, 5, ((0, 1),), None, None, None)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != MapSpec(nodes=12, failpoints=2, tasks=2, seed=6, edges=((0, 1),))
+    assert MapSpec() == MapSpec(nodes=30, failpoints=5, pfail=0.1, tasks=3, hazards=0, seed=0)
+    assert MapSpec().edges is None and MapSpec().hazard_nodes is None
+    with pytest.raises(AttributeError):
+        spec.seed = 6
+    with pytest.raises(TypeError):
+        MapSpec(node=12)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and hash(clone) == hash(spec)
 
 
 def test_default_spec_shape():

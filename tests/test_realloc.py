@@ -163,6 +163,12 @@ def test_budget_example():
     assert report.initial_value == pytest.approx(0.9, abs=1e-9)
     assert report.reallocations == 1
     assert report.unaddressed == pytest.approx(0.0, abs=1e-12)
+    saved = report.to_dict()
+    assert list(saved) == ["value", "initial_value", "reallocations", "solves", "unaddressed", "failure", "wall_ms",
+                           "log"]
+    assert saved["value"] == report.value and saved["solves"] == report.solves
+    assert saved["log"] == report.log and len(report.log) == 2
+    assert saved["log"] is not report.log and saved["log"][1] is not report.log[1]  # a copy, down to the entries
 
     _, cut = run_stapu_with_realloc(models, miss, max_realloc=0, epsilon=1e-9)
     assert cut.value == pytest.approx(0.9, abs=1e-9)
