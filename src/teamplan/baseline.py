@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, _dense_number, _first_seen, _offsets, _ranges, \
-    _reachable, max_reach
+from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, _append_choice, _dense_number, _first_seen, \
+    _offsets, _ranges, _reachable, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
@@ -67,12 +67,8 @@ class _JointPlaces:
             self._names.append(list(names))
             canon.append(np.array([labels.setdefault(m.label(s), s) for s in range(m.num_states)]))
             reach.append(_reachable(m.arrays, np.array([m.initial])))
-            row_start, actions, out_start, targets, probs = m.arrays
-            ends = row_start[1:]
-            robots.append(Arrays(row_start + np.arange(len(row_start)), codes[np.insert(actions, ends, -1) + 1],
-                                 _offsets(np.insert(np.diff(out_start), ends, 1)),
-                                 np.insert(targets, out_start[ends], np.arange(m.num_states)),
-                                 np.insert(probs, out_start[ends], 1.0)))
+            t = _append_choice(m.arrays, np.ones(m.num_states, bool), -1, np.arange(m.num_states))
+            robots.append(t._replace(actions=codes[t.actions + 1]))
         self._act_radix = np.cumprod([1] + [len(n) for n in self._names])
         radix = np.cumprod([1] + [len(r) for r in reach])
         self.positions = np.column_stack([r[d] for r, d in zip(reach, _positions(np.arange(radix[-1]), radix).T)])

@@ -14,7 +14,7 @@ import sys
 from .baseline import build_mamdp, solve_mamdp
 from .bench import bench_sweep, write_csv
 from .dfa import compile_formula
-from .ltl import classify, format_formula, load_mission, parse_formula
+from .ltl import _read_json, classify, format_formula, load_mission, parse_formula
 from .maps import MapSpec, gen_map, map_mission
 from .mdp import BudgetExceeded, SolverError, load_model, save_model
 from .product import local_products
@@ -106,8 +106,7 @@ def cmd_baseline(args):
 
 
 def cmd_simulate(args):
-    with open(args.policy) as fh:
-        jp = policy_from_dict(json.load(fh))
+    jp = policy_from_dict(_read_json(args.policy))
     rep = simulate(jp, runs=args.runs, seed=args.seed)
     print(
         f"frequency {rep.frequency:.6f} (stderr {rep.stderr:.6f}) over {rep.runs} runs, "
@@ -132,9 +131,7 @@ def cmd_genmap(args):
 
 
 def cmd_bench(args):
-    with open(args.config) as fh:
-        config = json.load(fh)
-    rows = bench_sweep(config)
+    rows = bench_sweep(_read_json(args.config))
     write_csv(rows, args.csv)
     print(f"wrote {args.csv}: {len(rows)} rows")
     return 0

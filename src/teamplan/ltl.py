@@ -383,7 +383,16 @@ def mission_from_dict(data: dict) -> Mission:
     return Mission(tuple(tasks), safety)
 
 
-def load_mission(path) -> Mission:
+def _read_json(path):
+    """The JSON value in the file at `path`. A value nested too deep to
+    decode is bad input, a ValueError naming the file."""
     with open(path) as fh:
-        return mission_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def load_mission(path) -> Mission:
+    return mission_from_dict(_read_json(path))
 

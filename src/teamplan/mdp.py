@@ -5,10 +5,11 @@ and the joint baseline one breadth-first layer per numpy pass, from one
 move table (an `Arrays` with a row per place and places for targets,
 built before exploring) and the dense automaton tables of
 `product.Automata`, into the CSR `Arrays` of an `Mdp`, numbering states
-in a dense table (`Explorer`). The team model fills its arrays from the
-products', and `model_from_dict` and `maps.gen_map` write theirs
-directly. `Mdp.choices`, `Choice` rows read off the arrays, is a view no
-module here reads.
+in a dense table (`Explorer`). The team model is composed of the
+products' rows, taken (`_take`), joined (`_concat`) and closed by a
+switch (`_append_choice`), and `model_from_dict` and `maps.gen_map`
+write their arrays directly. `Mdp.choices`, `Choice` rows read off the
+arrays, is a view no module here reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -41,6 +42,8 @@ from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
+
+from .ltl import _read_json
 
 Arrays = namedtuple("Arrays", ["row_start", "actions", "out_start", "targets", "probs"])
 # CSR form: state s has choices k in range(row_start[s], row_start[s + 1]), choice k takes
@@ -98,6 +101,28 @@ def _concat(parts):
     return Arrays(_offsets(np.concatenate([np.diff(r) for r in row_start])), np.concatenate(actions),
                   _offsets(np.concatenate([np.diff(o) for o in out_start])), np.concatenate(targets),
                   np.concatenate(probs))
+
+
+def _take(arrays, states):
+    """The `Arrays` of the rows of the int array `states`, in that order,
+    their targets as they are."""
+    row_start, actions, out_start, targets, probs = arrays
+    choices = _ranges(row_start, states)
+    outs = _ranges(out_start, choices)
+    return Arrays(_offsets(row_start[states + 1] - row_start[states]), actions[choices],
+                  _offsets(out_start[choices + 1] - out_start[choices]), targets[outs], probs[outs])
+
+
+def _append_choice(arrays, where, action, targets):
+    """`arrays` with one more choice at the end of the row of each state of
+    the mask `where`: `action`, with one outcome, to that state's entry of
+    `targets`, with probability 1."""
+    row_start, actions, out_start, successors, probs = arrays
+    at = row_start[1:][where]  # each new choice goes before the next row's first
+    outs = out_start[at]
+    return Arrays(_offsets(np.diff(row_start) + where), np.insert(actions, at, action),
+                  _offsets(np.insert(np.diff(out_start), at, 1)), np.insert(successors, outs, targets[where]),
+                  np.insert(probs, outs, 1.0))
 
 
 def _ranges(offsets, idx):
@@ -426,8 +451,7 @@ def save_model(mdp: Mdp, path):
 
 
 def load_model(path) -> Mdp:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(_read_json(path))
 
 
 # ------------------------------------------------------------------
@@ -583,7 +607,7 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, blocks=None) ->
     n = mdp.num_states
     if blocks is not None and len(blocks) != n:
         raise ValueError(f"blocks has {len(blocks)} ranks for {n} states")
-    row_start, _, out_start, targets, probs = mdp.arrays
+    row_start, _, out_start, targets, _ = mdp.arrays
     row_count, out_count = np.diff(row_start), np.diff(out_start)
     in_target, u = np.zeros(n, bool), np.ones(n, bool)
     in_target[list(target)] = True
@@ -619,12 +643,11 @@ def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, blocks=None) ->
         cuts = np.flatnonzero(np.diff(blocks[mid])) + 1
     iterations = 0
     for block in np.split(mid, cuts) if len(mid) else ():
-        choices = _ranges(row_start, block)
-        outs = _ranges(out_start, choices)
-        heads, weights = targets[outs].astype(np.intp), probs[outs]
+        part = _take(mdp.arrays, block)
+        heads, weights = part.targets.astype(np.intp), part.probs
         if blocks is not None and (blocks[heads] > blocks[block[0]]).any():
             raise ValueError(f"blocks: a state of rank {blocks[block[0]]} has an outcome of higher rank")
-        starts, rows = _offsets(out_count[choices])[:-1], _offsets(row_count[block])[:-1]
+        starts, rows = part.out_start[:-1], part.row_start[:-1]
         for sweeps in range(1, MAX_SWEEPS + 1):
             best = np.maximum.reduceat(np.add.reduceat(weights * x[heads], starts), rows)
             delta = float((best - x[block]).max())

@@ -11,10 +11,11 @@ only, in one numpy pass per block over ids, `TeamMdp._switches`.
 The ring stops before it returns to the start robot, so the team model is
 a chain of robot blocks: a robot's block is the part of its product
 reachable from its entry states, and its switches lead into the next
-robot's block only. `TeamMdp` builds the team model as one array-backed
-`Mdp` in one forward pass over the blocks: each block's product rows,
-renumbered block after block and mapped to team action indices, with the
-switch as the last choice of a state that may hand over.
+robot's block only. `TeamMdp` composes the team model as one array-backed
+`Mdp` in one forward pass over the blocks: each block's product rows
+(`mdp._take`), renumbered block after block and mapped to team action
+indices, joined (`mdp._concat`), with the switch appended as the last
+choice of a state that may hand over (`mdp._append_choice`).
 
 `solve_stapu` solves it with the solver of its class: `mdp.max_product_reach`,
 exact for deterministic-or-fail robots, where every action reaches one
@@ -31,7 +32,7 @@ step lists `realloc.synchronize` executes.
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, Mdp, _absorbing, _ranges, max_product_reach, max_reach
+from .mdp import AVOID, TARGET, Mdp, _absorbing, _append_choice, _concat, _take, max_product_reach, max_reach
 
 SWITCH = "switch"
 
@@ -96,36 +97,32 @@ class TeamMdp:
     def _build(self):
         """The forward pass: per robot in ring order from the start robot,
         its block's product states, from the switch targets of the block
-        before, and the block's sizes. Then the team model's arrays, filled
-        block by block."""
+        before, and the block's rows (`mdp._take`), renumbered block after
+        block and mapped to team action indices. The blocks are joined
+        (`mdp._concat`) and the switches appended (`mdp._append_choice`)
+        once, after the pass."""
         n = len(self.products)
-        blocks, ends = [], [(0, 0, 0)]  # ends: team states, choices, outcomes
-        roots = np.array([self.root])
+        self.blocks, parts, switches, targets = [], [], [], []
+        roots, size = np.array([self.root]), 0
         for k in range(n):
             robot = (self.start_robot + k) % n
             pm = self.products[robot]
             states = pm.closure(roots)  # the roots first, in order
-            switching, targets = self._switches(robot, states)
-            roots = np.flatnonzero(np.bincount(targets))  # np.unique would import numpy.ma
-            # the next block starts with its roots, in order
-            targets = ends[-1][0] + len(states) + np.searchsorted(roots, targets)
-            row_start, _, out_start = pm.arrays[:3]
-            first, last = row_start[states], row_start[states + 1]
-            extra = int(switching.sum())  # one choice and one outcome per switch
-            size, choices, outcomes = ends[-1]
-            ends.append((size + len(states), choices + int((last - first).sum()) + extra,
-                         outcomes + int((out_start[last] - out_start[first]).sum()) + extra))
-            blocks.append((robot, states, switching, targets, size))
-        self.blocks = [block[:2] for block in blocks]
-        self.num_states, choices, outcomes = ends[-1]
-
-        arrays = Arrays(np.zeros(self.num_states + 1, np.int64), np.empty(choices, np.int32),
-                        np.zeros(choices + 1, np.int64), np.empty(outcomes, np.int32), np.empty(outcomes))
-        for (s0, c0, o0), (s1, c1, o1), block in zip(ends, ends[1:], blocks):
-            self._fill(*block, Arrays(arrays.row_start[s0 + 1:s1 + 1], arrays.actions[c0:c1],
-                                      arrays.out_start[c0 + 1:c1 + 1], arrays.targets[o0:o1], arrays.probs[o0:o1]))
-        for counts in (arrays.row_start, arrays.out_start):
-            np.cumsum(counts, out=counts)
+            switching, succ = self._switches(robot, states)
+            roots = np.flatnonzero(np.bincount(succ))  # np.unique would import numpy.ma
+            local = np.full(len(pm.arrays.row_start) - 1, -1, np.int32)
+            local[states] = np.arange(size, size + len(states))
+            rows = _take(pm.arrays, states)
+            parts.append(rows._replace(actions=np.array(self.action_map[robot], np.int32)[rows.actions],
+                                       targets=local[rows.targets]))
+            size += len(states)
+            to = np.zeros(len(states), np.int32)
+            to[switching] = size + np.searchsorted(roots, succ)  # the next block starts with its roots, in order
+            self.blocks.append((robot, states))
+            switches.append(switching)
+            targets.append(to)
+        self.num_states = size
+        arrays = _append_choice(_concat(parts), np.concatenate(switches), self.switch_action, np.concatenate(targets))
         self.mdp = Mdp(self.num_states, 0, self.actions, arrays=arrays)
         self.map_states, self.vector_ids, classes = (np.concatenate(
             [getattr(self.products[robot], column)[states] for robot, states in self.blocks])
@@ -157,32 +154,6 @@ class TeamMdp:
         for v in np.flatnonzero(target).tolist():
             target[v] = self.products[nxt].explore(self.entries[nxt], v)
         return switching, target[vids]
-
-    def _fill(self, robot, states, switching, targets, first, out):
-        """Write one block into `out`, its slices of the team's `Arrays`
-        with choice and outcome counts in place of offsets. The block's
-        team states are `states` of `robot`'s product, numbered from
-        `first`; actions are renumbered by the robot's `action_map`, and
-        each switching state's row ends with its switch to the team state
-        in `targets`."""
-        row_start, actions, out_start, successors, probs = self.products[robot].arrays
-        local = np.full(len(row_start) - 1, -1, np.int64)
-        local[states] = np.arange(first, first + len(states))
-        choices = _ranges(row_start, states)
-        out.row_start[:] = row_start[states + 1] - row_start[states] + switching
-        switch = np.zeros(len(out.actions), bool)
-        switch[np.cumsum(out.row_start)[switching] - 1] = True
-        out.actions[switch] = self.switch_action
-        out.actions[~switch] = np.array(self.action_map[robot], np.int32)[actions[choices]]
-        out.out_start[switch] = 1
-        out.out_start[~switch] = out_start[choices + 1] - out_start[choices]
-        to_switch = np.zeros(len(out.targets), bool)
-        to_switch[(np.cumsum(out.out_start) - out.out_start)[switch]] = True
-        outs = _ranges(out_start, choices)
-        out.targets[to_switch] = targets
-        out.targets[~to_switch] = local[successors[outs]]
-        out.probs[to_switch] = 1.0
-        out.probs[~to_switch] = probs[outs]
 
     def full_size(self):
         return sum(p.full_size() for p in self.products)

@@ -263,6 +263,20 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "usage error" in err and flag in err, (cmd, flag, value, err)
 
+    # well-formed JSON nested too deep to decode, as a model, a mission, a policy and a sweep config
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    out = ["--out", str(tmp_path / "out.json")]
+    for argv in (["solve", "--models", str(deep), "--mission", mission, *out],
+                 ["realloc", "--models", str(deep), "--mission", mission, *out],
+                 ["baseline", "--models", str(deep), "--mission", mission],
+                 ["solve", "--models", str(model), "--mission", str(deep), *out],
+                 ["simulate", "--policy", str(deep), "--runs", "10"],
+                 ["bench", "--config", str(deep), "--csv", str(tmp_path / "rows.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert f"error: {deep}: JSON nested too deeply" in capsys.readouterr().err, argv
+
 
 def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
     # nothing is labeled p1, so the mission has value 0 and the plan takes

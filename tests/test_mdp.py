@@ -392,3 +392,42 @@ def test_validate_matches_row_reference_on_faulty_models():
             else:
                 assert model_from_dict(model_to_dict(m)).choices == m.choices, i
     assert min(seen.values()) >= 10, seen
+
+
+# rows of the row helpers' cases: states 1 and 2 are adjacent empty rows
+ROWS = [
+    [Choice(0, ((1, 0.5), (2, 0.5)), None), Choice(1, ((0, 1.0),), None)],
+    [],
+    [],
+    [Choice(2, ((3, 1.0),), None)],
+    [Choice(0, ((0, 0.25), (3, 0.75)), None)],
+]
+
+
+def rows_of(arrays):
+    """The `Choice` rows of `arrays`, their targets as they are."""
+    return mdp_module.Mdp(len(arrays.row_start) - 1, 0, ("a", "b", "c", "d"), arrays).choices
+
+
+@pytest.mark.parametrize("where", [
+    [False] * 5,  # no state gets a choice
+    [False, True, False, False, False],  # onto a state with no choices, to another
+    [False, True, True, False, False],  # two adjacent empty rows: one insert position twice
+    [False, False, False, False, True],  # the last row
+    [True] * 5,
+])
+def test_append_choice_matches_rows(where):
+    arrays = from_rows(5, 0, ("a", "b", "c", "d"), ROWS).arrays
+    targets = np.array([2, 2, 4, 0, 1])
+    out = mdp_module._append_choice(arrays, np.array(where), 3, targets)
+    assert rows_of(out) == [row + [Choice(3, ((int(targets[s]), 1.0),), None)] * where[s]
+                            for s, row in enumerate(ROWS)]
+    assert [a.dtype for a in out] == [a.dtype for a in arrays]
+
+
+@pytest.mark.parametrize("states", [[], [3, 1, 0, 2, 4], [4, 2, 0]])  # [] and lists led by their roots
+def test_take_matches_rows(states):
+    arrays = from_rows(5, 0, ("a", "b", "c", "d"), ROWS).arrays
+    out = mdp_module._take(arrays, np.array(states, np.int64))
+    assert rows_of(out) == [ROWS[s] for s in states]
+    assert [a.dtype for a in out] == [a.dtype for a in arrays]

@@ -387,6 +387,9 @@ def test_team_extends_products_without_changing_them():
             assert keys[0] == states[0], f"instance {n}"
             team_rows = [[(team.mdp.actions[c.action], c.outcomes, c.cost) for c in row] for row in team.mdp.choices]
             assert rows_by_key(keys, team_rows) == rows_by_key(states, rows), f"instance {n}"
+            # `choices` reads values only; a wider column would grow every replan's team model
+            assert [a.dtype for a in team.mdp.arrays] == [np.int64, np.int32, np.int64, np.int32, np.float64], \
+                f"instance {n}"
             assert ({keys[k] for k in team.accepting}, {keys[k] for k in team.violating}) == (
                 {states[k] for k in accepting}, {states[k] for k in violating}), f"instance {n}"
             assert [(s, shared.vectors[v]) for s, v in zip(team.map_states.tolist(), team.vector_ids.tolist())] == [
