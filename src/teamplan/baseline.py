@@ -2,18 +2,25 @@
 
 Every robot moves in the same step, actions and outcomes are taken
 jointly, and one shared automaton vector advances on the union of the
-robots' successor labels (`Automata.joint_label`). `MamdpModel` builds
-it with `mdp.Explorer`, whose places here are the tuples of the robots'
-reachable states: before exploring, one numpy pass builds every tuple's
-row of an `Arrays` move table, the product of the robots' choices and
-then of their outcomes, and the explorer steps every state's vector on
-each outcome through the automata's dense step table. The vector rules
-and the unpruned size come from `product.Automata`. Exponential in the
-team size, so construction is guarded by a state-count ceiling; within
-it, solving this model gives the unconstrained optimum that the
-sequential planner and the reallocation loop are measured against. A
-joint step keeps or lowers the vector's `Automata.ranks`, so
-`solve_mamdp` sweeps the states one rank at a time, lowest first.
+robots' successor labels (`Automata.joint_label`). Swapping the
+positions of robots that share one model object changes neither, so a
+state and its mirrors have one value, and `MamdpModel` builds the model
+up to such swaps (the symmetry reduction of Kwiatkowska, Norman and
+Parker, CAV 2006). Its `mdp.Explorer` places are the canonical tuples of
+the robots' reachable states, the positions within each group of
+identical robots sorted by state id. Before exploring, one numpy pass
+builds every place's row of an `Arrays` move table, the product of the
+robots' choices and then of their outcomes, each successor tuple sorted
+within its groups; the explorer steps the vectors through the automata's
+dense step table. A team of distinct models sorts nothing.
+`MamdpModel.unreduced_size` counts the whole model from orbit sizes. The
+vector rules and the unpruned size come from `product.Automata`.
+Exponential in the team size, so construction is guarded by a
+state-count ceiling on the whole model; within it, solving this model
+gives the unconstrained optimum that the sequential planner and the
+reallocation loop are measured against. A joint step keeps or lowers the
+vector's `Automata.ranks`, so `solve_mamdp` sweeps the states one rank at
+a time, lowest first.
 """
 
 import math
@@ -44,21 +51,38 @@ def _positions(codes, radix):
     return codes[:, None] // radix[:-1] % (radix[1:] // radix[:-1])
 
 
+def _sorted_within(columns, groups):
+    """The per-robot int arrays `columns` with each index's tuple sorted
+    within each of `groups`: k rounds of odd-even transposition sort k
+    columns."""
+    columns = list(columns)
+    for g in groups:
+        for j in range(len(g)):
+            for a, b in zip(g[j % 2::2], g[j % 2 + 1::2]):
+                columns[a], columns[b] = np.minimum(columns[a], columns[b]), np.maximum(columns[a], columns[b])
+    return columns
+
+
 class _JointPlaces:
     """The place side of the joint model's `Explorer`. A place is a tuple
-    of robot states, each reachable from its robot's initial state, and
-    is numbered in the mixed radix of the robots' reachable-state counts,
-    robot 0 lowest, a robot's states in the order `_reachable` lists them:
-    place 0 is the start. `positions` holds every place's tuple, `labels`
-    its label id and `moves` its row. A place's label, the union of the
+    of robot states, each reachable from its robot's initial state and
+    sorted by state id within each of `groups`, the robots (two or more)
+    that share one model object. Places are numbered in the order of the
+    tuples' numbers in the mixed radix of the robots' reachable-state
+    counts, robot 0 lowest, a robot's states in the order `_reachable`
+    lists them: place 0 is the start. `positions` holds every place's
+    tuple, `orbits` the number of tuples that sort to it, `labels` its
+    label id and `moves` its row, whose successor tuples are sorted
+    within the groups. A place's label, the union of the
     robots', is built once per tuple of each robot's first state with
     that label.
     Joint actions carry ids local to `moves`, numbering their codes in the
     mixed radix of the robots' distinct action names, idle first."""
 
     def __init__(self, models, automata):
-        robots, self._names, canon, reach = [], [], [], []
-        for m in models:
+        robots, self._names, canon, reach, groups = [], [], [], [], {}
+        for r, m in enumerate(models):
+            groups.setdefault(id(m), []).append(r)
             # each robot's choices per state, idle (name 0) last: it is always
             # available so the joint optimum dominates any execution in which
             # finished robots stand still
@@ -69,17 +93,24 @@ class _JointPlaces:
             reach.append(_reachable(m.arrays, np.array([m.initial])))
             t = _append_choice(m.arrays, np.ones(m.num_states, bool), -1, np.arange(m.num_states))
             robots.append(t._replace(actions=codes[t.actions + 1]))
+        self.groups = [g for g in groups.values() if len(g) > 1]
         self._act_radix = np.cumprod([1] + [len(n) for n in self._names])
         radix = np.cumprod([1] + [len(r) for r in reach])
-        self.positions = np.column_stack([r[d] for r, d in zip(reach, _positions(np.arange(radix[-1]), radix).T)])
+        self._digits = [np.zeros(m.num_states, np.int64) for m in models]  # a robot state's share of a tuple's number
+        for d, r, k in zip(self._digits, reach, radix.tolist()):
+            d[r] = np.arange(len(r)) * k
+        numbers = np.arange(radix[-1])
+        columns = [r[d] for r, d in zip(reach, _positions(numbers, radix).T)]
+        sorted_numbers = self._sorted_number(columns)
+        canonical = sorted_numbers == numbers
+        self.positions = np.column_stack(columns)[canonical]
+        self._place = np.cumsum(canonical) - 1  # a canonical tuple's place, by its number
+        self.orbits = np.bincount(self._place[sorted_numbers])
         full = np.cumprod([1] + [m.num_states for m in models])
         tuples, distinct = _first_seen(sum(c[self.positions[:, r]] * k for r, (c, k) in enumerate(zip(canon, full))))
         labels = np.array([automata.joint_label(models, pos) for pos in _positions(distinct, full).tolist()], np.int64)
         self.labels = labels[tuples]
-        digits = [np.zeros(m.num_states, np.int64) for m in models]  # a robot state's share of a place's number
-        for d, r, k in zip(digits, reach, radix.tolist()):
-            d[r] = np.arange(len(r)) * k
-        self.moves, self._codes = self._move_table(robots, digits)
+        self.moves, self._codes = self._move_table(robots)
 
     def named(self, arrays):
         """The joint action names, the robots' names joined by "|" and
@@ -91,10 +122,15 @@ class _JointPlaces:
         at = np.array([index.setdefault("|".join(p), len(index)) for p in parts], np.int64)
         return tuple(index), arrays._replace(actions=at[ids])
 
-    def _move_table(self, robots, digits):
+    def _sorted_number(self, columns):
+        """The number of each index's tuple of the per-robot state arrays
+        `columns` once sorted within the groups."""
+        return sum(d[c] for d, c in zip(self._digits, _sorted_within(columns, self.groups)))
+
+    def _move_table(self, robots):
         """The `Arrays` rows of every place: every joint choice, then every
-        joint outcome of each, to its successor place; and the joint
-        action codes by id."""
+        joint outcome of each, to the place of its successor tuple sorted
+        within the groups; and the joint action codes by id."""
         size = len(self.positions)
         place, chosen = np.arange(size), []
         parts = np.zeros(size, np.int64)  # the joint action's per-robot parts, coded
@@ -104,16 +140,17 @@ class _JointPlaces:
             c = _ranges(t.row_start, s)
             place, parts = np.repeat(place, n), np.repeat(parts, n) + t.actions[c] * self._act_radix[r]
             chosen = [np.repeat(x, n) for x in chosen] + [c]
-        owner, probs, succ = np.arange(len(place)), np.ones(len(place)), np.zeros(len(place), np.int64)
+        owner, probs, succ = np.arange(len(place)), np.ones(len(place)), []
         for r, t in enumerate(robots):
             c = chosen[r][owner]
             n = t.out_start[c + 1] - t.out_start[c]
             o = _ranges(t.out_start, c)
-            owner, probs, succ = np.repeat(owner, n), np.repeat(probs, n) * t.probs[o], \
-                np.repeat(succ, n) + digits[r][t.targets[o]]
+            owner, probs = np.repeat(owner, n), np.repeat(probs, n) * t.probs[o]
+            succ = [np.repeat(s, n) for s in succ] + [t.targets[o]]
         actions, codes = _first_seen(parts)
         return Arrays(_offsets(np.bincount(place, minlength=size)), actions,
-                      _offsets(np.bincount(owner, minlength=len(place))), succ, probs), codes
+                      _offsets(np.bincount(owner, minlength=len(place))),
+                      self._place[self._sorted_number(succ)], probs), codes
 
 
 class MamdpModel:
@@ -121,8 +158,10 @@ class MamdpModel:
 
     Joint action names join the per-robot action names with "|"; every
     robot can also "idle" (self-loop) in any state. Safety violating
-    joint states keep their action names but become self-loops. `states`
-    lists (position tuple, automaton vector) pairs, built on first read.
+    joint states keep their action names but become self-loops. `mdp` is
+    the quotient by swaps of robots that share a model object, and
+    `states` lists its (position tuple, automaton vector) pairs, the
+    positions sorted within each group of them, built on first read.
     """
 
     def __init__(self, models, mission, ceiling=10_000_000, automata=None):
@@ -139,6 +178,7 @@ class MamdpModel:
         explorer.explore(0, automata.start(models, tuple(m.initial for m in models)))
         self.mdp = Mdp(len(explorer.places), 0, *joint.named(explorer.arrays))
         self._positions, self._vectors = joint.positions[explorer.places], explorer.vectors
+        self._orbits = joint.orbits[explorer.places]
         classes = automata.classes_of(explorer.vectors)
         self.accepting = frozenset(np.flatnonzero(classes == TARGET).tolist())
         self.violating = frozenset(np.flatnonzero(classes == AVOID).tolist())
@@ -152,9 +192,17 @@ class MamdpModel:
     def num_states(self):
         return self.mdp.num_states
 
+    def unreduced_size(self):
+        """Reachable states and transitions of the joint model without
+        the swap reduction: each state stands for its orbit, one state per
+        position tuple that sorts to its positions, each reachable and
+        with as many outcomes."""
+        row_start, _, out_start, _, _ = self.mdp.arrays
+        return int(self._orbits.sum()), int(self._orbits @ np.diff(out_start[row_start]))
+
     def full_size(self):
         """Unpruned size; it leaves out the robots' failure states, which
-        joint states reach, so it can be below `num_states`."""
+        joint states reach, so it can be below the reachable count."""
         return self.automata.unpruned_size(self.models)
 
 

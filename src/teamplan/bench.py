@@ -17,6 +17,7 @@ import statistics
 import time
 
 from .baseline import CeilingExceeded, build_mamdp, solve_mamdp
+from .ltl import _shown
 from .maps import MapSpec, gen_map, map_mission
 from .product import compile_mission, local_product
 from .realloc import run_stapu_with_realloc
@@ -91,7 +92,7 @@ def run_cell(robots, tasks, failpoints, seed, nodes=30, pfail=0.1, hazards=0, re
         log.info("cell robots=%d tasks=%d failpoints=%d seed=%d: %s", robots, tasks, failpoints, seed, e)
         return row
     row.mamdp_states = mm.full_size()
-    row.mamdp_trans = mm.mdp.transition_count()
+    row.mamdp_trans = mm.unreduced_size()[1]
     row.mamdp_ms = mamdp_ms
     row.mamdp_value = value
     return row
@@ -137,7 +138,7 @@ def bench_sweep(config):
     for key, v in kwargs.items():
         what, ok = SETTINGS[key]
         if not ok(v):
-            raise ValueError(f"sweep config {key!r} must be {what}, not {v!r}")
+            raise ValueError(f"sweep config {key!r} must be {what}, not {_shown(v)}")
     rows = []
     for robots, tasks, failpoints, seed in itertools.product(*grids):
         try:

@@ -97,11 +97,8 @@ def cmd_baseline(args):
     models, mission = _load_inputs(args)
     mm = build_mamdp(models, mission, ceiling=args.ceiling)
     value, _ = solve_mamdp(mm, epsilon=args.epsilon)
-    print(
-        f"joint value {value:.6f}; {mm.num_states} reachable of "
-        f"{mm.full_size()} joint states, "
-        f"{mm.mdp.transition_count()} transitions"
-    )
+    states, transitions = mm.unreduced_size()
+    print(f"joint value {value:.6f}; {states} reachable of {mm.full_size()} joint states, {transitions} transitions")
     return 0
 
 

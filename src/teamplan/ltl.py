@@ -18,18 +18,20 @@ from typing import Iterable
 class _Frozen:
     """Immutable record of the fields its subclass names in `__slots__`.
 
-    A subclass's `__slots__` become its `_fields` and `__match_args__`, and
-    `_key`, an `operator.attrgetter`, reads them as one tuple. Records are
-    equal when they are of one class with equal fields, and hash as the
-    tuple of their fields. They build positionally or by keyword, a field
-    left out taking its value in `_defaults`.
+    A subclass's `__slots__` not named with a leading underscore become its
+    `_fields` and `__match_args__`, and `_key`, an `operator.attrgetter`,
+    reads them as one tuple. Records are equal when they are of one class
+    with equal fields, and hash as the tuple of their fields. They build
+    positionally or by keyword, a field left out taking its value in
+    `_defaults`.
     """
 
     __slots__ = ()
     _defaults = {}
 
     def __init_subclass__(cls):
-        cls._fields = cls.__match_args__ = fields = cls.__dict__["__slots__"]
+        fields = tuple(name for name in cls.__dict__["__slots__"] if not name.startswith("_"))
+        cls._fields = cls.__match_args__ = fields
         if len(fields) > 1:
             cls._key = staticmethod(attrgetter(*fields))
         elif fields:
@@ -88,10 +90,20 @@ class Formula(_Frozen):
 
     `_node(name, *fields)` makes each node class, a `_Frozen` record of the
     fields: `Until(left, right)` equals `Until(left=left, right=right)`,
-    hashes as `(left, right)` and prints as that keyword call.
+    hashes as `(left, right)` and prints as that keyword call. A node keeps
+    its hash in the slot `_hash` from its first hashing on, as the automata
+    compile looks the same residual formulas up again and again; pickles
+    and copies hash afresh.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+            return self._hash
 
 
 def _node(name, *fields):
@@ -357,7 +369,7 @@ class MissionError(ValueError):
 
 def _parse_field(src, what) -> Formula:
     if not isinstance(src, str):
-        raise MissionError(f"malformed mission: {what} {src!r} is not a formula string")
+        raise MissionError(f"malformed mission: {what} {_shown(src)} is not a formula string")
     return parse_formula(src)
 
 
@@ -381,6 +393,13 @@ def mission_from_dict(data: dict) -> Mission:
         if not is_syntactically_safe(safety):
             raise MissionError(f"safety formula {raw_safety!r} is not an invariant-fragment formula")
     return Mission(tuple(tasks), safety)
+
+
+def _shown(value):
+    """The repr of a value read from a file, cut to 80 characters so that
+    a message quoting it stays one line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _read_json(path):

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ltl import _read_json
+from .ltl import _read_json, _shown
 
 Arrays = namedtuple("Arrays", ["row_start", "actions", "out_start", "targets", "probs"])
 # CSR form: state s has choices k in range(row_start[s], row_start[s + 1]), choice k takes
@@ -356,19 +356,19 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 def _integer(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} {value!r} is not an integer")
+        raise ValueError(f"{what} {_shown(value)} is not an integer")
     return value
 
 
 def _number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} {value!r} is not a number")
+        raise ValueError(f"{what} {_shown(value)} is not a number")
     return float(value)
 
 
 def _typed(value, kind, what):
     if not isinstance(value, kind):
-        raise ValueError(f"{what} {value!r} is not {_JSON_KINDS[kind]}")
+        raise ValueError(f"{what} {_shown(value)} is not {_JSON_KINDS[kind]}")
     return value
 
 
@@ -399,7 +399,7 @@ def model_from_dict(data: dict) -> Mdp:
             if not 0 <= _integer(source, "malformed model: transition source") < num_states:
                 raise ValueError(f"transition source {t['from']} out of range")
             if _typed(t["action"], str, "malformed model: action") not in action_index:
-                raise ValueError(f"transition from {t['from']} uses undeclared action {t['action']!r}")
+                raise ValueError(f"transition from {t['from']} uses undeclared action {_shown(t['action'])}")
             outcomes += map(_outcome, _typed(t["outcomes"], list, "malformed model: outcomes"))
             cost = t.get("cost")
             if cost is not None and not np.isfinite(_number(cost, "malformed model: cost")):
@@ -411,7 +411,7 @@ def model_from_dict(data: dict) -> Mdp:
             try:
                 s = int(key)
             except ValueError:
-                raise ValueError(f"malformed model: label key {key!r} is not an integer") from None
+                raise ValueError(f"malformed model: label key {_shown(key)} is not an integer") from None
             if not 0 <= s < num_states:
                 raise ValueError(f"malformed model: labels of state {s} out of range")
             labels[s] = frozenset(_strings(l, f"malformed model: labels of state {s}"))

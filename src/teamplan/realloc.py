@@ -31,6 +31,7 @@ costs the new chain plus the pending points; `mission_masses`,
 import itertools
 import time
 
+from .ltl import _shown
 from .mdp import AVOID, PROB_ATOL, TARGET, _integer, _typed
 from .product import local_products
 from .team import build_team, check_class, solve_stapu
@@ -371,10 +372,10 @@ def policy_to_dict(jp, report=None):
 
 def _step(step, where):
     if len(_typed(step, list, f"{where}: step")) != 2:
-        raise ValueError(f"{where}: step {step!r} is not a [probability, target] pair")
+        raise ValueError(f"{where}: step {_shown(step)} is not a [probability, target] pair")
     p = step[0]
     if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"{where}: step probability {p!r} is not in [0, 1]")
+        raise ValueError(f"{where}: step probability {_shown(p)} is not in [0, 1]")
     return p, _integer(step[1], f"{where}: target")
 
 
@@ -420,7 +421,7 @@ def _nodes(ci, cd, robots, num_chains):
     for ni, nd in enumerate(cd["nodes"]):
         where = f"malformed policy: chain {ci}, node {ni}"
         if _typed(nd, dict, f"{where}: node")["kind"] not in KINDS:
-            raise ValueError(f"{where}: unknown kind {nd['kind']!r}")
+            raise ValueError(f"{where}: unknown kind {_shown(nd['kind'])}")
         node = JointNode(
             t=_integer(nd["t"], f"{where}: time"),
             positions=tuple(_typed(nd["positions"], list, f"{where}: positions")),

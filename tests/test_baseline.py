@@ -1,17 +1,22 @@
 """Joint-model construction, sizes, and optimality against the planner."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from teamplan import mdp as mdp_module
 from teamplan.baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from teamplan.ltl import Mission, parse_formula
+from teamplan.maps import gen_map, map_mission
 from teamplan.mdp import Choice, max_reach
 from teamplan.product import compile_mission, local_product
 from teamplan.realloc import run_stapu_with_realloc
 
 from instances import graph_model, guarded_tree_instance, random_team_instance
 from rows import from_rows
+from test_explorer import mamdp_cases
+from test_golden_workloads import RECIPES
 from test_mdp_oracle import reference_policy
 
 
@@ -128,3 +133,35 @@ def test_joint_value_bounds_replanning_everywhere():
         _, report = run_stapu_with_realloc([model, model], miss, epsilon=1e-9)
         joint, _ = solve_mamdp(build_mamdp([model, model], miss), epsilon=1e-9)
         assert report.value <= joint + 1e-6, f"instance {i}"
+
+
+def shared_model_teams():
+    """The `mamdp_cases()` teams in which robots share a model object, and
+    each workload recipe's two-robot team on its joint mission."""
+    teams = [(models, mission) for models, mission in mamdp_cases() if len({id(m) for m in models}) < len(models)]
+    for spec, _, joint_tasks, _, _ in RECIPES.values():
+        model, full = gen_map(spec), map_mission(spec)
+        teams.append(([model, model], Mission(tasks=full.tasks[:joint_tasks], safety=full.safety)))
+    return teams
+
+
+def test_swap_quotient_solves_as_the_whole_model():
+    """A team whose robots share a model is solved up to robot swaps; the
+    same team with every robot after the first a copy of its model (a
+    distinct object, so nothing is swapped) is the whole joint model. At
+    every state of the quotient the values are bit-equal, the sweeps are
+    as many, and the quotient's states and transitions weighted by orbit
+    size are the whole model's."""
+    sizes = set()
+    for k, (models, mission) in enumerate(shared_model_teams()):
+        unshared = [models[0]] + [copy.copy(m) for m in models[1:]]
+        mm, whole = build_mamdp(models, mission), build_mamdp(unshared, mission)
+        (_, res), (_, whole_res) = solve_mamdp(mm), solve_mamdp(whole)
+        index = {key: i for i, key in enumerate(whole.states)}
+        at = [index[key] for key in mm.states]
+        assert mm.states[0] == whole.states[0] and mm.num_states < whole.num_states, k
+        assert res.values == [whole_res.values[i] for i in at], k
+        assert res.iterations == whole_res.iterations, k
+        assert mm.unreduced_size() == whole.unreduced_size() == (whole.num_states, whole.mdp.transition_count()), k
+        sizes.add(len(models))
+    assert k == 19 and sizes == {2, 3}

@@ -278,6 +278,18 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         assert f"error: {deep}: JSON nested too deeply" in capsys.readouterr().err, argv
 
 
+def test_deep_input_message_stays_one_line(tmp_path, capsys):
+    """A model file that is a 900-deep array is refused with a one-line
+    message that quotes only the start of it."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 900 + "]" * 900)
+    mission = write_mission(tmp_path / "mission.json", ["F p1"])
+    capsys.readouterr()
+    assert main(["solve", "--models", str(deep), "--mission", mission, "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model: model [[[") and err.count("\n") == 1 and len(err) < 200, err
+
+
 def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
     # nothing is labeled p1, so the mission has value 0 and the plan takes
     # state 0's first action, which breaks the robot down for sure

@@ -263,6 +263,20 @@ def test_nodes_compare_by_class_and_fields():
     assert P != ("p",) and P != "p"
 
 
+def test_a_node_reads_its_fields_for_one_hash(monkeypatch):
+    """Hashing a node again reuses its first hash: `_key` is read once per
+    node, whatever the number of hashes, and equal nodes hash equal."""
+    reads = []
+    for cls in (Until, Atom, TrueConst):
+        monkeypatch.setattr(cls, "_key", staticmethod(lambda f, key=cls._key: reads.append(id(f)) or key(f)))
+    nodes = [Until(Atom("p"), TRUE), Until(Atom("p"), TRUE), Atom("p"), TrueConst()]
+    hashes = [[hash(f) for _ in range(5)] for f in nodes]
+    assert len(reads) == len(set(reads)) and {id(f) for f in nodes} <= set(reads)
+    assert all(len(set(h)) == 1 for h in hashes)
+    assert hashes[0] == hashes[1] and hashes[0][0] == hash((Atom("p"), TRUE)) and hashes[3][0] == hash(TRUE)
+    assert "_hash" not in Until._fields and len({*nodes, P, Atom("p")}) == 3
+
+
 def test_node_repr():
     assert repr(Until(P, TRUE)) == "Until(left=Atom(name='p'), right=TrueConst())"
     assert repr(And((P, Eventually(Q)))) == "And(children=(Atom(name='p'), Eventually(child=NotAtom(name='q'))))"

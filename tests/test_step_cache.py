@@ -2,11 +2,11 @@
 
 `Automata` steps (vector id, label id) pairs through a dense table filled
 from per-DFA tables, each distinct missed pair once, and `MamdpModel`
-builds one move table for every tuple of robot-reachable states before
-exploring and numbers joint actions by codes of the robots' action
-names. Each must give what stepping every
-component and expanding every state afresh gives: the reference builds
-of `test_explorer`.
+builds one move table for every tuple of robot-reachable states (sorted
+within the robots that share a model) before exploring and numbers joint
+actions by codes of the robots' action names. Each must give what
+stepping every component and expanding every state afresh gives: the
+reference builds of `test_explorer`.
 """
 
 import itertools
@@ -109,10 +109,10 @@ def test_array_build_equals_reference_on_wider_teams():
 
 def test_each_missed_pair_is_stepped_once(monkeypatch):
     """On the joint-baseline recipe's joint model, `step` numbers one
-    vector per distinct missed (vector id, label id) pair, 88 of 10,057
-    misses (the explorer steps every outcome of a layer, repeated
-    successors too), and numbers the vectors in the order a step per miss
-    does."""
+    vector per distinct missed (vector id, label id) pair, 88 of 5,150
+    misses (the explorer steps every outcome of a layer of the model up to
+    robot swaps, repeated successors too), and numbers the vectors in the
+    order a step per miss does."""
     spec, _, joint_tasks, _, _ = RECIPES["joint-baseline"]
     model, full = gen_map(spec), map_mission(spec)
     mission = Mission(tasks=full.tasks[:joint_tasks], safety=full.safety)
@@ -134,7 +134,7 @@ def test_each_missed_pair_is_stepped_once(monkeypatch):
     monkeypatch.setattr(Automata, "step", recording_step)
     monkeypatch.setattr(Automata, "vector_id", recording_vector_id)
     mm = build_mamdp([model, model], mission)
-    assert (len(misses), len(set(misses)), len(stepped)) == (10057, 88, 88)
+    assert (len(misses), len(set(misses)), len(stepped)) == (5150, 88, 88)
 
     def per_miss_step(self, vids, lids):
         """Every miss stepped on its own, component by component."""
