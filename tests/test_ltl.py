@@ -118,6 +118,54 @@ def test_positions_count_tabs_and_crlf_line_breaks():
     assert (exc.value.line, exc.value.col) == (3, 6)
 
 
+MALFORMED = [
+    ("F", "expected a formula at end of input", 1, 2),
+    ("p &", "expected a formula at end of input", 1, 4),
+    ("(p", "expected ')' at end of input", 1, 3),
+    ("p)", "unexpected trailing input, found ')'", 1, 2),
+    ("!F p", "negation is only allowed directly on atoms", 1, 2),
+    ("p U", "expected a formula at end of input", 1, 4),
+    ("p U U q", "expected a formula, found 'U'", 1, 5),
+    ("& p", "expected a formula, found '&'", 1, 1),
+    ("p q", "unexpected trailing input, found 'q'", 1, 3),
+    ("p | & q", "expected a formula, found '&'", 1, 5),
+    ("G (p U)", "expected a formula, found ')'", 1, 7),
+    ("X (p", "expected ')' at end of input", 1, 5),
+    ("F\n", "expected a formula at end of input", 2, 1),
+    ("p &\n\n", "expected a formula at end of input", 3, 1),
+    ("(\np", "expected ')' at end of input", 2, 2),
+    ("p\n  )", "unexpected trailing input, found ')'", 2, 3),
+    ("!\nF p", "negation is only allowed directly on atoms", 2, 1),
+    ("p\nU", "expected a formula at end of input", 2, 2),
+    ("p U\n U q", "expected a formula, found 'U'", 2, 2),
+    ("\n& p", "expected a formula, found '&'", 2, 1),
+    ("p\n q", "unexpected trailing input, found 'q'", 2, 2),
+    ("p |\n& q", "expected a formula, found '&'", 2, 1),
+    ("G (p\n U)", "expected a formula, found ')'", 2, 3),
+    ("X\n(p", "expected ')' at end of input", 2, 3),
+    # one level past MAX_NESTING, reported at the operator that would pass it
+    ("(" * 101 + "p" + ")" * 101, "formula nests deeper than 100 levels", 1, 101),
+    ("X " * 101 + "p", "formula nests deeper than 100 levels", 1, 201),
+    ("p U " * 101 + "q", "formula nests deeper than 100 levels", 1, 403),
+    ("X " * 50 + "(" * 51 + "p" + ")" * 51, "formula nests deeper than 100 levels", 1, 151),
+    ("(p U " * 51 + "q" + ")" * 51, "formula nests deeper than 100 levels", 1, 251),
+    ("(" * 100 + "p U " * 101 + "q" + ")" * 100, "formula nests deeper than 100 levels", 1, 103),
+    ("(" * 99 + "p U " * 2 + "q" + ")" * 99, "formula nests deeper than 100 levels", 1, 106),
+]
+
+
+def test_malformed_formulas_keep_their_message_and_position():
+    assert MAX_NESTING == 100
+    for text, message, line, col in MALFORMED:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (f"{message} (line {line}, column {col})", line,
+                                                                   col), text
+    for text in ["(" * 100 + "p" + ")" * 100, "X " * 100 + "p", "p U " * 100 + "q",
+                 "X " * 50 + "(" * 50 + "p" + ")" * 50, "(p U " * 50 + "q" + ")" * 50, "(" * 99 + "p U q" + ")" * 99]:
+        assert atoms_of(parse_formula(text)) <= {"p", "q"}, text
+
+
 def _alternating(n):
     text = "q"
     for k in range(n):
