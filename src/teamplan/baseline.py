@@ -28,11 +28,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, _append_choice, _dense_number, _first_seen, \
-    _offsets, _ranges, _reachable, max_reach
+from .mdp import AVOID, EPSILON, TARGET, Arrays, BudgetExceeded, Explorer, Mdp, _append_choice, _dense_number, \
+    _first_seen, _offsets, _ranges, _reachable, max_reach
 from .product import compile_mission
 
 IDLE = "idle"
+CEILING = 10_000_000  # the default bound on a joint model's states
 
 
 class CeilingExceeded(BudgetExceeded):
@@ -164,7 +165,7 @@ class MamdpModel:
     positions sorted within each group of them, built on first read.
     """
 
-    def __init__(self, models, mission, ceiling=10_000_000, automata=None):
+    def __init__(self, models, mission, ceiling=CEILING, automata=None):
         self.models = models = list(models)
         if not models:
             raise ValueError("at least one robot required")
@@ -206,11 +207,11 @@ class MamdpModel:
         return self.automata.unpruned_size(self.models)
 
 
-def build_mamdp(models, mission, ceiling=10_000_000, automata=None):
+def build_mamdp(models, mission, ceiling=CEILING, automata=None):
     return MamdpModel(models, mission, ceiling=ceiling, automata=automata)
 
 
-def solve_mamdp(mm, epsilon=1e-6):
+def solve_mamdp(mm, epsilon=EPSILON):
     """Optimal mission probability at the joint start, with the solve's
     `ReachResult` (whose policy is read off on first access), swept one
     `Automata.ranks` block at a time."""

@@ -19,6 +19,7 @@ import time
 from .baseline import CeilingExceeded, build_mamdp, solve_mamdp
 from .ltl import _shown
 from .maps import MapSpec, gen_map, map_mission
+from .mdp import EPSILON
 from .product import compile_mission, local_product
 from .realloc import run_stapu_with_realloc
 from .team import build_team
@@ -32,21 +33,13 @@ DEFAULT_CEILING = 60_000
 
 
 class BenchRow:
-    def __init__(self, robots, tasks, failpoints, seed, team_states, team_trans, stapu_ms, reallocations, guarantee,
-                 mamdp_states=None, mamdp_trans=None, mamdp_ms=None, mamdp_value=None):
-        self.robots = robots
-        self.tasks = tasks
-        self.failpoints = failpoints
-        self.seed = seed
-        self.team_states = team_states
-        self.team_trans = team_trans
-        self.stapu_ms = stapu_ms
-        self.reallocations = reallocations
-        self.guarantee = guarantee
-        self.mamdp_states = mamdp_states
-        self.mamdp_trans = mamdp_trans
-        self.mamdp_ms = mamdp_ms
-        self.mamdp_value = mamdp_value
+    """One CSV row, an attribute per name in `COLUMNS` given by keyword, `mamdp_` ones None by default."""
+
+    def __init__(self, **values):
+        for name in COLUMNS:
+            setattr(self, name, values.pop(name, None) if name.startswith("mamdp_") else values.pop(name))
+        if values:
+            raise TypeError(f"BenchRow has no columns {sorted(values)}")
 
     def csv_values(self):
         """Each column as text: empty for None, `_ms` columns to the
@@ -70,7 +63,7 @@ def _timed(fn, reps):
 
 
 def run_cell(robots, tasks, failpoints, seed, nodes=30, pfail=0.1, hazards=0, reps=3, ceiling=DEFAULT_CEILING,
-             max_realloc=None, epsilon=1e-6):
+             max_realloc=None, epsilon=EPSILON):
     """Measure one grid point; MAMDP columns stay empty above the ceiling."""
     spec = MapSpec(nodes=nodes, failpoints=failpoints, pfail=pfail, tasks=tasks, hazards=hazards, seed=seed)
     model = gen_map(spec)
@@ -83,19 +76,16 @@ def run_cell(robots, tasks, failpoints, seed, nodes=30, pfail=0.1, hazards=0, re
 
     (jp, report), stapu_ms = _timed(
         lambda: run_stapu_with_realloc(models, mission, max_realloc=max_realloc, epsilon=epsilon), reps)
-    row = BenchRow(robots, tasks, failpoints, seed, team_states=team.full_size(),
-                   team_trans=team.mdp.transition_count(), stapu_ms=stapu_ms, reallocations=report.reallocations,
-                   guarantee=report.value)
+    row = dict(robots=robots, tasks=tasks, failpoints=failpoints, seed=seed, team_states=team.full_size(),
+               team_trans=team.mdp.transition_count(), stapu_ms=stapu_ms, reallocations=report.reallocations,
+               guarantee=report.value)
     try:
         (mm, value), mamdp_ms = _timed(lambda: _solve_joint(models, mission, ceiling, shared, epsilon), reps)
     except CeilingExceeded as e:
         log.info("cell robots=%d tasks=%d failpoints=%d seed=%d: %s", robots, tasks, failpoints, seed, e)
-        return row
-    row.mamdp_states = mm.full_size()
-    row.mamdp_trans = mm.unreduced_size()[1]
-    row.mamdp_ms = mamdp_ms
-    row.mamdp_value = value
-    return row
+        return BenchRow(**row)
+    return BenchRow(**row, mamdp_states=mm.full_size(), mamdp_trans=mm.unreduced_size()[1], mamdp_ms=mamdp_ms,
+                    mamdp_value=value)
 
 
 def _solve_joint(models, mission, ceiling, shared, epsilon):
@@ -153,5 +143,4 @@ def write_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow(row.csv_values())
+        writer.writerows(row.csv_values() for row in rows)

@@ -2,8 +2,9 @@
 
 Artifacts move through JSON files (models, missions, automata, joint
 policies) and CSV for sweeps; stdout carries a one-line summary per
-command. Exit codes: 0 success, 1 bad input, 2 solver failure, 3 a model
-over its size budget (the joint baseline's ceiling, `product.MAX_STATES`).
+command. `--epsilon` defaults to `mdp.EPSILON`, `--ceiling` to
+`baseline.CEILING`. Exit codes: 0 success, 1 bad input, 2 solver failure,
+3 a model over its size budget (`--ceiling`, `mdp.MAX_STATES`).
 """
 
 import argparse
@@ -11,12 +12,12 @@ import json
 import math
 import sys
 
-from .baseline import build_mamdp, solve_mamdp
+from .baseline import CEILING, build_mamdp, solve_mamdp
 from .bench import bench_sweep, write_csv
 from .dfa import compile_formula
-from .ltl import _read_json, classify, format_formula, load_mission, parse_formula
+from .ltl import _read_json, _write_json, classify, format_formula, load_mission, parse_formula
 from .maps import MapSpec, gen_map, map_mission
-from .mdp import BudgetExceeded, SolverError, load_model, save_model
+from .mdp import EPSILON, BudgetExceeded, SolverError, load_model, save_model
 from .product import local_products
 from .realloc import policy_from_dict, policy_to_dict, run_stapu_with_realloc
 from .simulate import simulate
@@ -71,11 +72,9 @@ def cmd_compile(args):
 def cmd_solve(args):
     models, mission = _load_inputs(args)
     sol = solve_stapu(build_team(local_products(models, mission)), epsilon=args.epsilon)
-    with open(args.out, "w") as fh:
-        json.dump(sol.to_dict(), fh, indent=2)
-        fh.write("\n")
-    alloc = {str(k): r for k, r in sorted(sol.allocation.items())}
-    print(f"value {sol.value:.6f}, allocation {json.dumps(alloc)} -> {args.out}")
+    solution = sol.to_dict()
+    _write_json(args.out, solution)
+    print(f"value {sol.value:.6f}, allocation {json.dumps(solution['allocation'])} -> {args.out}")
     return 0
 
 
@@ -83,9 +82,7 @@ def cmd_realloc(args):
     models, mission = _load_inputs(args)
     jp, report = run_stapu_with_realloc(models, mission, max_realloc=args.max_realloc,
                                         time_limit=args.time_limit, epsilon=args.epsilon)
-    with open(args.out, "w") as fh:
-        json.dump(policy_to_dict(jp, report), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, policy_to_dict(jp, report))
     print(
         f"guarantee {report.value:.6f} after {report.reallocations} reallocations "
         f"(initial {report.initial_value:.6f}, unaddressed {report.unaddressed:.6f}) -> {args.out}"
@@ -134,6 +131,18 @@ def cmd_bench(args):
     return 0
 
 
+def _planner(sub, name, help, fn, *flags):
+    """A planning command: `--models`, `--mission`, each (flag, options) of `flags`, then `--epsilon`."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--models", required=True, nargs="+")
+    p.add_argument("--mission", required=True)
+    for flag, options in flags:
+        p.add_argument(flag, **options)
+    p.add_argument("--epsilon", type=_finite(positive=True), default=EPSILON)
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser():
     parser = _Parser(prog="teamplan", description="Plan LTL missions for robot teams.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,29 +152,17 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compile)
 
-    p = sub.add_parser("solve", help="allocate and plan once, no reallocation")
-    p.add_argument("--models", required=True, nargs="+")
-    p.add_argument("--mission", required=True)
-    p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
+    p = _planner(sub, "solve", "allocate and plan once, no reallocation", cmd_solve)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("realloc", help="plan with failure-driven reallocation")
-    p.add_argument("--models", required=True, nargs="+")
-    p.add_argument("--mission", required=True)
-    p.add_argument("--max-realloc", type=_count, default=None)
-    p.add_argument("--time-limit", type=_finite(positive=False), default=None,
-                   help="address no further failure once this many seconds have passed")
-    p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
+    p = _planner(sub, "realloc", "plan with failure-driven reallocation", cmd_realloc,
+                 ("--max-realloc", dict(type=_count)),
+                 ("--time-limit", dict(type=_finite(positive=False),
+                                       help="address no further failure once this many seconds have passed")))
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_realloc)
 
-    p = sub.add_parser("baseline", help="solve the joint multi-agent model")
-    p.add_argument("--models", required=True, nargs="+")
-    p.add_argument("--mission", required=True)
-    p.add_argument("--ceiling", type=_count, default=10_000_000)
-    p.add_argument("--epsilon", type=_finite(positive=True), default=1e-6)
-    p.set_defaults(fn=cmd_baseline)
+    _planner(sub, "baseline", "solve the joint multi-agent model", cmd_baseline,
+             ("--ceiling", dict(type=_count, default=CEILING)))
 
     p = sub.add_parser("simulate", help="roll a saved joint policy out")
     p.add_argument("--policy", required=True)

@@ -10,12 +10,11 @@ that accept the same language by Moore's partition refinement. A formula
 over `MAX_ATOMS` atoms is refused before any label is enumerated.
 """
 
-import json
 from itertools import combinations
 
 from .ltl import (FALSE, TRUE, And, Atom, Eventually, Always, FalseConst, Formula, FormulaClass, Next, NotAtom, Or,
-                  TrueConst, Until, _subnodes, atoms_of, classify, format_formula, is_syntactically_cosafe,
-                  is_syntactically_safe)
+                  TrueConst, Until, _shown, _subnodes, _write_json, atoms_of, classify, format_formula,
+                  is_syntactically_cosafe, is_syntactically_safe)
 
 
 class CompileError(ValueError):
@@ -187,9 +186,7 @@ class Dfa:
         }
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 MAX_STATES = 50_000  # progression gives up beyond this many automaton states
@@ -203,7 +200,8 @@ def _explore(f: Formula):
     f0 = canonical(f)
     atoms = tuple(sorted(atoms_of(f0)))
     if len(atoms) > MAX_ATOMS:
-        raise CompileError(f"{format_formula(f)!r} has {len(atoms)} atoms, more than the {MAX_ATOMS} a compile allows")
+        raise CompileError(f"{_shown(format_formula(f))} has {len(atoms)} atoms, "
+                           f"more than the {MAX_ATOMS} a compile allows")
     labels = _powerset(atoms)
     index = {f0: 0}
     order = [f0]
@@ -218,7 +216,7 @@ def _explore(f: Formula):
                 if h not in index:
                     if len(index) >= MAX_STATES:
                         raise CompileError(
-                            f"progression exceeded {MAX_STATES} states for {format_formula(f)!r}"
+                            f"progression exceeded {MAX_STATES} states for {_shown(format_formula(f))}"
                         )
                     index[h] = len(order)
                     order.append(h)
@@ -254,7 +252,7 @@ def compile_formula(f: Formula) -> Dfa:
         return compile_cosafe(f)
     if fc is FormulaClass.SAFE:
         return compile_safe(f)
-    raise CompileError(f"{format_formula(f)!r} mixes F/U with G, no finite-trace automaton")
+    raise CompileError(f"{_shown(format_formula(f))} mixes F/U with G, no finite-trace automaton")
 
 
 def minimize(dfa: Dfa) -> Dfa:

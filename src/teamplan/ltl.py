@@ -135,10 +135,11 @@ class ParseError(ValueError):
         self.col = col
 
 
-# each operator's symbol and binding strength for printing, higher binding
-# tighter; the unary operators bind tightest
+# each operator's symbol and binding strength, higher binding tighter; the
+# unary operators bind tightest
 _PREC = {Or: ("|", 1), And: ("&", 2), Until: ("U", 3), Next: ("X", 4), Eventually: ("F", 4), Always: ("G", 4)}
 _TEMPORAL = {symbol: op for op, (symbol, prec) in _PREC.items() if prec == 4}
+_BINARY = {prec: (symbol, op) for op, (symbol, prec) in _PREC.items() if prec < 4}
 
 # one token per match: a whitespace run, an operator, a word, or any other
 # character (an error); operators match before words, so `Fp` is `F p`
@@ -175,7 +176,7 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
-    """Recursive descent; precedence from tightest to loosest: unary, U, &, |."""
+    """Recursive descent over the binding strengths of `_PREC`, loosest first."""
 
     def __init__(self, text: str):
         self.tokens = _scan(text)
@@ -186,51 +187,43 @@ class _Parser:
         return self.tokens[self.idx]
 
     def take(self):
-        tok = self.tokens[self.idx]
         self.idx += 1
-        return tok
 
     def error(self, message: str):
         kind, value, line, col = self.peek()
-        shown = value if kind != "EOF" else "end of input"
-        raise ParseError(f"{message}, found {shown!r}" if kind != "EOF" else f"{message} at {shown}", line, col)
+        found = " at end of input" if kind == "EOF" else f", found {_shown(value)}"
+        raise ParseError(message + found, line, col)
 
-    def nested(self, parse) -> Formula:
-        """Take the operator at hand and `parse` its operand one level deeper."""
+    def nested(self, prec) -> Formula:
+        """Take the operator at hand and parse its operand, of binding `prec` or tighter, one level deeper."""
         if self.depth == MAX_NESTING:
             _, _, line, col = self.peek()
             raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", line, col)
         self.take()
         self.depth += 1
-        f = parse()
+        f = self.parse_level(prec)
         self.depth -= 1
         return f
 
     def parse(self) -> Formula:
-        f = self.parse_or()
+        f = self.parse_level(1)
         if self.peek()[0] != "EOF":
             self.error("unexpected trailing input")
         return f
 
-    def chain(self, kind, parse, node) -> Formula:
-        """Operands of a flat `kind` chain, as one `node` when there are several."""
-        parts = [parse()]
-        while self.peek()[0] == kind:
+    def parse_level(self, prec) -> Formula:
+        """A formula of binding `prec` or tighter: a flat `|` or `&` chain or a
+        right-associative `U` of operands one level tighter, or a unary one."""
+        if prec not in _BINARY:
+            return self.parse_unary()
+        symbol, op = _BINARY[prec]
+        parts = [self.parse_level(prec + 1)]
+        while self.peek()[1] == symbol:
+            if op is Until:
+                return Until(parts[0], self.nested(prec))
             self.take()
-            parts.append(parse())
-        return parts[0] if len(parts) == 1 else node(tuple(parts))
-
-    def parse_or(self) -> Formula:
-        return self.chain("OR", self.parse_and, Or)
-
-    def parse_and(self) -> Formula:
-        return self.chain("AND", self.parse_until, And)
-
-    def parse_until(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek()[0] == "UNTIL":
-            return Until(left, self.nested(self.parse_until))  # right associative
-        return left
+            parts.append(self.parse_level(prec + 1))
+        return parts[0] if len(parts) == 1 else op(tuple(parts))
 
     def parse_unary(self) -> Formula:
         kind, value, line, col = self.peek()
@@ -242,9 +235,10 @@ class _Parser:
             self.take()
             return NotAtom(v2)
         if kind == "TEMPORAL":
-            return _TEMPORAL[value](self.nested(self.parse_unary))
+            op = _TEMPORAL[value]
+            return op(self.nested(_PREC[op][1]))
         if kind == "LPAREN":
-            f = self.nested(self.parse_or)
+            f = self.nested(1)
             if self.peek()[0] != "RPAREN":
                 self.error("expected ')'")
             self.take()
@@ -384,14 +378,14 @@ def mission_from_dict(data: dict) -> Mission:
     for k, src in enumerate(raw_tasks):
         f = _parse_field(src, f"task {k}")
         if not is_syntactically_cosafe(f):
-            raise MissionError(f"task {k} ({src!r}) is not a reachability-fragment formula")
+            raise MissionError(f"task {k} ({_shown(src)}) is not a reachability-fragment formula")
         tasks.append(f)
     safety = None
     raw_safety = data.get("safety")
     if raw_safety is not None:
         safety = _parse_field(raw_safety, "safety")
         if not is_syntactically_safe(safety):
-            raise MissionError(f"safety formula {raw_safety!r} is not an invariant-fragment formula")
+            raise MissionError(f"safety formula {_shown(raw_safety)} is not an invariant-fragment formula")
     return Mission(tuple(tasks), safety)
 
 
@@ -410,6 +404,12 @@ def _read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _write_json(path, value):
+    """Write `value` to the file at `path` as indented JSON and a newline."""
+    with open(path, "w") as fh:
+        print(json.dumps(value, indent=2), file=fh)
 
 
 def load_mission(path) -> Mission:

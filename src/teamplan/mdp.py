@@ -5,11 +5,12 @@ and the joint baseline one breadth-first layer per numpy pass, from one
 move table (an `Arrays` with a row per place and places for targets,
 built before exploring) and the dense automaton tables of
 `product.Automata`, into the CSR `Arrays` of an `Mdp`, numbering states
-in a dense table (`Explorer`). The team model is composed of the
-products' rows, taken (`_take`), joined (`_concat`) and closed by a
-switch (`_append_choice`), and `model_from_dict` and `maps.gen_map`
-write their arrays directly. `Mdp.choices`, `Choice` rows read off the
-arrays, is a view no module here reads.
+in a dense table. The team model is composed of the products' rows,
+taken (`_take`), joined (`_concat`) and closed by a switch
+(`_append_choice`), and `model_from_dict` and `maps.gen_map` write their
+arrays directly. `MAX_STATES` bounds a product and a model file.
+`Mdp.choices`, `Choice` rows read off the arrays, is a view no module
+here reads.
 
 Two solvers compute maximal reach probabilities, one per model class:
 
@@ -24,7 +25,7 @@ Two solvers compute maximal reach probabilities, one per model class:
   almost-sure strategy are pinned to 1 before iteration starts, so the
   iterated region only contains genuinely quantitative states. The Jacobi
   sweeps run in numpy over the model's arrays, a block at a time when the
-  caller ranks the states in topological order.
+  caller ranks the states in topological order, to `EPSILON` by default.
 
 Both read their policy off the values on the first read of
 `ReachResult.policy`, with `_layered_policy`. Every layered graph pass
@@ -36,14 +37,13 @@ non-avoid states (`max_reach`) or of the live edges
 (`max_product_reach`), built once per solve.
 """
 
-import json
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
 
-from .ltl import _read_json, _shown
+from .ltl import _read_json, _shown, _write_json
 
 Arrays = namedtuple("Arrays", ["row_start", "actions", "out_start", "targets", "probs"])
 # CSR form: state s has choices k in range(row_start[s], row_start[s + 1]), choice k takes
@@ -98,9 +98,14 @@ def _concat(parts):
     """The `Arrays` holding the states of each of `parts` in turn, their
     targets as they are."""
     row_start, actions, out_start, targets, probs = zip(*parts)
-    return Arrays(_offsets(np.concatenate([np.diff(r) for r in row_start])), np.concatenate(actions),
-                  _offsets(np.concatenate([np.diff(o) for o in out_start])), np.concatenate(targets),
+    return Arrays(_joined(row_start), np.concatenate(actions), _joined(out_start), np.concatenate(targets),
                   np.concatenate(probs))
+
+
+def _joined(offsets):
+    """The offsets of the segments of each of `offsets`, from 0, in turn."""
+    ends = np.cumsum([o[-1] for o in offsets[:-1]], dtype=np.int64)
+    return np.concatenate([offsets[0], *(o[1:] + end for o, end in zip(offsets[1:], ends))])
 
 
 def _take(arrays, states):
@@ -174,6 +179,9 @@ def _absorbing(arrays):
 
 class BudgetExceeded(RuntimeError):
     """A model outgrew its state budget."""
+
+
+MAX_STATES = 1_000_000  # a product's exploration and a model file's load give up beyond this many states
 
 
 def _first_seen(keys):
@@ -384,12 +392,10 @@ def _outcome(o):
 
 
 def model_from_dict(data: dict) -> Mdp:
-    from . import product  # which imports this module
-
     try:
         num_states = _integer(_typed(data, dict, "malformed model: model")["states"], "malformed model: states")
-        if num_states > product.MAX_STATES:  # before storing anything per state
-            raise BudgetExceeded(f"exploration passed the budget of {product.MAX_STATES} states")
+        if num_states > MAX_STATES:  # before storing anything per state
+            raise BudgetExceeded(f"exploration passed the budget of {MAX_STATES} states")
         actions = _strings(data["actions"], "malformed model: actions")
         atoms = tuple(_strings(data.get("atoms", []), "malformed model: atoms"))
         action_index = {a: i for i, a in enumerate(actions)}
@@ -416,7 +422,7 @@ def model_from_dict(data: dict) -> Mdp:
                 raise ValueError(f"malformed model: labels of state {s} out of range")
             labels[s] = frozenset(_strings(l, f"malformed model: labels of state {s}"))
             if not labels[s] <= set(atoms):
-                raise ValueError(f"malformed model: state {s} has atoms {sorted(labels[s] - set(atoms))} "
+                raise ValueError(f"malformed model: state {s} has atoms {_shown(sorted(labels[s] - set(atoms)))} "
                                  f"missing from atoms")
         failure_state = data.get("failure_state")
         initial = _integer(data["initial"], "malformed model: initial state")
@@ -445,9 +451,7 @@ def model_from_dict(data: dict) -> Mdp:
 
 
 def save_model(mdp: Mdp, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(mdp), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, model_to_dict(mdp))
 
 
 def load_model(path) -> Mdp:
@@ -582,9 +586,10 @@ def _reach_policy(arrays, index, values, target, sure) -> Policy:
 
 
 MAX_SWEEPS = 100_000  # value iteration gives up after this many sweeps
+EPSILON = 1e-6  # every solve's default `epsilon`
 
 
-def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = 1e-6, blocks=None) -> ReachResult:
+def max_reach(mdp: Mdp, target, avoid=(), epsilon: float = EPSILON, blocks=None) -> ReachResult:
     """Maximal probability of reaching `target` while never entering `avoid`.
 
     Avoid states are treated as absorbing with value 0 but stay part of the

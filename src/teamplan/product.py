@@ -20,8 +20,8 @@ The starts and the joint chain `advance` one id at a time on a
 `ProductMdp` is the only model builder that applies the advance to a
 robot's moves, exploring with `mdp.Explorer`; the team model reads its
 stacked `arrays` and the columns of its states. Its move table is the
-robot model's arrays, a row per model state, so `MAX_STATES` also bounds
-the states of a model file as `mdp.model_from_dict` reads it.
+robot model's arrays, a row per model state, so `mdp.MAX_STATES` bounds
+the states of a product and of a model file (`mdp.model_from_dict`).
 """
 
 import math
@@ -31,9 +31,7 @@ from itertools import count
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
-from .mdp import AVOID, LIVE, TARGET, Explorer, Mdp, _dense_number, _grow, _reachable
-
-MAX_STATES = 1_000_000  # a product's exploration gives up beyond this many states
+from .mdp import AVOID, LIVE, MAX_STATES, TARGET, Explorer, Mdp, _dense_number, _grow, _reachable
 
 
 class ProductError(ValueError):

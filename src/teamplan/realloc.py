@@ -32,7 +32,7 @@ import itertools
 import time
 
 from .ltl import _shown
-from .mdp import AVOID, PROB_ATOL, TARGET, _integer, _typed
+from .mdp import AVOID, EPSILON, PROB_ATOL, TARGET, _integer, _typed
 from .product import local_products
 from .team import build_team, check_class, solve_stapu
 
@@ -287,7 +287,7 @@ def find_realloc_points(jp):
     return sorted(jp.pending, key=lambda p: -p.prob)
 
 
-def solve_realloc(point, products, epsilon=1e-6):
+def solve_realloc(point, products, epsilon=EPSILON):
     """Replan from a failure: fresh team model whose entries are the
     robots' current positions, started at the failed robot so the ring
     hands its tasks onward."""
@@ -322,7 +322,7 @@ def _log_entry(jp, reallocations, point_prob, new_value, t0):
             "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
 
 
-def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, epsilon=1e-6):
+def run_stapu_with_realloc(models, mission, max_realloc=None, time_limit=None, epsilon=EPSILON):
     """Plan, synchronize, then keep addressing the most probable failure
     until none remain or the budget runs out. Returns the grafted joint
     policy and the guarantee it supports; whatever stays unaddressed is
@@ -435,7 +435,7 @@ def _nodes(ci, cd, robots, num_chains):
             raise ValueError(f"{where}: positions and statuses not one per robot")
         if not all(0 <= _integer(r, f"{where}: fresh robot") < robots for r in node.fresh) or (
                 node.kind == POINT and not node.fresh):
-            raise ValueError(f"{where}: fresh robots {list(node.fresh)} out of range or missing")
+            raise ValueError(f"{where}: fresh robots {_shown(list(node.fresh))} out of range or missing")
         node.steps = [_step(step, where) for step in _typed(nd["steps"], list, f"{where}: steps")]
         for _, j in node.steps:
             if not ni < j < len(cd["nodes"]):

@@ -32,7 +32,8 @@ step lists `realloc.synchronize` executes.
 
 import numpy as np
 
-from .mdp import AVOID, TARGET, Mdp, _absorbing, _append_choice, _concat, _take, max_product_reach, max_reach
+from .mdp import AVOID, EPSILON, PROB_ATOL, TARGET, Mdp, _absorbing, _append_choice, _concat, _take, \
+    max_product_reach, max_reach
 
 SWITCH = "switch"
 
@@ -192,7 +193,7 @@ class StapuSolution:
         }
 
 
-def solve_stapu(team, epsilon=1e-6):
+def solve_stapu(team, epsilon=EPSILON):
     """Solve the team model and read off the allocation the policy implies.
 
     A team of deterministic-or-fail robots is solved exactly with
@@ -282,4 +283,4 @@ def check_class(mdp):
     owner = np.repeat(np.arange(len(count)), count)
     total, hits = (np.bincount(owner, weights, len(count)) for weights in (probs, targets == fail))
     return bool((fail < 0 or _absorbing(mdp.arrays)[fail]) and (
-        (np.abs(total - 1.0) <= 1e-9) & ((count == 1) | ((count == 2) & (hits > 0)))).all())
+        (np.abs(total - 1.0) <= PROB_ATOL) & ((count == 1) | ((count == 2) & (hits > 0)))).all())

@@ -1,16 +1,20 @@
 """Command line flows: artifact round trips and the exit code contract."""
 
+import inspect
 import json
 
 import pytest
 
-from teamplan import product
-from teamplan.cli import main
+from teamplan import baseline, mdp, product
+from teamplan.baseline import MamdpModel, build_mamdp, solve_mamdp
+from teamplan.bench import run_cell
+from teamplan.cli import build_parser, main
 from teamplan.dfa import MAX_ATOMS
 from teamplan.ltl import load_mission
 from teamplan.mdp import BudgetExceeded, SolverError, load_model, max_product_reach, max_reach
 from teamplan.product import local_products
-from teamplan.team import build_team
+from teamplan.realloc import run_stapu_with_realloc, solve_realloc
+from teamplan.team import build_team, solve_stapu
 
 
 def write_mission(path, tasks, safety=None):
@@ -280,7 +284,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
 
 def test_deep_input_message_stays_one_line(tmp_path, capsys):
     """A model file that is a 900-deep array is refused with a one-line
-    message that quotes only the start of it."""
+    message that quotes only the start of it, and so are long formulas,
+    labels and policy entries."""
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 900 + "]" * 900)
     mission = write_mission(tmp_path / "mission.json", ["F p1"])
@@ -288,6 +293,33 @@ def test_deep_input_message_stays_one_line(tmp_path, capsys):
     assert main(["solve", "--models", str(deep), "--mission", mission, "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed model: model [[[") and err.count("\n") == 1 and len(err) < 200, err
+
+    model = tmp_path / "map.json"
+    assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1", "--out", str(model)]) == 0
+    labelled = json.loads(model.read_text())
+    labelled["labels"]["0"] = [f"undeclared_{k}" for k in range(500)]
+    (tmp_path / "labelled.json").write_text(json.dumps(labelled))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"robots": 1, "chains": [{"nodes": [
+        {"t": 0, "positions": [0], "statuses": ["failed"], "q": [0], "kind": "point", "steps": [],
+         "fresh": [5] * 1000}]}]}))
+    missions = {
+        "many G": (["&".join(["G p1"] * 400)], None),
+        "long safety": (["F p1"], " & ".join(["F p1"] * 300)),
+        "13 atoms": (["F (" + " & ".join(f"a_long_atom_name_{k}" for k in range(MAX_ATOMS + 1)) + ")"], None),
+        "long token": (["F p1 " + "q" * 5000], None),
+    }
+    out = ["--out", str(tmp_path / "s.json")]
+    cases = {name: ["solve", "--models", str(model), "--mission",
+                    write_mission(tmp_path / f"{k}.json", tasks, safety), *out]
+             for k, (name, (tasks, safety)) in enumerate(missions.items())}
+    cases["undeclared atoms"] = ["solve", "--models", str(tmp_path / "labelled.json"), "--mission", mission, *out]
+    cases["fresh robots"] = ["simulate", "--policy", str(policy), "--runs", "1"]
+    for name, argv in cases.items():
+        capsys.readouterr()
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, (name, err)
 
 
 def test_realloc_takes_a_step_that_fails_surely(tmp_path, capsys):
@@ -385,7 +417,7 @@ def test_product_budget_exits_three(tmp_path, monkeypatch, capsys):
 
 
 def test_model_past_budget_exits_three(tmp_path, monkeypatch, capsys):
-    """A model file declaring more states than the product budget is
+    """A model file declaring more states than the state budget is
     refused as it loads."""
     model = tmp_path / "map.json"
     assert main(["genmap", "--nodes", "5", "--failpoints", "1", "--tasks", "1",
@@ -395,7 +427,7 @@ def test_model_past_budget_exits_three(tmp_path, monkeypatch, capsys):
     data["states"] += 1  # a seventh state, without choices
     model.write_text(json.dumps(data))
     assert load_model(model).num_states == 7
-    monkeypatch.setattr(product, "MAX_STATES", 6)
+    monkeypatch.setattr(mdp, "MAX_STATES", 6)
     capsys.readouterr()
     for cmd in (["solve", "--out", str(tmp_path / "s.json")], ["realloc", "--out", str(tmp_path / "p.json")],
                 ["baseline"]):
@@ -429,6 +461,20 @@ def test_solver_failures_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["realloc", "--models", str(model), "--mission", mission,
                  "--out", str(tmp_path / "p.json")]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_defaults_have_one_home():
+    """Every solve defaults to `mdp.EPSILON` and every joint build to
+    `baseline.CEILING`, from the library and from the command line."""
+    for fn in (max_reach, solve_mamdp, solve_stapu, solve_realloc, run_stapu_with_realloc, run_cell):
+        assert inspect.signature(fn).parameters["epsilon"].default is mdp.EPSILON, fn.__name__
+    for fn in (MamdpModel, build_mamdp):
+        assert inspect.signature(fn).parameters["ceiling"].default is baseline.CEILING, fn.__name__
+    inputs = ["--models", "m.json", "--mission", "mission.json"]
+    parser = build_parser()
+    for argv in (["solve", *inputs, "--out", "s.json"], ["realloc", *inputs, "--out", "p.json"], ["baseline", *inputs]):
+        assert parser.parse_args(argv).epsilon is mdp.EPSILON, argv[0]
+    assert parser.parse_args(["baseline", *inputs]).ceiling is baseline.CEILING
 
 
 def test_help_exits_zero():

@@ -72,14 +72,13 @@ def package_edges():
 
 
 def test_package_layering_is_acyclic():
-    """The modules import each other in layers. The one back edge is the
-    lazy `product` import in `mdp.model_from_dict`, kept so that a patched
-    `product.MAX_STATES` bounds model files too."""
+    """The modules import each other in layers, each at module level: no
+    back edge, and no import inside a function."""
     edges = package_edges()
-    back = {e for e in edges if e[:2] == ("mdp", "product")}
-    assert back == {("mdp", "product", "model_from_dict")}, back
+    inner = {e for e in edges if e[2] is not None}
+    assert not inner, sorted(inner)
     graph = {}
-    for importer, imported, _ in edges - back:
+    for importer, imported, _ in edges:
         graph.setdefault(importer, set()).add(imported)
     done, path = set(), []
 
