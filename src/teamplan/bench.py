@@ -62,8 +62,8 @@ def _timed(fn, reps):
     return result, statistics.median(times)
 
 
-def run_cell(robots, tasks, failpoints, seed, nodes=30, pfail=0.1, hazards=0, reps=3, ceiling=DEFAULT_CEILING,
-             max_realloc=None, epsilon=EPSILON):
+def run_cell(robots, tasks, failpoints, seed, nodes=MapSpec._defaults["nodes"], pfail=MapSpec._defaults["pfail"],
+             hazards=MapSpec._defaults["hazards"], reps=3, ceiling=DEFAULT_CEILING, max_realloc=None, epsilon=EPSILON):
     """Measure one grid point; MAMDP columns stay empty above the ceiling."""
     spec = MapSpec(nodes=nodes, failpoints=failpoints, pfail=pfail, tasks=tasks, hazards=hazards, seed=seed)
     model = gen_map(spec)

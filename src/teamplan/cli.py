@@ -3,8 +3,9 @@
 Artifacts move through JSON files (models, missions, automata, joint
 policies) and CSV for sweeps; stdout carries a one-line summary per
 command. `--epsilon` defaults to `mdp.EPSILON`, `--ceiling` to
-`baseline.CEILING`. Exit codes: 0 success, 1 bad input, 2 solver failure,
-3 a model over its size budget (`--ceiling`, `mdp.MAX_STATES`).
+`baseline.CEILING` and the `genmap` flags to `maps.MapSpec`'s defaults.
+Exit codes: 0 success, 1 bad input, 2 solver failure, 3 a model over its
+size budget (`--ceiling`, `mdp.MAX_STATES`).
 """
 
 import argparse
@@ -171,11 +172,8 @@ def build_parser():
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("genmap", help="generate a seeded benchmark map model")
-    p.add_argument("--nodes", type=int, default=30)
-    p.add_argument("--failpoints", type=int, default=5)
-    p.add_argument("--pfail", type=float, default=0.1)
-    p.add_argument("--tasks", type=int, default=3)
-    p.add_argument("--seed", type=_count, default=0)
+    for name, kind in (("nodes", int), ("failpoints", int), ("pfail", float), ("tasks", int), ("seed", _count)):
+        p.add_argument(f"--{name}", type=kind, default=MapSpec._defaults[name])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_genmap)
 

@@ -124,10 +124,29 @@ def _append_choice(arrays, where, action, targets):
     `targets`, with probability 1."""
     row_start, actions, out_start, successors, probs = arrays
     at = row_start[1:][where]  # each new choice goes before the next row's first
-    outs = out_start[at]
-    return Arrays(_offsets(np.diff(row_start) + where), np.insert(actions, at, action),
-                  _offsets(np.insert(np.diff(out_start), at, 1)), np.insert(successors, outs, targets[where]),
-                  np.insert(probs, outs, 1.0))
+    choice, outcome = _slots(len(actions), at), _slots(len(successors), out_start[at])
+    return Arrays(_offsets(np.diff(row_start) + where), _spliced(actions, choice, action),
+                  _offsets(_spliced(np.diff(out_start), choice, 1)), _spliced(successors, outcome, targets[where]),
+                  _spliced(probs, outcome, 1.0))
+
+
+def _slots(n, at):
+    """(new, old): the places of one new value before each of the
+    nondecreasing positions `at` among n values, as `np.insert` puts them,
+    and the mask of the places the n values move to."""
+    new = at + np.arange(len(at))
+    old = np.ones(n + len(at), bool)
+    old[new] = False
+    return new, old
+
+
+def _spliced(values, slots, fill):
+    """`values` in order at the old places of `_slots`, `fill` at the new."""
+    new, old = slots
+    out = np.empty(len(old), values.dtype)
+    out[new] = fill
+    out[old] = values
+    return out
 
 
 def _ranges(offsets, idx):
@@ -311,9 +330,9 @@ def validate(mdp: Mdp) -> list[str]:
             problems.append(f"state {s}: action index {a} out of range")
             continue
         if (s, a) in seen:
-            problems.append(f"state {s}: action {mdp.actions[a]!r} enabled twice")
+            problems.append(f"state {s}: action {_shown(mdp.actions[a])} enabled twice")
         seen.add((s, a))
-        where = f"state {s}, action {mdp.actions[a]!r}"
+        where = f"state {s}, action {_shown(mdp.actions[a])}"
         total = 0.0
         for t, p in outcomes:
             if not (0 <= t < mdp.num_states):

@@ -31,6 +31,7 @@ from itertools import count
 import numpy as np
 
 from .dfa import compile_cosafe, compile_safe, minimize
+from .ltl import _shown
 from .mdp import AVOID, LIVE, MAX_STATES, TARGET, Explorer, Mdp, _dense_number, _grow, _reachable
 
 
@@ -280,7 +281,7 @@ def local_product(mdp, mission, automata=None):
     """
     missing = sorted(set(mission.atoms) - set(mdp.atoms))
     if missing:
-        raise ProductError(f"mission atoms not in model alphabet: {', '.join(missing)}")
+        raise ProductError(f"mission atoms not in model alphabet: {_shown(missing)}")
     return ProductMdp(mdp, mission, automata if automata is not None else compile_mission(mission))
 
 

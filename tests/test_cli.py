@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from teamplan import baseline, mdp, product
+from teamplan import baseline, maps, mdp, product
 from teamplan.baseline import MamdpModel, build_mamdp, solve_mamdp
 from teamplan.bench import run_cell
 from teamplan.cli import build_parser, main
@@ -285,7 +285,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
 def test_deep_input_message_stays_one_line(tmp_path, capsys):
     """A model file that is a 900-deep array is refused with a one-line
     message that quotes only the start of it, and so are long formulas,
-    labels and policy entries."""
+    labels, policy entries, action names and lists of missing atoms."""
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 900 + "]" * 900)
     mission = write_mission(tmp_path / "mission.json", ["F p1"])
@@ -299,6 +299,10 @@ def test_deep_input_message_stays_one_line(tmp_path, capsys):
     labelled = json.loads(model.read_text())
     labelled["labels"]["0"] = [f"undeclared_{k}" for k in range(500)]
     (tmp_path / "labelled.json").write_text(json.dumps(labelled))
+    named = json.loads(model.read_text())
+    named["actions"].append("a" * 3000)
+    named["trans"].append({"from": 0, "action": "a" * 3000, "outcomes": [{"to": 1, "p": 0.5}]})
+    (tmp_path / "named.json").write_text(json.dumps(named))
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"robots": 1, "chains": [{"nodes": [
         {"t": 0, "positions": [0], "statuses": ["failed"], "q": [0], "kind": "point", "steps": [],
@@ -308,12 +312,14 @@ def test_deep_input_message_stays_one_line(tmp_path, capsys):
         "long safety": (["F p1"], " & ".join(["F p1"] * 300)),
         "13 atoms": (["F (" + " & ".join(f"a_long_atom_name_{k}" for k in range(MAX_ATOMS + 1)) + ")"], None),
         "long token": (["F p1 " + "q" * 5000], None),
+        "12 long missing atoms": ([f"F atom_{k:02d}_" + "m" * 62 for k in range(12)], None),
     }
     out = ["--out", str(tmp_path / "s.json")]
     cases = {name: ["solve", "--models", str(model), "--mission",
                     write_mission(tmp_path / f"{k}.json", tasks, safety), *out]
              for k, (name, (tasks, safety)) in enumerate(missions.items())}
     cases["undeclared atoms"] = ["solve", "--models", str(tmp_path / "labelled.json"), "--mission", mission, *out]
+    cases["long action"] = ["solve", "--models", str(tmp_path / "named.json"), "--mission", mission, *out]
     cases["fresh robots"] = ["simulate", "--policy", str(policy), "--runs", "1"]
     for name, argv in cases.items():
         capsys.readouterr()
@@ -464,8 +470,9 @@ def test_solver_failures_exit_two(tmp_path, monkeypatch, capsys):
 
 
 def test_defaults_have_one_home():
-    """Every solve defaults to `mdp.EPSILON` and every joint build to
-    `baseline.CEILING`, from the library and from the command line."""
+    """Every solve defaults to `mdp.EPSILON`, every joint build to
+    `baseline.CEILING` and every generated map to `maps.MapSpec`'s
+    defaults, from the library and from the command line."""
     for fn in (max_reach, solve_mamdp, solve_stapu, solve_realloc, run_stapu_with_realloc, run_cell):
         assert inspect.signature(fn).parameters["epsilon"].default is mdp.EPSILON, fn.__name__
     for fn in (MamdpModel, build_mamdp):
@@ -475,6 +482,12 @@ def test_defaults_have_one_home():
     for argv in (["solve", *inputs, "--out", "s.json"], ["realloc", *inputs, "--out", "p.json"], ["baseline", *inputs]):
         assert parser.parse_args(argv).epsilon is mdp.EPSILON, argv[0]
     assert parser.parse_args(["baseline", *inputs]).ceiling is baseline.CEILING
+    spec = maps.MapSpec._defaults
+    genmap = parser.parse_args(["genmap", "--out", "m.json"])
+    for name in ("nodes", "failpoints", "pfail", "tasks", "seed"):
+        assert getattr(genmap, name) is spec[name], name
+    for name in ("nodes", "pfail", "hazards"):
+        assert inspect.signature(run_cell).parameters[name].default is spec[name], name
 
 
 def test_help_exits_zero():

@@ -1,6 +1,8 @@
 """Monte Carlo rollouts against the analytical guarantees they sample."""
 
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from teamplan.realloc import (
     policy_from_dict,
     run_stapu_with_realloc,
 )
-from teamplan.simulate import SimReport, simulate
+from teamplan.simulate import SEGMENT, SEGMENTS, SimReport, _decision_table, simulate
 
 from instances import graph_model, guarded_tree_instance
 from test_realloc import corridor, mission
@@ -191,3 +193,69 @@ def test_deep_single_step_chain_rolls_out():
     nodes.append(JointNode(t=n - 1, positions=(0,), statuses=("executing",), q=(0,), kind=SUCCESS))
     rep = simulate(JointPolicy([JointChain(nodes)], robots=1), runs=3)
     assert rep.frequency == 1.0
+
+
+def test_segments_match_per_draw_walk_across_blocks():
+    """Random policies whose rollouts take draws, each rolled out over more
+    draws than one block holds, so that the walk goes on across a block's
+    end and the tallies are cut inside a later block."""
+    rng = np.random.default_rng(20261022)
+    runs = 70_000
+    assert runs > SEGMENTS * SEGMENT  # every rollout below takes a draw
+    widths = set()
+    trees = 0
+    while trees < 20:
+        jp = policy_from_dict(random_policy(rng))
+        cut, _, _, _, _, start = _decision_table(jp)
+        if start < 0:
+            continue
+        widths.add(cut.shape[1])
+        trees += 1
+        seed = int(rng.integers(1 << 30))
+        rep, ref = simulate(jp, runs=runs, seed=seed), per_draw_simulate(jp, runs, seed)
+        assert rep.to_dict() == ref.to_dict(), trees
+        assert list(rep.triggers) == list(ref.triggers), trees
+    assert {3, 4} <= widths
+
+
+def phase_locked_policy():
+    """Two steps of 0.9 to success, as on the joint-baseline workload; a
+    failure at either goes through a grafted point to one or two more
+    steps. Walks of two draws per rollout that start a draw apart keep
+    apart, so most segments entered elsewhere repair over many draws."""
+    def node(kind, steps=(), child=None):
+        nd = {"t": 0, "positions": [0], "statuses": ["executing"], "q": [0], "kind": kind,
+              "steps": [list(s) for s in steps]}
+        if kind == POINT:
+            nd["fresh"] = [0]
+            nd["child"] = child
+        return nd
+    return policy_from_dict({"robots": 1, "chains": [
+        {"nodes": [node(STEP, [(0.9, 1), (0.1, 2)]), node(STEP, [(0.9, 3), (0.1, 4)]), node(POINT, child=1),
+                   node(SUCCESS), node(POINT, child=2)]},
+        {"nodes": [node(STEP, [(0.9, 1), (0.1, 2)]), node(STEP, [(0.9, 3), (0.1, 2)]), node(DEAD), node(SUCCESS)]},
+        {"nodes": [node(STEP, [(0.9, 1), (0.1, 2)]), node(SUCCESS), node(VIOLATED)]},
+    ]})
+
+
+def test_phase_locked_rollouts_match_per_draw_walk():
+    jp = phase_locked_policy()
+    rep, ref = simulate(jp, runs=200_000, seed=3), per_draw_simulate(jp, 200_000, 3)
+    assert rep.to_dict() == ref.to_dict()
+    assert list(rep.triggers) == list(ref.triggers) == ["0:4", "0:2"]
+
+
+def test_memory_does_not_grow_with_runs():
+    jp = phase_locked_policy()
+    tracemalloc.start()
+    try:
+        simulate(jp, runs=1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of draws and landings (512 KiB each) and its tallies
+    assert peak < 3 * 2**20, peak
+
+
+def test_signature_is_unchanged():
+    assert str(inspect.signature(simulate)) == "(jp, runs, seed=0)"
